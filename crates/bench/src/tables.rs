@@ -494,7 +494,7 @@ fn run_parallel<T: Sync, R: Send>(
 ) -> Vec<R> {
     let mut results: Vec<Option<R>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
-    let results_mutex = parking_lot::Mutex::new(&mut results);
+    let results_mutex = std::sync::Mutex::new(&mut results);
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads.max(1) {
@@ -504,7 +504,7 @@ fn run_parallel<T: Sync, R: Send>(
                     break;
                 }
                 let r = f(&items[i]);
-                results_mutex.lock()[i] = Some(r);
+                results_mutex.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
             });
         }
     });

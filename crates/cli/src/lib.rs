@@ -122,9 +122,8 @@ pub enum Command {
         deadline_ms: Option<u64>,
         /// Cap on joins executed by the query.
         max_joins: Option<u64>,
-        /// Route the query through the fault-isolated sharded execution
-        /// layer, over this many skew-aware shards; prints the shard
-        /// layout and the typed coverage report.
+        /// Run the query over this many skew-aware shards instead of one
+        /// per engine thread, and print the shard layout.
         shards: Option<usize>,
     },
     /// Run a broadcast sweep over community files, then print the
@@ -234,9 +233,9 @@ pub enum Command {
         /// slow community); needs the `chaos` cargo feature.
         chaos: bool,
         /// Targeted chaos mode: `shard-kill`, `shard-stall` or
-        /// `shard-panic` route multi-pair requests through the sharded
-        /// execution layer and attack one shard; `None` is the classic
-        /// community-level fault mix. Implies `chaos`.
+        /// `shard-panic` attack one shard of every multi-pair request;
+        /// `None` is the classic community-level fault mix. Implies
+        /// `chaos`.
         chaos_mode: Option<String>,
         /// Write the final merged Prometheus exposition here.
         metrics_out: Option<PathBuf>,
@@ -1279,7 +1278,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             let d = anchor_c.d();
             let mut config = EngineConfig::new(eps);
             if let Some(n) = shards {
-                config.shard.enabled = true;
                 config.shard.shards = n;
             }
             let mut engine = CsjEngine::new(d, config);
@@ -1305,12 +1303,9 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             if let Some(max) = max_joins {
                 budget = budget.with_max_joins(max);
             }
-            let partial = if shards.is_some() {
-                engine.screen_and_refine_sharded_with_budget(anchor_h, &handles, &budget)
-            } else {
-                engine.screen_and_refine_with_budget(anchor_h, &handles, &budget)
-            }
-            .map_err(|e| CliError::Io(e.to_string()))?;
+            let partial = engine
+                .screen_and_refine_with_budget(anchor_h, &handles, &budget)
+                .map_err(|e| CliError::Io(e.to_string()))?;
             let exhausted = partial.exhausted;
             let coverage = partial.coverage;
             let mut ranked = partial.value;
@@ -2042,9 +2037,8 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             "--crash-after only makes sense with --durable".into(),
         ));
     }
-    // Shard chaos routes multi-pair requests through the sharded
-    // execution layer, which needs the shard knobs set at engine
-    // construction — the durable ingest path builds its own engine.
+    // Shard chaos needs the shard knobs set at engine construction —
+    // the durable ingest path builds its own engine.
     let shard_chaos = args.chaos_mode.is_some();
     if shard_chaos && args.durable {
         return Err(CliError::Usage(
@@ -2087,7 +2081,6 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             // cannot serialize its healthy siblings on a small host —
             // hedging needs peer completions to measure stragglers
             // against.
-            config.shard.enabled = true;
             config.shard.shards = 4;
             config.shard.hedge_floor = Duration::from_millis(5);
             config.shard.hedge_min_samples = 2;
@@ -2125,8 +2118,8 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
         use csj_engine::fault::FaultPlan;
         use csj_engine::ShardFaultPlan;
         match args.chaos_mode.as_deref() {
-            // Shard 0 of every sharded request is attacked; the other
-            // shards (and every non-sharded request) stay healthy, so
+            // Shard 0 of every multi-pair request is attacked; the other
+            // shards (and every similarity request) stay healthy, so
             // the blast radius of the fault is exactly one shard.
             Some("shard-kill") => {
                 // The worker dies before the closure runs, every time:
@@ -3029,9 +3022,9 @@ mod tests {
         ));
     }
 
-    /// `--shards` must not change answers: the sharded pipeline merges
-    /// back to the flat ranking bit for bit, and a fault-free run
-    /// reports complete coverage.
+    /// `--shards` must not change answers: an explicit shard count
+    /// merges back to the default layout's ranking bit for bit, and a
+    /// fault-free run reports complete coverage.
     #[test]
     fn topk_sharded_matches_flat_and_reports_coverage() {
         let (b1, a1) = generated_pair("csj_cli_topk_shards_1", 6);

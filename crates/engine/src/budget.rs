@@ -129,18 +129,20 @@ pub struct BudgetExhausted {
 /// Budget exhaustion is *graceful degradation*, not an error — the
 /// value is always well-formed, just possibly incomplete.
 ///
-/// Sharded queries additionally attach a [`Coverage`] report: how many
-/// shards resolved each way and how many candidates were actually
-/// screened. Budget exhaustion and coverage loss are independent — a
-/// query can finish inside its budget yet still be incomplete because a
-/// shard failed (`exhausted: None`, `coverage.is_partial()`).
+/// Every multi-pair engine query runs on the shard executor and
+/// attaches a [`Coverage`] report: how many shards resolved each way
+/// and how many work units were actually screened. Budget exhaustion
+/// and coverage loss are independent — a query can finish inside its
+/// budget yet still be incomplete because a shard failed
+/// (`exhausted: None`, `coverage.is_partial()`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Partial<T> {
     /// The (possibly truncated) result.
     pub value: T,
     /// `Some` when the budget ran out before the query finished.
     pub exhausted: Option<BudgetExhausted>,
-    /// Shard completeness of a sharded query; `None` on unsharded paths.
+    /// Shard completeness of the query; `None` only for values built
+    /// outside the shard executor (e.g. [`Partial::complete`]).
     pub coverage: Option<Coverage>,
 }
 
@@ -155,7 +157,7 @@ impl<T> Partial<T> {
     }
 
     /// Whether the query ran to completion — no budget truncation and
-    /// (for sharded queries) no coverage loss.
+    /// no coverage loss.
     pub fn is_complete(&self) -> bool {
         self.exhausted.is_none() && !self.coverage.is_some_and(|c| c.is_partial())
     }
@@ -167,7 +169,11 @@ impl<T> Partial<T> {
 }
 
 /// Internal helper: build the exhaustion marker for a finished query.
-/// `None` when nothing was skipped (the query completed).
+/// `None` when nothing was skipped (the query completed), or when the
+/// budget still admits work: then the skips came from a lost or
+/// timed-out shard and are reported through [`Coverage`] instead.
+/// Deadline, join cap and cancellation are monotone, so whatever
+/// limit stopped the query still holds here.
 pub(crate) fn exhausted_marker(
     budget: &Budget,
     joins: &AtomicU64,
@@ -177,12 +183,7 @@ pub(crate) fn exhausted_marker(
     if pairs_skipped == 0 {
         return None;
     }
-    // Deadline/cancellation are monotone and the join counter only
-    // grows, so whatever reason stopped the query still holds here; the
-    // fallback guards a pathological clock and never panics.
-    let reason = budget
-        .exceeded(joins.load(Ordering::Relaxed))
-        .unwrap_or(ExhaustReason::Deadline);
+    let reason = budget.exceeded(joins.load(Ordering::Relaxed))?;
     Some(BudgetExhausted {
         reason,
         pairs_done,

@@ -1,17 +1,20 @@
 //! The engine proper: registry, cache, screening pipeline, queries.
 //!
-//! Every multi-pair query comes in two flavours: the plain entry point
-//! (`screen`, `screen_and_refine`, `top_k_similar`, `pairs_above`) runs
-//! to completion, and a `*_with_budget` twin that bounds the work with a
+//! Every multi-pair query (`screen`, `screen_and_refine`,
+//! `top_k_similar`, `pairs_above`) runs on one path: its work units are
+//! split into mass-balanced shards on the supervised [`ShardExecutor`]
+//! and merged back in canonical order. The plain entry point runs to
+//! completion; its `*_with_budget` twin bounds the work with a
 //! [`Budget`] and *degrades gracefully* — returning a [`Partial`] with
-//! everything scored before the budget ran out instead of an error.
-//! Joins are panic-isolated per candidate: one poisoned community shows
-//! up as an [`EngineError::JoinPanicked`] entry in the outcome while the
-//! rest of the query completes normally.
+//! everything scored before the budget ran out, plus the shards'
+//! [`Coverage`], instead of an error. Joins are panic-isolated per
+//! candidate: one poisoned community shows up as an
+//! [`EngineError::JoinPanicked`] entry in the outcome while the rest of
+//! the query completes normally.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csj_core::plan::{Exactness, PlanInput, QueryPlan};
@@ -23,12 +26,16 @@ use csj_core::{
 use csj_obs::{ForensicRecord, MetricsSnapshot, QueryTrace};
 use csj_shard::{ShardConfig, ShardCtx, ShardExecutor, ShardOutcome};
 
-use crate::budget::{exhausted_marker, Budget, BudgetExhausted, Partial};
+use crate::budget::{exhausted_marker, Budget, BudgetExhausted, ExhaustReason, Partial};
 use crate::error::EngineError;
 #[cfg(feature = "fault-injection")]
 use crate::fault::FaultPlan;
 use crate::obs::{outcome_label, EngineObs, ObsConfig, QueryRecorder};
 use crate::plan::{PlanSource, Planner, PlannerConfig};
+
+/// [`Registered::mass`] before it is computed (a real mass is far
+/// smaller: counters are `u32` and communities fit in memory).
+const STALE_MASS: u64 = u64::MAX;
 
 /// Stable handle to a registered community.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,11 +54,9 @@ pub struct EngineConfig {
     /// Pairs whose *screened* similarity falls below this ratio are not
     /// refined (the paper's "similar-enough group" cut).
     pub screen_threshold: f64,
-    /// Worker threads for multi-pair queries (screening fans out across
-    /// pairs; each join stays single-threaded). The shard executor
-    /// shares this same knob — sharded and flat queries draw from one
-    /// parallelism budget, so enabling sharding never oversubscribes
-    /// the host. The default is the machine's full
+    /// Worker threads for multi-pair queries: the shard executor's pool
+    /// size (shards fan out across pairs; each join stays
+    /// single-threaded). The default is the machine's full
     /// `available_parallelism`: each worker is compute-bound with no
     /// blocking I/O, so there is nothing to win from running more
     /// threads than cores (they would only steal each other's cache)
@@ -62,10 +67,8 @@ pub struct EngineConfig {
     /// Cost-based planner: resolves [`CsjMethod::Auto`], ranks the
     /// degradation ladder, refines estimates from measured latencies.
     pub planner: PlannerConfig,
-    /// Sharded execution of multi-pair queries: skew-aware layout,
-    /// per-shard deadline slices, straggler hedging, typed coverage.
-    /// Disabled by default (the `*_sharded_*` entry points still work;
-    /// this knob routes the service's queries through them).
+    /// Sharded execution of multi-pair queries: shard count, per-shard
+    /// deadline slices, straggler hedging.
     pub shard: ShardConfig,
 }
 
@@ -112,14 +115,15 @@ pub struct ScreenOutcome {
     /// panic was contained at the per-candidate boundary and the rest of
     /// the screen completed.
     pub failed: Vec<(CommunityHandle, EngineError)>,
-    /// Candidates never screened because the query's [`Budget`] ran out.
-    /// Always empty for unbudgeted queries.
+    /// Candidates never screened: the query's [`Budget`] ran out, or
+    /// their shard was lost (see [`Partial::coverage`]).
     pub skipped: Vec<CommunityHandle>,
 }
 
 /// Resume point of a truncated [`CsjEngine::pairs_above_with_budget`]
-/// sweep: the first pair the sweep did *not* process. Feed it back to
-/// continue exactly where the budget ran out.
+/// sweep: the first pair (in canonical order) the sweep did *not*
+/// process. Feed it back to continue exactly where the budget ran out
+/// or the lost shard's work begins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairsCursor {
     i: u32,
@@ -131,12 +135,19 @@ pub struct PairsCursor {
 pub struct PairsSweep {
     /// Pairs whose exact similarity reached the threshold, best first.
     pub pairs: Vec<PairScore>,
-    /// Where to resume when the budget ran out; `None` means the sweep
-    /// covered every pair.
+    /// Where to resume when the budget ran out or a shard was lost;
+    /// `None` means the sweep covered every pair.
     pub cursor: Option<PairsCursor>,
     /// Pairs whose join panicked or hit an injected fault; the sweep
     /// carried on past them.
     pub failed: Vec<(CommunityHandle, CommunityHandle, EngineError)>,
+    /// Pairs at or after `cursor` that reached the threshold anyway,
+    /// best first: shards run side by side, so when one is lost or the
+    /// budget runs out, others may have got past the cursor. A resumed
+    /// sweep visits these pairs again, so a caller that resumes ignores
+    /// this list; a caller that answers once adds it to `pairs` to keep
+    /// every result that survived.
+    pub ahead: Vec<PairScore>,
 }
 
 /// Aggregate engine statistics.
@@ -179,19 +190,15 @@ struct Registered {
     /// instead of cloning them; mutations go through [`Arc::make_mut`].
     community: Arc<Community>,
     version: u64,
+    /// [`community_mass`] of the rows, computed when a query first
+    /// needs it after registration or a mutation ([`STALE_MASS`]
+    /// until then), so shard planning costs one lookup per community.
+    mass: AtomicU64,
     /// Prepared MinMax encodings for the engine's (eps, parts); rebuilt
     /// lazily after mutations. `Arc` so parallel screening workers can
     /// share it without cloning the buffers, `Mutex` so concurrent
     /// `&self` queries can build it lazily.
     prepared: Mutex<Option<Arc<PreparedCommunity>>>,
-}
-
-/// Per-candidate result of a screening worker.
-enum Screened {
-    Scored(Similarity),
-    Inadmissible,
-    Skipped,
-    Failed(EngineError),
 }
 
 /// The multi-community CSJ engine. Queries take `&self`, so an
@@ -282,6 +289,7 @@ impl CsjEngine {
         let handle = self.entries.len() as u32;
         self.names.insert(community.name().to_string(), handle);
         self.entries.push(Registered {
+            mass: AtomicU64::new(STALE_MASS),
             community: Arc::new(community),
             version: 0,
             prepared: Mutex::new(None),
@@ -374,6 +382,19 @@ impl CsjEngine {
         ));
         *slot = Some(Arc::clone(&built));
         built
+    }
+
+    /// The [`community_mass`] of a registered community, computed once
+    /// per version.
+    fn mass(&self, handle: u32) -> u64 {
+        let entry = &self.entries[handle as usize];
+        let cached = entry.mass.load(Ordering::Relaxed);
+        if cached != STALE_MASS {
+            return cached;
+        }
+        let mass = community_mass(&entry.community);
+        entry.mass.store(mass, Ordering::Relaxed);
+        mass
     }
 
     /// Join an oriented prepared pair with `method`, using the prepared
@@ -490,6 +511,23 @@ impl CsjEngine {
         Ok(())
     }
 
+    /// Run `join` inside the per-pair panic boundary: a panic is
+    /// counted and surfaces as [`EngineError::JoinPanicked`] naming
+    /// `handle`, never as an abort.
+    fn isolated<T>(
+        &self,
+        handle: u32,
+        join: impl FnOnce() -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        catch_unwind(AssertUnwindSafe(join)).unwrap_or_else(|payload| {
+            self.obs.on_join_panicked();
+            Err(EngineError::JoinPanicked {
+                handle,
+                message: panic_message(payload),
+            })
+        })
+    }
+
     /// Overwrite (or insert) a user's profile; invalidates cached
     /// similarities involving the community. In a live system this is
     /// the "counters increased by one" path of the paper's Section 1.1.
@@ -553,6 +591,7 @@ impl CsjEngine {
     fn bump_version(&mut self, handle: u32) {
         let entry = &mut self.entries[handle as usize];
         entry.version += 1;
+        *entry.mass.get_mut() = STALE_MASS;
         // Encodings are stale now.
         *entry.prepared.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
         self.cache
@@ -631,25 +670,15 @@ impl CsjEngine {
         let qopts = self.config.options.clone();
         let rec = self.obs.start_recorder("similarity");
         self.obs.on_query("similarity");
-        let result = (|| {
-            let (b, a) = self.oriented(x, y)?;
+        let result = self.oriented(x, y).and_then(|(b, a)| {
             let pb = self.prepared(b);
             let pa = self.prepared(a);
-            match catch_unwind(AssertUnwindSafe(|| {
+            self.isolated(y.0, || {
                 self.fault_hook(b)?;
                 self.fault_hook(a)?;
                 self.join_prepared(method, Exactness::Any, &pb, &pa, &qopts, Some(&rec))
-            })) {
-                Ok(joined) => joined,
-                Err(payload) => {
-                    self.obs.on_join_panicked();
-                    Err(EngineError::JoinPanicked {
-                        handle: y.0,
-                        message: panic_message(payload),
-                    })
-                }
-            }
-        })();
+            })
+        });
         let outcome = match &result {
             Ok(_) => "completed".to_string(),
             Err(e) => format!("failed:{e}"),
@@ -661,9 +690,9 @@ impl CsjEngine {
     }
 
     /// Exact (refined) similarity of one pair under `qopts`, cached.
-    /// The refine join runs inside a panic-isolation boundary: a panic
-    /// surfaces as [`EngineError::JoinPanicked`] naming `y`, never an
-    /// abort. Increments `joins` when a join actually runs.
+    /// The refine join runs inside the per-pair panic boundary
+    /// ([`Self::isolated`], naming `y`). Increments `joins` when a join
+    /// actually runs.
     fn refine_pair(
         &self,
         x: CommunityHandle,
@@ -681,23 +710,13 @@ impl CsjEngine {
         let pb = self.prepared(b);
         let pa = self.prepared(a);
         let method = self.config.refine_method;
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        let similarity = self.isolated(y.0, || {
             self.fault_hook(b)?;
             self.fault_hook(a)?;
             // The result lands in the exact-similarity cache, so an
             // `Auto` refine method must resolve among exact methods.
             self.join_prepared(method, Exactness::Exact, &pb, &pa, qopts, rec)
-        }));
-        let similarity = match result {
-            Ok(joined) => joined?,
-            Err(payload) => {
-                self.obs.on_join_panicked();
-                return Err(EngineError::JoinPanicked {
-                    handle: y.0,
-                    message: panic_message(payload),
-                });
-            }
-        };
+        })?;
         joins.fetch_add(1, Ordering::Relaxed);
         self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
             (b, a),
@@ -711,10 +730,10 @@ impl CsjEngine {
     }
 
     /// Phase 1 of the paper's pipeline: screen `x` against `candidates`
-    /// with the fast approximate method, in parallel, partitioning them
-    /// into shortlisted / rejected / inadmissible. A candidate whose
-    /// join panics lands in [`ScreenOutcome::failed`] while the others
-    /// complete.
+    /// with the fast approximate method on the shard executor,
+    /// partitioning them into shortlisted / rejected / inadmissible. A
+    /// candidate whose join panics lands in [`ScreenOutcome::failed`]
+    /// while the others complete.
     pub fn screen(
         &self,
         x: CommunityHandle,
@@ -726,8 +745,9 @@ impl CsjEngine {
     }
 
     /// [`screen`](CsjEngine::screen) under a [`Budget`]. Candidates the
-    /// budget never admitted land in [`ScreenOutcome::skipped`] and the
-    /// returned [`Partial`] carries the exhaustion marker.
+    /// budget never admitted, or whose shard was lost, land in
+    /// [`ScreenOutcome::skipped`]; the returned [`Partial`] carries the
+    /// exhaustion marker and the shard [`Coverage`].
     pub fn screen_with_budget(
         &self,
         x: CommunityHandle,
@@ -737,19 +757,14 @@ impl CsjEngine {
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_recorder("screen");
         self.obs.on_query("screen");
-        let (outcome, done, skipped) =
-            match self.screen_budgeted(x, candidates, budget, &joins, Some(&rec)) {
+        let (outcome, run, skipped) =
+            match self.screen_on_shards(x, candidates, budget, &joins, &rec) {
                 Ok(screened) => screened,
                 Err(e) => return Err(self.trace_failure(rec, e)),
             };
-        rec.end_phase("screen", 0);
+        let done = run.coverage.units_screened;
         let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value: outcome,
-            exhausted,
-            coverage: None,
-        })
+        Ok(self.finish_partial(rec, outcome, run, exhausted))
     }
 
     /// Close out a query whose recorder saw a hard error: the trace (if
@@ -761,9 +776,23 @@ impl CsjEngine {
         e
     }
 
-    /// Close out a completed (possibly exhausted) query: count the
-    /// exhaustion and file the trace.
-    fn finish_trace(&self, rec: QueryRecorder, exhausted: Option<BudgetExhausted>) {
+    /// Close out a completed (possibly exhausted) multi-pair query:
+    /// shard metrics, the exhaustion count, coverage and budget state on
+    /// the filed trace, and the [`Partial`] it returns.
+    fn finish_partial<T>(
+        &self,
+        rec: QueryRecorder,
+        value: T,
+        run: ShardRun,
+        exhausted: Option<BudgetExhausted>,
+    ) -> Partial<T> {
+        debug_assert!(
+            run.coverage.identity_holds(),
+            "shard fate identity: {:?}",
+            run.coverage
+        );
+        self.obs.on_shards(&run.coverage, &run.elapsed_us);
+        rec.note_coverage(run.coverage);
         if let Some(marker) = exhausted {
             self.obs.on_budget_exhausted(marker.reason);
             rec.note_budget(
@@ -775,132 +804,129 @@ impl CsjEngine {
         if let Some(trace) = rec.finish(outcome_label(exhausted.map(|m| m.reason))) {
             self.obs.record_trace(trace);
         }
+        Partial {
+            value,
+            exhausted,
+            coverage: Some(run.coverage),
+        }
     }
 
-    /// Screening core shared by the budgeted entry points. Returns the
-    /// outcome plus (candidates processed, candidates skipped); `joins`
-    /// accumulates this query's join count across phases.
-    fn screen_budgeted(
+    /// Screening core of every ranked query: split `candidates` into
+    /// mass-balanced shards, screen each shard's members on the
+    /// executor, and fold the shards back into one [`ScreenOutcome`] in
+    /// candidate order, so the outcome is the same for every shard
+    /// count and steal order. Members of a lost shard count as skipped;
+    /// the third value is how many of the skips the budget made (the
+    /// rest are coverage loss). `joins` accumulates the query's join
+    /// count across phases.
+    fn screen_on_shards(
         &self,
         x: CommunityHandle,
         candidates: &[CommunityHandle],
         budget: &Budget,
         joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Result<(ScreenOutcome, u64, u64), EngineError> {
+        rec: &QueryRecorder,
+    ) -> Result<(ScreenOutcome, ShardRun, u64), EngineError> {
         self.community(x)?;
-        for &c in candidates {
-            self.community(c)?;
-        }
-        // Prepare every participant once (&mut phase), then fan the
-        // actual joins out over shared Arcs (&self phase).
+        let layout = self.shard_layout(candidates)?;
+        // Prepare every participant once; the shards share the Arcs.
         let px = self.prepared(x.0);
         let prepared: Vec<Arc<PreparedCommunity>> =
             candidates.iter().map(|&c| self.prepared(c.0)).collect();
-        let qopts = self
-            .config
-            .options
-            .clone()
-            .with_cancel(budget.cancel_token());
+        let (values, mut run) =
+            self.dispatch("screen", &layout.shards, budget, rec, |members, ctx| {
+                let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
+                members
+                    .iter()
+                    .map(|&idx| {
+                        if !admits(budget, joins.load(Ordering::Relaxed), ctx) {
+                            return ScreenState::Skipped;
+                        }
+                        let cand = candidates[idx];
+                        self.screen_one(&px, cand, &prepared[idx], &qopts, joins, rec)
+                    })
+                    .collect::<Vec<_>>()
+            });
+        let mut states: Vec<ScreenState> = Vec::with_capacity(candidates.len());
+        states.resize_with(candidates.len(), || ScreenState::Skipped);
+        let mut lost = 0u64;
+        for (members, value) in layout.shards.iter().zip(values) {
+            match value {
+                Ok(value) => {
+                    for (&idx, state) in members.iter().zip(value) {
+                        states[idx] = state;
+                    }
+                }
+                // Never started: the budget was cancelled first.
+                Err(ShardOutcome::Cancelled) => {}
+                Err(_) => lost += members.len() as u64,
+            }
+        }
+        let mut out = ScreenOutcome::default();
+        for (&cand, state) in candidates.iter().zip(states) {
+            match state {
+                ScreenState::Scored(s) if s.ratio() >= self.config.screen_threshold => {
+                    out.shortlisted.push((cand, s))
+                }
+                ScreenState::Scored(s) => out.rejected.push((cand, s)),
+                ScreenState::Inadmissible => out.inadmissible.push(cand),
+                ScreenState::Failed(e) => out.failed.push((cand, e)),
+                ScreenState::Skipped => out.skipped.push(cand),
+            }
+        }
+        // Panics and faults degrade per candidate; anything else is a
+        // real configuration/state error and fails the query (first in
+        // candidate order) instead of being folded into the outcome.
+        if let Some((_, e)) = out.failed.iter().find(|(_, e)| !e.is_per_pair()) {
+            return Err(e.clone());
+        }
+        out.shortlisted
+            .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
+        run.coverage.units_skipped = out.skipped.len() as u64;
+        run.coverage.units_screened = candidates.len() as u64 - run.coverage.units_skipped;
+        let budget_skips = run.coverage.units_skipped - lost;
+        Ok((out, run, budget_skips))
+    }
 
-        let inputs: Vec<(CommunityHandle, Arc<PreparedCommunity>)> =
-            candidates.iter().copied().zip(prepared).collect();
-        let results = self.parallel_map(&inputs, |(cand, py)| {
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                // Trip the shared token so in-flight sibling joins stop
-                // at their next per-row check too.
-                budget.cancel();
-                return (*cand, Screened::Skipped);
-            }
-            if let Err(e) = self.fault_hook(cand.0) {
-                return (*cand, Screened::Failed(e));
-            }
-            let (b, a) = if px.len() <= py.len() {
-                (&px, py)
-            } else {
-                (py, &px)
-            };
-            match self.join_prepared(
+    /// One screen join of `x` (prepared as `px`) against `cand`,
+    /// inside the per-pair panic boundary.
+    fn screen_one(
+        &self,
+        px: &Arc<PreparedCommunity>,
+        cand: CommunityHandle,
+        py: &Arc<PreparedCommunity>,
+        qopts: &CsjOptions,
+        joins: &AtomicU64,
+        rec: &QueryRecorder,
+    ) -> ScreenState {
+        let (b, a) = if px.len() <= py.len() {
+            (px, py)
+        } else {
+            (py, px)
+        };
+        let screened = self.isolated(cand.0, || {
+            self.fault_hook(cand.0)?;
+            self.join_prepared(
                 self.config.screen_method,
                 Exactness::Approximate,
                 b,
                 a,
-                &qopts,
-                rec,
-            ) {
-                Ok(similarity) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    (*cand, Screened::Scored(similarity))
-                }
-                Err(EngineError::Csj(CsjError::SizeConstraint { .. })) => {
-                    (*cand, Screened::Inadmissible)
-                }
-                Err(EngineError::Cancelled) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    (*cand, Screened::Skipped)
-                }
-                Err(other) => (*cand, Screened::Failed(other)),
-            }
+                qopts,
+                Some(rec),
+            )
         });
-
-        let mut out = ScreenOutcome::default();
-        let mut pairs_done = 0u64;
-        let mut pairs_skipped = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (slot, (cand, _)) in results.into_iter().zip(&inputs) {
-            match slot {
-                // The worker itself panicked: contained at the
-                // per-candidate boundary, reported against the handle.
-                Err(message) => {
-                    pairs_done += 1;
-                    self.obs.on_join_panicked();
-                    out.failed.push((
-                        *cand,
-                        EngineError::JoinPanicked {
-                            handle: cand.0,
-                            message,
-                        },
-                    ));
-                }
-                Ok((cand, Screened::Scored(s))) => {
-                    pairs_done += 1;
-                    if s.ratio() >= self.config.screen_threshold {
-                        out.shortlisted.push((cand, s));
-                    } else {
-                        out.rejected.push((cand, s));
-                    }
-                }
-                Ok((cand, Screened::Inadmissible)) => {
-                    pairs_done += 1;
-                    out.inadmissible.push(cand);
-                }
-                Ok((cand, Screened::Skipped)) => {
-                    pairs_skipped += 1;
-                    out.skipped.push(cand);
-                }
-                Ok((cand, Screened::Failed(e))) => {
-                    pairs_done += 1;
-                    // Faults and panics degrade per candidate; anything
-                    // else is a real configuration/state error and is
-                    // surfaced (first in candidate order) instead of
-                    // being silently folded into "inadmissible".
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                    out.failed.push((cand, e));
-                }
+        match screened {
+            Ok(similarity) => {
+                joins.fetch_add(1, Ordering::Relaxed);
+                ScreenState::Scored(similarity)
             }
+            Err(EngineError::Csj(CsjError::SizeConstraint { .. })) => ScreenState::Inadmissible,
+            Err(EngineError::Cancelled) => {
+                joins.fetch_add(1, Ordering::Relaxed);
+                ScreenState::Skipped
+            }
+            Err(e) => ScreenState::Failed(e),
         }
-        if let Some(e) = hard_error {
-            return Err(e);
-        }
-        out.shortlisted
-            .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        Ok((out, pairs_done, pairs_skipped))
     }
 
     /// The full two-phase pipeline of Section 3: screen `candidates`,
@@ -928,14 +954,17 @@ impl CsjEngine {
         candidates: &[CommunityHandle],
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.ranked_query("screen_and_refine", x, candidates, budget)
+        self.ranked("screen_and_refine", x, candidates, budget)
     }
 
-    /// The screen → refine pipeline shared by
+    /// The screen → refine pipeline behind
     /// [`screen_and_refine_with_budget`](CsjEngine::screen_and_refine_with_budget)
-    /// and [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget);
-    /// `kind` labels the query in metrics and its flight-recorder trace.
-    fn ranked_query(
+    /// and [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget):
+    /// screen on the shards, then refine the merged shortlist on the
+    /// calling thread, best screen score first, so `max_joins`
+    /// accounting is deterministic. `kind` labels the query in metrics
+    /// and its flight-recorder trace.
+    fn ranked(
         &self,
         kind: &'static str,
         x: CommunityHandle,
@@ -945,12 +974,14 @@ impl CsjEngine {
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_recorder(kind);
         self.obs.on_query(kind);
-        let (screened, mut done, mut skipped) =
-            match self.screen_budgeted(x, candidates, budget, &joins, Some(&rec)) {
+        // `skipped` counts budget skips only: candidates of a lost shard
+        // are coverage loss, reported through `Coverage`.
+        let (screened, run, mut skipped) =
+            match self.screen_on_shards(x, candidates, budget, &joins, &rec) {
                 Ok(screened) => screened,
                 Err(e) => return Err(self.trace_failure(rec, e)),
             };
-        rec.end_phase("screen", 0);
+        let mut done = run.coverage.units_screened;
         let refine_start = rec.now_us();
         let qopts = self
             .config
@@ -981,21 +1012,14 @@ impl CsjEngine {
                     break;
                 }
                 // Panic/fault: drop this candidate, keep ranking the rest.
-                Err(EngineError::JoinPanicked { .. }) | Err(EngineError::Faulted { .. }) => {
-                    done += 1;
-                }
+                Err(e) if e.is_per_pair() => done += 1,
                 Err(other) => return Err(self.trace_failure(rec, other)),
             }
         }
         rec.end_phase("refine", refine_start);
         refined.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
         let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value: refined,
-            exhausted,
-            coverage: None,
-        })
+        Ok(self.finish_partial(rec, refined, run, exhausted))
     }
 
     /// The `k` registered communities most similar to `x` (exact scores,
@@ -1020,7 +1044,7 @@ impl CsjEngine {
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
         let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
-        let mut ranked = self.ranked_query("top_k", x, &candidates, budget)?;
+        let mut ranked = self.ranked("top_k", x, &candidates, budget)?;
         ranked.value.truncate(k);
         Ok(ranked)
     }
@@ -1039,7 +1063,7 @@ impl CsjEngine {
     /// Runs unbudgeted; the first panicked/faulted pair (if any) is
     /// surfaced as its error. Use
     /// [`pairs_above_with_budget`](CsjEngine::pairs_above_with_budget)
-    /// for deadline-bounded, degradable sweeps.
+    /// for deadline-bounded, degradable sweeps and the coverage report.
     pub fn pairs_above(&self, threshold: f64) -> Result<Vec<PairScore>, EngineError> {
         let swept = self
             .pairs_above_with_budget(threshold, &Budget::unlimited(), None)?
@@ -1051,19 +1075,21 @@ impl CsjEngine {
     }
 
     /// [`pairs_above`](CsjEngine::pairs_above) under a [`Budget`], with
-    /// resume. The sweep walks pairs in a canonical order; when the
-    /// budget runs out it stops *before* the next pair and returns that
-    /// position as [`PairsSweep::cursor`], so a later call (with a fresh
-    /// budget) picks up exactly where this one left off — pairs already
-    /// refined are served from the cache. Pairs whose join panicked or
-    /// faulted land in [`PairsSweep::failed`] and the sweep carries on.
+    /// resume. The sweep orders pairs canonically; when the budget runs
+    /// out or a shard is lost it keeps only the pairs before the first
+    /// unprocessed one and returns that pair as [`PairsSweep::cursor`],
+    /// so a later call (with a fresh budget) picks up exactly there —
+    /// pairs already refined are served from the cache. Hits found past
+    /// the cursor are returned apart, in [`PairsSweep::ahead`]. Pairs whose
+    /// join panicked or faulted land in [`PairsSweep::failed`] and the
+    /// sweep carries on.
     pub fn pairs_above_with_budget(
         &self,
         threshold: f64,
         budget: &Budget,
         resume: Option<PairsCursor>,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep_budgeted(threshold, budget, resume, false)
+        self.sweep(threshold, budget, resume, false)
     }
 
     /// Degraded broadcast sweep: *approximate only*. Each admissible
@@ -1083,93 +1109,125 @@ impl CsjEngine {
         budget: &Budget,
         resume: Option<PairsCursor>,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep_budgeted(threshold, budget, resume, true)
+        self.sweep(threshold, budget, resume, true)
     }
 
     /// Sweep core shared by the exact and approximate (degraded)
-    /// broadcast entry points.
-    fn sweep_budgeted(
+    /// broadcast entry points. The canonical pairs from `resume` on run
+    /// as mass-balanced shard tasks. The merge keeps the pairs before
+    /// the first pair no shard processed (budget, cancellation or a
+    /// lost shard) and returns that pair as the cursor, so a truncated
+    /// sweep and its resumption are disjoint and jointly exhaustive
+    /// whatever order the shards ran in; hits past the cursor go to
+    /// [`PairsSweep::ahead`].
+    fn sweep(
         &self,
         threshold: f64,
         budget: &Budget,
         resume: Option<PairsCursor>,
         approx: bool,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        let n = self.entries.len() as u32;
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_recorder("pairs_above");
         self.obs.on_query("pairs_above");
-        let qopts = self
-            .config
-            .options
-            .clone()
-            .with_cancel(budget.cancel_token());
-        let mut sweep = PairsSweep::default();
-        let mut pairs_done = 0u64;
-        let (start_i, start_j) = resume.map_or((0, 1), |c| (c.i, c.j));
-        'outer: for i in start_i..n {
-            let j_lo = if i == start_i {
-                start_j.max(i + 1)
-            } else {
-                i + 1
-            };
-            for j in j_lo..n {
-                let x = CommunityHandle(i);
-                let y = CommunityHandle(j);
-                if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                    budget.cancel();
-                    sweep.cursor = Some(PairsCursor { i, j });
-                    break 'outer;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.sweep_pair(x, y, threshold, &qopts, &joins, Some(&rec), approx)
-                }));
-                match outcome {
-                    Err(payload) => {
-                        pairs_done += 1;
-                        self.obs.on_join_panicked();
-                        sweep.failed.push((
-                            x,
-                            y,
-                            EngineError::JoinPanicked {
-                                handle: y.0,
-                                message: panic_message(payload),
-                            },
-                        ));
+        let n = self.entries.len() as u32;
+        let from = resume.unwrap_or(PairsCursor { i: 0, j: 1 });
+        let total = Self::remaining_pairs(n, from);
+        let masses: Vec<u64> = (0..n).map(|h| self.mass(h)).collect();
+        let tasks = Self::plan_pair_tasks(
+            &masses,
+            (from.i, from.j),
+            self.effective_shards(total as usize),
+        );
+        let (values, mut run) = self.dispatch("sweep", &tasks, budget, &rec, |pairs, ctx| {
+            let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
+            let mut stop = false;
+            pairs
+                .iter()
+                .map(|&(i, j)| {
+                    // The first pair is admitted whenever the budget
+                    // admits any work at all, whatever sibling shards
+                    // have spent, so every resumed call advances.
+                    let spent = if (i, j) == (from.i, from.j) {
+                        0
+                    } else {
+                        joins.load(Ordering::Relaxed)
+                    };
+                    stop = stop || !admits(budget, spent, ctx);
+                    if stop {
+                        return SweptPair::Skipped;
                     }
-                    Ok(Ok(Some(score))) => {
-                        pairs_done += 1;
-                        sweep.pairs.push(score);
-                    }
-                    Ok(Ok(None)) => pairs_done += 1,
-                    // A join truncated mid-flight: this pair was not
-                    // fully processed, so resume from it.
-                    Ok(Err(EngineError::Cancelled)) => {
-                        sweep.cursor = Some(PairsCursor { i, j });
-                        break 'outer;
-                    }
-                    Ok(Err(e)) => match e {
-                        EngineError::JoinPanicked { .. } | EngineError::Faulted { .. } => {
-                            pairs_done += 1;
-                            sweep.failed.push((x, y, e));
+                    let (x, y) = (CommunityHandle(i), CommunityHandle(j));
+                    let swept = self.isolated(j, || {
+                        self.sweep_pair(x, y, threshold, &qopts, &joins, Some(&rec), approx)
+                    });
+                    match swept {
+                        Ok(Some(score)) => SweptPair::Hit(score),
+                        Ok(None) => SweptPair::Miss,
+                        // A join truncated mid-flight: this pair was not
+                        // fully processed.
+                        Err(EngineError::Cancelled) => {
+                            stop = true;
+                            SweptPair::Skipped
                         }
-                        other => return Err(self.trace_failure(rec, other)),
-                    },
+                        Err(e) => SweptPair::Failed(e),
+                    }
+                })
+                .collect::<Vec<_>>()
+        });
+        // Each task's pairs are sorted and a shard stops for good at its
+        // first skip, so a task contributes its processed prefix and at
+        // most one candidate for the cursor (all of a lost shard's pairs
+        // are unprocessed).
+        let mut cursor: Option<(u32, u32)> = None;
+        let mut processed: Vec<((u32, u32), SweptPair)> = Vec::new();
+        for (pairs, value) in tasks.iter().zip(values) {
+            let states = value.unwrap_or_default();
+            let prefix = states
+                .iter()
+                .position(|s| matches!(s, SweptPair::Skipped))
+                .unwrap_or(states.len());
+            if let Some(&pair) = pairs.get(prefix) {
+                cursor = Some(cursor.map_or(pair, |c| c.min(pair)));
+            }
+            processed.extend(pairs.iter().copied().zip(states).take(prefix));
+        }
+        // Canonical order, independent of layout and completion order
+        // (pair keys are unique, so the unstable sort is total).
+        processed.sort_unstable_by_key(|(pair, _)| *pair);
+        let mut sweep = PairsSweep {
+            cursor: cursor.map(|(i, j)| PairsCursor { i, j }),
+            ..PairsSweep::default()
+        };
+        // Coverage counts every pair a shard processed; the exhaustion
+        // marker counts the resumable split at the cursor.
+        run.coverage.units_screened = processed.len() as u64;
+        run.coverage.units_skipped = total - run.coverage.units_screened;
+        let mut done = 0u64;
+        for ((i, j), state) in processed {
+            let before_cursor = cursor.is_none_or(|c| (i, j) < c);
+            done += u64::from(before_cursor);
+            match state {
+                SweptPair::Hit(score) if before_cursor => sweep.pairs.push(score),
+                SweptPair::Hit(score) => sweep.ahead.push(score),
+                SweptPair::Failed(e) if before_cursor || !e.is_per_pair() => {
+                    sweep
+                        .failed
+                        .push((CommunityHandle(i), CommunityHandle(j), e))
                 }
+                SweptPair::Failed(_) | SweptPair::Miss | SweptPair::Skipped => {}
             }
         }
-        sweep
-            .pairs
-            .sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        rec.end_phase("sweep", 0);
-        let pairs_skipped = sweep.cursor.map_or(0, |c| Self::remaining_pairs(n, c));
-        let exhausted = exhausted_marker(budget, &joins, pairs_done, pairs_skipped);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value: sweep,
-            exhausted,
-            coverage: None,
-        })
+        if let Some((_, _, e)) = sweep.failed.iter().find(|(_, _, e)| !e.is_per_pair()) {
+            return Err(self.trace_failure(rec, e.clone()));
+        }
+        for found in [&mut sweep.pairs, &mut sweep.ahead] {
+            found.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
+        }
+        let skipped = sweep.cursor.map_or(0, |c| Self::remaining_pairs(n, c));
+        debug_assert_eq!(done + skipped, total, "every pair is swept or skipped");
+        let exhausted = exhausted_marker(budget, &joins, done, skipped);
+        Ok(self.finish_partial(rec, sweep, run, exhausted))
     }
 
     /// One pair of the broadcast sweep: admissibility, cheap screen with
@@ -1369,109 +1427,51 @@ impl CsjEngine {
             telemetry: *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
-
-    /// Order-preserving parallel map over a slice (workers steal by
-    /// index; results land in input order). Each item runs inside its
-    /// own `catch_unwind` boundary: a panic in `f` is captured as
-    /// `Err(message)` in that item's slot — prefixed with the item's
-    /// index, so the report names *which* input was poisoned — while
-    /// every other item completes normally.
-    fn parallel_map<'s, T: Sync, R: Send>(
-        &'s self,
-        items: &'s [T],
-        f: impl Fn(&T) -> R + Sync + 's,
-    ) -> Vec<Result<R, String>> {
-        let run_one = |i: usize, item: &T| {
-            catch_unwind(AssertUnwindSafe(|| f(item)))
-                .map_err(|payload| format!("item {i}: {}", panic_message(payload)))
-        };
-        let threads = self.config.threads.max(1).min(items.len().max(1));
-        if threads <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| run_one(i, item))
-                .collect();
-        }
-        let mut results: Vec<Option<Result<R, String>>> = Vec::with_capacity(items.len());
-        results.resize_with(items.len(), || None);
-        let results_cell = std::sync::Mutex::new(&mut results);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = run_one(i, &items[i]);
-                    // Worker panics are caught above, so the mutex can't
-                    // be poisoned by `f`; recover defensively anyway.
-                    results_cell.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // A lost slot means a worker died between claiming the
-                // index and reporting — name the item instead of panicking
-                // the whole query.
-                r.unwrap_or_else(|| Err(format!("item {i}: worker lost before reporting a result")))
-            })
-            .collect()
-    }
 }
 
-/// Per-candidate terminal state inside one shard of a ranked query.
-/// Shards report these per member; the merge folds them into the
-/// ranking, the budget marker and the [`Coverage`] report.
-enum ShardScored {
+/// Per-candidate state of one shard's screening pass; the merge folds
+/// them, in candidate order, into a [`ScreenOutcome`].
+enum ScreenState {
+    /// Screened: the approximate similarity.
+    Scored(Similarity),
+    /// Screened: the pair violates the size constraint.
+    Inadmissible,
+    /// The screen join panicked, faulted, or hit a hard error.
+    Failed(EngineError),
     /// Never screened: the budget ran out, or the attempt was cancelled
     /// (slice timeout / hedge race / global cancel) before its turn.
     Skipped,
-    /// Screened: the pair violates the size constraint.
-    Inadmissible,
-    /// The screen join failed (panic, injected fault, or hard error).
-    ScreenFailed(EngineError),
-    /// Screened below the refine threshold.
-    Rejected,
-    /// Screened and refined: (screen score, exact score). The screen
-    /// score orders the merge exactly like the flat pipeline's
-    /// shortlist.
-    Refined(Similarity, Similarity),
-    /// Shortlisted, but the refine join panicked or faulted (dropped
-    /// from the ranking, as on the flat path).
-    RefineDropped,
-    /// Shortlisted, but the budget or the attempt's cancel token ran
-    /// out before its refine join.
-    RefineSkipped,
 }
 
-/// Per-pair terminal state inside one shard of a sharded broadcast
-/// sweep.
+/// Per-pair state of one shard task of a broadcast sweep.
 enum SweptPair {
-    /// Exact similarity reached the threshold.
+    /// The similarity reached the threshold.
     Hit(PairScore),
     /// Processed, below the threshold (or inadmissible).
     Miss,
-    /// Never processed: budget or attempt cancellation.
-    Skipped,
     /// The pair's join panicked or faulted (or a hard error, surfaced
     /// at merge).
     Failed(EngineError),
+    /// Never processed: budget or attempt cancellation.
+    Skipped,
 }
 
-/// Sharded execution of the multi-pair queries. Candidates are
-/// partitioned into mass-balanced shards ([`plan_shards`] over
-/// [`community_mass`], so one giant community cannot serialise the
-/// query behind it); each shard runs under its own deadline slice and
-/// panic boundary on the supervised [`ShardExecutor`] pool, stragglers
-/// are hedged, and the surviving per-unit states merge into a result
-/// that is bit-identical to the flat pipeline when every shard
-/// completes. Lost shards shrink the attached [`Coverage`] report
-/// instead of failing the query. See `DESIGN.md` §17.
+/// Shard fates and per-shard latencies of one dispatch, for the
+/// [`Coverage`] report and the `csj_shard_*` metrics. The dispatcher
+/// fills in the fates; the query's merge fills in the unit counts.
+struct ShardRun {
+    coverage: Coverage,
+    elapsed_us: Vec<u64>,
+}
+
+/// Shard planning and dispatch, the one execution path of every
+/// multi-pair query. Work units are partitioned into mass-balanced
+/// shards ([`plan_shards`] over [`community_mass`], so one giant
+/// community cannot serialise the query behind it); each shard runs
+/// under its own deadline slice and panic boundary on the supervised
+/// [`ShardExecutor`] pool, stragglers are hedged, and lost shards
+/// shrink the attached [`Coverage`] report instead of failing the
+/// query. See `DESIGN.md` §17.
 impl CsjEngine {
     /// How many shards a query over `units` work units gets: the
     /// configured count ([`ShardConfig::shards`]; 0 = auto, one per
@@ -1485,522 +1485,87 @@ impl CsjEngine {
         want.clamp(1, units.max(1))
     }
 
-    /// The shard executor for one query. It shares
-    /// [`EngineConfig::threads`] with the flat path, so sharding never
-    /// oversubscribes the host.
-    fn shard_executor(&self) -> ShardExecutor {
-        let executor = ShardExecutor::new(self.config.shard.clone(), self.config.threads);
-        #[cfg(feature = "fault-injection")]
-        let executor = executor.with_faults(self.shard_faults.clone());
-        executor
-    }
-
-    /// The skew-aware layout a sharded ranked query over `candidates`
-    /// would use: members balanced by part-sum mass, not by count.
-    /// This is what `csj explain` surfaces.
+    /// The skew-aware layout a ranked query over `candidates` runs on:
+    /// members balanced by part-sum mass, not by count. This is what
+    /// `csj explain` surfaces.
     pub fn shard_layout(&self, candidates: &[CommunityHandle]) -> Result<ShardLayout, EngineError> {
-        let masses = self.candidate_masses(candidates)?;
+        let masses = candidates
+            .iter()
+            .map(|&c| {
+                self.community(c)?;
+                Ok(self.mass(c.0))
+            })
+            .collect::<Result<Vec<u64>, EngineError>>()?;
         Ok(plan_shards(
             &masses,
             self.effective_shards(candidates.len()),
         ))
     }
 
-    /// Part-sum masses of `candidates` (validating every handle).
-    fn candidate_masses(&self, candidates: &[CommunityHandle]) -> Result<Vec<u64>, EngineError> {
-        candidates
-            .iter()
-            .map(|&c| Ok(community_mass(self.community(c)?)))
-            .collect()
-    }
-
-    /// Sharded [`top_k_similar`](CsjEngine::top_k_similar), unbudgeted.
-    pub fn top_k_similar_sharded(
+    /// Run `task` over every shard's member list on the supervised
+    /// executor (its pool is [`EngineConfig::threads`] wide). Join
+    /// spans recorded while the shards run close as the `phase` span,
+    /// followed by a `shards` phase with one span per shard. Returns
+    /// each shard's value (for a shard that returned none, how it
+    /// resolved) and its fates.
+    fn dispatch<M: Sync, T: Send>(
         &self,
-        x: CommunityHandle,
-        k: usize,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.top_k_similar_sharded_with_budget(x, k, &Budget::unlimited())
-    }
-
-    /// Sharded
-    /// [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget):
-    /// same ranking when every shard completes, a [`Coverage`] report
-    /// when one does not.
-    pub fn top_k_similar_sharded_with_budget(
-        &self,
-        x: CommunityHandle,
-        k: usize,
+        phase: &'static str,
+        shards: &[Vec<M>],
         budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
-        let mut ranked = self.ranked_query_sharded("top_k", x, &candidates, budget)?;
-        ranked.value.truncate(k);
-        Ok(ranked)
-    }
-
-    /// Sharded [`screen_and_refine`](CsjEngine::screen_and_refine),
-    /// unbudgeted.
-    pub fn screen_and_refine_sharded(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.screen_and_refine_sharded_with_budget(x, candidates, &Budget::unlimited())
-    }
-
-    /// Sharded
-    /// [`screen_and_refine_with_budget`](CsjEngine::screen_and_refine_with_budget).
-    pub fn screen_and_refine_sharded_with_budget(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.ranked_query_sharded("screen_and_refine", x, candidates, budget)
-    }
-
-    /// The sharded screen → refine pipeline. Fault-free runs produce
-    /// bit-identical results to [`ranked_query`](CsjEngine::ranked_query)
-    /// (the parity suite pins this); budget exhaustion inside a shard
-    /// degrades exactly like the flat path, and lost shards degrade
-    /// through the coverage channel instead.
-    fn ranked_query_sharded(
-        &self,
-        kind: &'static str,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder(kind);
-        self.obs.on_query(kind);
-        if let Err(e) = self.community(x) {
-            return Err(self.trace_failure(rec, e));
-        }
-        let masses = match self.candidate_masses(candidates) {
-            Ok(masses) => masses,
-            Err(e) => return Err(self.trace_failure(rec, e)),
+        rec: &QueryRecorder,
+        task: impl Fn(&[M], &ShardCtx) -> T + Sync,
+    ) -> (Vec<Result<T, ShardOutcome>>, ShardRun) {
+        let executor = ShardExecutor::new(self.config.shard.clone(), self.config.threads);
+        #[cfg(feature = "fault-injection")]
+        let executor = executor.with_faults(self.shard_faults.clone());
+        let start = rec.now_us();
+        let reports = executor.run(shards.len(), &budget.cancel_token(), |ctx| {
+            task(&shards[ctx.shard], ctx)
+        });
+        rec.end_phase(phase, start);
+        let mut run = ShardRun {
+            coverage: Coverage::default(),
+            elapsed_us: Vec::with_capacity(reports.len()),
         };
-        let layout = plan_shards(&masses, self.effective_shards(candidates.len()));
-        let px = self.prepared(x.0);
-        let prepared: Vec<Arc<PreparedCommunity>> =
-            candidates.iter().map(|&c| self.prepared(c.0)).collect();
-        let shard_start = rec.now_us();
-        let reports =
-            self.shard_executor()
-                .run(layout.shards.len(), &budget.cancel_token(), |ctx| {
-                    self.ranked_shard_task(
-                        x,
-                        &px,
-                        candidates,
-                        &prepared,
-                        &layout.shards[ctx.shard],
-                        ctx,
-                        budget,
-                        &joins,
-                        Some(&rec),
-                    )
-                });
-        // Fold shard reports: coverage fates, per-shard spans, and the
-        // surviving per-candidate states (a lost shard leaves `None` for
-        // every member).
-        let mut coverage = Coverage::default();
-        let mut states: Vec<Option<ShardScored>> = Vec::with_capacity(candidates.len());
-        states.resize_with(candidates.len(), || None);
-        let mut elapsed_us = Vec::with_capacity(reports.len());
-        for report in reports {
-            coverage.dispatched += 1;
-            match (&report.value, report.outcome) {
-                (Some(_), outcome) => {
-                    coverage.completed += 1;
-                    if outcome == ShardOutcome::Hedged {
-                        coverage.hedged += 1;
-                    }
-                }
-                (None, ShardOutcome::Cancelled) => coverage.cancelled += 1,
-                (None, _) => coverage.failed += 1,
-            }
-            let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
-            elapsed_us.push(us);
-            rec.record_shard(
-                report.shard,
-                report.outcome.label(),
-                layout.shards[report.shard].len(),
-                report.attempts,
-                us,
-                shard_start,
-            );
-            if let Some(values) = report.value {
-                for (idx, state) in values {
-                    states[idx] = Some(state);
-                }
-            }
-        }
-        rec.end_phase("shards", shard_start);
-        let mut refined: Vec<(usize, Similarity, Similarity)> = Vec::new();
-        let mut done = 0u64;
-        let mut budget_skips = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (idx, state) in states.iter().enumerate() {
-            match state {
-                None => coverage.units_skipped += 1,
-                Some(ShardScored::Skipped) => {
-                    coverage.units_skipped += 1;
-                    budget_skips += 1;
-                }
-                Some(ShardScored::Inadmissible) | Some(ShardScored::Rejected) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                }
-                Some(ShardScored::ScreenFailed(e)) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    // Same rule as the flat path: faults and panics
-                    // degrade per candidate, anything else is a real
-                    // error and is surfaced (first in candidate order).
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                }
-                Some(ShardScored::Refined(screen, exact)) => {
-                    coverage.units_screened += 1;
-                    done += 2;
-                    refined.push((idx, *screen, *exact));
-                }
-                Some(ShardScored::RefineDropped) => {
-                    coverage.units_screened += 1;
-                    done += 2;
-                }
-                Some(ShardScored::RefineSkipped) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    budget_skips += 1;
-                }
-            }
-        }
-        if let Some(e) = hard_error {
-            return Err(self.trace_failure(rec, e));
-        }
-        debug_assert!(
-            coverage.identity_holds(),
-            "shard fate identity: {coverage:?}"
-        );
-        debug_assert_eq!(
-            coverage.units_screened + coverage.units_skipped,
-            candidates.len() as u64,
-            "every candidate is either screened or skipped"
-        );
-        // Deterministic merge, bit-identical to the flat pipeline:
-        // `refined` is in candidate order, so the stable sort by screen
-        // score reproduces the global shortlist order and the stable
-        // sort by exact score reproduces the final ranking (ties keep
-        // shortlist order, exactly as the flat path's sort does).
-        refined.sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        refined.sort_by(|p, q| q.2.ratio().total_cmp(&p.2.ratio()));
-        let value: Vec<PairScore> = refined
+        let values = reports
             .into_iter()
-            .map(|(idx, _, exact)| PairScore {
-                x,
-                y: candidates[idx],
-                similarity: exact,
+            .map(|report| {
+                let coverage = &mut run.coverage;
+                coverage.dispatched += 1;
+                match (&report.value, report.outcome) {
+                    (Some(_), outcome) => {
+                        coverage.completed += 1;
+                        coverage.hedged += u64::from(outcome == ShardOutcome::Hedged);
+                    }
+                    (None, ShardOutcome::Cancelled) => coverage.cancelled += 1,
+                    (None, _) => coverage.failed += 1,
+                }
+                let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
+                run.elapsed_us.push(us);
+                rec.record_shard(
+                    report.shard,
+                    report.outcome.label(),
+                    shards[report.shard].len(),
+                    report.attempts,
+                    us,
+                    start,
+                );
+                report.value.ok_or(report.outcome)
             })
             .collect();
-        // Skips caused by slice timeouts or lost shards are coverage
-        // loss, not budget exhaustion: the marker only fires when the
-        // budget itself stopped admitting work.
-        let marker_skips = if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-            budget_skips
-        } else {
-            0
-        };
-        let exhausted = exhausted_marker(budget, &joins, done, marker_skips);
-        self.obs.on_shards(&coverage, &elapsed_us);
-        rec.note_coverage(coverage);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value,
-            exhausted,
-            coverage: Some(coverage),
-        })
+        rec.end_phase("shards", start);
+        (values, run)
     }
 
-    /// One shard's screen → refine pass over its member candidates.
-    /// Runs on a pool worker inside the shard's panic boundary; `ctx`
-    /// carries the attempt's cancel token, which the supervisor trips
-    /// on slice timeout, hedge races and global cancellation.
-    #[allow(clippy::too_many_arguments)]
-    fn ranked_shard_task(
-        &self,
-        x: CommunityHandle,
-        px: &Arc<PreparedCommunity>,
-        candidates: &[CommunityHandle],
-        prepared: &[Arc<PreparedCommunity>],
-        members: &[usize],
-        ctx: &ShardCtx,
-        budget: &Budget,
-        joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Vec<(usize, ShardScored)> {
-        let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
-        let mut out = Vec::with_capacity(members.len());
-        let mut shortlist: Vec<(usize, Similarity)> = Vec::new();
-        // Phase 1: screen the members (ascending candidate order).
-        for &idx in members {
-            let cand = candidates[idx];
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                out.push((idx, ShardScored::Skipped));
-                continue;
-            }
-            if ctx.cancel.is_cancelled() {
-                out.push((idx, ShardScored::Skipped));
-                continue;
-            }
-            let py = &prepared[idx];
-            let screened = catch_unwind(AssertUnwindSafe(|| {
-                self.fault_hook(cand.0)?;
-                let (b, a) = if px.len() <= py.len() {
-                    (px, py)
-                } else {
-                    (py, px)
-                };
-                self.join_prepared(
-                    self.config.screen_method,
-                    Exactness::Approximate,
-                    b,
-                    a,
-                    &qopts,
-                    rec,
-                )
-            }));
-            match screened {
-                Err(payload) => {
-                    self.obs.on_join_panicked();
-                    out.push((
-                        idx,
-                        ShardScored::ScreenFailed(EngineError::JoinPanicked {
-                            handle: cand.0,
-                            message: panic_message(payload),
-                        }),
-                    ));
-                }
-                Ok(Ok(similarity)) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    if similarity.ratio() >= self.config.screen_threshold {
-                        shortlist.push((idx, similarity));
-                    } else {
-                        out.push((idx, ShardScored::Rejected));
-                    }
-                }
-                Ok(Err(EngineError::Csj(CsjError::SizeConstraint { .. }))) => {
-                    out.push((idx, ShardScored::Inadmissible));
-                }
-                Ok(Err(EngineError::Cancelled)) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    out.push((idx, ShardScored::Skipped));
-                }
-                Ok(Err(other)) => out.push((idx, ShardScored::ScreenFailed(other))),
-            }
-        }
-        // Phase 2: refine the shard-local shortlist, best screen score
-        // first (stable, so ties keep candidate order — the global
-        // merge depends on this to reproduce the flat ordering).
-        shortlist.sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        let mut stop = false;
-        for (idx, screen_sim) in shortlist {
-            if !stop && budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                stop = true;
-            }
-            if !stop && ctx.cancel.is_cancelled() {
-                stop = true;
-            }
-            if stop {
-                out.push((idx, ShardScored::RefineSkipped));
-                continue;
-            }
-            match self.refine_pair(x, candidates[idx], &qopts, joins, rec) {
-                Ok(exact) => out.push((idx, ShardScored::Refined(screen_sim, exact))),
-                Err(EngineError::Cancelled) => {
-                    stop = true;
-                    out.push((idx, ShardScored::RefineSkipped));
-                }
-                Err(EngineError::JoinPanicked { .. }) | Err(EngineError::Faulted { .. }) => {
-                    out.push((idx, ShardScored::RefineDropped));
-                }
-                Err(other) => out.push((idx, ShardScored::ScreenFailed(other))),
-            }
-        }
-        out
-    }
-
-    /// Sharded [`pairs_above`](CsjEngine::pairs_above), unbudgeted.
-    pub fn pairs_above_sharded(&self, threshold: f64) -> Result<Partial<PairsSweep>, EngineError> {
-        self.pairs_above_sharded_with_budget(threshold, &Budget::unlimited())
-    }
-
-    /// Sharded broadcast sweep: the all-pairs workload is grouped into
-    /// mass-balanced community groups and each group-pair becomes one
-    /// shard task. Unlike
-    /// [`pairs_above_with_budget`](CsjEngine::pairs_above_with_budget)
-    /// there is no resume cursor ([`PairsSweep::cursor`] stays `None`):
-    /// lost work is reported through the [`Coverage`] channel instead
-    /// of a resumable position, because shards complete out of
-    /// canonical order.
-    pub fn pairs_above_sharded_with_budget(
-        &self,
-        threshold: f64,
-        budget: &Budget,
-    ) -> Result<Partial<PairsSweep>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("pairs_above");
-        self.obs.on_query("pairs_above");
-        let n = self.entries.len();
-        let masses: Vec<u64> = self
-            .entries
-            .iter()
-            .map(|e| community_mass(&e.community))
-            .collect();
-        let tasks =
-            Self::plan_pair_tasks(&masses, self.effective_shards(n * n.saturating_sub(1) / 2));
-        if tasks.is_empty() {
-            let coverage = Coverage::default();
-            rec.note_coverage(coverage);
-            self.finish_trace(rec, None);
-            return Ok(Partial {
-                value: PairsSweep::default(),
-                exhausted: None,
-                coverage: Some(coverage),
-            });
-        }
-        let total_pairs: u64 = tasks.iter().map(|t| t.len() as u64).sum();
-        let shard_start = rec.now_us();
-        let reports = self
-            .shard_executor()
-            .run(tasks.len(), &budget.cancel_token(), |ctx| {
-                self.sweep_shard_task(
-                    &tasks[ctx.shard],
-                    threshold,
-                    ctx,
-                    budget,
-                    &joins,
-                    Some(&rec),
-                )
-            });
-        let mut coverage = Coverage::default();
-        let mut elapsed_us = Vec::with_capacity(reports.len());
-        let mut swept: Vec<((u32, u32), SweptPair)> = Vec::new();
-        for report in reports {
-            coverage.dispatched += 1;
-            match (&report.value, report.outcome) {
-                (Some(_), outcome) => {
-                    coverage.completed += 1;
-                    if outcome == ShardOutcome::Hedged {
-                        coverage.hedged += 1;
-                    }
-                }
-                (None, ShardOutcome::Cancelled) => coverage.cancelled += 1,
-                (None, _) => coverage.failed += 1,
-            }
-            let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
-            elapsed_us.push(us);
-            rec.record_shard(
-                report.shard,
-                report.outcome.label(),
-                tasks[report.shard].len(),
-                report.attempts,
-                us,
-                shard_start,
-            );
-            if let Some(values) = report.value {
-                swept.extend(values);
-            } else {
-                coverage.units_skipped += tasks[report.shard].len() as u64;
-            }
-        }
-        rec.end_phase("shards", shard_start);
-        // Merge in canonical (lexicographic) pair order first, so the
-        // final ranking is independent of shard layout and completion
-        // order. Pair keys are unique, so the unstable sort is total.
-        swept.sort_unstable_by_key(|(pair, _)| *pair);
-        let mut sweep = PairsSweep::default();
-        let mut done = 0u64;
-        let mut budget_skips = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (pair, state) in swept {
-            match state {
-                SweptPair::Hit(score) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    sweep.pairs.push(score);
-                }
-                SweptPair::Miss => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                }
-                SweptPair::Skipped => {
-                    coverage.units_skipped += 1;
-                    budget_skips += 1;
-                }
-                SweptPair::Failed(e) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                    sweep
-                        .failed
-                        .push((CommunityHandle(pair.0), CommunityHandle(pair.1), e));
-                }
-            }
-        }
-        if let Some(e) = hard_error {
-            return Err(self.trace_failure(rec, e));
-        }
-        debug_assert!(
-            coverage.identity_holds(),
-            "shard fate identity: {coverage:?}"
-        );
-        debug_assert_eq!(
-            coverage.units_screened + coverage.units_skipped,
-            total_pairs,
-            "every pair is either screened or skipped"
-        );
-        sweep
-            .pairs
-            .sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        let marker_skips = if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-            budget_skips
-        } else {
-            0
-        };
-        let exhausted = exhausted_marker(budget, &joins, done, marker_skips);
-        self.obs.on_shards(&coverage, &elapsed_us);
-        rec.note_coverage(coverage);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value: sweep,
-            exhausted,
-            coverage: Some(coverage),
-        })
-    }
-
-    /// Partition the all-pairs workload for sharding: communities are
+    /// Partition the all-pairs workload from `from` on: communities are
     /// grouped into `g` mass-balanced groups (the largest `g` with
     /// `g*(g+1)/2 <= target` tasks) and every group pair — diagonal
     /// included — becomes one task holding its canonical `(i < j)`
-    /// pairs in lexicographic order. Each unordered pair lands in
-    /// exactly one task.
-    fn plan_pair_tasks(masses: &[u64], target: usize) -> Vec<Vec<(u32, u32)>> {
+    /// pairs in lexicographic order. Each unordered pair at or after
+    /// `from` lands in exactly one task; tasks are ordered by their
+    /// first pair.
+    fn plan_pair_tasks(masses: &[u64], from: (u32, u32), target: usize) -> Vec<Vec<(u32, u32)>> {
         let n = masses.len();
         if n < 2 {
             return Vec::new();
@@ -2029,69 +1594,18 @@ impl CsjEngine {
                         }
                     }
                 }
+                pairs.retain(|&pair| pair >= from);
                 pairs.sort_unstable();
                 if !pairs.is_empty() {
                     tasks.push(pairs);
                 }
             }
         }
+        // The executor dequeues tasks in index order: the task holding
+        // the sweep's first pair goes first, so a budget that admits
+        // any work processes that pair.
+        tasks.sort_unstable_by_key(|pairs| pairs[0]);
         tasks
-    }
-
-    /// One shard task of the sharded broadcast sweep: its canonical
-    /// pairs in lexicographic order, each through the same
-    /// screen-then-refine logic as the flat sweep, inside the shard's
-    /// panic boundary.
-    fn sweep_shard_task(
-        &self,
-        pairs: &[(u32, u32)],
-        threshold: f64,
-        ctx: &ShardCtx,
-        budget: &Budget,
-        joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Vec<((u32, u32), SweptPair)> {
-        let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut stop = false;
-        for &(i, j) in pairs {
-            if !stop && budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                stop = true;
-            }
-            if !stop && ctx.cancel.is_cancelled() {
-                stop = true;
-            }
-            if stop {
-                out.push(((i, j), SweptPair::Skipped));
-                continue;
-            }
-            let x = CommunityHandle(i);
-            let y = CommunityHandle(j);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.sweep_pair(x, y, threshold, &qopts, joins, rec, false)
-            }));
-            match outcome {
-                Err(payload) => {
-                    self.obs.on_join_panicked();
-                    out.push((
-                        (i, j),
-                        SweptPair::Failed(EngineError::JoinPanicked {
-                            handle: j,
-                            message: panic_message(payload),
-                        }),
-                    ));
-                }
-                Ok(Ok(Some(score))) => out.push(((i, j), SweptPair::Hit(score))),
-                Ok(Ok(None)) => out.push(((i, j), SweptPair::Miss)),
-                Ok(Err(EngineError::Cancelled)) => {
-                    stop = true;
-                    out.push(((i, j), SweptPair::Skipped));
-                }
-                Ok(Err(e)) => out.push(((i, j), SweptPair::Failed(e))),
-            }
-        }
-        out
     }
 }
 
@@ -2119,6 +1633,23 @@ impl CsjEngine {
     /// Remove any installed shard chaos plan.
     pub fn clear_shard_faults(&mut self) {
         self.shard_faults = None;
+    }
+}
+
+/// Whether a shard attempt may start its next work unit, `spent` joins
+/// into the query: the budget still admits work and the attempt was not
+/// cancelled. A passed deadline trips the budget's shared token, so
+/// in-flight joins in sibling shards stop at their next per-row check
+/// too; a spent join cap only stops new work, and joins already
+/// running finish.
+fn admits(budget: &Budget, spent: u64, ctx: &ShardCtx) -> bool {
+    match budget.exceeded(spent) {
+        None => !ctx.cancel.is_cancelled(),
+        Some(ExhaustReason::MaxJoins) => false,
+        Some(_) => {
+            budget.cancel();
+            false
+        }
     }
 }
 
@@ -2451,26 +1982,6 @@ mod tests {
         assert_eq!(all, 6);
         assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 0, j: 3 }), 4);
         assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 2, j: 3 }), 1);
-    }
-
-    #[test]
-    fn parallel_map_isolates_panics() {
-        let (engine, _, _, _) = engine_with_three();
-        let items: Vec<u32> = (0..8).collect();
-        let results = engine.parallel_map(&items, |&i| {
-            if i == 3 {
-                panic!("poisoned item {i}");
-            }
-            i * 2
-        });
-        for (i, slot) in results.iter().enumerate() {
-            if i == 3 {
-                let message = slot.as_ref().unwrap_err();
-                assert!(message.contains("poisoned item 3"), "got: {message}");
-            } else {
-                assert_eq!(*slot.as_ref().unwrap(), i as u32 * 2);
-            }
-        }
     }
 
     #[test]

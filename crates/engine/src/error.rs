@@ -54,6 +54,19 @@ impl std::fmt::Display for EngineError {
     }
 }
 
+impl EngineError {
+    /// Whether the error is contained at the per-pair isolation
+    /// boundary (a panic or an injected fault): multi-pair queries
+    /// report it against that pair and carry on, while any other error
+    /// fails the whole query.
+    pub(crate) fn is_per_pair(&self) -> bool {
+        matches!(
+            self,
+            EngineError::JoinPanicked { .. } | EngineError::Faulted { .. }
+        )
+    }
+}
+
 impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -32,12 +32,12 @@
 //! `fault-injection` cargo feature compiles in a chaos-testing harness
 //! ([`fault`]) that injects panics, errors, and slowdowns into joins.
 //!
-//! For fault *isolation* beyond the per-join boundary, the `*_sharded_*`
-//! query variants partition the work into mass-balanced shards executed
-//! under per-shard deadline slices with straggler hedging; a crashed or
+//! For fault *isolation* beyond the per-join boundary, every multi-pair
+//! query partitions its work into mass-balanced shards executed under
+//! per-shard deadline slices with straggler hedging; a crashed or
 //! stalled shard shrinks the result's [`Coverage`] report instead of
-//! failing the query. Fault-free sharded runs are bit-identical to the
-//! flat pipeline.
+//! failing the query. Fault-free results are bit-identical for every
+//! shard count and thread count.
 
 mod budget;
 mod engine;

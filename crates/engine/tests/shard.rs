@@ -1,10 +1,11 @@
 //! Sharded-execution contract tests.
 //!
-//! The tentpole claim of the sharded layer is *bit-identical merges*:
-//! a fault-free sharded query returns exactly the flat path's result —
-//! same pairs, same scores, same order — for every shard count, thread
-//! count and (implicitly) steal order. Faults may only shrink
-//! *coverage*, never corrupt what survives. These tests pin both claims.
+//! Every multi-pair query runs on the shard executor, and its merges are
+//! *bit-identical* across layouts: a fault-free query returns exactly
+//! the single-threaded, single-shard reference — same pairs, same
+//! scores, same order — for every shard count, thread count and
+//! (implicitly) steal order. Faults may only shrink *coverage*, never
+//! corrupt what survives. These tests pin both claims.
 
 use csj_core::Community;
 use csj_engine::{Budget, CsjEngine, EngineConfig};
@@ -29,7 +30,6 @@ fn skewed_engine(seed: u64, threads: usize, shards: usize) -> CsjEngine {
     let mut rng = lcg(seed);
     let mut config = EngineConfig::new(1);
     config.threads = threads;
-    config.shard.enabled = true;
     config.shard.shards = shards;
     let mut engine = CsjEngine::new(D, config);
     for (i, len) in [4usize, 5, 6, 8, 10, 16].into_iter().enumerate() {
@@ -57,6 +57,7 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
     let flat_ranked = reference
         .screen_and_refine(x, &candidates)
         .expect("flat screen+refine");
+    let flat_screen = reference.screen(x, &candidates).expect("flat screen");
 
     for shards in [1usize, 2, 3, 5, 8] {
         for threads in [1usize, 2, 4] {
@@ -64,7 +65,9 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
             let x = anchor(&engine);
             let candidates: Vec<_> = engine.handles().filter(|&h| h != x).collect();
 
-            let topk = engine.top_k_similar_sharded(x, 4).expect("sharded top-k");
+            let topk = engine
+                .top_k_similar_with_budget(x, 4, &Budget::unlimited())
+                .expect("sharded top-k");
             assert_eq!(
                 topk.value, flat_topk,
                 "top-k diverged at shards={shards} threads={threads}"
@@ -75,13 +78,19 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
             assert_eq!(cov.unit_fraction(), 1.0);
 
             let ranked = engine
-                .screen_and_refine_sharded(x, &candidates)
+                .screen_and_refine_with_budget(x, &candidates, &Budget::unlimited())
                 .expect("sharded screen+refine");
             assert_eq!(
                 ranked.value, flat_ranked,
                 "screen+refine diverged at shards={shards} threads={threads}"
             );
             assert!(ranked.exhausted.is_none());
+
+            let screened = engine.screen(x, &candidates).expect("sharded screen");
+            assert_eq!(
+                screened, flat_screen,
+                "screen diverged at shards={shards} threads={threads}"
+            );
         }
     }
 }
@@ -95,17 +104,69 @@ fn sharded_pairs_above_matches_flat() {
     for shards in [1usize, 2, 3, 5, 8] {
         for threads in [1usize, 2, 4] {
             let engine = skewed_engine(11, threads, shards);
-            let swept = engine.pairs_above_sharded(0.0).expect("sharded sweep");
+            let swept = engine
+                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                .expect("sharded sweep");
             assert_eq!(
                 swept.value.pairs, flat,
                 "sweep diverged at shards={shards} threads={threads}"
             );
             assert!(
                 swept.value.cursor.is_none(),
-                "sharded sweeps report loss via coverage, not cursors"
+                "a complete sweep has nothing to resume"
             );
             let cov = swept.coverage.expect("coverage attached");
             assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
+        }
+    }
+}
+
+/// A sweep under a small join cap advances on every resumed call, even
+/// when its pairs span more shard tasks than there are workers, and its
+/// slices add up to the unbounded sweep. Pairs screened below
+/// `threshold / 2` are never cached, so a call that spent its cap on
+/// later tasks would repeat itself forever.
+#[test]
+fn capped_sweep_resumes_to_completion() {
+    let threshold = 0.3;
+    let mut flat = skewed_engine(31, 1, 1)
+        .pairs_above(threshold)
+        .expect("unbounded sweep");
+    let key = |p: &csj_engine::PairScore| (p.x.0, p.y.0);
+    flat.sort_by_key(key);
+    for (threads, shards) in [(1usize, 3usize), (1, 6), (2, 3), (2, 6)] {
+        for cap in [1u64, 3] {
+            let engine = skewed_engine(31, threads, shards);
+            let mut union = Vec::new();
+            let mut cursor = None;
+            let mut calls = 0;
+            loop {
+                calls += 1;
+                assert!(
+                    calls <= 16,
+                    "no progress: threads={threads} shards={shards} cap={cap}"
+                );
+                let budget = Budget::unlimited().with_max_joins(cap);
+                let slice = engine
+                    .pairs_above_with_budget(threshold, &budget, cursor)
+                    .expect("capped sweep");
+                assert!(slice.value.failed.is_empty());
+                union.extend(slice.value.pairs.iter().copied());
+                let next = slice.value.cursor;
+                assert!(
+                    next.is_none() || next != cursor,
+                    "a resumed call must advance: threads={threads} shards={shards} cap={cap}"
+                );
+                cursor = next;
+                if cursor.is_none() {
+                    break;
+                }
+            }
+            union.sort_by_key(key);
+            assert_eq!(
+                union, flat,
+                "slices must add up to the unbounded sweep: threads={threads} shards={shards} cap={cap}"
+            );
         }
     }
 }
@@ -116,7 +177,7 @@ fn exhausted_budget_is_coverage_accounted() {
     let x = anchor(&engine);
     let starved = Budget::unlimited().with_max_joins(0);
     let partial = engine
-        .top_k_similar_sharded_with_budget(x, 4, &starved)
+        .top_k_similar_with_budget(x, 4, &starved)
         .expect("sharded top-k under a zero budget");
     assert!(partial.value.is_empty(), "no joins were allowed");
     assert!(partial.exhausted.is_some(), "the budget marker survives");
@@ -145,7 +206,6 @@ fn build_engine(
 ) -> CsjEngine {
     let mut config = EngineConfig::new(1);
     config.threads = threads;
-    config.shard.enabled = true;
     config.shard.shards = shards;
     let mut engine = CsjEngine::new(d, config);
     for (i, rows) in communities.iter().enumerate() {
@@ -182,12 +242,16 @@ proptest! {
 
         let engine = build_engine(d, &communities, shards, threads);
         let x = engine.find("c0").expect("registered");
-        let topk = engine.top_k_similar_sharded(x, 3).expect("sharded top-k");
+        let topk = engine
+            .top_k_similar_with_budget(x, 3, &Budget::unlimited())
+            .expect("sharded top-k");
         prop_assert_eq!(&topk.value, &flat_topk);
         let cov = topk.coverage.expect("coverage attached");
         prop_assert!(cov.identity_holds() && !cov.is_partial());
 
-        let swept = engine.pairs_above_sharded(threshold).expect("sharded sweep");
+        let swept = engine
+            .pairs_above_with_budget(threshold, &Budget::unlimited(), None)
+            .expect("sharded sweep");
         prop_assert_eq!(&swept.value.pairs, &flat_pairs);
         let cov = swept.coverage.expect("coverage attached");
         prop_assert!(cov.identity_holds() && !cov.is_partial());
@@ -221,13 +285,36 @@ mod faults {
         let mut engine = skewed_engine(17, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
         let x = anchor(&engine);
-        let partial = engine.top_k_similar_sharded(x, 5).expect("typed, not Err");
+        let partial = engine
+            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
+            .expect("typed, not Err");
         let cov = partial.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert!(cov.is_partial(), "a lost shard must show: {cov}");
         assert_eq!(cov.failed, 1, "exactly the attacked shard fails: {cov}");
         assert!(cov.units_skipped > 0, "its members went unscreened: {cov}");
         assert_survivors_exact(&partial.value, &flat);
+    }
+
+    #[test]
+    fn lost_shard_members_are_not_budget_skips() {
+        let mut engine = skewed_engine(17, 2, 3);
+        engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
+        let x = anchor(&engine);
+        let candidates: Vec<_> = engine.handles().filter(|&h| h != x).collect();
+        let lost = engine.shard_layout(&candidates).expect("layout").shards[0].len() as u64;
+        let starved = Budget::unlimited().with_max_joins(0);
+        let partial = engine
+            .top_k_similar_with_budget(x, 5, &starved)
+            .expect("typed, not Err");
+        let cov = partial.coverage.expect("coverage attached");
+        assert_eq!(cov.units_skipped, candidates.len() as u64, "{cov}");
+        let marker = partial.exhausted.expect("the cap stopped the query");
+        assert_eq!(
+            marker.pairs_skipped,
+            cov.units_skipped - lost,
+            "the killed shard's members are coverage loss, not budget skips"
+        );
     }
 
     #[test]
@@ -239,7 +326,9 @@ mod faults {
         let mut engine = skewed_engine(19, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(1, 1));
         let x = anchor(&engine);
-        let partial = engine.top_k_similar_sharded(x, 5).expect("rescued");
+        let partial = engine
+            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
+            .expect("rescued");
         let cov = partial.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert!(!cov.is_partial(), "the hedge restores completeness: {cov}");
@@ -252,15 +341,55 @@ mod faults {
         let mut engine = skewed_engine(23, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, u32::MAX));
         let swept = engine
-            .pairs_above_sharded(0.0)
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
             .expect("panic contained at the shard boundary");
         let cov = swept.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert_eq!(cov.failed, 1, "{cov}");
         // And the engine stays usable afterwards.
         engine.clear_shard_faults();
-        let healthy = engine.pairs_above_sharded(0.0).expect("healthy again");
+        let healthy = engine
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            .expect("healthy again");
         assert!(!healthy.coverage.expect("coverage").is_partial());
+    }
+
+    #[test]
+    fn sweep_that_loses_a_shard_resumes_to_the_missing_pairs() {
+        let reference = skewed_engine(29, 1, 1)
+            .pairs_above(0.0)
+            .expect("unfaulted sweep");
+
+        let mut engine = skewed_engine(29, 2, 3);
+        engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
+        let first = engine
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            .expect("typed, not Err");
+        let cov = first.coverage.expect("coverage attached");
+        assert_eq!(cov.failed, 1, "the killed shard is lost: {cov}");
+        assert!(
+            first.exhausted.is_none(),
+            "shard loss is coverage, not budget"
+        );
+        let cursor = first.value.cursor.expect("a lost shard leaves a cursor");
+        assert_survivors_exact(&first.value.pairs, &reference);
+
+        engine.clear_shard_faults();
+        let rest = engine
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), Some(cursor))
+            .expect("resume succeeds");
+        assert!(rest.is_complete(), "{:?}", rest.coverage);
+        assert!(rest.value.cursor.is_none());
+        let mut union: Vec<PairScore> = first.value.pairs.clone();
+        union.extend(rest.value.pairs.iter().copied());
+        let key = |p: &PairScore| (p.x.0, p.y.0);
+        union.sort_by_key(key);
+        let mut expected = reference.clone();
+        expected.sort_by_key(key);
+        assert_eq!(
+            union, expected,
+            "first slice plus resumed slice are disjoint and jointly exhaustive"
+        );
     }
 
     proptest! {
@@ -279,7 +408,9 @@ mod faults {
                 .expect("flat sweep");
             let mut engine = build_engine(d, &communities, shards, 2);
             engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
-            let swept = engine.pairs_above_sharded(0.0).expect("typed");
+            let swept = engine
+                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                .expect("typed");
             let cov = swept.coverage.expect("coverage attached");
             prop_assert!(cov.identity_holds());
             for s in &swept.value.pairs {

@@ -109,8 +109,9 @@ pub struct Response {
     pub retries: u32,
     /// Budget exhaustion the answer absorbed (partial coverage), if any.
     pub exhausted: Option<ExhaustReason>,
-    /// Shard completeness report, when the request ran on the sharded
-    /// execution path (`None` on flat paths). A partial report
+    /// Shard completeness report of a multi-pair request served on its
+    /// primary path (`None` for similarity requests and degraded
+    /// rungs). A partial report
     /// (`coverage.is_partial()`) means the answer is exact on what
     /// survived but one or more shards were lost — such responses are
     /// marked `degraded` with trigger `"coverage"`.

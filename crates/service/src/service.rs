@@ -424,22 +424,13 @@ fn run_primary(
     method: CsjMethod,
     budget: &Budget,
 ) -> Result<Primary, EngineError> {
-    // Multi-pair kinds route through the fault-isolated sharded path
-    // when the engine enables it; fault-free sharded runs are
-    // bit-identical to the flat pipeline, so this is transparent to
-    // callers except for the attached coverage report.
-    let sharded = engine.config().shard.enabled;
     match request {
         Request::Similarity { x, y, .. } => {
             let s = engine.similarity_with(*x, *y, method)?;
             Ok((ResponseValue::Similarity(s), None, false, None))
         }
         Request::TopK { x, k } => {
-            let partial = if sharded {
-                engine.top_k_similar_sharded_with_budget(*x, *k, budget)?
-            } else {
-                engine.top_k_similar_with_budget(*x, *k, budget)?
-            };
+            let partial = engine.top_k_similar_with_budget(*x, *k, budget)?;
             Ok((
                 ResponseValue::Ranking(partial.value),
                 partial.exhausted.map(|m| m.reason),
@@ -448,18 +439,19 @@ fn run_primary(
             ))
         }
         Request::PairsAbove { threshold } => {
-            let partial = if sharded {
-                engine.pairs_above_sharded_with_budget(*threshold, budget)?
-            } else {
-                engine.pairs_above_with_budget(*threshold, budget, None)?
-            };
+            let partial = engine.pairs_above_with_budget(*threshold, budget, None)?;
             let had_panics = partial
                 .value
                 .failed
                 .iter()
                 .any(|(_, _, e)| matches!(e, EngineError::JoinPanicked { .. }));
+            // The answer is not resumed: keep every pair that survived,
+            // including those past the sweep's cursor.
+            let mut pairs = partial.value.pairs;
+            pairs.extend(partial.value.ahead);
+            pairs.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
             Ok((
-                ResponseValue::Pairs(partial.value.pairs),
+                ResponseValue::Pairs(pairs),
                 partial.exhausted.map(|m| m.reason),
                 had_panics,
                 partial.coverage,

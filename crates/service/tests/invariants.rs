@@ -628,4 +628,58 @@ mod chaos {
         assert_eq!(method, CsjMethod::ExMinMax);
         assert_eq!(retry_after, breaker_config().cooldown);
     }
+
+    /// Six communities on three shards: the service's broadcast sweep
+    /// runs as three pair tasks.
+    fn sharded_engine() -> CsjEngine {
+        let mut config = EngineConfig::new(1);
+        config.threads = 2;
+        config.shard.shards = 3;
+        let mut engine = CsjEngine::new(2, config);
+        for i in 0..6u32 {
+            let rows: Vec<[u32; 2]> = (0..4 + i).map(|u| [u * 3 % 7, (u + i) % 5]).collect();
+            engine.register(community(&format!("c{i}"), &rows)).unwrap();
+        }
+        engine
+    }
+
+    /// A lost shard degrades a PairsAbove answer, and the answer still
+    /// holds every pair the surviving shards found, including those past
+    /// the sweep's resume cursor (the service does not resume).
+    #[test]
+    fn pairs_above_keeps_every_surviving_pair_when_a_shard_is_lost() {
+        use csj_engine::{Budget, ShardFaultPlan};
+
+        let kill_first = || ShardFaultPlan::new().kill(0, u32::MAX);
+        let mut direct = sharded_engine();
+        direct.inject_shard_faults(kill_first());
+        let swept = direct
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            .expect("typed, not Err")
+            .into_value();
+        // The killed task holds the first pair, so nothing precedes the
+        // cursor and every survivor lies past it.
+        assert!(swept.pairs.is_empty() && swept.cursor.is_some());
+        let mut survivors = swept.ahead;
+        assert!(!survivors.is_empty(), "surviving shards found pairs");
+        let all = sharded_engine().pairs_above(0.0).expect("unfaulted sweep");
+        assert!(
+            survivors.len() < all.len(),
+            "the lost shard's pairs are missing"
+        );
+
+        let mut engine = sharded_engine();
+        engine.inject_shard_faults(kill_first());
+        let service = CsjService::start(engine, ServiceConfig::default());
+        let response = service
+            .call(Request::PairsAbove { threshold: 0.0 })
+            .expect("answered");
+        assert!(response.degraded);
+        assert_eq!(response.degrade_trigger, Some("coverage"));
+        let mut answer = response.value.pairs().expect("pairs").to_vec();
+        let key = |p: &csj_engine::PairScore| (p.x.0, p.y.0);
+        answer.sort_by_key(key);
+        survivors.sort_by_key(key);
+        assert_eq!(answer, survivors);
+    }
 }

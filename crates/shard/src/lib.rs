@@ -1,15 +1,17 @@
 //! # csj-shard — supervised shard executor
 //!
-//! Runs one closure per shard on a small work-stealing worker pool and
-//! supervises every attempt from the calling thread. The robustness
-//! contract (DESIGN.md §17):
+//! Runs one closure per shard on a small work-stealing worker pool (the
+//! calling thread included) whose workers supervise every attempt
+//! between and after their own (a ticker thread joins them only to
+//! enforce shard deadlines). The robustness contract (DESIGN.md §17):
 //!
 //! * every attempt runs inside its own `catch_unwind` boundary — a
 //!   panicking shard resolves to a typed [`ShardOutcome`], it never
 //!   takes down siblings or the process;
-//! * every attempt gets its own [`CancelToken`] slice, so the
-//!   supervisor can time out one shard ([`ShardConfig::shard_deadline`])
-//!   or cancel the losers of a hedge race without touching the rest;
+//! * every attempt gets its own [`CancelToken`] slice, a child of the
+//!   query's token, so supervision can time out one shard
+//!   ([`ShardConfig::shard_deadline`]) or cancel the losers of a hedge
+//!   race without touching the rest;
 //! * straggler shards past a latency quantile of their completed peers
 //!   (or whose first attempt died) get **one** hedged re-dispatch:
 //!   first result wins, the loser's token is tripped;
@@ -24,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use csj_core::CancelToken;
@@ -97,8 +99,9 @@ impl<R> ShardReport<R> {
 /// loser cancellation, and global cancellation effective.
 #[derive(Debug, Clone)]
 pub struct ShardCtx {
-    /// This attempt's cancellation slice. Tripped by the supervisor on
-    /// shard deadline, hedge-race loss, or global cancellation.
+    /// This attempt's cancellation slice, a child of the query's token:
+    /// tripped on shard deadline or hedge-race loss, and cancelled
+    /// whenever the query is.
     pub cancel: CancelToken,
     /// Shard id the attempt is computing.
     pub shard: usize,
@@ -111,7 +114,11 @@ pub struct ShardCtx {
 /// the one parallelism budget — see the oversubscription note there).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
-    /// Route multi-pair queries through the sharded path.
+    /// Ignored: every multi-pair engine query runs on the shard
+    /// executor. The field remains so configurations that still set it
+    /// (such as the `perfbench` package's) keep compiling; it goes once
+    /// they stop.
+    #[deprecated(note = "ignored: every multi-pair query runs on the shard executor")]
     pub enabled: bool,
     /// Shard count; 0 means auto (the engine uses its thread count).
     pub shards: usize,
@@ -130,6 +137,7 @@ pub struct ShardConfig {
 }
 
 impl Default for ShardConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         ShardConfig {
             enabled: false,
@@ -165,9 +173,12 @@ struct Attempt {
 }
 
 impl Attempt {
-    fn new() -> Self {
+    /// A queued attempt whose token is a child of the query's `global`
+    /// one: it sees a global cancel at once, and tripping it (deadline
+    /// slice, lost hedge race) stops this attempt alone.
+    fn new(global: &CancelToken) -> Self {
         Attempt {
-            token: CancelToken::new(),
+            token: global.child(),
             started: None,
             done: None,
         }
@@ -185,19 +196,34 @@ struct ShardState<R> {
     resolved: Option<ShardOutcome>,
 }
 
-struct Pool<R> {
-    /// Pending `(shard, attempt)` tasks; the condvar is paired with
-    /// this mutex (shutdown is also flipped under it, so workers can't
-    /// miss a wakeup between checking the flag and parking).
-    queue: Mutex<VecDeque<(usize, u32)>>,
-    ready: Condvar,
-    shutdown: std::sync::atomic::AtomicBool,
-    states: Mutex<Vec<ShardState<R>>>,
+/// Everything the pool's threads share, under one lock.
+struct Inner<R> {
+    /// Pending `(shard, attempt)` tasks.
+    queue: VecDeque<(usize, u32)>,
+    states: Vec<ShardState<R>>,
+    /// Every shard has resolved; threads leave.
+    finished: bool,
 }
 
+struct Pool<R> {
+    inner: Mutex<Inner<R>>,
+    /// Signalled when an attempt ends, a hedge is queued or the run
+    /// finishes; idle workers and the deadline ticker park on it.
+    changed: Condvar,
+}
+
+impl<R> Pool<R> {
+    fn lock(&self) -> MutexGuard<'_, Inner<R>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// How often the deadline ticker checks the shards' deadline slices.
+const DEADLINE_TICK: Duration = Duration::from_millis(1);
+
 /// The supervised executor. Construct one per query from the engine's
-/// config; `run` blocks the calling thread (which acts as supervisor)
-/// until every shard has resolved.
+/// config; `run` blocks the calling thread (which works as one of the
+/// pool's workers) until every shard has resolved.
 pub struct ShardExecutor {
     cfg: ShardConfig,
     threads: usize,
@@ -226,8 +252,14 @@ impl ShardExecutor {
     /// Run `f` once per shard in `0..shard_count` under supervision.
     /// Returns one report per shard, indexed by shard id. `global` is
     /// the query-wide cancellation token (the budget's): once tripped,
-    /// running attempts are asked to wind down and unstarted shards
-    /// resolve `Cancelled`.
+    /// running attempts see it through their own tokens and unstarted
+    /// shards resolve `Cancelled`.
+    ///
+    /// The workers supervise themselves: each runs a supervision pass
+    /// after every attempt it ends and while it is idle (which is when a
+    /// straggler's hedge can run). Only a shard deadline needs watching
+    /// while every worker is busy, so only then does a ticker thread run
+    /// beside them.
     pub fn run<R, F>(&self, shard_count: usize, global: &CancelToken, f: F) -> Vec<ShardReport<R>>
     where
         R: Send,
@@ -237,13 +269,11 @@ impl ShardExecutor {
             return Vec::new();
         }
         let pool = Pool {
-            queue: Mutex::new((0..shard_count).map(|s| (s, 0u32)).collect()),
-            ready: Condvar::new(),
-            shutdown: std::sync::atomic::AtomicBool::new(false),
-            states: Mutex::new(
-                (0..shard_count)
+            inner: Mutex::new(Inner {
+                queue: (0..shard_count).map(|s| (s, 0u32)).collect(),
+                states: (0..shard_count)
                     .map(|_| ShardState {
-                        attempts: vec![Attempt::new()],
+                        attempts: vec![Attempt::new(global)],
                         value: None,
                         winner_elapsed: None,
                         timed_out: false,
@@ -252,25 +282,28 @@ impl ShardExecutor {
                         resolved: None,
                     })
                     .collect(),
-            ),
+                finished: false,
+            }),
+            changed: Condvar::new(),
         };
         let workers = self.threads.min(shard_count).max(1);
 
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            if self.cfg.shard_deadline.is_some() {
+                scope.spawn(|| self.tick_deadlines(&pool, global));
+            }
+            for _ in 1..workers {
                 scope.spawn(|| self.worker_loop(&pool, global, &f));
             }
-            self.supervise(&pool, global, shard_count);
-            {
-                let _q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-                pool.shutdown
-                    .store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-            pool.ready.notify_all();
+            // The calling thread is one of the workers, so a one-worker
+            // run keeps every shard on the caller's thread (and its
+            // allocator arena) as an unsharded loop would.
+            self.worker_loop(&pool, global, &f);
         });
 
-        let states = pool.states.into_inner().unwrap_or_else(|e| e.into_inner());
-        states
+        let inner = pool.inner.into_inner().unwrap_or_else(|e| e.into_inner());
+        inner
+            .states
             .into_iter()
             .enumerate()
             .map(|(shard, st)| {
@@ -306,208 +339,245 @@ impl ShardExecutor {
         R: Send,
         F: Fn(&ShardCtx) -> R + Sync,
     {
+        let mut inner = pool.lock();
         loop {
-            let (shard, attempt) = {
-                let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if pool.shutdown.load(std::sync::atomic::Ordering::SeqCst) {
-                        return;
-                    }
-                    if let Some(t) = q.pop_front() {
-                        break t;
-                    }
-                    q = pool.ready.wait(q).unwrap_or_else(|e| e.into_inner());
+            if inner.finished {
+                return;
+            }
+            let Some((shard, attempt)) = inner.queue.pop_front() else {
+                // Idle: supervise, then park until something changes or
+                // a running shard may have become a straggler.
+                let wake = self.settle(pool, &mut inner, global);
+                if inner.finished || !inner.queue.is_empty() {
+                    continue;
                 }
+                inner = match wake {
+                    Some(at) => {
+                        let wait = at.saturating_duration_since(Instant::now());
+                        pool.changed
+                            .wait_timeout(inner, wait)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0
+                    }
+                    None => pool.changed.wait(inner).unwrap_or_else(|e| e.into_inner()),
+                };
+                continue;
             };
 
             // Claim the attempt; skip it if the race is already over or
             // the query was cancelled before this shard ever started.
-            let token = {
-                let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
-                let st = &mut states[shard];
-                let idx = attempt as usize;
-                if st.value.is_some() || st.resolved.is_some() || global.is_cancelled() {
-                    st.attempts[idx].done = Some(AttemptEnd::Skipped);
-                    continue;
-                }
-                let now = Instant::now();
-                st.attempts[idx].started = Some(now);
-                if st.first_start.is_none() {
-                    st.first_start = Some(now);
-                }
-                st.attempts[idx].token.clone()
-            };
-
-            #[cfg(feature = "fault-injection")]
-            if let Some(plan) = &self.faults {
-                if plan.take_kill(shard) {
-                    // The worker "dies" before the closure runs: the
-                    // attempt vanishes without a value, exactly like a
-                    // crashed remote worker.
-                    let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
-                    states[shard].attempts[attempt as usize].done = Some(AttemptEnd::Killed(
-                        format!("shard {shard} worker killed by fault injector"),
-                    ));
-                    continue;
-                }
-                if let Some(stall) = plan.take_stall(shard) {
-                    // Chunked so a tripped token (hedge won, deadline)
-                    // wakes the stalled attempt early.
-                    let stall_start = Instant::now();
-                    while stall_start.elapsed() < stall && !token.is_cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
+            let idx = attempt as usize;
+            let st = &mut inner.states[shard];
+            if st.value.is_some() || st.resolved.is_some() || global.is_cancelled() {
+                st.attempts[idx].done = Some(AttemptEnd::Skipped);
+                self.settle(pool, &mut inner, global);
+                continue;
             }
-
-            #[cfg(feature = "fault-injection")]
-            let inject_panic = self
-                .faults
-                .as_ref()
-                .map_or(false, |plan| plan.take_panic(shard));
-            #[cfg(not(feature = "fault-injection"))]
-            let inject_panic = false;
-
+            let now = Instant::now();
+            st.attempts[idx].started = Some(now);
+            st.first_start.get_or_insert(now);
             let ctx = ShardCtx {
-                cancel: token,
+                cancel: st.attempts[idx].token.clone(),
                 shard,
                 attempt,
             };
-            let t0 = Instant::now();
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                if inject_panic {
-                    panic!("injected shard panic (shard {shard}, attempt {attempt})");
-                }
-                f(&ctx)
-            }));
-            let dur = t0.elapsed();
+            drop(inner);
 
-            let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
-            let st = &mut states[shard];
-            let idx = attempt as usize;
-            match out {
-                Ok(value) => {
-                    st.attempts[idx].done = Some(AttemptEnd::Ok(dur));
-                    if st.value.is_none() {
-                        st.value = Some((attempt, value));
-                        st.winner_elapsed = Some(dur);
-                        // First result wins: cancel the losers.
-                        for (i, a) in st.attempts.iter().enumerate() {
-                            if i != idx {
-                                a.token.cancel();
-                            }
-                        }
-                    }
-                }
-                Err(payload) => {
-                    st.attempts[idx].done = Some(AttemptEnd::Panicked(panic_message(payload), dur));
-                }
-            }
-        }
-    }
+            let (value, end) = self.execute(&ctx, f);
 
-    /// Supervisor loop on the calling thread: marks deadline slices,
-    /// dispatches hedges (one per shard — immediately when the primary
-    /// attempt died, or past the straggler threshold), propagates
-    /// global cancellation, and resolves each shard exactly once.
-    fn supervise<R: Send>(&self, pool: &Pool<R>, global: &CancelToken, shard_count: usize) {
-        loop {
-            let mut hedges: Vec<usize> = Vec::new();
-            let mut resolved_all = true;
-            {
-                let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
-                let mut samples: Vec<Duration> = states
-                    .iter()
-                    .flat_map(|st| st.attempts.iter())
-                    .filter_map(|a| match &a.done {
-                        Some(AttemptEnd::Ok(d)) => Some(*d),
-                        _ => None,
-                    })
-                    .collect();
-                let threshold = self.straggler_threshold(&mut samples);
-                let now = Instant::now();
-
-                for shard in 0..states.len() {
-                    let st = &mut states[shard];
-                    if st.resolved.is_some() {
-                        continue;
-                    }
-                    resolved_all = false;
-
-                    if global.is_cancelled() {
-                        for a in &st.attempts {
+            inner = pool.lock();
+            let st = &mut inner.states[shard];
+            if let (Some(value), AttemptEnd::Ok(dur)) = (value, &end) {
+                if st.value.is_none() {
+                    st.value = Some((attempt, value));
+                    st.winner_elapsed = Some(*dur);
+                    // First result wins: cancel the losers.
+                    for (i, a) in st.attempts.iter().enumerate() {
+                        if i != idx {
                             a.token.cancel();
                         }
                     }
-                    if let (Some(deadline), Some(first)) = (self.cfg.shard_deadline, st.first_start)
-                    {
-                        if !st.timed_out && now.duration_since(first) > deadline {
-                            st.timed_out = true;
-                            for a in &st.attempts {
-                                a.token.cancel();
-                            }
-                        }
-                    }
-
-                    if let Some((winner, _)) = &st.value {
-                        st.resolved = Some(if *winner > 0 {
-                            ShardOutcome::Hedged
-                        } else if st.timed_out {
-                            ShardOutcome::TimedOut
-                        } else {
-                            ShardOutcome::Completed
-                        });
-                        continue;
-                    }
-
-                    let pending = st.attempts.iter().any(|a| a.done.is_none());
-                    let may_hedge = !st.hedged && !st.timed_out && !global.is_cancelled();
-                    if !pending {
-                        // Every dispatched attempt ended without a
-                        // value (panic, kill, or skip).
-                        if may_hedge
-                            && st
-                                .attempts
-                                .iter()
-                                .any(|a| !matches!(a.done, Some(AttemptEnd::Skipped)))
-                        {
-                            st.hedged = true;
-                            st.attempts.push(Attempt::new());
-                            hedges.push(shard);
-                        } else if st.attempts.iter().all(|a| a.started.is_none()) {
-                            st.resolved = Some(ShardOutcome::Cancelled);
-                        } else if st.timed_out {
-                            st.resolved = Some(ShardOutcome::TimedOut);
-                        } else {
-                            st.resolved = Some(ShardOutcome::Panicked);
-                        }
-                    } else if may_hedge && st.attempts.len() == 1 {
-                        if let (Some(limit), Some(first)) = (threshold, st.first_start) {
-                            if now.duration_since(first) > limit {
-                                st.hedged = true;
-                                st.attempts.push(Attempt::new());
-                                hedges.push(shard);
-                            }
-                        }
-                    }
                 }
             }
-
-            if !hedges.is_empty() {
-                let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-                for shard in &hedges {
-                    q.push_back((*shard, 1));
-                }
-                drop(q);
-                pool.ready.notify_all();
-            }
-
-            if resolved_all {
-                return;
-            }
-            debug_assert!(shard_count > 0);
-            std::thread::sleep(Duration::from_micros(200));
+            st.attempts[idx].done = Some(end);
+            self.settle(pool, &mut inner, global);
+            // Parked workers recompute when a straggler could be hedged.
+            pool.changed.notify_all();
         }
+    }
+
+    /// Run one claimed attempt, outside the pool lock: the fault
+    /// injector's kill, stall or panic first (chaos builds only), then
+    /// `f` inside its `catch_unwind` boundary.
+    fn execute<R, F>(&self, ctx: &ShardCtx, f: &F) -> (Option<R>, AttemptEnd)
+    where
+        F: Fn(&ShardCtx) -> R + Sync,
+    {
+        let shard = ctx.shard;
+        #[cfg(feature = "fault-injection")]
+        if let Some(plan) = &self.faults {
+            if plan.take_kill(shard) {
+                // The worker "dies" before the closure runs: the attempt
+                // vanishes without a value, exactly like a crashed
+                // remote worker.
+                let msg = format!("shard {shard} worker killed by fault injector");
+                return (None, AttemptEnd::Killed(msg));
+            }
+            if let Some(stall) = plan.take_stall(shard) {
+                // Chunked so a tripped token (hedge won, deadline) wakes
+                // the stalled attempt early.
+                let stall_start = Instant::now();
+                while stall_start.elapsed() < stall && !ctx.cancel.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+
+        #[cfg(feature = "fault-injection")]
+        let inject_panic = self
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.take_panic(shard));
+        #[cfg(not(feature = "fault-injection"))]
+        let inject_panic = false;
+
+        let t0 = Instant::now();
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            if inject_panic {
+                panic!(
+                    "injected shard panic (shard {shard}, attempt {})",
+                    ctx.attempt
+                );
+            }
+            f(ctx)
+        }));
+        let dur = t0.elapsed();
+        match out {
+            Ok(value) => (Some(value), AttemptEnd::Ok(dur)),
+            Err(payload) => (None, AttemptEnd::Panicked(panic_message(payload), dur)),
+        }
+    }
+
+    /// Deadline ticker, on its own thread when shards have a deadline
+    /// slice: settles every [`DEADLINE_TICK`], so an expired slice is
+    /// tripped even while every worker is busy. Ends with the run.
+    fn tick_deadlines<R: Send>(&self, pool: &Pool<R>, global: &CancelToken) {
+        let mut inner = pool.lock();
+        while !inner.finished {
+            self.settle(pool, &mut inner, global);
+            inner = pool
+                .changed
+                .wait_timeout(inner, DEADLINE_TICK)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// One supervision pass, acted on: queue the hedges it asks for,
+    /// and once every shard has resolved mark the run finished; wake
+    /// the parked threads when either happened. Returns when the next
+    /// running shard could become a straggler, if any can.
+    fn settle<R: Send>(
+        &self,
+        pool: &Pool<R>,
+        inner: &mut Inner<R>,
+        global: &CancelToken,
+    ) -> Option<Instant> {
+        let (hedges, wake) = self.pass(&mut inner.states, global);
+        let finished = inner.states.iter().all(|st| st.resolved.is_some());
+        if finished || !hedges.is_empty() {
+            inner
+                .queue
+                .extend(hedges.into_iter().map(|shard| (shard, 1)));
+            inner.finished = finished;
+            pool.changed.notify_all();
+        }
+        wake
+    }
+
+    /// One supervision pass: marks deadline slices, adds hedge attempts
+    /// (one per shard — immediately when the primary attempt died, or
+    /// past the straggler threshold) and resolves each shard exactly
+    /// once. Returns the shards whose hedge must be queued, and the
+    /// earliest instant a running shard would cross the straggler
+    /// threshold.
+    fn pass<R: Send>(
+        &self,
+        states: &mut [ShardState<R>],
+        global: &CancelToken,
+    ) -> (Vec<usize>, Option<Instant>) {
+        let mut hedges: Vec<usize> = Vec::new();
+        let mut wake: Option<Instant> = None;
+        let mut samples: Vec<Duration> = states
+            .iter()
+            .flat_map(|st| st.attempts.iter())
+            .filter_map(|a| match &a.done {
+                Some(AttemptEnd::Ok(d)) => Some(*d),
+                _ => None,
+            })
+            .collect();
+        let threshold = self.straggler_threshold(&mut samples);
+        let now = Instant::now();
+
+        for (shard, st) in states.iter_mut().enumerate() {
+            if st.resolved.is_some() {
+                continue;
+            }
+            if let (Some(deadline), Some(first)) = (self.cfg.shard_deadline, st.first_start) {
+                if !st.timed_out && now.duration_since(first) > deadline {
+                    st.timed_out = true;
+                    for a in &st.attempts {
+                        a.token.cancel();
+                    }
+                }
+            }
+
+            if let Some((winner, _)) = &st.value {
+                st.resolved = Some(if *winner > 0 {
+                    ShardOutcome::Hedged
+                } else if st.timed_out {
+                    ShardOutcome::TimedOut
+                } else {
+                    ShardOutcome::Completed
+                });
+                continue;
+            }
+
+            let pending = st.attempts.iter().any(|a| a.done.is_none());
+            let may_hedge = !st.hedged && !st.timed_out && !global.is_cancelled();
+            if !pending {
+                // Every dispatched attempt ended without a value (panic,
+                // kill, or skip).
+                if may_hedge
+                    && st
+                        .attempts
+                        .iter()
+                        .any(|a| !matches!(a.done, Some(AttemptEnd::Skipped)))
+                {
+                    st.hedged = true;
+                    st.attempts.push(Attempt::new(global));
+                    hedges.push(shard);
+                } else if st.attempts.iter().all(|a| a.started.is_none()) {
+                    st.resolved = Some(ShardOutcome::Cancelled);
+                } else if st.timed_out {
+                    st.resolved = Some(ShardOutcome::TimedOut);
+                } else {
+                    st.resolved = Some(ShardOutcome::Panicked);
+                }
+            } else if may_hedge && st.attempts.len() == 1 {
+                if let (Some(limit), Some(first)) = (threshold, st.first_start) {
+                    if now.duration_since(first) >= limit {
+                        st.hedged = true;
+                        st.attempts.push(Attempt::new(global));
+                        hedges.push(shard);
+                    } else {
+                        let at = first + limit;
+                        wake = Some(wake.map_or(at, |w| w.min(at)));
+                    }
+                }
+            }
+        }
+        (hedges, wake)
     }
 
     /// Straggler threshold from completed-attempt latencies: `factor ×`
@@ -612,6 +682,59 @@ mod tests {
             assert_eq!(r.outcome, ShardOutcome::Cancelled, "shard {}", r.shard);
             assert!(r.value.is_none());
         }
+    }
+
+    #[test]
+    fn one_worker_runs_everything_on_the_caller() {
+        // A panicked shard is still re-run, and no thread is spawned.
+        let caller = std::thread::current().id();
+        let ex = exec(ShardConfig::default(), 1);
+        let reports = ex.run(3, &CancelToken::new(), |ctx| {
+            assert_eq!(std::thread::current().id(), caller);
+            if ctx.shard == 1 && ctx.attempt == 0 {
+                panic!("poisoned shard 1");
+            }
+            ctx.shard
+        });
+        assert_eq!(reports[0].outcome, ShardOutcome::Completed);
+        assert_eq!(reports[1].outcome, ShardOutcome::Hedged);
+        assert_eq!(reports[1].value, Some(1));
+        assert_eq!(reports[2].outcome, ShardOutcome::Completed);
+    }
+
+    #[test]
+    fn running_attempts_see_a_global_cancel() {
+        // Shard 1 cancels the query while shard 0 runs on the other
+        // worker: shard 0's own token trips with no one relaying it.
+        let global = CancelToken::new();
+        let ex = exec(ShardConfig::default(), 2);
+        let reports = ex.run(2, &global, |ctx| {
+            if ctx.shard == 1 {
+                global.cancel();
+                return true;
+            }
+            let start = Instant::now();
+            while !ctx.cancel.is_cancelled() && start.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            ctx.cancel.is_cancelled()
+        });
+        assert_eq!(reports[0].value, Some(true), "{reports:?}");
+        assert_eq!(reports[1].value, Some(true), "{reports:?}");
+    }
+
+    #[test]
+    fn one_worker_sees_a_global_cancel_mid_attempt() {
+        // Later shards never start.
+        let global = CancelToken::new();
+        let ex = exec(ShardConfig::default(), 1);
+        let reports = ex.run(2, &global, |ctx| {
+            global.cancel();
+            ctx.cancel.is_cancelled()
+        });
+        assert_eq!(reports[0].outcome, ShardOutcome::Completed);
+        assert_eq!(reports[0].value, Some(true));
+        assert_eq!(reports[1].outcome, ShardOutcome::Cancelled);
     }
 
     #[test]
