@@ -1,10 +1,10 @@
 //! Joins one materialised couple with one method and captures the cell.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use csj_core::{run, CsjMethod, CsjOptions};
 use csj_data::pairs::CouplePair;
-use csj_obs::{Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot};
+use csj_obs::{catalog, ByLabel, Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::report::MeasuredCell;
 
@@ -14,47 +14,23 @@ use crate::report::MeasuredCell;
 /// (`BENCH_<timestamp>.json` written by the `tables` binary).
 pub struct BenchObs {
     registry: MetricsRegistry,
-    joins: Vec<Arc<Counter>>,
-    latency: Vec<Arc<LatencyHistogram>>,
+    joins: ByLabel<Counter, CsjMethod>,
+    latency: ByLabel<LatencyHistogram, CsjMethod>,
 }
 
 impl BenchObs {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let joins = CsjMethod::ALL
-            .iter()
-            .map(|m| {
-                registry.counter(
-                    "csj_bench_joins_total",
-                    "Joins measured by the bench harness, by method.",
-                    vec![("method", m.name().to_string())],
-                )
-            })
-            .collect();
-        let latency = CsjMethod::ALL
-            .iter()
-            .map(|m| {
-                registry.latency(
-                    "csj_bench_join_latency_seconds",
-                    "Measured join wall-clock latency, by method.",
-                    vec![("method", m.name().to_string())],
-                )
-            })
-            .collect();
         Self {
+            joins: registry.register_each(&catalog::BENCH_JOINS),
+            latency: registry.register_each(&catalog::BENCH_JOIN_LATENCY),
             registry,
-            joins,
-            latency,
         }
     }
 
     fn on_measure(&self, method: CsjMethod, elapsed: std::time::Duration) {
-        let idx = CsjMethod::ALL
-            .iter()
-            .position(|&m| m == method)
-            .expect("method in ALL");
-        self.joins[idx].inc();
-        self.latency[idx].observe(elapsed);
+        self.joins.get(method).inc();
+        self.latency.get(method).observe(elapsed);
     }
 
     /// Snapshot of everything measured so far in this process.

@@ -872,35 +872,6 @@ fn load_engine(
 /// rates describe exactly the traffic the command generated.
 const SLO_EVAL_US: u64 = 60_000_000;
 
-/// The engine-side SLO preset for `csj slo` and `csj stats`: burn
-/// rates declared over the engine's own `csj_*` series, no extra
-/// instrumentation.
-///
-/// * `join_latency` — ≤1% of joins slower than 100ms;
-/// * `exhausted_fraction` — ≤5% of queries running out of budget.
-fn engine_slos() -> Vec<csj_obs::Objective> {
-    use csj_obs::{CounterSelector, Objective, SloSource};
-    vec![
-        Objective {
-            name: "join_latency".into(),
-            target: 0.01,
-            source: SloSource::LatencyAbove {
-                histogram: "csj_join_latency_seconds".into(),
-                labels: vec![],
-                threshold_us: 100_000,
-            },
-        },
-        Objective {
-            name: "exhausted_fraction".into(),
-            target: 0.05,
-            source: SloSource::CounterFraction {
-                bad: CounterSelector::new("csj_budget_exhausted_total", &[]),
-                total: CounterSelector::new("csj_queries_total", &[]),
-            },
-        },
-    ]
-}
-
 /// Render SLO statuses as a JSON array (hand-rolled: the statuses are
 /// flat and the field set is stable).
 fn slo_statuses_json(statuses: &[csj_obs::SloStatus]) -> String {
@@ -1373,7 +1344,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             if via_service {
                 use csj_service::{service_slos, CsjService, Request, ServiceConfig};
                 let slo = SloEngine::new(
-                    engine_slos()
+                    csj_engine::engine_slos()
                         .into_iter()
                         .chain(service_slos(250_000))
                         .collect(),
@@ -1392,16 +1363,14 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     StatsFormat::Prometheus => snap.to_prometheus(),
                     StatsFormat::Json => format!("{}\n", snap.to_json()),
                     StatsFormat::Text => {
-                        let submitted = snap.counter_value("csj_service_submitted_total", &[]);
-                        let shed = snap.counter_value("csj_service_shed_total", &[]);
-                        let answered = snap.counter_value(
-                            "csj_service_completed_total",
-                            &[("outcome", "answered")],
-                        );
-                        let degraded = snap.counter_value(
-                            "csj_service_completed_total",
-                            &[("outcome", "degraded")],
-                        );
+                        use csj_obs::catalog::{
+                            SERVICE_COMPLETED, SERVICE_SHED, SERVICE_SUBMITTED,
+                        };
+                        use csj_service::Fate;
+                        let submitted = snap.value(&SERVICE_SUBMITTED, []);
+                        let shed = snap.value(&SERVICE_SHED, []);
+                        let answered = snap.value(&SERVICE_COMPLETED, [Fate::Answered.label()]);
+                        let degraded = snap.value(&SERVICE_COMPLETED, [Fate::Degraded.label()]);
                         let engine = service.shutdown();
                         format!(
                             "{}service: submitted={submitted} shed={shed} answered={answered} \
@@ -1411,7 +1380,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     }
                 });
             }
-            let slo = SloEngine::new(engine_slos(), default_windows());
+            let slo = SloEngine::new(csj_engine::engine_slos(), default_windows());
             slo.observe(0, &engine.metrics_snapshot());
             engine
                 .pairs_above(threshold)
@@ -1580,7 +1549,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             use csj_engine::Budget;
             use csj_obs::{default_windows, SloEngine};
             let (engine, handles) = load_engine(&communities, eps, quarantine, None)?;
-            let slo = SloEngine::new(engine_slos(), default_windows());
+            let slo = SloEngine::new(csj_engine::engine_slos(), default_windows());
             slo.observe(0, &engine.metrics_snapshot());
             let mut budget = Budget::unlimited();
             if let Some(ms) = deadline_ms {
@@ -2017,7 +1986,15 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     use std::time::{Duration, Instant};
 
     use csj_engine::{CsjEngine, EngineConfig};
-    use csj_service::{BreakerConfig, CsjService, Request, ServiceConfig, ServiceError, Ticket};
+    use csj_obs::catalog::{
+        SERVICE_ADMITTED, SERVICE_BREAKER_TRANSITIONS, SERVICE_COMPLETED, SERVICE_DEGRADED,
+        SERVICE_REQUEST, SERVICE_RETRIES, SERVICE_SHED, SERVICE_SUBMITTED, SHARD_DISPATCHED,
+        SHARD_HEDGED, SHARD_OUTCOMES, SHARD_UNITS,
+    };
+    use csj_service::{
+        BreakerConfig, BreakerState, CsjService, DegradeTrigger, Fate, Request, ServiceConfig,
+        ServiceError, Ticket,
+    };
 
     #[cfg(not(feature = "chaos"))]
     if args.chaos {
@@ -2254,19 +2231,17 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     if let Some(dm) = durable_metrics {
         snap.metrics.extend(dm.metrics);
     }
+    let submitted = snap.value(&SERVICE_SUBMITTED, []);
+    let shed = snap.value(&SERVICE_SHED, []);
+    let [answered_c, degraded_c, failed_c] = [Fate::Answered, Fate::Degraded, Fate::Failed]
+        .map(|fate| snap.value(&SERVICE_COMPLETED, [fate.label()]));
+    let completed_c = answered_c + degraded_c + failed_c;
     let mut slo_lines = String::new();
     let mut slo_ok = true;
     if let Some(slo) = &slo {
         let elapsed_us = (started.elapsed().as_micros() as u64).max(1);
         slo.observe(elapsed_us, &snap);
         let statuses = slo.evaluate(elapsed_us);
-        let shed_c = snap.counter_value("csj_service_shed_total", &[]);
-        let submitted_c = snap.counter_value("csj_service_submitted_total", &[]);
-        let degraded_c =
-            snap.counter_value("csj_service_completed_total", &[("outcome", "degraded")]);
-        let completed_c = degraded_c
-            + snap.counter_value("csj_service_completed_total", &[("outcome", "answered")])
-            + snap.counter_value("csj_service_completed_total", &[("outcome", "failed")]);
         for s in &statuses {
             let _ = writeln!(slo_lines, "slo {s}");
             // Every burn rate must be derivable from the same fate
@@ -2274,7 +2249,7 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             // windows clip to the run's lifetime, so the window deltas
             // equal the final counter values exactly.
             let reconciled = match s.objective.as_str() {
-                "shed_fraction" => s.bad as u64 == shed_c && s.total as u64 == submitted_c,
+                "shed_fraction" => s.bad as u64 == shed && s.total as u64 == submitted,
                 "degraded_fraction" => s.bad as u64 == degraded_c && s.total as u64 == completed_c,
                 "request_latency" => s.total as u64 == completed_c,
                 _ => true,
@@ -2285,7 +2260,7 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             let backed = !s.breached
                 || (s.bad > 0.0
                     && match s.objective.as_str() {
-                        "shed_fraction" => shed_c > 0,
+                        "shed_fraction" => shed > 0,
                         "degraded_fraction" => degraded_c > 0,
                         _ => true,
                     });
@@ -2301,24 +2276,16 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
         csj_durability::atomic::write_atomic(path, snap.to_prometheus().as_bytes())
             .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
     }
-    let counter = |name: &str, labels: &[(&str, &str)]| snap.counter_value(name, labels);
-    let submitted = counter("csj_service_submitted_total", &[]);
-    let admitted = counter("csj_service_admitted_total", &[]);
-    let shed = counter("csj_service_shed_total", &[]);
-    let retries = counter("csj_service_retries_total", &[]);
-    let deg_breaker = counter("csj_service_degraded_total", &[("trigger", "breaker")]);
-    let deg_deadline = counter("csj_service_degraded_total", &[("trigger", "deadline")]);
-    let deg_coverage = counter("csj_service_degraded_total", &[("trigger", "coverage")]);
-    let breaker_to = |to: &str| {
-        counter(
-            "csj_service_breaker_transitions_total",
-            &[("method", "ex-minmax"), ("to", to)],
+    let admitted = snap.value(&SERVICE_ADMITTED, []);
+    let retries = snap.value(&SERVICE_RETRIES, []);
+    let degraded_by = |t: DegradeTrigger| snap.value(&SERVICE_DEGRADED, [t.label()]);
+    let breaker_to = |to: BreakerState| {
+        snap.value(
+            &SERVICE_BREAKER_TRANSITIONS,
+            [CsjMethod::ExMinMax.name(), to.label()],
         )
     };
-    let (p50, p99) = match snap
-        .find("csj_service_request_seconds", &[])
-        .map(|s| &s.value)
-    {
+    let (p50, p99) = match snap.find(SERVICE_REQUEST.name(), &[]).map(|s| &s.value) {
         Some(csj_obs::SampleValue::Histogram {
             bounds_us,
             buckets,
@@ -2334,9 +2301,7 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
 
     let identity_ok = submitted == total && submitted == admitted + shed && shed == shed_local;
     let resolution_ok = answered + degraded + failed == admitted
-        && counter("csj_service_completed_total", &[("outcome", "answered")]) == answered
-        && counter("csj_service_completed_total", &[("outcome", "degraded")]) == degraded
-        && counter("csj_service_completed_total", &[("outcome", "failed")]) == failed;
+        && [answered_c, degraded_c, failed_c] == [answered, degraded, failed];
     let verdict = |ok: bool| if ok { "ok" } else { "VIOLATED" };
 
     let mut out = format!(
@@ -2364,16 +2329,18 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "degraded-by-trigger: breaker={deg_breaker} deadline={deg_deadline} \
-         coverage={deg_coverage}"
+        "degraded-by-trigger: breaker={} deadline={} coverage={}",
+        degraded_by(DegradeTrigger::Breaker),
+        degraded_by(DegradeTrigger::Deadline),
+        degraded_by(DegradeTrigger::Coverage)
     );
     let _ = writeln!(out, "retries={retries}");
     let _ = writeln!(
         out,
         "breaker ex-minmax transitions: open={} half_open={} closed={} (final={})",
-        breaker_to("open"),
-        breaker_to("half_open"),
-        breaker_to("closed"),
+        breaker_to(BreakerState::Open),
+        breaker_to(BreakerState::HalfOpen),
+        breaker_to(BreakerState::Closed),
         final_breaker.label()
     );
     let _ = writeln!(out, "latency: p50<={} p99<={}", fmt_ms(p50), fmt_ms(p99));
@@ -2385,13 +2352,13 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     // so the classic soak's `: ok` line count stays stable.)
     let mut shard_ok = true;
     if shard_chaos {
-        let dispatched = counter("csj_shard_dispatched_total", &[]);
-        let completed = counter("csj_shard_outcomes_total", &[("fate", "completed")]);
-        let failed = counter("csj_shard_outcomes_total", &[("fate", "failed")]);
-        let cancelled = counter("csj_shard_outcomes_total", &[("fate", "cancelled")]);
-        let hedged = counter("csj_shard_hedged_total", &[]);
-        let screened = counter("csj_shard_units_total", &[("fate", "screened")]);
-        let skipped = counter("csj_shard_units_total", &[("fate", "skipped")]);
+        let dispatched = snap.value(&SHARD_DISPATCHED, []);
+        let completed = snap.value(&SHARD_OUTCOMES, ["completed"]);
+        let failed = snap.value(&SHARD_OUTCOMES, ["failed"]);
+        let cancelled = snap.value(&SHARD_OUTCOMES, ["cancelled"]);
+        let hedged = snap.value(&SHARD_HEDGED, []);
+        let screened = snap.value(&SHARD_UNITS, ["screened"]);
+        let skipped = snap.value(&SHARD_UNITS, ["skipped"]);
         let _ = writeln!(
             out,
             "shard-coverage: dispatched={dispatched} completed={completed} failed={failed} \
@@ -4182,6 +4149,25 @@ mod tests {
             via.contains("csj_slo_target{objective=\"request_latency\"}"),
             "{via}"
         );
+    }
+
+    #[test]
+    fn stats_via_service_announces_each_family_once() {
+        let (b, a) = generated_pair("csj_cli_stats_type_once", 12);
+        let prom = execute(Command::Stats {
+            communities: vec![b, a],
+            eps: 1,
+            threshold: 0.0,
+            format: StatsFormat::Prometheus,
+            via_service: true,
+            quarantine: false,
+        })
+        .unwrap();
+        let mut types: Vec<&str> = prom.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let announced = types.len();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), announced, "a # TYPE line repeats:\n{prom}");
     }
 
     #[test]

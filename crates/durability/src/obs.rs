@@ -21,47 +21,17 @@ pub(crate) struct DurabilityObs {
 
 impl DurabilityObs {
     pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        let appends = registry.counter(
-            "csj_wal_appends_total",
-            "WAL records appended (log-before-apply mutations and snapshot marks)",
-            vec![],
-        );
-        let wal_bytes = registry.counter("csj_wal_bytes_total", "WAL frame bytes written", vec![]);
-        let fsyncs = registry.counter(
-            "csj_wal_fsyncs_total",
-            "WAL fsync calls (per append under policy=always, batched under interval)",
-            vec![],
-        );
-        let fsync_latency = registry.latency(
-            "csj_wal_fsync_latency_seconds",
-            "WAL fsync wall time",
-            vec![],
-        );
-        let snapshots_written = registry.counter(
-            "csj_snapshots_written_total",
-            "Registry snapshots written and made durable",
-            vec![],
-        );
-        let recovery_replayed = registry.counter(
-            "csj_recovery_replayed_total",
-            "WAL records replayed onto the restored snapshot image during recovery",
-            vec![],
-        );
-        let recovery_discarded = registry.counter(
-            "csj_recovery_discarded_total",
-            "Bytes of torn/corrupt WAL tail discarded during recovery",
-            vec![],
-        );
+        use csj_obs::catalog::*;
+        let r = MetricsRegistry::new();
         Self {
-            registry,
-            appends,
-            wal_bytes,
-            fsyncs,
-            fsync_latency,
-            snapshots_written,
-            recovery_replayed,
-            recovery_discarded,
+            appends: r.register(&WAL_APPENDS, []),
+            wal_bytes: r.register(&WAL_BYTES, []),
+            fsyncs: r.register(&WAL_FSYNCS, []),
+            fsync_latency: r.register(&WAL_FSYNC_LATENCY, []),
+            snapshots_written: r.register(&SNAPSHOTS_WRITTEN, []),
+            recovery_replayed: r.register(&RECOVERY_REPLAYED, []),
+            recovery_discarded: r.register(&RECOVERY_DISCARDED, []),
+            registry: r,
         }
     }
 

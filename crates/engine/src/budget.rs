@@ -84,25 +84,15 @@ impl Budget {
     }
 }
 
-/// Why a budget stopped a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExhaustReason {
-    /// The cancellation token was tripped.
-    Cancelled,
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The join-count cap was reached.
-    MaxJoins,
-}
-
-impl ExhaustReason {
-    /// The stable label used by metrics, traces and forensic records.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExhaustReason::Cancelled => "cancelled",
-            ExhaustReason::Deadline => "deadline",
-            ExhaustReason::MaxJoins => "max-joins",
-        }
+csj_obs::label_enum! {
+    /// Why a budget stopped a query.
+    pub enum ExhaustReason {
+        /// The cancellation token was tripped.
+        Cancelled => "cancelled",
+        /// The wall-clock deadline passed.
+        Deadline => "deadline",
+        /// The join-count cap was reached.
+        MaxJoins => "max-joins",
     }
 }
 

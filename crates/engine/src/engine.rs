@@ -30,7 +30,7 @@ use crate::budget::{exhausted_marker, Budget, BudgetExhausted, ExhaustReason, Pa
 use crate::error::EngineError;
 #[cfg(feature = "fault-injection")]
 use crate::fault::FaultPlan;
-use crate::obs::{outcome_label, EngineObs, ObsConfig, QueryRecorder};
+use crate::obs::{outcome_label, EngineObs, ObsConfig, QueryKind, QueryRecorder};
 use crate::plan::{PlanSource, Planner, PlannerConfig};
 
 /// [`Registered::mass`] before it is computed (a real mass is far
@@ -636,8 +636,7 @@ impl CsjEngine {
     ) -> Result<Similarity, EngineError> {
         let qopts = self.config.options.clone();
         let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("similarity");
-        self.obs.on_query("similarity");
+        let rec = self.obs.start_query(QueryKind::Similarity);
         let result = self.refine_pair(x, y, &qopts, &joins, Some(&rec));
         let outcome = match &result {
             Ok(_) => "completed".to_string(),
@@ -668,8 +667,7 @@ impl CsjEngine {
             return self.similarity(x, y);
         }
         let qopts = self.config.options.clone();
-        let rec = self.obs.start_recorder("similarity");
-        self.obs.on_query("similarity");
+        let rec = self.obs.start_query(QueryKind::Similarity);
         let result = self.oriented(x, y).and_then(|(b, a)| {
             let pb = self.prepared(b);
             let pa = self.prepared(a);
@@ -755,8 +753,7 @@ impl CsjEngine {
         budget: &Budget,
     ) -> Result<Partial<ScreenOutcome>, EngineError> {
         let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("screen");
-        self.obs.on_query("screen");
+        let rec = self.obs.start_query(QueryKind::Screen);
         let (outcome, run, skipped) =
             match self.screen_on_shards(x, candidates, budget, &joins, &rec) {
                 Ok(screened) => screened,
@@ -954,7 +951,7 @@ impl CsjEngine {
         candidates: &[CommunityHandle],
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.ranked("screen_and_refine", x, candidates, budget)
+        self.ranked(QueryKind::ScreenAndRefine, x, candidates, budget)
     }
 
     /// The screen → refine pipeline behind
@@ -966,14 +963,13 @@ impl CsjEngine {
     /// and its flight-recorder trace.
     fn ranked(
         &self,
-        kind: &'static str,
+        kind: QueryKind,
         x: CommunityHandle,
         candidates: &[CommunityHandle],
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
         let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder(kind);
-        self.obs.on_query(kind);
+        let rec = self.obs.start_query(kind);
         // `skipped` counts budget skips only: candidates of a lost shard
         // are coverage loss, reported through `Coverage`.
         let (screened, run, mut skipped) =
@@ -1044,7 +1040,7 @@ impl CsjEngine {
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
         let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
-        let mut ranked = self.ranked("top_k", x, &candidates, budget)?;
+        let mut ranked = self.ranked(QueryKind::TopK, x, &candidates, budget)?;
         ranked.value.truncate(k);
         Ok(ranked)
     }
@@ -1128,8 +1124,7 @@ impl CsjEngine {
         approx: bool,
     ) -> Result<Partial<PairsSweep>, EngineError> {
         let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("pairs_above");
-        self.obs.on_query("pairs_above");
+        let rec = self.obs.start_query(QueryKind::PairsAbove);
         let n = self.entries.len() as u32;
         let from = resume.unwrap_or(PairsCursor { i: 0, j: 1 });
         let total = Self::remaining_pairs(n, from);

@@ -60,7 +60,7 @@ pub use engine::{
     ScreenOutcome,
 };
 pub use error::EngineError;
-pub use obs::ObsConfig;
+pub use obs::{engine_slos, ObsConfig};
 pub use plan::{PlanSource, PlannerConfig, PlannerMode};
 pub use tracked::{Side, TrackedPair};
 

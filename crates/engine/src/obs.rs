@@ -17,8 +17,9 @@ use std::time::Instant;
 
 use csj_core::{Coverage, CsjMethod, JoinTelemetry, PhaseTimings};
 use csj_obs::{
-    Counter, FlightRecorder, ForensicRecord, Gauge, LatencyHistogram, LogHistogramCell,
-    MetricsRegistry, MetricsSnapshot, QueryTrace, SlowQueryLog, Span,
+    catalog, ByLabel, Counter, CounterSelector, FlightRecorder, ForensicRecord, Gauge,
+    LatencyHistogram, LogHistogramCell, MetricsRegistry, MetricsSnapshot, Objective, QueryTrace,
+    SloSource, SlowQueryLog, Span,
 };
 
 use csj_core::plan::QueryPlan;
@@ -55,34 +56,106 @@ impl Default for ObsConfig {
     }
 }
 
-/// Query kinds, used as the `kind` label of `csj_queries_total` and as
-/// [`QueryTrace::kind`].
-pub(crate) const QUERY_KINDS: [&str; 5] = [
-    "similarity",
-    "screen",
-    "screen_and_refine",
-    "top_k",
-    "pairs_above",
-];
+csj_obs::label_enum! {
+    /// Engine query kinds: the `kind` label of `csj_queries_total` and
+    /// [`QueryTrace::kind`].
+    pub(crate) enum QueryKind {
+        Similarity => "similarity",
+        Screen => "screen",
+        ScreenAndRefine => "screen_and_refine",
+        TopK => "top_k",
+        PairsAbove => "pairs_above",
+    }
+}
+
+csj_obs::label_enum! {
+    /// The counter lane a join's kernel selected (`csj_encode_lane_total`).
+    enum Lane {
+        Scalar => "scalar",
+        U8 => "u8",
+        U16 => "u16",
+        U32 => "u32",
+    }
+}
+
+impl Lane {
+    /// The lane behind a telemetry `lane_bits` value (`0` = scalar).
+    fn of_bits(bits: u64) -> Lane {
+        match bits {
+            8 => Lane::U8,
+            16 => Lane::U16,
+            32 => Lane::U32,
+            _ => Lane::Scalar,
+        }
+    }
+}
+
+csj_obs::label_enum! {
+    /// Kernel prune events (`csj_prune_events_total`).
+    enum Prune {
+        Min => "min",
+        Max => "max",
+    }
+}
+
+csj_obs::label_enum! {
+    /// Full-comparison outcomes (`csj_match_events_total`).
+    enum MatchEvent {
+        Match => "match",
+        NoMatch => "no_match",
+        NoOverlap => "no_overlap",
+    }
+}
+
+csj_obs::label_enum! {
+    /// Shard fates: dispatched == completed + failed + cancelled.
+    enum ShardFate {
+        Completed => "completed",
+        Failed => "failed",
+        Cancelled => "cancelled",
+    }
+}
+
+csj_obs::label_enum! {
+    /// Work units of sharded queries, by fate.
+    enum UnitFate {
+        Screened => "screened",
+        Skipped => "skipped",
+    }
+}
 
 /// Join spans retained per query trace; beyond this the trace records
 /// only a `joins_dropped` count (a broadcast sweep over thousands of
 /// pairs should not hold thousands of spans in memory).
 const MAX_JOIN_SPANS: usize = 256;
 
-fn method_index(method: CsjMethod) -> usize {
-    CsjMethod::ALL
-        .iter()
-        .position(|&m| m == method)
-        .expect("method in ALL")
-}
-
-fn reason_index(reason: ExhaustReason) -> usize {
-    match reason {
-        ExhaustReason::Cancelled => 0,
-        ExhaustReason::Deadline => 1,
-        ExhaustReason::MaxJoins => 2,
-    }
+/// The engine-side SLO preset, declared over the engine's own `csj_*`
+/// series so an [`csj_obs::SloEngine`] fed with
+/// [`CsjEngine::metrics_snapshot`](crate::CsjEngine::metrics_snapshot)
+/// needs no extra instrumentation:
+///
+/// * `join_latency` — ≤1% of joins slower than 100ms;
+/// * `exhausted_fraction` — ≤5% of queries running out of budget.
+pub fn engine_slos() -> Vec<Objective> {
+    vec![
+        Objective {
+            name: "join_latency".into(),
+            target: 0.01,
+            source: SloSource::LatencyAbove {
+                histogram: catalog::JOIN_LATENCY.name().into(),
+                labels: vec![],
+                threshold_us: 100_000,
+            },
+        },
+        Objective {
+            name: "exhausted_fraction".into(),
+            target: 0.05,
+            source: SloSource::CounterFraction {
+                bad: CounterSelector::new(catalog::BUDGET_EXHAUSTED.name(), &[]),
+                total: CounterSelector::new(catalog::QUERIES.name(), &[]),
+            },
+        },
+    ]
 }
 
 /// The engine's observability state: one registry of `csj_*` time
@@ -92,12 +165,12 @@ pub(crate) struct EngineObs {
     registry: MetricsRegistry,
     flight: FlightRecorder,
     slow: SlowQueryLog,
-    joins: Vec<Arc<Counter>>,
-    latency: Vec<Arc<LatencyHistogram>>,
-    queries: Vec<Arc<Counter>>,
-    budget_exhausted: Vec<Arc<Counter>>,
-    plan_selected: Vec<Arc<Counter>>,
-    plan_source: [Arc<Counter>; 2],
+    joins: ByLabel<Counter, CsjMethod>,
+    latency: ByLabel<LatencyHistogram, CsjMethod>,
+    queries: ByLabel<Counter, QueryKind>,
+    budget_exhausted: ByLabel<Counter, ExhaustReason>,
+    plan_selected: ByLabel<Counter, CsjMethod>,
+    plan_source: ByLabel<Counter, PlanSource>,
     plan_estimated_us: Arc<Counter>,
     plan_actual_us: Arc<Counter>,
     joins_cancelled: Arc<Counter>,
@@ -107,20 +180,17 @@ pub(crate) struct EngineObs {
     quarantined: Arc<Counter>,
     rows_driven: Arc<Counter>,
     candidates_streamed: Arc<Counter>,
-    prune_min: Arc<Counter>,
-    prune_max: Arc<Counter>,
-    ev_match: Arc<Counter>,
-    ev_no_match: Arc<Counter>,
-    ev_no_overlap: Arc<Counter>,
+    prune: ByLabel<Counter, Prune>,
+    match_events: ByLabel<Counter, MatchEvent>,
     matcher_flushes: Arc<Counter>,
     matcher_edges: Arc<Counter>,
     cancel_polls: Arc<Counter>,
-    encode_lane: [Arc<Counter>; 4],
+    encode_lane: ByLabel<Counter, Lane>,
     encode_tiles: Arc<Counter>,
     shard_dispatched: Arc<Counter>,
-    shard_outcomes: [Arc<Counter>; 3],
+    shard_outcomes: ByLabel<Counter, ShardFate>,
     shard_hedged: Arc<Counter>,
-    shard_units: [Arc<Counter>; 2],
+    shard_units: ByLabel<Counter, UnitFate>,
     shard_latency: Arc<LatencyHistogram>,
     stream_depth: Arc<LogHistogramCell>,
     prune_depth: Arc<LogHistogramCell>,
@@ -139,229 +209,44 @@ impl std::fmt::Debug for EngineObs {
 
 impl EngineObs {
     pub(crate) fn new(config: &ObsConfig) -> Self {
-        let registry = MetricsRegistry::new();
-        let joins = CsjMethod::ALL
-            .iter()
-            .map(|m| {
-                registry.counter(
-                    "csj_joins_total",
-                    "Joins executed by the engine, by method.",
-                    vec![("method", m.name().to_string())],
-                )
-            })
-            .collect();
-        let latency = CsjMethod::ALL
-            .iter()
-            .map(|m| {
-                registry.latency(
-                    "csj_join_latency_seconds",
-                    "Join wall-clock latency (setup + pairing + matching), by method.",
-                    vec![("method", m.name().to_string())],
-                )
-            })
-            .collect();
-        let queries = QUERY_KINDS
-            .iter()
-            .map(|kind| {
-                registry.counter(
-                    "csj_queries_total",
-                    "Engine queries executed, by kind.",
-                    vec![("kind", kind.to_string())],
-                )
-            })
-            .collect();
-        let budget_exhausted = ["cancelled", "deadline", "max-joins"]
-            .iter()
-            .map(|reason| {
-                registry.counter(
-                    "csj_budget_exhausted_total",
-                    "Budgeted queries that ran out of budget, by reason.",
-                    vec![("reason", reason.to_string())],
-                )
-            })
-            .collect();
-        let plan_selected = CsjMethod::ALL
-            .iter()
-            .map(|m| {
-                registry.counter(
-                    "csj_plan_selected_total",
-                    "Auto plans resolved by the planner, by chosen method.",
-                    vec![("method", m.name().to_string())],
-                )
-            })
-            .collect();
-        let plan_source = [
-            registry.counter(
-                "csj_plan_source_total",
-                "Auto plans by estimate source (static table vs latency-refined).",
-                vec![("source", "static".to_string())],
-            ),
-            registry.counter(
-                "csj_plan_source_total",
-                "Auto plans by estimate source (static table vs latency-refined).",
-                vec![("source", "refined".to_string())],
-            ),
-        ];
+        use csj_obs::catalog::*;
+        let r = MetricsRegistry::new();
         Self {
             enabled: config.enabled,
             flight: FlightRecorder::new(config.flight_capacity),
             slow: SlowQueryLog::new(config.slow_capacity, config.slow_threshold_us),
-            joins,
-            latency,
-            queries,
-            budget_exhausted,
-            plan_selected,
-            plan_source,
-            plan_estimated_us: registry.counter(
-                "csj_plan_estimated_us_total",
-                "Sum of the planner's cost estimates for resolved Auto plans, microseconds.",
-                vec![],
-            ),
-            plan_actual_us: registry.counter(
-                "csj_plan_actual_us_total",
-                "Sum of measured join latencies for resolved Auto plans, microseconds.",
-                vec![],
-            ),
-            joins_cancelled: registry.counter(
-                "csj_joins_cancelled_total",
-                "Joins truncated mid-flight by cooperative cancellation.",
-                vec![],
-            ),
-            join_panics: registry.counter(
-                "csj_join_panics_total",
-                "Joins that panicked and were contained at the per-candidate boundary.",
-                vec![],
-            ),
-            faults: registry.counter(
-                "csj_faults_total",
-                "Injected faults fired (fault-injection builds only).",
-                vec![],
-            ),
-            cache_hits: registry.counter(
-                "csj_cache_hits_total",
-                "Exact-similarity queries served from the cache.",
-                vec![],
-            ),
-            quarantined: registry.counter(
-                "csj_data_quarantined_total",
-                "Malformed records skipped by quarantine-mode data loads.",
-                vec![],
-            ),
-            rows_driven: registry.counter(
-                "csj_rows_driven_total",
-                "B rows that entered a pairing loop.",
-                vec![],
-            ),
-            candidates_streamed: registry.counter(
-                "csj_candidates_streamed_total",
-                "Candidate pairs that survived cheap pruning and were fully judged.",
-                vec![],
-            ),
-            prune_min: registry.counter(
-                "csj_prune_events_total",
-                "Kernel prune events, by kind.",
-                vec![("kind", "min".to_string())],
-            ),
-            prune_max: registry.counter(
-                "csj_prune_events_total",
-                "Kernel prune events, by kind.",
-                vec![("kind", "max".to_string())],
-            ),
-            ev_match: registry.counter(
-                "csj_match_events_total",
-                "Full-comparison outcomes, by kind.",
-                vec![("kind", "match".to_string())],
-            ),
-            ev_no_match: registry.counter(
-                "csj_match_events_total",
-                "Full-comparison outcomes, by kind.",
-                vec![("kind", "no_match".to_string())],
-            ),
-            ev_no_overlap: registry.counter(
-                "csj_match_events_total",
-                "Full-comparison outcomes, by kind.",
-                vec![("kind", "no_overlap".to_string())],
-            ),
-            matcher_flushes: registry.counter(
-                "csj_matcher_flushes_total",
-                "One-to-one matcher invocations (whole-graph and segment flushes).",
-                vec![],
-            ),
-            matcher_edges: registry.counter(
-                "csj_matcher_edges_total",
-                "Edges handed to the one-to-one matcher.",
-                vec![],
-            ),
-            cancel_polls: registry.counter(
-                "csj_cancel_polls_total",
-                "Cooperative cancellation polls performed by the kernel.",
-                vec![],
-            ),
-            encode_lane: ["scalar", "u8", "u16", "u32"].map(|lane| {
-                registry.counter(
-                    "csj_encode_lane_total",
-                    "Joins by the counter lane the quantized kernel selected.",
-                    vec![("lane", lane.to_string())],
-                )
-            }),
-            encode_tiles: registry.counter(
-                "csj_encode_tiles_total",
-                "L1-sized A tiles walked by cache-blocked kernel scans.",
-                vec![],
-            ),
-            shard_dispatched: registry.counter(
-                "csj_shard_dispatched_total",
-                "Shard tasks handed to the shard executor.",
-                vec![],
-            ),
-            // The three shard fates: dispatched == completed + failed +
-            // cancelled (the shard identity, lint-checked like the
-            // service's four fates).
-            shard_outcomes: ["completed", "failed", "cancelled"].map(|fate| {
-                registry.counter(
-                    "csj_shard_outcomes_total",
-                    "Shard tasks resolved, by fate (dispatched == completed + failed + cancelled).",
-                    vec![("fate", fate.to_string())],
-                )
-            }),
-            shard_hedged: registry.counter(
-                "csj_shard_hedged_total",
-                "Shards whose winning result came from a hedged re-dispatch (subset of completed).",
-                vec![],
-            ),
-            shard_units: ["screened", "skipped"].map(|fate| {
-                registry.counter(
-                    "csj_shard_units_total",
-                    "Work units (candidates or pairs) of sharded queries, by fate.",
-                    vec![("fate", fate.to_string())],
-                )
-            }),
-            shard_latency: registry.latency(
-                "csj_shard_latency_seconds",
-                "Per-shard wall-clock latency (winning attempt, or longest failed one).",
-                vec![],
-            ),
-            stream_depth: registry.log_histogram(
-                "csj_candidate_stream_depth",
-                "Distribution of candidates streamed per driven B row (log2 buckets).",
-                vec![],
-            ),
-            prune_depth: registry.log_histogram(
-                "csj_prune_depth",
-                "Distribution of prune events per driven B row (log2 buckets).",
-                vec![],
-            ),
-            communities: registry.gauge(
-                "csj_communities",
-                "Communities currently registered.",
-                vec![],
-            ),
-            cached_pairs: registry.gauge(
-                "csj_cached_pairs",
-                "Exact similarities currently cached.",
-                vec![],
-            ),
-            registry,
+            joins: r.register_each(&JOINS),
+            latency: r.register_each(&JOIN_LATENCY),
+            queries: r.register_each(&QUERIES),
+            budget_exhausted: r.register_each(&BUDGET_EXHAUSTED),
+            plan_selected: r.register_each(&PLAN_SELECTED),
+            plan_source: r.register_each(&PLAN_SOURCE),
+            plan_estimated_us: r.register(&PLAN_ESTIMATED_US, []),
+            plan_actual_us: r.register(&PLAN_ACTUAL_US, []),
+            joins_cancelled: r.register(&JOINS_CANCELLED, []),
+            join_panics: r.register(&JOIN_PANICS, []),
+            faults: r.register(&FAULTS, []),
+            cache_hits: r.register(&CACHE_HITS, []),
+            quarantined: r.register(&DATA_QUARANTINED, []),
+            rows_driven: r.register(&ROWS_DRIVEN, []),
+            candidates_streamed: r.register(&CANDIDATES_STREAMED, []),
+            prune: r.register_each(&PRUNE_EVENTS),
+            match_events: r.register_each(&MATCH_EVENTS),
+            matcher_flushes: r.register(&MATCHER_FLUSHES, []),
+            matcher_edges: r.register(&MATCHER_EDGES, []),
+            cancel_polls: r.register(&CANCEL_POLLS, []),
+            encode_lane: r.register_each(&ENCODE_LANE),
+            encode_tiles: r.register(&ENCODE_TILES, []),
+            shard_dispatched: r.register(&SHARD_DISPATCHED, []),
+            shard_outcomes: r.register_each(&SHARD_OUTCOMES),
+            shard_hedged: r.register(&SHARD_HEDGED, []),
+            shard_units: r.register_each(&SHARD_UNITS),
+            shard_latency: r.register(&SHARD_LATENCY, []),
+            stream_depth: r.register(&CANDIDATE_STREAM_DEPTH, []),
+            prune_depth: r.register(&PRUNE_DEPTH, []),
+            communities: r.register(&COMMUNITIES, []),
+            cached_pairs: r.register(&CACHED_PAIRS, []),
+            registry: r,
         }
     }
 
@@ -380,30 +265,32 @@ impl EngineObs {
         if !self.enabled {
             return;
         }
-        let idx = method_index(method);
-        self.joins[idx].inc();
+        self.joins.get(method).inc();
         let us = timings.total().as_micros().min(u128::from(u64::MAX)) as u64;
-        self.latency[idx].observe_us_with_exemplar(us, trace_id);
+        self.latency
+            .get(method)
+            .observe_us_with_exemplar(us, trace_id);
         if cancelled {
             self.joins_cancelled.inc();
         }
         self.rows_driven.add(telemetry.rows_driven);
         self.candidates_streamed.add(telemetry.candidates_streamed);
-        self.prune_min.add(telemetry.events.min_prune);
-        self.prune_max.add(telemetry.events.max_prune);
-        self.ev_match.add(telemetry.events.matches);
-        self.ev_no_match.add(telemetry.events.no_match);
-        self.ev_no_overlap.add(telemetry.events.no_overlap);
+        self.prune.get(Prune::Min).add(telemetry.events.min_prune);
+        self.prune.get(Prune::Max).add(telemetry.events.max_prune);
+        let events = &self.match_events;
+        events.get(MatchEvent::Match).add(telemetry.events.matches);
+        events
+            .get(MatchEvent::NoMatch)
+            .add(telemetry.events.no_match);
+        events
+            .get(MatchEvent::NoOverlap)
+            .add(telemetry.events.no_overlap);
         self.matcher_flushes.add(telemetry.matcher_flushes);
         self.matcher_edges.add(telemetry.matcher_edges);
         self.cancel_polls.add(telemetry.cancel_polls);
-        let lane_idx = match telemetry.lane_bits {
-            8 => 1,
-            16 => 2,
-            32 => 3,
-            _ => 0,
-        };
-        self.encode_lane[lane_idx].inc();
+        self.encode_lane
+            .get(Lane::of_bits(telemetry.lane_bits))
+            .inc();
         self.encode_tiles.add(telemetry.a_tiles);
         self.stream_depth
             .merge(&telemetry.stream_depth_hist, telemetry.candidates_streamed);
@@ -420,26 +307,11 @@ impl EngineObs {
         if !self.enabled {
             return;
         }
-        self.plan_selected[method_index(plan.chosen)].inc();
-        let source_idx = match source {
-            PlanSource::Static => 0,
-            PlanSource::Refined => 1,
-        };
-        self.plan_source[source_idx].inc();
+        self.plan_selected.get(plan.chosen).inc();
+        self.plan_source.get(source).inc();
         self.plan_estimated_us
             .add(plan.estimated_us.max(0.0) as u64);
         self.plan_actual_us.add(actual_us);
-    }
-
-    pub(crate) fn on_query(&self, kind: &'static str) {
-        if !self.enabled {
-            return;
-        }
-        let idx = QUERY_KINDS
-            .iter()
-            .position(|&k| k == kind)
-            .expect("known query kind");
-        self.queries[idx].inc();
     }
 
     pub(crate) fn on_join_panicked(&self) {
@@ -469,7 +341,7 @@ impl EngineObs {
 
     pub(crate) fn on_budget_exhausted(&self, reason: ExhaustReason) {
         if self.enabled {
-            self.budget_exhausted[reason_index(reason)].inc();
+            self.budget_exhausted.get(reason).inc();
         }
     }
 
@@ -483,12 +355,17 @@ impl EngineObs {
             return;
         }
         self.shard_dispatched.add(coverage.dispatched);
-        self.shard_outcomes[0].add(coverage.completed);
-        self.shard_outcomes[1].add(coverage.failed);
-        self.shard_outcomes[2].add(coverage.cancelled);
+        let fates = &self.shard_outcomes;
+        fates.get(ShardFate::Completed).add(coverage.completed);
+        fates.get(ShardFate::Failed).add(coverage.failed);
+        fates.get(ShardFate::Cancelled).add(coverage.cancelled);
         self.shard_hedged.add(coverage.hedged);
-        self.shard_units[0].add(coverage.units_screened);
-        self.shard_units[1].add(coverage.units_skipped);
+        self.shard_units
+            .get(UnitFate::Screened)
+            .add(coverage.units_screened);
+        self.shard_units
+            .get(UnitFate::Skipped)
+            .add(coverage.units_skipped);
         for &us in shard_elapsed_us {
             self.shard_latency.observe_us_with_exemplar(us, 0);
         }
@@ -502,16 +379,17 @@ impl EngineObs {
         self.registry.snapshot()
     }
 
-    /// Start recording a query of `kind`, reserving its flight-recorder
-    /// id up front so in-flight metric exemplars can reference the
-    /// trace before it is filed.
-    pub(crate) fn start_recorder(&self, kind: &'static str) -> QueryRecorder {
+    /// Count a query of `kind` and start recording it, reserving its
+    /// flight-recorder id up front so in-flight metric exemplars can
+    /// reference the trace before it is filed.
+    pub(crate) fn start_query(&self, kind: QueryKind) -> QueryRecorder {
         let id = if self.enabled {
+            self.queries.get(kind).inc();
             self.flight.reserve_id()
         } else {
             0
         };
-        QueryRecorder::start_with_id(kind, self.enabled, id)
+        QueryRecorder::start_with_id(kind.label(), self.enabled, id)
     }
 
     /// Store a completed query trace in the flight recorder, offering
@@ -632,10 +510,7 @@ impl QueryRecorder {
             self.joins_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let encoding = match telemetry.lane_bits {
-            0 => "scalar".to_string(),
-            bits => format!("u{bits}"),
-        };
+        let encoding = Lane::of_bits(telemetry.lane_bits).label();
         let mut span = Span::new("join")
             .at(start_us, timings.total().as_micros() as u64)
             .attr("method", method.name())
@@ -911,7 +786,7 @@ mod tests {
             slow_capacity: 4,
             slow_threshold_us: 0,
         });
-        obs.on_query("similarity");
+        obs.start_query(QueryKind::Similarity);
         obs.on_join(
             CsjMethod::ApMinMax,
             &JoinTelemetry::default(),
@@ -939,7 +814,7 @@ mod tests {
             slow_capacity: 4,
             slow_threshold_us: 60_000_000, // only bad outcomes capture
         });
-        let rec = obs.start_recorder("similarity");
+        let rec = obs.start_query(QueryKind::Similarity);
         let id = rec.trace_id();
         assert!(id > 0, "flight id reserved up front");
         let trace = rec
@@ -948,7 +823,7 @@ mod tests {
         assert_eq!(trace.id, id);
         obs.record_trace(trace);
 
-        let healthy = obs.start_recorder("similarity");
+        let healthy = obs.start_query(QueryKind::Similarity);
         let healthy_id = healthy.trace_id();
         obs.record_trace(healthy.finish("completed".into()).unwrap());
 

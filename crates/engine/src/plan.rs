@@ -54,24 +54,14 @@ impl Default for PlannerConfig {
     }
 }
 
-/// Where a plan's estimates came from, surfaced in metrics and traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanSource {
-    /// The configured cost table alone — frozen mode, or cold start
-    /// (no latency observations for the chosen method yet).
-    Static,
-    /// The table corrected by observed join latencies.
-    Refined,
-}
-
-impl PlanSource {
-    /// Stable label used as the `source` value of
-    /// `csj_plan_source_total` and in plan spans.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanSource::Static => "static",
-            PlanSource::Refined => "refined",
-        }
+csj_obs::label_enum! {
+    /// Where a plan's estimates came from, surfaced in metrics and traces.
+    pub enum PlanSource {
+        /// The configured cost table alone — frozen mode, or cold start
+        /// (no latency observations for the chosen method yet).
+        Static => "static",
+        /// The table corrected by observed join latencies.
+        Refined => "refined",
     }
 }
 

@@ -11,11 +11,12 @@
 //!   offsets and typed attributes (method, eps, |B|, |A|, budget
 //!   outcome). Cheap enough to stay on in release builds; the engine
 //!   skips construction entirely when observability is disabled.
-//! * **Metrics** ([`MetricsRegistry`]) — named counters, gauges and
+//! * **Metrics** ([`MetricsRegistry`]) — counters, gauges and
 //!   histograms (a fixed-boundary latency histogram plus
-//!   `csj_core::telemetry::LogHistogram` for depth distributions),
-//!   exported as a [`MetricsSnapshot`] that renders both **Prometheus
-//!   text exposition** and **JSON**.
+//!   `csj_core::telemetry::LogHistogram` for depth distributions), each
+//!   a series of a family declared once in [`catalog`], exported as a
+//!   [`MetricsSnapshot`] that renders both **Prometheus text
+//!   exposition** and **JSON**.
 //! * **Flight recorder** ([`FlightRecorder`]) — a bounded ring buffer of
 //!   the last N completed [`QueryTrace`]s (including partial, exhausted
 //!   and panicked queries) so a bad query can be reconstructed after the
@@ -36,6 +37,7 @@
 //! `LogHistogram` merging take a mutex, at per-join (not per-candidate)
 //! granularity.
 
+pub mod catalog;
 mod export;
 mod flight;
 mod forensics;
@@ -43,12 +45,13 @@ mod metrics;
 mod slo;
 mod span;
 
+pub use catalog::{Family, FamilyInfo, Label};
 pub use export::{traces_to_chrome, traces_to_jsonl};
 pub use flight::FlightRecorder;
 pub use forensics::{CaptureCause, ForensicRecord, SlowQueryLog};
 pub use metrics::{
-    Counter, FloatGauge, Gauge, LatencyHistogram, LogHistogramCell, MetricSample, MetricsRegistry,
-    MetricsSnapshot, SampleValue, LATENCY_BOUNDS_US,
+    ByLabel, Counter, FloatGauge, Gauge, Instrument, Kind, LatencyHistogram, LogHistogramCell,
+    MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue, LATENCY_BOUNDS_US,
 };
 pub use slo::{
     default_windows, CounterSelector, Objective, SloEngine, SloSource, SloStatus, WindowSpec,

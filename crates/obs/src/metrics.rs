@@ -7,14 +7,18 @@
 //! `csj_core::telemetry::LogHistogram` in a mutex because it is merged
 //! per join (coarse granularity), not per observation.
 //!
-//! Metric names follow Prometheus conventions (`csj_*`, `_total`
-//! suffix on counters); labels are fixed at registration so exposition
-//! is a pure read of the registry.
+//! Every series belongs to a family declared in [`crate::catalog`];
+//! labels are fixed at registration so exposition is a pure read of the
+//! registry.
 
+use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csj_core::telemetry::{LogHistogram, HISTOGRAM_BUCKETS};
+
+use crate::catalog::{Family, Label};
 
 /// Monotone counter.
 #[derive(Debug, Default)]
@@ -81,45 +85,30 @@ pub const LATENCY_BOUNDS_US: [u64; 12] = [
     50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 100_000, 1_000_000, 10_000_000,
 ];
 
-/// Fixed-boundary latency histogram (cumulative-on-read, atomic
-/// per-bucket counts). Bucket `i` counts observations `<= bounds[i]`;
-/// the final implicit bucket is `+Inf`.
-#[derive(Debug)]
+/// Fixed-boundary latency histogram over [`LATENCY_BOUNDS_US`]
+/// (cumulative-on-read, atomic per-bucket counts). Bucket `i` counts
+/// observations `<= LATENCY_BOUNDS_US[i]`; the final implicit bucket is
+/// `+Inf`.
+#[derive(Debug, Default)]
 pub struct LatencyHistogram {
-    bounds: &'static [u64],
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; LATENCY_BOUNDS_US.len() + 1],
     // Per-bucket exemplar slot: the trace id of the last observation
     // that landed in the bucket (0 = none). Links a hot bucket back to
     // a concrete flight-recorder / slow-query-log record.
-    exemplars: Vec<AtomicU64>,
+    exemplars: [AtomicU64; LATENCY_BOUNDS_US.len() + 1],
     sum_us: AtomicU64,
     count: AtomicU64,
 }
 
 impl LatencyHistogram {
-    /// A histogram over [`LATENCY_BOUNDS_US`].
+    /// An empty histogram.
     pub fn new() -> Self {
-        Self::with_bounds(&LATENCY_BOUNDS_US)
-    }
-
-    /// A histogram over caller-provided ascending bounds.
-    pub fn with_bounds(bounds: &'static [u64]) -> Self {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        Self {
-            bounds,
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            exemplars: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_us: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Record one observation in microseconds.
     pub fn observe_us(&self, us: u64) {
-        let idx = self.bounds.partition_point(|&b| b < us);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.observe_us_with_exemplar(us, 0);
     }
 
     /// Record one observation and stamp the bucket's exemplar slot with
@@ -127,7 +116,7 @@ impl LatencyHistogram {
     /// ignored), so a hot bucket can be traced back to a concrete
     /// query record.
     pub fn observe_us_with_exemplar(&self, us: u64, trace_id: u64) {
-        let idx = self.bounds.partition_point(|&b| b < us);
+        let idx = LATENCY_BOUNDS_US.partition_point(|&b| b < us);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         if trace_id != 0 {
             self.exemplars[idx].store(trace_id, Ordering::Relaxed);
@@ -149,36 +138,6 @@ impl LatencyHistogram {
     /// Sum of observations, microseconds.
     pub fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket (non-cumulative) counts, one per bound plus the
-    /// trailing `+Inf` bucket.
-    fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Per-bucket exemplar trace ids (0 = no exemplar recorded), or an
-    /// empty vector when no exemplar was ever stamped.
-    fn bucket_exemplars(&self) -> Vec<u64> {
-        let ex: Vec<u64> = self
-            .exemplars
-            .iter()
-            .map(|e| e.load(Ordering::Relaxed))
-            .collect();
-        if ex.iter().all(|&id| id == 0) {
-            Vec::new()
-        } else {
-            ex
-        }
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -216,25 +175,136 @@ impl LogHistogramCell {
     }
 }
 
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    GaugeF64(Arc<FloatGauge>),
-    Latency(Arc<LatencyHistogram>),
-    LogHist(Arc<LogHistogramCell>),
+/// What an instrument measures. The kind fixes a family's Prometheus
+/// type and the naming rules its name must obey (see
+/// [`crate::catalog`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// [`Counter`].
+    Counter,
+    /// [`Gauge`].
+    Gauge,
+    /// [`FloatGauge`].
+    FloatGauge,
+    /// [`LatencyHistogram`] over [`LATENCY_BOUNDS_US`].
+    Latency,
+    /// [`LogHistogramCell`].
+    LogHistogram,
+}
+
+impl Kind {
+    /// The Prometheus `# TYPE`.
+    pub fn prom_type(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge | Kind::FloatGauge => "gauge",
+            Kind::Latency | Kind::LogHistogram => "histogram",
+        }
+    }
+
+    /// The kind of instrument a captured value was read from.
+    pub fn of(value: &SampleValue) -> Kind {
+        match value {
+            SampleValue::Counter(_) => Kind::Counter,
+            SampleValue::Gauge(_) => Kind::Gauge,
+            SampleValue::GaugeF64(_) => Kind::FloatGauge,
+            SampleValue::Histogram { bounds_us, .. } if bounds_us[..] == LATENCY_BOUNDS_US => {
+                Kind::Latency
+            }
+            SampleValue::Histogram { .. } => Kind::LogHistogram,
+        }
+    }
+}
+
+/// An instrument type a [`Family`] can be declared with.
+pub trait Instrument: Default + Send + Sync + 'static {
+    /// The instrument's kind.
+    const KIND: Kind;
+    /// Capture the current value.
+    fn read(&self) -> SampleValue;
+}
+
+impl Instrument for Counter {
+    const KIND: Kind = Kind::Counter;
+    fn read(&self) -> SampleValue {
+        SampleValue::Counter(self.get())
+    }
+}
+
+impl Instrument for Gauge {
+    const KIND: Kind = Kind::Gauge;
+    fn read(&self) -> SampleValue {
+        SampleValue::Gauge(self.get())
+    }
+}
+
+impl Instrument for FloatGauge {
+    const KIND: Kind = Kind::FloatGauge;
+    fn read(&self) -> SampleValue {
+        SampleValue::GaugeF64(self.get())
+    }
+}
+
+impl Instrument for LatencyHistogram {
+    const KIND: Kind = Kind::Latency;
+    fn read(&self) -> SampleValue {
+        let load = |slots: &[AtomicU64]| -> Vec<u64> {
+            slots.iter().map(|s| s.load(Ordering::Relaxed)).collect()
+        };
+        let exemplars = load(&self.exemplars);
+        SampleValue::Histogram {
+            bounds_us: LATENCY_BOUNDS_US.to_vec(),
+            buckets: load(&self.buckets),
+            // Omitted until some bucket has recorded an exemplar.
+            exemplars: if exemplars.iter().all(|&id| id == 0) {
+                Vec::new()
+            } else {
+                exemplars
+            },
+            sum_us: self.sum_us(),
+            count: self.count(),
+        }
+    }
+}
+
+impl Instrument for LogHistogramCell {
+    const KIND: Kind = Kind::LogHistogram;
+    fn read(&self) -> SampleValue {
+        let hist = self.load();
+        SampleValue::Histogram {
+            bounds_us: log_bucket_bounds(),
+            buckets: (0..HISTOGRAM_BUCKETS).map(|i| hist.bucket(i)).collect(),
+            exemplars: Vec::new(),
+            sum_us: self.sum(),
+            count: hist.count(),
+        }
+    }
 }
 
 struct MetricEntry {
     name: &'static str,
     help: &'static str,
     labels: Vec<(&'static str, String)>,
-    instrument: Instrument,
+    read: Box<dyn Fn() -> SampleValue + Send + Sync>,
 }
 
-/// Registry of named instruments. Registration order is preserved in
-/// every snapshot; multiple entries may share a metric name with
-/// different labels (one time series each), in which case `# HELP` /
-/// `# TYPE` headers are emitted once per name.
+/// The series of one labelled family, indexed by label value: updating
+/// one is a vector index plus the instrument's own atomic.
+pub struct ByLabel<I, L, const N: usize = 1> {
+    // One series per `L::ALL` value, then the unexported sink.
+    series: Vec<Arc<I>>,
+    _label: PhantomData<fn(L)>,
+}
+
+impl<I, L: Label<N>, const N: usize> ByLabel<I, L, N> {
+    /// The series for `label`.
+    pub fn get(&self, label: L) -> &I {
+        &self.series[label.index()]
+    }
+}
+
+/// Registry of instruments, each one series of a catalog [`Family`].
+/// Registration order is preserved in every snapshot.
 #[derive(Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<MetricEntry>>,
@@ -246,98 +316,43 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn register(&self, entry: MetricEntry) {
+    /// Register one series of `family` with the given label values, one
+    /// per key.
+    pub fn register<I: Instrument, const N: usize>(
+        &self,
+        family: &Family<I, N>,
+        values: [String; N],
+    ) -> Arc<I> {
+        let instrument = Arc::new(I::default());
+        let reader = Arc::clone(&instrument);
+        let info = family.info;
         self.entries
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .push(entry);
+            .push(MetricEntry {
+                name: info.name,
+                help: info.help,
+                labels: info.labels.iter().copied().zip(values).collect(),
+                read: Box::new(move || reader.read()),
+            });
+        instrument
     }
 
-    /// Register a counter time series.
-    pub fn counter(
+    /// Register one series of `family` per value of `L`.
+    pub fn register_each<I: Instrument, L: Label<N>, const N: usize>(
         &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> Arc<Counter> {
-        let c = Arc::new(Counter::default());
-        self.register(MetricEntry {
-            name,
-            help,
-            labels,
-            instrument: Instrument::Counter(Arc::clone(&c)),
-        });
-        c
-    }
-
-    /// Register a gauge time series.
-    pub fn gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> Arc<Gauge> {
-        let g = Arc::new(Gauge::default());
-        self.register(MetricEntry {
-            name,
-            help,
-            labels,
-            instrument: Instrument::Gauge(Arc::clone(&g)),
-        });
-        g
-    }
-
-    /// Register a floating-point gauge time series (renders as a
-    /// Prometheus gauge).
-    pub fn float_gauge(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> Arc<FloatGauge> {
-        let g = Arc::new(FloatGauge::default());
-        self.register(MetricEntry {
-            name,
-            help,
-            labels,
-            instrument: Instrument::GaugeF64(Arc::clone(&g)),
-        });
-        g
-    }
-
-    /// Register a fixed-boundary latency histogram time series.
-    pub fn latency(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> Arc<LatencyHistogram> {
-        let h = Arc::new(LatencyHistogram::new());
-        self.register(MetricEntry {
-            name,
-            help,
-            labels,
-            instrument: Instrument::Latency(Arc::clone(&h)),
-        });
-        h
-    }
-
-    /// Register a log2-bucket histogram time series (depth
-    /// distributions merged from `JoinTelemetry`).
-    pub fn log_histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: Vec<(&'static str, String)>,
-    ) -> Arc<LogHistogramCell> {
-        let h = Arc::new(LogHistogramCell::default());
-        self.register(MetricEntry {
-            name,
-            help,
-            labels,
-            instrument: Instrument::LogHist(Arc::clone(&h)),
-        });
-        h
+        family: &Family<I, N>,
+    ) -> ByLabel<I, L, N> {
+        debug_assert!(L::ALL.iter().enumerate().all(|(i, l)| l.index() == i));
+        let mut series: Vec<Arc<I>> = L::ALL
+            .iter()
+            .map(|l| self.register(family, l.values().map(String::from)))
+            .collect();
+        series.push(Arc::default());
+        ByLabel {
+            series,
+            _label: PhantomData,
+        }
     }
 
     /// A point-in-time copy of every registered time series. Like every
@@ -353,28 +368,7 @@ impl MetricsRegistry {
                     name: e.name,
                     help: e.help,
                     labels: e.labels.clone(),
-                    value: match &e.instrument {
-                        Instrument::Counter(c) => SampleValue::Counter(c.get()),
-                        Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Instrument::GaugeF64(g) => SampleValue::GaugeF64(g.get()),
-                        Instrument::Latency(h) => SampleValue::Histogram {
-                            bounds_us: h.bounds.to_vec(),
-                            buckets: h.bucket_counts(),
-                            exemplars: h.bucket_exemplars(),
-                            sum_us: h.sum_us(),
-                            count: h.count(),
-                        },
-                        Instrument::LogHist(h) => {
-                            let hist = h.load();
-                            SampleValue::Histogram {
-                                bounds_us: log_bucket_bounds(),
-                                buckets: (0..HISTOGRAM_BUCKETS).map(|i| hist.bucket(i)).collect(),
-                                exemplars: Vec::new(),
-                                sum_us: h.sum(),
-                                count: hist.count(),
-                            }
-                        }
-                    },
+                    value: (e.read)(),
                 })
                 .collect(),
         }
@@ -470,88 +464,47 @@ impl MetricsSnapshot {
         }
     }
 
+    /// Counter or integer gauge value of `family`'s series carrying
+    /// `values` (one per label key), or 0 when the series is absent.
+    pub fn value<I: Instrument, const N: usize>(
+        &self,
+        family: &Family<I, N>,
+        values: [&str; N],
+    ) -> u64 {
+        let info = family.info;
+        let labels: Vec<(&str, &str)> = info.labels.iter().copied().zip(values).collect();
+        self.counter_value(info.name, &labels)
+    }
+
     /// Render the snapshot in Prometheus text exposition format
-    /// (version 0.0.4). Histogram `le` bounds and `_sum` are emitted in
-    /// seconds for `*_seconds` metrics and raw units otherwise.
+    /// (version 0.0.4): each family once, with one `# HELP`, one
+    /// `# TYPE` and its samples contiguous, in first-seen order, however
+    /// merged snapshots interleave them. Histogram `le` bounds and
+    /// `_sum` are emitted in seconds for `*_seconds` metrics and raw
+    /// units otherwise.
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let mut last_name = "";
+        let mut families: Vec<Vec<&MetricSample>> = Vec::new();
+        let mut slot: HashMap<&str, usize> = HashMap::new();
         for m in &self.metrics {
-            if m.name != last_name {
-                let kind = match m.value {
-                    SampleValue::Counter(_) => "counter",
-                    SampleValue::Gauge(_) | SampleValue::GaugeF64(_) => "gauge",
-                    SampleValue::Histogram { .. } => "histogram",
-                };
-                let _ = writeln!(out, "# HELP {} {}", m.name, m.help);
-                let _ = writeln!(out, "# TYPE {} {}", m.name, kind);
-                last_name = m.name;
-            }
-            let seconds = m.name.ends_with("_seconds");
-            match &m.value {
-                SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {}", m.name, prom_labels(&m.labels, &[]), v);
-                }
-                SampleValue::GaugeF64(v) => {
-                    // Prometheus accepts NaN/Inf sample values verbatim.
-                    let _ = writeln!(out, "{}{} {}", m.name, prom_labels(&m.labels, &[]), v);
-                }
-                SampleValue::Histogram {
-                    bounds_us,
-                    buckets,
-                    sum_us,
-                    count,
-                    ..
-                } => {
-                    let mut cumulative = 0u64;
-                    for (i, bound) in bounds_us.iter().enumerate() {
-                        cumulative += buckets[i];
-                        let le = if seconds {
-                            format!("{}", *bound as f64 / 1e6)
-                        } else {
-                            format!("{bound}")
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            m.name,
-                            prom_labels(&m.labels, &[("le", &le)]),
-                            cumulative
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        m.name,
-                        prom_labels(&m.labels, &[("le", "+Inf")]),
-                        count
-                    );
-                    if seconds {
-                        let _ = writeln!(
-                            out,
-                            "{}_sum{} {}",
-                            m.name,
-                            prom_labels(&m.labels, &[]),
-                            *sum_us as f64 / 1e6
-                        );
-                    } else {
-                        let _ = writeln!(
-                            out,
-                            "{}_sum{} {}",
-                            m.name,
-                            prom_labels(&m.labels, &[]),
-                            sum_us
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        m.name,
-                        prom_labels(&m.labels, &[]),
-                        count
-                    );
-                }
+            let i = *slot.entry(m.name).or_insert_with(|| {
+                families.push(Vec::new());
+                families.len() - 1
+            });
+            families[i].push(m);
+        }
+        let mut out = String::with_capacity(4096);
+        for family in families {
+            let head = family[0];
+            let _ = writeln!(out, "# HELP {} {}", head.name, head.help);
+            let _ = writeln!(
+                out,
+                "# TYPE {} {}",
+                head.name,
+                Kind::of(&head.value).prom_type()
+            );
+            for m in family {
+                write_prom_sample(&mut out, m);
             }
         }
         out
@@ -636,6 +589,45 @@ impl MetricsSnapshot {
     }
 }
 
+fn write_prom_sample(out: &mut String, m: &MetricSample) {
+    use std::fmt::Write as _;
+    let labels = prom_labels(&m.labels, &[]);
+    match &m.value {
+        SampleValue::Counter(v) | SampleValue::Gauge(v) => {
+            let _ = writeln!(out, "{}{labels} {v}", m.name);
+        }
+        // Prometheus accepts NaN/Inf sample values verbatim.
+        SampleValue::GaugeF64(v) => {
+            let _ = writeln!(out, "{}{labels} {v}", m.name);
+        }
+        SampleValue::Histogram {
+            bounds_us,
+            buckets,
+            sum_us,
+            count,
+            ..
+        } => {
+            let unit = |us: u64| {
+                if m.name.ends_with("_seconds") {
+                    (us as f64 / 1e6).to_string()
+                } else {
+                    us.to_string()
+                }
+            };
+            let mut cumulative = 0u64;
+            for (&bound, n) in bounds_us.iter().zip(buckets) {
+                cumulative += n;
+                let le = prom_labels(&m.labels, &[("le", &unit(bound))]);
+                let _ = writeln!(out, "{}_bucket{le} {cumulative}", m.name);
+            }
+            let inf = prom_labels(&m.labels, &[("le", "+Inf")]);
+            let _ = writeln!(out, "{}_bucket{inf} {count}", m.name);
+            let _ = writeln!(out, "{}_sum{labels} {}", m.name, unit(*sum_us));
+            let _ = writeln!(out, "{}_count{labels} {count}", m.name);
+        }
+    }
+}
+
 fn prom_labels(fixed: &[(&'static str, String)], extra: &[(&str, &str)]) -> String {
     if fixed.is_empty() && extra.is_empty() {
         return String::new();
@@ -672,15 +664,24 @@ fn prom_labels(fixed: &[(&'static str, String)], extra: &[(&str, &str)]) -> Stri
 mod tests {
     use super::*;
 
+    const TEST_TOTAL: Family<Counter, 1> =
+        Family::new("csj_test_total", "test counter", &["method"]);
+    const TEST_GAUGE: Family<Gauge, 0> = Family::new("csj_test_gauge", "test gauge", &[]);
+    const JOINS: Family<Counter, 1> = Family::new("csj_joins_total", "joins", &["method"]);
+    const JOIN_LATENCY: Family<LatencyHistogram, 1> =
+        Family::new("csj_join_latency_seconds", "join latency", &["method"]);
+    const LATENCY: Family<LatencyHistogram, 0> =
+        Family::new("csj_join_latency_seconds", "latency", &[]);
+    const DEPTH: Family<LogHistogramCell, 0> =
+        Family::new("csj_candidate_stream_depth", "depth", &[]);
+    const BURN: Family<FloatGauge, 2> =
+        Family::new("csj_slo_burn_rate", "burn", &["objective", "window"]);
+
     #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter(
-            "csj_test_total",
-            "test counter",
-            vec![("method", "ap-minmax".into())],
-        );
-        let g = reg.gauge("csj_test_gauge", "test gauge", vec![]);
+        let c = reg.register(&TEST_TOTAL, ["ap-minmax".into()]);
+        let g = reg.register(&TEST_GAUGE, []);
         c.inc();
         c.add(4);
         g.set(7);
@@ -690,6 +691,8 @@ mod tests {
             5
         );
         assert_eq!(snap.counter_value("csj_test_gauge", &[]), 7);
+        assert_eq!(snap.value(&TEST_TOTAL, ["ap-minmax"]), 5);
+        assert_eq!(snap.value(&TEST_TOTAL, ["ex-minmax"]), 0);
         assert_eq!(snap.counter_value("csj_missing", &[]), 0);
     }
 
@@ -702,7 +705,12 @@ mod tests {
         h.observe_us(20_000_000); // beyond the last bound → +Inf
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum_us(), 20_000_102);
-        let counts = h.bucket_counts();
+        let SampleValue::Histogram {
+            buckets: counts, ..
+        } = h.read()
+        else {
+            unreachable!()
+        };
         assert_eq!(counts[0], 2);
         assert_eq!(counts[1], 1);
         assert_eq!(counts[LATENCY_BOUNDS_US.len()], 1);
@@ -711,11 +719,7 @@ mod tests {
     #[test]
     fn prometheus_histogram_is_cumulative_in_seconds() {
         let reg = MetricsRegistry::new();
-        let h = reg.latency(
-            "csj_join_latency_seconds",
-            "join latency",
-            vec![("method", "ex-minmax".into())],
-        );
+        let h = reg.register(&JOIN_LATENCY, ["ex-minmax".into()]);
         h.observe_us(60); // second bucket (le=100µs)
         h.observe_us(200_000); // le=1s bucket
         let text = reg.snapshot().to_prometheus();
@@ -754,21 +758,24 @@ mod tests {
     #[test]
     fn help_and_type_emitted_once_per_name() {
         let reg = MetricsRegistry::new();
-        let a = reg.counter(
-            "csj_joins_total",
-            "joins",
-            vec![("method", "ap-baseline".into())],
-        );
-        let b = reg.counter(
-            "csj_joins_total",
-            "joins",
-            vec![("method", "ex-baseline".into())],
-        );
+        let a = reg.register(&JOINS, ["ap-baseline".into()]);
+        reg.register(&TEST_GAUGE, []);
+        let b = reg.register(&JOINS, ["ex-baseline".into()]);
         a.inc();
         b.add(2);
-        let text = reg.snapshot().to_prometheus();
+        // Interleaved within one registry and across merged snapshots.
+        let other = MetricsRegistry::new();
+        other.register(&JOINS, ["ap-minmax".into()]);
+        let mut snap = reg.snapshot();
+        snap.metrics.extend(other.snapshot().metrics);
+        let text = snap.to_prometheus();
         assert_eq!(text.matches("# HELP csj_joins_total").count(), 1, "{text}");
         assert_eq!(text.matches("# TYPE csj_joins_total").count(), 1, "{text}");
+        let lines: Vec<&str> = text.lines().collect();
+        let joins: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with("csj_joins_total{"))
+            .collect();
+        assert_eq!(joins, vec![2, 3, 4], "{text}");
         assert!(
             text.contains("csj_joins_total{method=\"ap-baseline\"} 1"),
             "{text}"
@@ -782,7 +789,7 @@ mod tests {
     #[test]
     fn log_histogram_cell_merges_and_exports() {
         let reg = MetricsRegistry::new();
-        let cell = reg.log_histogram("csj_candidate_stream_depth", "depth", vec![]);
+        let cell = reg.register(&DEPTH, []);
         let mut h = LogHistogram::default();
         h.record(0);
         h.record(1);
@@ -818,15 +825,9 @@ mod tests {
     #[test]
     fn json_snapshot_is_structured() {
         let reg = MetricsRegistry::new();
-        reg.counter(
-            "csj_joins_total",
-            "joins",
-            vec![("method", "ap-minmax".into())],
-        )
-        .inc();
-        reg.gauge("csj_communities", "registered", vec![]).set(3);
-        reg.latency("csj_join_latency_seconds", "latency", vec![])
-            .observe_us(10);
+        reg.register(&JOINS, ["ap-minmax".into()]).inc();
+        reg.register(&TEST_GAUGE, []).set(3);
+        reg.register(&LATENCY, []).observe_us(10);
         let json = reg.snapshot().to_json();
         assert!(json.starts_with("{\"metrics\":["), "{json}");
         assert!(json.contains("\"name\":\"csj_joins_total\""), "{json}");
@@ -846,7 +847,7 @@ mod tests {
     #[test]
     fn poisoned_locks_recover() {
         let reg = Arc::new(MetricsRegistry::new());
-        let cell = reg.log_histogram("csj_depth", "depth", vec![]);
+        let cell = reg.register(&DEPTH, []);
         // Poison both the registry's entry list and the histogram cell
         // by panicking while holding their locks.
         let reg2 = Arc::clone(&reg);
@@ -862,21 +863,17 @@ mod tests {
         h.record(2);
         cell.merge(&h, 2);
         assert_eq!(cell.load().count(), 1);
-        let c = reg.counter("csj_after_total", "registered after poison", vec![]);
+        let c = reg.register(&TEST_TOTAL, ["after-poison".into()]);
         c.inc();
         let snap = reg.snapshot();
-        assert_eq!(snap.counter_value("csj_after_total", &[]), 1);
-        assert!(snap.find("csj_depth", &[]).is_some());
+        assert_eq!(snap.value(&TEST_TOTAL, ["after-poison"]), 1);
+        assert!(snap.find("csj_candidate_stream_depth", &[]).is_some());
     }
 
     #[test]
     fn float_gauge_renders_as_prometheus_gauge() {
         let reg = MetricsRegistry::new();
-        let g = reg.float_gauge(
-            "csj_slo_burn_rate",
-            "burn",
-            vec![("objective", "latency".into()), ("window", "5m".into())],
-        );
+        let g = reg.register(&BURN, ["latency".into(), "5m".into()]);
         g.set(2.25);
         let snap = reg.snapshot();
         assert_eq!(
@@ -896,7 +893,7 @@ mod tests {
     #[test]
     fn nonfinite_float_gauge_stays_valid_json() {
         let reg = MetricsRegistry::new();
-        reg.float_gauge("csj_slo_burn_rate", "burn", vec![])
+        reg.register(&BURN, ["latency".into(), "5m".into()])
             .set(f64::INFINITY);
         let json = reg.snapshot().to_json();
         assert!(json.contains("\"value\":\"inf\""), "{json}");
@@ -905,7 +902,7 @@ mod tests {
     #[test]
     fn exemplars_surface_in_json_but_not_prometheus() {
         let reg = MetricsRegistry::new();
-        let h = reg.latency("csj_join_latency_seconds", "latency", vec![]);
+        let h = reg.register(&LATENCY, []);
         h.observe_us(60);
         // No exemplar stamped yet: the field is omitted entirely.
         assert!(!reg.snapshot().to_json().contains("exemplars"));
@@ -932,8 +929,8 @@ mod tests {
     #[test]
     fn concurrent_updates_are_not_lost() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("csj_rows_total", "rows", vec![]);
-        let h = reg.latency("csj_lat_seconds", "lat", vec![]);
+        let c = reg.register(&TEST_TOTAL, ["rows".into()]);
+        let h = reg.register(&LATENCY, []);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let c = Arc::clone(&c);

@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
+use crate::catalog;
 use crate::metrics::{FloatGauge, Gauge, MetricsRegistry, MetricsSnapshot, SampleValue};
 use crate::span::Span;
 
@@ -263,40 +264,19 @@ impl SloEngine {
         let state = objectives
             .into_iter()
             .map(|objective| {
+                let name = &objective.name;
                 registry
-                    .float_gauge(
-                        "csj_slo_target",
-                        "Bad-event fraction budget of the objective.",
-                        vec![("objective", objective.name.clone())],
-                    )
+                    .register(&catalog::SLO_TARGET, [name.clone()])
                     .set(objective.target);
                 let window_gauges = windows
                     .iter()
-                    .map(|w| WindowGauges {
-                        bad_fraction: registry.float_gauge(
-                            "csj_slo_bad_fraction",
-                            "Bad-event fraction over the window.",
-                            vec![
-                                ("objective", objective.name.clone()),
-                                ("window", w.name.to_string()),
-                            ],
-                        ),
-                        burn_rate: registry.float_gauge(
-                            "csj_slo_burn_rate",
-                            "Error-budget burn rate over the window (1.0 = budget consumed exactly at the allowed rate).",
-                            vec![
-                                ("objective", objective.name.clone()),
-                                ("window", w.name.to_string()),
-                            ],
-                        ),
-                        breached: registry.gauge(
-                            "csj_slo_breached",
-                            "1 when the window's burn rate exceeds 1.0.",
-                            vec![
-                                ("objective", objective.name.clone()),
-                                ("window", w.name.to_string()),
-                            ],
-                        ),
+                    .map(|w| {
+                        let labels = || [name.clone(), w.name.to_string()];
+                        WindowGauges {
+                            bad_fraction: registry.register(&catalog::SLO_BAD_FRACTION, labels()),
+                            burn_rate: registry.register(&catalog::SLO_BURN_RATE, labels()),
+                            breached: registry.register(&catalog::SLO_BREACHED, labels()),
+                        }
                     })
                     .collect();
                 ObjectiveState {
@@ -435,14 +415,18 @@ mod tests {
     use super::*;
 
     const MS: u64 = 1_000;
+    const BAD: catalog::Family<Gauge, 0> = catalog::Family::new("t_bad", "bad", &[]);
+    const TOTAL: catalog::Family<Gauge, 0> = catalog::Family::new("t_all", "total", &[]);
+    const REQ: catalog::Family<crate::LatencyHistogram, 1> =
+        catalog::Family::new("t_req_seconds", "req", &["kind"]);
 
     fn fraction_objective(target: f64) -> Objective {
         Objective {
             name: "shed_fraction".into(),
             target,
             source: SloSource::CounterFraction {
-                bad: CounterSelector::new("t_bad_total", &[]),
-                total: CounterSelector::new("t_total", &[]),
+                bad: CounterSelector::new(BAD.name(), &[]),
+                total: CounterSelector::new(TOTAL.name(), &[]),
             },
         }
     }
@@ -455,8 +439,8 @@ mod tests {
     fn feed() -> (MetricsRegistry, Arc<Gauge>, Arc<Gauge>) {
         let reg = MetricsRegistry::new();
         // Gauges (set-able) standing in for cumulative counters.
-        let bad = reg.gauge("t_bad_total", "bad", vec![]);
-        let total = reg.gauge("t_total", "total", vec![]);
+        let bad = reg.register(&BAD, []);
+        let total = reg.register(&TOTAL, []);
         (reg, bad, total)
     }
 
@@ -589,14 +573,14 @@ mod tests {
     #[test]
     fn latency_above_splits_at_the_bound_and_sums_series() {
         let reg = MetricsRegistry::new();
-        let fast = reg.latency("t_req_seconds", "req", vec![("kind", "similarity".into())]);
-        let slow = reg.latency("t_req_seconds", "req", vec![("kind", "top_k".into())]);
+        let fast = reg.register(&REQ, ["similarity".into()]);
+        let slow = reg.register(&REQ, ["top_k".into()]);
         let slo = SloEngine::new(
             vec![Objective {
                 name: "request_latency".into(),
                 target: 0.25,
                 source: SloSource::LatencyAbove {
-                    histogram: "t_req_seconds".into(),
+                    histogram: REQ.name().into(),
                     labels: vec![],
                     threshold_us: 25_000,
                 },
@@ -658,6 +642,46 @@ mod tests {
             text.contains("csj_slo_burn_rate{objective=\"shed_fraction\",window=\"fast\"} 0"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn each_slo_family_renders_once_and_contiguous() {
+        let mut other = fraction_objective(0.2);
+        other.name = "degraded_fraction".into();
+        let slo = SloEngine::new(
+            vec![fraction_objective(0.1), other],
+            vec![
+                WindowSpec {
+                    name: "fast",
+                    len_us: 10 * MS,
+                },
+                WindowSpec {
+                    name: "slow",
+                    len_us: 1000 * MS,
+                },
+            ],
+        );
+        let text = slo.snapshot().to_prometheus();
+        let lines: Vec<&str> = text.lines().collect();
+        for family in [
+            "csj_slo_target",
+            "csj_slo_bad_fraction",
+            "csj_slo_burn_rate",
+            "csj_slo_breached",
+        ] {
+            let ty = format!("# TYPE {family} gauge");
+            assert_eq!(lines.iter().filter(|l| **l == ty).count(), 1, "{text}");
+            let at: Vec<usize> = (0..lines.len())
+                .filter(|&i| lines[i].starts_with(&format!("{family}{{")))
+                .collect();
+            let expected = if family == "csj_slo_target" { 2 } else { 4 };
+            assert_eq!(at.len(), expected, "{text}");
+            assert_eq!(
+                at[at.len() - 1] - at[0] + 1,
+                at.len(),
+                "{family} not contiguous: {text}"
+            );
+        }
     }
 
     #[test]

@@ -23,25 +23,15 @@ use csj_core::CsjMethod;
 
 use crate::config::BreakerConfig;
 
-/// Breaker state, per method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Healthy: requests flow.
-    Closed,
-    /// Tripped: requests rejected until the cooldown elapses.
-    Open,
-    /// Cooling down: a bounded number of probes test the method.
-    HalfOpen,
-}
-
-impl BreakerState {
-    /// Stable label used in metrics (`to="open"` etc.).
-    pub fn label(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        }
+csj_obs::label_enum! {
+    /// Breaker state, per method.
+    pub enum BreakerState {
+        /// Healthy: requests flow.
+        Closed => "closed",
+        /// Tripped: requests rejected until the cooldown elapses.
+        Open => "open",
+        /// Cooling down: a bounded number of probes test the method.
+        HalfOpen => "half_open",
     }
 }
 

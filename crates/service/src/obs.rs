@@ -2,14 +2,13 @@
 //! degradation and breaker decision lands in a `csj_service_*` metric
 //! and on the request's flight-recorder trace.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use csj_core::CsjMethod;
 use csj_obs::{
-    Counter, CounterSelector, FlightRecorder, Gauge, LatencyHistogram, MetricsRegistry,
-    MetricsSnapshot, Objective, QueryTrace, SloSource,
+    catalog, ByLabel, Counter, CounterSelector, FlightRecorder, Gauge, Label, LatencyHistogram,
+    MetricsRegistry, MetricsSnapshot, Objective, QueryTrace, SloSource,
 };
 
 use crate::breaker::{BreakerState, Transition};
@@ -36,7 +35,7 @@ pub fn service_slos(latency_threshold_us: u64) -> Vec<Objective> {
             name: "request_latency".into(),
             target: 0.01,
             source: SloSource::LatencyAbove {
-                histogram: "csj_service_request_seconds".into(),
+                histogram: catalog::SERVICE_REQUEST.name().into(),
                 labels: vec![],
                 threshold_us: latency_threshold_us,
             },
@@ -46,44 +45,74 @@ pub fn service_slos(latency_threshold_us: u64) -> Vec<Objective> {
             target: 0.10,
             source: SloSource::CounterFraction {
                 bad: CounterSelector::new(
-                    "csj_service_completed_total",
-                    &[("outcome", "degraded")],
+                    catalog::SERVICE_COMPLETED.name(),
+                    &[("outcome", Fate::Degraded.label())],
                 ),
-                total: CounterSelector::new("csj_service_completed_total", &[]),
+                total: CounterSelector::new(catalog::SERVICE_COMPLETED.name(), &[]),
             },
         },
         Objective {
             name: "shed_fraction".into(),
             target: 0.05,
             source: SloSource::CounterFraction {
-                bad: CounterSelector::new("csj_service_shed_total", &[]),
-                total: CounterSelector::new("csj_service_submitted_total", &[]),
+                bad: CounterSelector::new(catalog::SERVICE_SHED.name(), &[]),
+                total: CounterSelector::new(catalog::SERVICE_SUBMITTED.name(), &[]),
             },
         },
     ]
 }
 
-/// Degradation triggers (metrics label values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeTrigger {
-    /// The primary method's breaker was open.
-    Breaker,
-    /// Not enough deadline left for an exact attempt (or the exact
-    /// attempt exhausted its budget slice).
-    Deadline,
-    /// A sharded query lost one or more shards: the answer is exact on
-    /// what survived but its candidate coverage is incomplete.
-    Coverage,
+csj_obs::label_enum! {
+    /// Degradation triggers (metrics label values).
+    pub enum DegradeTrigger {
+        /// The primary method's breaker was open.
+        Breaker => "breaker",
+        /// Not enough deadline left for an exact attempt (or the exact
+        /// attempt exhausted its budget slice).
+        Deadline => "deadline",
+        /// A sharded query lost one or more shards: the answer is exact on
+        /// what survived but its candidate coverage is incomplete.
+        Coverage => "coverage",
+    }
 }
 
-impl DegradeTrigger {
-    /// Stable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DegradeTrigger::Breaker => "breaker",
-            DegradeTrigger::Deadline => "deadline",
-            DegradeTrigger::Coverage => "coverage",
+/// The `outcome` of `csj_service_completed_total`: shed requests never
+/// complete (they are counted at admission), so `Shed` has no series.
+impl Label<1> for Fate {
+    const ALL: &'static [Self] = &[Fate::Answered, Fate::Degraded, Fate::Failed];
+    fn values(self) -> [&'static str; 1] {
+        [self.label()]
+    }
+}
+
+/// Breakers guard the exact methods only, so only their transitions
+/// have series.
+const EXACT: [CsjMethod; 4] = [
+    CsjMethod::ExBaseline,
+    CsjMethod::ExMinMax,
+    CsjMethod::ExSuperEgo,
+    CsjMethod::ExHybrid,
+];
+const STATES: &[BreakerState] = <BreakerState as Label<1>>::ALL;
+
+impl Label<2> for Transition {
+    const ALL: &'static [Self] = &{
+        let mut all = [Transition {
+            method: CsjMethod::ExBaseline,
+            to: BreakerState::Closed,
+        }; EXACT.len() * STATES.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = Transition {
+                method: EXACT[i / STATES.len()],
+                to: STATES[i % STATES.len()],
+            };
+            i += 1;
         }
+        all
+    };
+    fn values(self) -> [&'static str; 2] {
+        [self.method.name(), self.to.label()]
     }
 }
 
@@ -96,14 +125,10 @@ pub struct ServiceObs {
     submitted: Arc<Counter>,
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
-    completed_answered: Arc<Counter>,
-    completed_degraded: Arc<Counter>,
-    completed_failed: Arc<Counter>,
+    completed: ByLabel<Counter, Fate>,
     retries: Arc<Counter>,
-    degraded_breaker: Arc<Counter>,
-    degraded_deadline: Arc<Counter>,
-    degraded_coverage: Arc<Counter>,
-    transitions: HashMap<(&'static str, &'static str), Arc<Counter>>,
+    degraded: ByLabel<Counter, DegradeTrigger>,
+    transitions: ByLabel<Counter, Transition, 2>,
     queue_depth: Arc<Gauge>,
     inflight: Arc<Gauge>,
     queue_wait: Arc<LatencyHistogram>,
@@ -114,105 +139,22 @@ impl ServiceObs {
     /// Register every service metric; `flight_capacity` bounds the
     /// request-trace ring.
     pub fn new(flight_capacity: usize) -> Self {
-        let registry = MetricsRegistry::new();
-        let submitted = registry.counter(
-            "csj_service_submitted_total",
-            "Requests submitted to the service (admitted + shed).",
-            vec![],
-        );
-        let admitted = registry.counter(
-            "csj_service_admitted_total",
-            "Requests accepted into the admission queue.",
-            vec![],
-        );
-        let shed = registry.counter(
-            "csj_service_shed_total",
-            "Requests rejected at admission because the queue was full.",
-            vec![],
-        );
-        let completed = |outcome: &'static str| {
-            registry.counter(
-                "csj_service_completed_total",
-                "Admitted requests resolved, by outcome.",
-                vec![("outcome", outcome.to_string())],
-            )
-        };
-        let retries = registry.counter(
-            "csj_service_retries_total",
-            "Transient-failure retries performed (backoff sleeps).",
-            vec![],
-        );
-        let degraded = |trigger: DegradeTrigger| {
-            registry.counter(
-                "csj_service_degraded_total",
-                "Exact requests served by their approximate counterpart, by trigger.",
-                vec![("trigger", trigger.label().to_string())],
-            )
-        };
-        let mut transitions = HashMap::new();
-        for method in CsjMethod::ALL.into_iter().filter(|m| m.is_exact()) {
-            for to in [
-                BreakerState::Open,
-                BreakerState::HalfOpen,
-                BreakerState::Closed,
-            ] {
-                transitions.insert(
-                    (method.name(), to.label()),
-                    registry.counter(
-                        "csj_service_breaker_transitions_total",
-                        "Circuit-breaker state transitions, by method and target state.",
-                        vec![
-                            ("method", method.name().to_string()),
-                            ("to", to.label().to_string()),
-                        ],
-                    ),
-                );
-            }
-        }
-        let queue_depth = registry.gauge(
-            "csj_service_queue_depth",
-            "Requests currently waiting in the admission queue.",
-            vec![],
-        );
-        let inflight = registry.gauge(
-            "csj_service_inflight",
-            "Requests currently executing on workers.",
-            vec![],
-        );
-        let queue_wait = registry.latency(
-            "csj_service_queue_wait_seconds",
-            "Time requests spent queued before a worker picked them up.",
-            vec![],
-        );
-        let request_latency = registry.latency(
-            "csj_service_request_seconds",
-            "End-to-end request latency (queue wait + execution).",
-            vec![],
-        );
-        let completed_answered = completed("answered");
-        let completed_degraded = completed("degraded");
-        let completed_failed = completed("failed");
-        let degraded_breaker = degraded(DegradeTrigger::Breaker);
-        let degraded_deadline = degraded(DegradeTrigger::Deadline);
-        let degraded_coverage = degraded(DegradeTrigger::Coverage);
+        use csj_obs::catalog::*;
+        let r = MetricsRegistry::new();
         Self {
-            registry,
             flight: FlightRecorder::new(flight_capacity),
-            submitted,
-            admitted,
-            shed,
-            completed_answered,
-            completed_degraded,
-            completed_failed,
-            retries,
-            degraded_breaker,
-            degraded_deadline,
-            degraded_coverage,
-            transitions,
-            queue_depth,
-            inflight,
-            queue_wait,
-            request_latency,
+            submitted: r.register(&SERVICE_SUBMITTED, []),
+            admitted: r.register(&SERVICE_ADMITTED, []),
+            shed: r.register(&SERVICE_SHED, []),
+            completed: r.register_each(&SERVICE_COMPLETED),
+            retries: r.register(&SERVICE_RETRIES, []),
+            degraded: r.register_each(&SERVICE_DEGRADED),
+            transitions: r.register_each(&SERVICE_BREAKER_TRANSITIONS),
+            queue_depth: r.register(&SERVICE_QUEUE_DEPTH, []),
+            inflight: r.register(&SERVICE_INFLIGHT, []),
+            queue_wait: r.register(&SERVICE_QUEUE_WAIT, []),
+            request_latency: r.register(&SERVICE_REQUEST, []),
+            registry: r,
         }
     }
 
@@ -243,28 +185,16 @@ impl ServiceObs {
     }
 
     pub(crate) fn on_degraded(&self, trigger: DegradeTrigger) {
-        match trigger {
-            DegradeTrigger::Breaker => self.degraded_breaker.inc(),
-            DegradeTrigger::Deadline => self.degraded_deadline.inc(),
-            DegradeTrigger::Coverage => self.degraded_coverage.inc(),
-        }
+        self.degraded.get(trigger).inc();
     }
 
     pub(crate) fn on_transition(&self, t: Transition) {
-        if let Some(c) = self.transitions.get(&(t.method.name(), t.to.label())) {
-            c.inc();
-        }
+        self.transitions.get(t).inc();
     }
 
     pub(crate) fn on_completed(&self, fate: Fate, latency: Duration) {
         self.request_latency.observe(latency);
-        match fate {
-            Fate::Answered => self.completed_answered.inc(),
-            Fate::Degraded => self.completed_degraded.inc(),
-            Fate::Failed => self.completed_failed.inc(),
-            // Shed requests never complete; counted by `on_shed`.
-            Fate::Shed => {}
-        }
+        self.completed.get(fate).inc();
     }
 
     pub(crate) fn record_trace(&self, trace: QueryTrace) {

@@ -8,14 +8,13 @@
 #   * sample lines parse as  name{labels} value  with a numeric value;
 #   * every histogram family exposes `_bucket` samples including an
 #     `le="+Inf"` bucket, plus `_sum` and `_count`;
-#   * families with a contract-fixed type carry it: every `csj_slo_*`
-#     family must be a gauge (burn rates and fractions are
-#     instantaneous evaluations, never monotonic), `*_total` families
-#     must be counters, and the `csj_shard_*` coverage families are
-#     pinned (fate counters end in `_total`; the only non-counter is
-#     the `csj_shard_latency_seconds` histogram);
+#   * each family is announced at most once (a scraper rejects a
+#     second `# TYPE` for the same name);
 #   * at least one metric family is present (an empty exposition is a
 #     wiring bug, not a clean bill of health).
+#
+# Which type each family has, and how it is named, is checked at compile
+# time by the `csj_obs::catalog` family constructor.
 #
 # Usage:  csj stats --format prom ... | scripts/prom_lint.sh
 # Exits non-zero with one diagnostic per violation.
@@ -40,16 +39,8 @@ function base(n) { sub(/_(bucket|sum|count)$/, "", n); return n }
         fail("unknown type \"" kind "\" for " name)
     if (!(name in help))
         fail("# TYPE " name " without a preceding # HELP")
-    if (name ~ /^csj_slo_/ && kind != "gauge")
-        fail("SLO family " name " must be a gauge, got " kind)
-    if (name ~ /_total$/ && kind != "counter")
-        fail(name " ends in _total but is typed " kind)
-    if (name ~ /^csj_shard_/) {
-        if (name == "csj_shard_latency_seconds" && kind != "histogram")
-            fail("shard family " name " must be a histogram, got " kind)
-        else if (name != "csj_shard_latency_seconds" && !(name ~ /_total$/))
-            fail("shard family " name " must be a _total counter or the latency histogram")
-    }
+    if (name in type)
+        fail("# TYPE " name " repeated (a family is announced once)")
     type[name] = kind
     families++
     next
