@@ -348,8 +348,25 @@ enum CollectMode {
         seg_edges: Vec<(u32, u32)>,
         flushed: Vec<bool>,
         maxv: u64,
+        scratch: FlushScratch,
     },
 }
+
+/// Buffers one segment flush renumbers its edges through, kept across
+/// the flushes of a join so each flush allocates only the matcher's
+/// graph.
+struct FlushScratch {
+    /// Compact rank of each `A` column in the segment being flushed,
+    /// [`UNRANKED`] otherwise (reset at the end of every flush).
+    a_rank: Vec<u32>,
+    /// The segment's distinct `B` rows, by compact number.
+    b_nodes: Vec<u32>,
+    /// The segment's distinct `A` columns, by compact number.
+    a_nodes: Vec<u32>,
+}
+
+/// [`FlushScratch::a_rank`] of a column outside the segment.
+const UNRANKED: u32 = u32::MAX;
 
 /// The exact consumption mode: accumulate the admissible-pair graph and
 /// resolve it with a one-to-one matcher.
@@ -386,6 +403,11 @@ impl CollectSink {
                 seg_edges: Vec::new(),
                 flushed: vec![false; na],
                 maxv: 0,
+                scratch: FlushScratch {
+                    a_rank: vec![UNRANKED; na],
+                    b_nodes: Vec::new(),
+                    a_nodes: Vec::new(),
+                },
             },
             pairs: Vec::new(),
         }
@@ -414,38 +436,66 @@ impl CollectSink {
 
     /// Run the matcher on the closed segment, translate its compact
     /// numbering back and mark the segment's `A` entries flushed.
+    ///
+    /// The matcher sees the graph the sorted-and-deduplicated numbering
+    /// gives (`B` rows and `A` columns each numbered in ascending order,
+    /// edges in discovery order), built without copying the edges:
+    /// rows ascend within a segment, so `B` is numbered by run; `A` is
+    /// numbered through the `a_rank` table; the edges are renumbered in
+    /// place and moved into the graph, which skips dedup because MinMax
+    /// judges each `(b, a)` pair once. The buffer comes back for the
+    /// next segment.
     fn flush_segment(
         ctx: &mut DriveCtx,
         matcher: MatcherKind,
         seg_edges: &mut Vec<(u32, u32)>,
         flushed: &mut [bool],
+        scratch: &mut FlushScratch,
         pairs: &mut Vec<(u32, u32)>,
     ) {
         ctx.tape_flush(seg_edges);
         let t = Instant::now();
-        let mut b_nodes: Vec<u32> = seg_edges.iter().map(|&(b, _)| b).collect();
-        b_nodes.sort_unstable();
-        b_nodes.dedup();
-        let mut a_nodes: Vec<u32> = seg_edges.iter().map(|&(_, a)| a).collect();
+        let FlushScratch {
+            a_rank,
+            b_nodes,
+            a_nodes,
+        } = scratch;
+        for (b, a) in seg_edges.iter_mut() {
+            debug_assert!(b_nodes.last().is_none_or(|&last| last <= *b), "rows ascend");
+            if b_nodes.last() != Some(b) {
+                b_nodes.push(*b);
+            }
+            *b = b_nodes.len() as u32 - 1;
+            if a_rank[*a as usize] == UNRANKED {
+                // Seen; its rank is set once the columns are sorted.
+                a_rank[*a as usize] = 0;
+                a_nodes.push(*a);
+            }
+        }
         a_nodes.sort_unstable();
-        a_nodes.dedup();
-        let remapped: Vec<(u32, u32)> = seg_edges
-            .iter()
-            .map(|&(b, a)| {
-                let bi = b_nodes.binary_search(&b).expect("node present") as u32;
-                let ai = a_nodes.binary_search(&a).expect("node present") as u32;
-                (bi, ai)
-            })
-            .collect();
-        let graph = MatchGraph::from_edges(b_nodes.len() as u32, a_nodes.len() as u32, remapped);
+        for (rank, &a) in a_nodes.iter().enumerate() {
+            a_rank[a as usize] = rank as u32;
+        }
+        for (_, a) in seg_edges.iter_mut() {
+            *a = a_rank[*a as usize];
+        }
+        let edges = seg_edges.len() as u64;
+        let graph = MatchGraph::from_distinct_edges(
+            b_nodes.len() as u32,
+            a_nodes.len() as u32,
+            std::mem::take(seg_edges),
+        );
         let matching = run_matcher(&graph, matcher);
         for &(bi, ai) in matching.pairs() {
             pairs.push((b_nodes[bi as usize], a_nodes[ai as usize]));
         }
-        for &(_, a) in seg_edges.iter() {
+        for &a in a_nodes.iter() {
             flushed[a as usize] = true;
+            a_rank[a as usize] = UNRANKED;
         }
-        let edges = seg_edges.len() as u64;
+        b_nodes.clear();
+        a_nodes.clear();
+        *seg_edges = graph.into_edges();
         seg_edges.clear();
         ctx.record_flush(edges, t.elapsed());
     }
@@ -493,6 +543,7 @@ impl PairSink for CollectSink {
             seg_edges,
             flushed,
             maxv,
+            scratch,
         } = &mut self.mode
         {
             // Segment boundary: if every future b's encoded ID exceeds
@@ -505,7 +556,14 @@ impl PairSink for CollectSink {
             };
             if closes_segment {
                 if !seg_edges.is_empty() {
-                    Self::flush_segment(ctx, self.matcher, seg_edges, flushed, &mut self.pairs);
+                    Self::flush_segment(
+                        ctx,
+                        self.matcher,
+                        seg_edges,
+                        flushed,
+                        scratch,
+                        &mut self.pairs,
+                    );
                 }
                 *maxv = 0;
             }

@@ -609,6 +609,55 @@ fn parity_on_sparse_and_dense_extremes() {
     }
 }
 
+/// VK-like rows: most users share one of a few low-counter profiles, so
+/// at eps 1 whole blocks of `B` rows match the same `A` columns.
+fn duplicate_heavy_pair(seed: u64, nb: usize, na: usize) -> (Community, Community) {
+    const PROFILES: [[u32; 3]; 5] = [[0, 0, 0], [1, 0, 0], [0, 1, 1], [2, 2, 1], [5, 0, 3]];
+    let mut rng = lcg(seed);
+    let mut rows = |n: usize| -> Vec<(u64, Vec<u32>)> {
+        (0..n)
+            .map(|i| {
+                // Profile 0 three times in four, the others share the rest.
+                let pick = match rng() % 16 {
+                    0..=11 => 0,
+                    k => 1 + (k as usize - 12),
+                };
+                (i as u64, PROFILES[pick].to_vec())
+            })
+            .collect()
+    };
+    let b = Community::from_rows("B", 3, rows(nb)).expect("well-formed");
+    let a = Community::from_rows("A", 3, rows(na)).expect("well-formed");
+    (b, a)
+}
+
+#[test]
+fn parity_on_large_duplicate_heavy_segments() {
+    use csj_core::MatcherKind;
+    for (seed, nb, na) in [(3u64, 180usize, 240usize), (9, 240, 300)] {
+        let (b, a) = duplicate_heavy_pair(seed, nb, na);
+        for matcher in [
+            MatcherKind::Csf,
+            MatcherKind::Greedy,
+            MatcherKind::HopcroftKarp,
+        ] {
+            let opts = CsjOptions::new(1).with_matcher(matcher);
+            assert_parity(&b, &a, &opts);
+            let ex = run(CsjMethod::ExMinMax, &b, &a, &opts).expect("admissible");
+            let t = ex.telemetry;
+            assert!(
+                t.largest_flush_edges >= 5_000,
+                "segments must carry thousands of edges: {}",
+                t.largest_flush_edges
+            );
+            assert!(
+                t.largest_flush_edges > 10 * a.len() as u64,
+                "many B rows must share each A column"
+            );
+        }
+    }
+}
+
 /// Run one method under every quantization mode and demand bit-identical
 /// pairs and event counters: the narrow-lane fast path is an *encoding*
 /// of the same booleans, never a semantic change. (Telemetry's

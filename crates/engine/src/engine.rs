@@ -56,7 +56,10 @@ pub struct EngineConfig {
     pub screen_threshold: f64,
     /// Worker threads for multi-pair queries: the shard executor's pool
     /// size (shards fan out across pairs; each join stays
-    /// single-threaded). The default is the machine's full
+    /// single-threaded). Every query uses the whole pool: ranked
+    /// queries screen one shard per worker, and a broadcast sweep
+    /// splits its pairs into several tasks per worker, so no worker
+    /// idles behind a heavy task. The default is the machine's full
     /// `available_parallelism`: each worker is compute-bound with no
     /// blocking I/O, so there is nothing to win from running more
     /// threads than cores (they would only steal each other's cache)
@@ -637,7 +640,7 @@ impl CsjEngine {
         let qopts = self.config.options.clone();
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_query(QueryKind::Similarity);
-        let result = self.refine_pair(x, y, &qopts, &joins, Some(&rec));
+        let result = self.refine_pair(x, y, None, &qopts, &joins, Some(&rec));
         let outcome = match &result {
             Ok(_) => "completed".to_string(),
             Err(e) => format!("failed:{e}"),
@@ -688,6 +691,8 @@ impl CsjEngine {
     }
 
     /// Exact (refined) similarity of one pair under `qopts`, cached.
+    /// `ready` is the oriented pair's encodings when the caller already
+    /// holds them; otherwise they are looked up (and built if stale).
     /// The refine join runs inside the per-pair panic boundary
     /// ([`Self::isolated`], naming `y`). Increments `joins` when a join
     /// actually runs.
@@ -695,6 +700,7 @@ impl CsjEngine {
         &self,
         x: CommunityHandle,
         y: CommunityHandle,
+        ready: Option<(&Arc<PreparedCommunity>, &Arc<PreparedCommunity>)>,
         qopts: &CsjOptions,
         joins: &AtomicU64,
         rec: Option<&QueryRecorder>,
@@ -705,8 +711,10 @@ impl CsjEngine {
             self.obs.on_cache_hit();
             return Ok(similarity);
         }
-        let pb = self.prepared(b);
-        let pa = self.prepared(a);
+        let (pb, pa) = match ready {
+            Some((pb, pa)) => (Arc::clone(pb), Arc::clone(pa)),
+            None => (self.prepared(b), self.prepared(a)),
+        };
         let method = self.config.refine_method;
         let similarity = self.isolated(y.0, || {
             self.fault_hook(b)?;
@@ -992,7 +1000,7 @@ impl CsjEngine {
                 skipped += (shortlist.len() - idx) as u64;
                 break;
             }
-            match self.refine_pair(x, cand, &qopts, &joins, Some(&rec)) {
+            match self.refine_pair(x, cand, None, &qopts, &joins, Some(&rec)) {
                 Ok(similarity) => {
                     done += 1;
                     refined.push(PairScore {
@@ -1129,11 +1137,12 @@ impl CsjEngine {
         let from = resume.unwrap_or(PairsCursor { i: 0, j: 1 });
         let total = Self::remaining_pairs(n, from);
         let masses: Vec<u64> = (0..n).map(|h| self.mass(h)).collect();
-        let tasks = Self::plan_pair_tasks(
-            &masses,
-            (from.i, from.j),
-            self.effective_shards(total as usize),
-        );
+        let target = pair_task_target(self.effective_shards(total as usize), self.config.threads);
+        let tasks = Self::plan_pair_tasks(&masses, (from.i, from.j), target);
+        // Prepare every community here, before dispatch: the long-lived
+        // encodings then live in the caller's allocator arena, and the
+        // workers only run joins (DESIGN.md §17).
+        let prepared: Vec<Arc<PreparedCommunity>> = (0..n).map(|h| self.prepared(h)).collect();
         let (values, mut run) = self.dispatch("sweep", &tasks, budget, &rec, |pairs, ctx| {
             let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
             let mut stop = false;
@@ -1154,7 +1163,7 @@ impl CsjEngine {
                     }
                     let (x, y) = (CommunityHandle(i), CommunityHandle(j));
                     let swept = self.isolated(j, || {
-                        self.sweep_pair(x, y, threshold, &qopts, &joins, Some(&rec), approx)
+                        self.sweep_pair(x, y, threshold, &prepared, &qopts, &joins, &rec, approx)
                     });
                     match swept {
                         Ok(Some(score)) => SweptPair::Hit(score),
@@ -1229,15 +1238,17 @@ impl CsjEngine {
     /// the safe `threshold / 2` skip bound, then cached exact refine.
     /// With `approx` the screen join *is* the answer (degraded mode):
     /// accept on the approximate score, skip refinement and the cache.
+    /// `prepared` holds every community's encoding, by handle.
     #[allow(clippy::too_many_arguments)]
     fn sweep_pair(
         &self,
         x: CommunityHandle,
         y: CommunityHandle,
         threshold: f64,
+        prepared: &[Arc<PreparedCommunity>],
         qopts: &CsjOptions,
         joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
+        rec: &QueryRecorder,
         approx: bool,
     ) -> Result<Option<PairScore>, EngineError> {
         let (b, a) = self.oriented(x, y)?;
@@ -1249,18 +1260,17 @@ impl CsjEngine {
         {
             return Ok(None);
         }
+        let (pb, pa) = (&prepared[b as usize], &prepared[a as usize]);
         if approx {
             self.fault_hook(b)?;
             self.fault_hook(a)?;
-            let pb = self.prepared(b);
-            let pa = self.prepared(a);
             let screened = self.join_prepared(
                 self.config.screen_method,
                 Exactness::Approximate,
-                &pb,
-                &pa,
+                pb,
+                pa,
                 qopts,
-                rec,
+                Some(rec),
             )?;
             joins.fetch_add(1, Ordering::Relaxed);
             return Ok((screened.ratio() >= threshold).then_some(PairScore {
@@ -1273,15 +1283,13 @@ impl CsjEngine {
         if self.cached_similarity(b, a).is_none() {
             self.fault_hook(b)?;
             self.fault_hook(a)?;
-            let pb = self.prepared(b);
-            let pa = self.prepared(a);
             let screened = self.join_prepared(
                 self.config.screen_method,
                 Exactness::Approximate,
-                &pb,
-                &pa,
+                pb,
+                pa,
                 qopts,
-                rec,
+                Some(rec),
             )?;
             joins.fetch_add(1, Ordering::Relaxed);
             // Maximal matchings reach at least half the maximum, so a
@@ -1292,7 +1300,7 @@ impl CsjEngine {
             }
         }
         // Phase 2: exact (cached).
-        let similarity = self.refine_pair(x, y, qopts, joins, rec)?;
+        let similarity = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, Some(rec))?;
         if similarity.ratio() >= threshold {
             Ok(Some(PairScore { x, y, similarity }))
         } else {
@@ -1553,23 +1561,29 @@ impl CsjEngine {
         (values, run)
     }
 
-    /// Partition the all-pairs workload from `from` on: communities are
-    /// grouped into `g` mass-balanced groups (the largest `g` with
+    /// Partition the all-pairs workload from `from` on: the communities
+    /// that still have pairs (handles `from.0` and up) are grouped into
+    /// `g` mass-balanced groups (the largest `g` with
     /// `g*(g+1)/2 <= target` tasks) and every group pair — diagonal
     /// included — becomes one task holding its canonical `(i < j)`
     /// pairs in lexicographic order. Each unordered pair at or after
     /// `from` lands in exactly one task; tasks are ordered by their
     /// first pair.
     fn plan_pair_tasks(masses: &[u64], from: (u32, u32), target: usize) -> Vec<Vec<(u32, u32)>> {
-        let n = masses.len();
-        if n < 2 {
+        let first = (from.0 as usize).min(masses.len());
+        let active = &masses[first..];
+        if active.len() < 2 {
             return Vec::new();
         }
         let mut g = 1usize;
-        while (g + 1) * (g + 2) / 2 <= target && g < n {
+        while (g + 1) * (g + 2) / 2 <= target && g < active.len() {
             g += 1;
         }
-        let groups = plan_shards(masses, g).shards;
+        let groups: Vec<Vec<usize>> = plan_shards(active, g)
+            .shards
+            .into_iter()
+            .map(|members| members.into_iter().map(|m| m + first).collect())
+            .collect();
         let mut tasks = Vec::new();
         for gi in 0..groups.len() {
             for gj in gi..groups.len() {
@@ -1601,6 +1615,24 @@ impl CsjEngine {
         // any work processes that pair.
         tasks.sort_unstable_by_key(|pairs| pairs[0]);
         tasks
+    }
+}
+
+/// Pair tasks a sweep plans per shard when the pool has more than one
+/// worker. Over-decomposition keeps every worker busy: one that drew
+/// light tasks takes the next one instead of idling while another
+/// finishes a heavy one (the LSF-Join argument for all-pairs work).
+const PAIR_TASKS_PER_SHARD: usize = 4;
+
+/// How many pair tasks a sweep over `shards` shards aims for on a pool
+/// of `workers`: one per shard on a single worker, whose tasks run one
+/// after another on the caller anyway, and [`PAIR_TASKS_PER_SHARD`] per
+/// shard otherwise.
+fn pair_task_target(shards: usize, workers: usize) -> usize {
+    if workers > 1 {
+        shards * PAIR_TASKS_PER_SHARD
+    } else {
+        shards
     }
 }
 
@@ -1977,6 +2009,72 @@ mod tests {
         assert_eq!(all, 6);
         assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 0, j: 3 }), 4);
         assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 2, j: 3 }), 1);
+    }
+
+    /// Every canonical pair from `from` on, in lexicographic order.
+    fn pairs_from(n: u32, from: (u32, u32)) -> Vec<(u32, u32)> {
+        (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .filter(|&pair| pair >= from)
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The sweep's task grid covers every pair at or after the
+        /// cursor exactly once, keeps each task in canonical order and
+        /// queues tasks by their first pair, for any masses and cursor.
+        #[test]
+        fn pair_tasks_partition_the_remaining_pairs(
+            masses in proptest::collection::vec(1u64..10_000, 0..24),
+            cursor in (0u32..24, 0u32..24),
+            workers in 1usize..6,
+        ) {
+            let n = masses.len() as u32;
+            let from = (cursor.0, cursor.0 + 1 + cursor.1);
+            let tasks = CsjEngine::plan_pair_tasks(&masses, from, pair_task_target(workers, workers));
+            let mut seen: Vec<(u32, u32)> = tasks.iter().flatten().copied().collect();
+            for task in &tasks {
+                proptest::prop_assert!(!task.is_empty());
+                proptest::prop_assert!(task.windows(2).all(|w| w[0] < w[1]), "task unsorted");
+            }
+            proptest::prop_assert!(tasks.windows(2).all(|w| w[0][0] < w[1][0]), "queue order");
+            seen.sort_unstable();
+            let expected = pairs_from(n, from);
+            proptest::prop_assert_eq!(seen.len(), expected.len(), "a pair landed twice");
+            proptest::prop_assert_eq!(seen, expected);
+        }
+
+        /// On a pool of more than one worker, a sweep starting at a row
+        /// boundary gets at least two tasks per worker whenever it has
+        /// that many pairs, so no worker idles for want of work.
+        #[test]
+        fn pair_tasks_give_each_worker_two(
+            masses in proptest::collection::vec(1u64..10_000, 2..24),
+            row in 0u32..24,
+            workers in 2usize..6,
+        ) {
+            let n = masses.len() as u32;
+            let from = (row % (n - 1), row % (n - 1) + 1);
+            let tasks = CsjEngine::plan_pair_tasks(&masses, from, pair_task_target(workers, workers));
+            let want = (2 * workers).min(pairs_from(n, from).len());
+            proptest::prop_assert!(
+                tasks.len() >= want,
+                "{} tasks for {} workers over {} pairs", tasks.len(), workers, pairs_from(n, from).len()
+            );
+        }
+    }
+
+    #[test]
+    fn one_worker_keeps_one_task_per_shard() {
+        let masses = [5u64, 9, 2, 7, 3, 8];
+        assert_eq!(
+            CsjEngine::plan_pair_tasks(&masses, (0, 1), pair_task_target(1, 1)).len(),
+            1
+        );
+        assert_eq!(
+            CsjEngine::plan_pair_tasks(&masses, (0, 1), pair_task_target(2, 2)).len(),
+            6
+        );
     }
 
     #[test]

@@ -26,13 +26,19 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
 /// pairs are admissible and some are not, and part-sum masses differ
 /// enough that the LPT layout actually separates the giants.
 fn skewed_engine(seed: u64, threads: usize, shards: usize) -> CsjEngine {
+    catalog_engine(seed, threads, shards, &[4, 5, 6, 8, 10, 16])
+}
+
+/// An engine over one community per entry of `sizes`, rows drawn from
+/// the seeded LCG.
+fn catalog_engine(seed: u64, threads: usize, shards: usize, sizes: &[usize]) -> CsjEngine {
     const D: usize = 3;
     let mut rng = lcg(seed);
     let mut config = EngineConfig::new(1);
     config.threads = threads;
     config.shard.shards = shards;
     let mut engine = CsjEngine::new(D, config);
-    for (i, len) in [4usize, 5, 6, 8, 10, 16].into_iter().enumerate() {
+    for (i, &len) in sizes.iter().enumerate() {
         let rows: Vec<(u64, Vec<u32>)> = (0..len as u64)
             .map(|u| (u + 1, (0..D).map(|_| (rng() % 10) as u32).collect()))
             .collect();
@@ -97,26 +103,45 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
 
 #[test]
 fn sharded_pairs_above_matches_flat() {
-    let reference = skewed_engine(11, 1, 1);
-    let flat = reference.pairs_above(0.0).expect("flat sweep");
-    assert!(!flat.is_empty(), "catalog must produce matching pairs");
+    // The small catalog, and one large enough that a pool of more than
+    // one worker splits the sweep into several tasks per worker.
+    let large: Vec<usize> = (0..14).map(|i| 4 + (i * 7) % 13).collect();
+    for (sizes, split) in [(&[4usize, 5, 6, 8, 10, 16][..], false), (&large, true)] {
+        let reference = catalog_engine(11, 1, 1, sizes);
+        let flat = reference.pairs_above(0.0).expect("flat sweep");
+        assert!(!flat.is_empty(), "catalog must produce matching pairs");
+        let refined = reference.stats().cached_pairs;
 
-    for shards in [1usize, 2, 3, 5, 8] {
-        for threads in [1usize, 2, 4] {
-            let engine = skewed_engine(11, threads, shards);
-            let swept = engine
-                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
-                .expect("sharded sweep");
-            assert_eq!(
-                swept.value.pairs, flat,
-                "sweep diverged at shards={shards} threads={threads}"
-            );
-            assert!(
-                swept.value.cursor.is_none(),
-                "a complete sweep has nothing to resume"
-            );
-            let cov = swept.coverage.expect("coverage attached");
-            assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
+        for shards in [0usize, 1, 2, 3, 5, 8] {
+            for threads in [1usize, 2, 4] {
+                let engine = catalog_engine(11, threads, shards, sizes);
+                let swept = engine
+                    .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                    .expect("sharded sweep");
+                assert_eq!(
+                    swept.value.pairs, flat,
+                    "sweep diverged at shards={shards} threads={threads}"
+                );
+                assert!(
+                    swept.value.cursor.is_none(),
+                    "a complete sweep has nothing to resume"
+                );
+                // Parallelism must not change which pairs get refined.
+                assert_eq!(
+                    engine.stats().cached_pairs,
+                    refined,
+                    "refined pairs diverged at shards={shards} threads={threads}"
+                );
+                let cov = swept.coverage.expect("coverage attached");
+                assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
+                if split && threads > 1 && shards != 1 {
+                    assert!(
+                        cov.dispatched >= 6,
+                        "{} tasks at shards={shards} threads={threads}",
+                        cov.dispatched
+                    );
+                }
+            }
         }
     }
 }

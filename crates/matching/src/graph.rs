@@ -89,11 +89,33 @@ impl MatchGraph {
     /// Build a graph from raw edges. Duplicates are removed, keeping first
     /// occurrences, so degrees reflect distinct candidate partners.
     pub fn from_edges(num_left: u32, num_right: u32, mut edges: Vec<(u32, u32)>) -> Self {
+        dedup_preserving_order(&mut edges);
+        Self::csr(num_left, num_right, edges)
+    }
+
+    /// Build a graph from edges the caller knows to be pairwise distinct,
+    /// taking ownership of the `Vec` (recover it with
+    /// [`MatchGraph::into_edges`]). Skips [`MatchGraph::from_edges`]'s
+    /// dedup pass, its `O(E log E)` sort and its per-edge scratch; on
+    /// distinct input both constructors build the same graph.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is out of bounds. A duplicate edge is a
+    /// caller bug, caught by a debug assertion.
+    pub fn from_distinct_edges(num_left: u32, num_right: u32, edges: Vec<(u32, u32)>) -> Self {
+        debug_assert!(
+            all_distinct(&edges),
+            "from_distinct_edges got a duplicate edge"
+        );
+        Self::csr(num_left, num_right, edges)
+    }
+
+    /// Lay distinct `edges` out in CSR form, both sides.
+    fn csr(num_left: u32, num_right: u32, edges: Vec<(u32, u32)>) -> Self {
         for &(b, a) in &edges {
             assert!(b < num_left, "left endpoint {b} out of bounds");
             assert!(a < num_right, "right endpoint {a} out of bounds");
         }
-        dedup_preserving_order(&mut edges);
 
         let mut left_offsets = vec![0u32; num_left as usize + 1];
         let mut right_offsets = vec![0u32; num_right as usize + 1];
@@ -150,6 +172,12 @@ impl MatchGraph {
         &self.edges
     }
 
+    /// Give back the edge buffer, so a caller building one graph after
+    /// another can reuse its allocation.
+    pub fn into_edges(self) -> Vec<(u32, u32)> {
+        self.edges
+    }
+
     /// Neighbours (right nodes) of left node `b`.
     #[inline]
     pub fn neighbors_of_left(&self, b: u32) -> &[u32] {
@@ -182,6 +210,14 @@ impl MatchGraph {
     pub fn has_edge(&self, b: u32, a: u32) -> bool {
         self.neighbors_of_left(b).contains(&a)
     }
+}
+
+/// Whether no edge occurs twice (the [`MatchGraph::from_distinct_edges`]
+/// precondition).
+fn all_distinct(edges: &[(u32, u32)]) -> bool {
+    let mut sorted = edges.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).all(|w| w[0] != w[1])
 }
 
 /// Remove duplicate pairs while keeping the first occurrence of each.
@@ -242,6 +278,33 @@ mod tests {
     fn dedup_keeps_first_occurrence_order() {
         let g = MatchGraph::from_edges(2, 2, vec![(1, 0), (0, 1), (1, 0), (0, 1), (0, 0)]);
         assert_eq!(g.edges(), &[(1, 0), (0, 1), (0, 0)]);
+    }
+
+    #[test]
+    fn distinct_edges_build_the_same_graph() {
+        let edges = vec![(1, 0), (0, 1), (2, 1), (0, 0), (1, 2)];
+        let deduped = MatchGraph::from_edges(3, 3, edges.clone());
+        let distinct = MatchGraph::from_distinct_edges(3, 3, edges.clone());
+        assert_eq!(distinct.edges(), deduped.edges());
+        for v in 0..3 {
+            assert_eq!(distinct.neighbors_of_left(v), deduped.neighbors_of_left(v));
+            assert_eq!(
+                distinct.neighbors_of_right(v),
+                deduped.neighbors_of_right(v)
+            );
+        }
+        assert_eq!(
+            distinct.into_edges(),
+            edges,
+            "the buffer comes back as given"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "duplicate edge")]
+    fn distinct_constructor_rejects_duplicates_in_debug() {
+        MatchGraph::from_distinct_edges(2, 2, vec![(0, 1), (1, 0), (0, 1)]);
     }
 
     #[test]

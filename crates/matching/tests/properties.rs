@@ -75,6 +75,31 @@ proptest! {
                 "edge ({}, {}) could extend CSF's matching", b, a);
         }
     }
+
+    /// On distinct input the no-dedup constructor builds the same CSR and
+    /// edge list as `from_edges`, so every matcher returns the same
+    /// matching from either graph.
+    #[test]
+    fn distinct_constructor_matches_from_edges(g in medium_graph()) {
+        let distinct = g.edges().to_vec();
+        let (nb, na) = (g.num_left(), g.num_right());
+        let reference = MatchGraph::from_edges(nb, na, distinct.clone());
+        let lean = MatchGraph::from_distinct_edges(nb, na, distinct);
+        prop_assert_eq!(lean.edges(), reference.edges());
+        for b in 0..nb {
+            prop_assert_eq!(lean.neighbors_of_left(b), reference.neighbors_of_left(b));
+        }
+        for a in 0..na {
+            prop_assert_eq!(lean.neighbors_of_right(a), reference.neighbors_of_right(a));
+        }
+        for kind in MatcherKind::ALL {
+            prop_assert_eq!(
+                run_matcher(&lean, kind).pairs(),
+                run_matcher(&reference, kind).pairs(),
+                "{} diverged", kind
+            );
+        }
+    }
 }
 
 /// One edge-replacement step: (left side?, vertex, new neighbours).
