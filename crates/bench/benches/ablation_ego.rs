@@ -9,9 +9,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use csj_core::algorithms::{ex_hybrid, ex_minmax, ex_superego};
-use csj_core::CsjOptions;
+use csj_core::{run, CsjMethod, CsjOptions};
 use csj_data::pairs::{build_couple, BuildOptions, CouplePair, Dataset};
+
+/// Matched pairs of one join of `pair` (paper couples satisfy the CSJ
+/// size constraint).
+fn join(method: CsjMethod, pair: &CouplePair, opts: &CsjOptions) -> usize {
+    run(method, &pair.b, &pair.a, opts)
+        .expect("valid paper couple")
+        .pairs
+        .len()
+}
 
 fn vk_pair() -> CouplePair {
     build_couple(
@@ -41,7 +49,7 @@ fn bench_reorder(c: &mut Criterion) {
             BenchmarkId::from_parameter(if reorder { "on" } else { "off" }),
             &opts,
             |bench, opts| {
-                bench.iter(|| ex_superego(&pair.b, &pair.a, opts).pairs.len());
+                bench.iter(|| join(CsjMethod::ExSuperEgo, &pair, opts));
             },
         );
     }
@@ -56,7 +64,7 @@ fn bench_leaf_threshold(c: &mut Criterion) {
         let mut opts = base_opts(&pair);
         opts.superego.t = t;
         group.bench_with_input(BenchmarkId::from_parameter(t), &opts, |bench, opts| {
-            bench.iter(|| ex_superego(&pair.b, &pair.a, opts).pairs.len());
+            bench.iter(|| join(CsjMethod::ExSuperEgo, &pair, opts));
         });
     }
     group.finish();
@@ -67,8 +75,8 @@ fn bench_predicate(c: &mut Criterion) {
     let per_dim = base_opts(&pair);
     let mut l1 = per_dim.clone();
     l1.superego.l1_predicate = true;
-    let per_dim_pairs = ex_superego(&pair.b, &pair.a, &per_dim).pairs.len();
-    let l1_pairs = ex_superego(&pair.b, &pair.a, &l1).pairs.len();
+    let per_dim_pairs = join(CsjMethod::ExSuperEgo, &pair, &per_dim);
+    let l1_pairs = join(CsjMethod::ExSuperEgo, &pair, &l1);
     eprintln!(
         "[ablation_ego] per-dim predicate matches {per_dim_pairs}, aggregate-L1 matches {l1_pairs} \
          (L1 over-counts; the per-dimension reading is the faithful CSJ adaptation)"
@@ -76,10 +84,10 @@ fn bench_predicate(c: &mut Criterion) {
     let mut group = c.benchmark_group("ego_predicate");
     group.sample_size(15);
     group.bench_function("per_dim", |bench| {
-        bench.iter(|| ex_superego(&pair.b, &pair.a, &per_dim).pairs.len());
+        bench.iter(|| join(CsjMethod::ExSuperEgo, &pair, &per_dim));
     });
     group.bench_function("l1_aggregate", |bench| {
-        bench.iter(|| ex_superego(&pair.b, &pair.a, &l1).pairs.len());
+        bench.iter(|| join(CsjMethod::ExSuperEgo, &pair, &l1));
     });
     group.finish();
 }
@@ -90,13 +98,13 @@ fn bench_hybrid(c: &mut Criterion) {
     let mut group = c.benchmark_group("hybrid_vs_superego");
     group.sample_size(15);
     group.bench_function("ex_superego", |bench| {
-        bench.iter(|| ex_superego(&pair.b, &pair.a, &opts).pairs.len());
+        bench.iter(|| join(CsjMethod::ExSuperEgo, &pair, &opts));
     });
     group.bench_function("ex_hybrid", |bench| {
-        bench.iter(|| ex_hybrid(&pair.b, &pair.a, &opts).pairs.len());
+        bench.iter(|| join(CsjMethod::ExHybrid, &pair, &opts));
     });
     group.bench_function("ex_minmax", |bench| {
-        bench.iter(|| ex_minmax(&pair.b, &pair.a, &opts).pairs.len());
+        bench.iter(|| join(CsjMethod::ExMinMax, &pair, &opts));
     });
     group.finish();
 }

@@ -8,9 +8,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use csj_core::algorithms::{ap_minmax, ex_minmax};
-use csj_core::CsjOptions;
-use csj_data::pairs::{build_couple, BuildOptions, Dataset};
+use csj_core::{run, CsjMethod, CsjOptions};
+use csj_data::pairs::{build_couple, BuildOptions, CouplePair, Dataset};
+
+/// Matched pairs of one join of `pair` (paper couples satisfy the CSJ
+/// size constraint).
+fn join(method: CsjMethod, pair: &CouplePair, opts: &CsjOptions) -> usize {
+    run(method, &pair.b, &pair.a, opts)
+        .expect("valid paper couple")
+        .pairs
+        .len()
+}
 
 fn bench_parts(c: &mut Criterion) {
     let pair = build_couple(
@@ -37,14 +45,14 @@ fn bench_parts(c: &mut Criterion) {
             BenchmarkId::new("ex_minmax", parts),
             &opts,
             |bench, opts| {
-                bench.iter(|| ex_minmax(&pair.b, &pair.a, opts).pairs.len());
+                bench.iter(|| join(CsjMethod::ExMinMax, &pair, opts));
             },
         );
         group.bench_with_input(
             BenchmarkId::new("ap_minmax", parts),
             &opts,
             |bench, opts| {
-                bench.iter(|| ap_minmax(&pair.b, &pair.a, opts).pairs.len());
+                bench.iter(|| join(CsjMethod::ApMinMax, &pair, opts));
             },
         );
     }

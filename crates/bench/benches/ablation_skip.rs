@@ -3,9 +3,17 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use csj_core::algorithms::{ap_baseline, ap_minmax, ex_minmax};
-use csj_core::CsjOptions;
-use csj_data::pairs::{build_couple, BuildOptions, Dataset};
+use csj_core::{run, CsjMethod, CsjOptions};
+use csj_data::pairs::{build_couple, BuildOptions, CouplePair, Dataset};
+
+/// Matched pairs of one join of `pair` (paper couples satisfy the CSJ
+/// size constraint).
+fn join(method: CsjMethod, pair: &CouplePair, opts: &CsjOptions) -> usize {
+    run(method, &pair.b, &pair.a, opts)
+        .expect("valid paper couple")
+        .pairs
+        .len()
+}
 
 fn bench_skip(c: &mut Criterion) {
     let pair = build_couple(
@@ -26,17 +34,17 @@ fn bench_skip(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("ap_minmax", label),
             &opts,
-            |bench, opts| bench.iter(|| ap_minmax(&pair.b, &pair.a, opts).pairs.len()),
+            |bench, opts| bench.iter(|| join(CsjMethod::ApMinMax, &pair, opts)),
         );
         group.bench_with_input(
             BenchmarkId::new("ex_minmax", label),
             &opts,
-            |bench, opts| bench.iter(|| ex_minmax(&pair.b, &pair.a, opts).pairs.len()),
+            |bench, opts| bench.iter(|| join(CsjMethod::ExMinMax, &pair, opts)),
         );
         group.bench_with_input(
             BenchmarkId::new("ap_baseline", label),
             &opts,
-            |bench, opts| bench.iter(|| ap_baseline(&pair.b, &pair.a, opts).pairs.len()),
+            |bench, opts| bench.iter(|| join(CsjMethod::ApBaseline, &pair, opts)),
         );
     }
     group.finish();

@@ -1,11 +1,10 @@
-//! Bench: prepared (pre-encoded) MinMax joins vs plain entry points —
-//! quantifies what the engine's encoding cache saves per screening join.
+//! Bench: MinMax joins over prepared (pre-encoded) communities vs raw
+//! ones — quantifies what the engine's encoding cache saves per
+//! screening join.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use csj_core::algorithms::{ap_minmax, ex_minmax};
-use csj_core::prepared::{ap_minmax_between, ex_minmax_between, PreparedCommunity};
-use csj_core::CsjOptions;
+use csj_core::{run, run_prepared, CsjMethod, CsjOptions, PreparedCommunity};
 use csj_data::pairs::{build_couple, BuildOptions, Dataset};
 
 fn bench_prepared(c: &mut Criterion) {
@@ -23,18 +22,15 @@ fn bench_prepared(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("prepared_vs_plain");
     group.sample_size(20);
-    group.bench_function("ap_minmax_plain", |bench| {
-        bench.iter(|| ap_minmax(&pair.b, &pair.a, &opts).pairs.len());
-    });
-    group.bench_function("ap_minmax_prepared", |bench| {
-        bench.iter(|| ap_minmax_between(&pb, &pa, &opts).pairs.len());
-    });
-    group.bench_function("ex_minmax_plain", |bench| {
-        bench.iter(|| ex_minmax(&pair.b, &pair.a, &opts).pairs.len());
-    });
-    group.bench_function("ex_minmax_prepared", |bench| {
-        bench.iter(|| ex_minmax_between(&pb, &pa, &opts).pairs.len());
-    });
+    for method in [CsjMethod::ApMinMax, CsjMethod::ExMinMax] {
+        let name = method.name().replace('-', "_");
+        group.bench_function(format!("{name}_plain"), |bench| {
+            bench.iter(|| run(method, &pair.b, &pair.a, &opts).unwrap().pairs.len());
+        });
+        group.bench_function(format!("{name}_prepared"), |bench| {
+            bench.iter(|| run_prepared(method, &pb, &pa, &opts).unwrap().pairs.len());
+        });
+    }
     group.finish();
 }
 

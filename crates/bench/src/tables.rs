@@ -260,7 +260,8 @@ pub fn table11(cfg: RunConfig) -> TableReport {
                     generator.generate_pair("B", "A", row.category, row.category, nb, na, seed);
                 let opts = csj_core::CsjOptions::new(1);
                 let start = std::time::Instant::now();
-                let raw = csj_core::algorithms::ex_minmax(&b, &a, &opts);
+                let raw = csj_core::run(csj_core::CsjMethod::ExMinMax, &b, &a, &opts)
+                    .expect("generated couples satisfy the size constraint");
                 let seconds = start.elapsed().as_secs_f64();
                 ComparisonCell {
                     method: format!("ex-minmax @ {avg_size}"),

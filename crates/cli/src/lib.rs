@@ -24,8 +24,9 @@
 
 use std::path::{Path, PathBuf};
 
-use csj_core::prepared::{ap_minmax_between, ex_minmax_between};
-use csj_core::{run, Community, CsjMethod, CsjOptions, MatcherKind, PreparedCommunity};
+use csj_core::{
+    run, run_prepared, Community, CsjMethod, CsjOptions, MatcherKind, PreparedCommunity,
+};
 use csj_data::io::{
     read_binary, read_binary_quarantine, read_csv, read_csv_quarantine, read_prepared,
     write_binary, write_csv, write_prepared,
@@ -744,9 +745,8 @@ fn orient(lb: Loaded, la: Loaded) -> (Loaded, Loaded) {
 }
 
 /// Load both sides, orient them smaller-first, and run `method` under
-/// `opts` — through the persisted encodings when both sides carry a
-/// compatible `.csjp` index and the method has a prepared fast path.
-/// Shared by `join` and `explain`.
+/// `opts` — through the persisted encodings when both sides carry an
+/// index built for `opts`. Shared by `join` and `explain`.
 fn load_and_join(
     b: &Path,
     a: &Path,
@@ -764,39 +764,15 @@ fn join_loaded(
     method: CsjMethod,
     opts: &CsjOptions,
 ) -> Result<(Loaded, Loaded, csj_core::JoinOutcome), CliError> {
-    let prepared_path = match (&lb, &la) {
+    let outcome = match (&lb, &la) {
         (Loaded::Prepared(pb), Loaded::Prepared(pa))
-            if pb.eps() == opts.eps
-                && pa.eps() == opts.eps
-                && pb.params() == opts.encoding
-                && pa.params() == opts.encoding =>
+            if pb.check_options(opts).is_ok() && pa.check_options(opts).is_ok() =>
         {
-            match method {
-                CsjMethod::ApMinMax => Some(ap_minmax_between(pb, pa, opts)),
-                CsjMethod::ExMinMax => Some(ex_minmax_between(pb, pa, opts)),
-                _ => None,
-            }
+            run_prepared(method, pb, pa, opts)
         }
-        _ => None,
-    };
-    let outcome = match prepared_path {
-        Some(raw) => {
-            let start = std::time::Instant::now();
-            let _ = &raw; // join already ran; timing below reports packaging only
-            csj_core::JoinOutcome {
-                method,
-                similarity: csj_core::Similarity::new(raw.pairs.len(), lb.community().len()),
-                pairs: raw.pairs,
-                events: raw.telemetry.events,
-                telemetry: raw.telemetry,
-                ego_stats: raw.ego,
-                elapsed: start.elapsed() + raw.timings.total(),
-                timings: raw.timings,
-                cancelled: raw.cancelled,
-            }
-        }
-        None => run(method, lb.community(), la.community(), opts).map_err(CliError::Csj)?,
-    };
+        _ => run(method, lb.community(), la.community(), opts),
+    }
+    .map_err(CliError::Csj)?;
     Ok((lb, la, outcome))
 }
 
@@ -2692,6 +2668,99 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(parse_matched(&via_index), parse_matched(&via_plain));
+    }
+
+    /// Write `community` as `dir/name.csv` and as a `.csjp` index built
+    /// for `eps` and `parts`; returns both paths.
+    fn write_both_formats(
+        dir: &Path,
+        name: &str,
+        community: &Community,
+        eps: u32,
+        parts: usize,
+    ) -> (PathBuf, PathBuf) {
+        std::fs::create_dir_all(dir).unwrap();
+        let csv = dir.join(format!("{name}.csv"));
+        write_csv(community, std::fs::File::create(&csv).unwrap()).unwrap();
+        let csjp = dir.join(format!("{name}.csjp"));
+        let opts = CsjOptions::new(eps).with_parts(parts);
+        let prepared = PreparedCommunity::new(community.clone(), &opts);
+        write_prepared(&prepared, std::fs::File::create(&csjp).unwrap()).unwrap();
+        (csv, csjp)
+    }
+
+    /// A `d`-dimensional community of `n` identical all-ones users.
+    fn ones(name: &str, n: usize, d: usize) -> Community {
+        Community::from_rows(name, d, (0..n as u64).map(|i| (i, vec![1; d]))).unwrap()
+    }
+
+    fn join_cmd(b: PathBuf, a: PathBuf, method: CsjMethod, parts: usize) -> Command {
+        Command::Join {
+            b,
+            a,
+            eps: 1,
+            method,
+            matcher: MatcherKind::Csf,
+            parts,
+            json: false,
+            pairs: 0,
+        }
+    }
+
+    fn explain_cmd(b: PathBuf, a: PathBuf, method: CsjMethod, parts: usize) -> Command {
+        Command::Explain {
+            b,
+            a,
+            eps: 1,
+            method,
+            matcher: MatcherKind::Csf,
+            parts,
+            cost_table: None,
+        }
+    }
+
+    #[test]
+    fn prepared_inputs_with_mismatched_dimensions_are_a_typed_error() {
+        let dir = std::env::temp_dir().join("csj_cli_csjp_dims");
+        let (_, b) = write_both_formats(&dir, "d4", &ones("d4", 4, 4), 1, 4);
+        let (_, a) = write_both_formats(&dir, "d5", &ones("d5", 5, 5), 1, 4);
+        for method in [CsjMethod::ExMinMax, CsjMethod::ApMinMax, CsjMethod::Auto] {
+            for cmd in [
+                join_cmd(b.clone(), a.clone(), method, 4),
+                explain_cmd(b.clone(), a.clone(), method, 4),
+            ] {
+                let err = execute(cmd).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        CliError::Csj(csj_core::CsjError::DimensionMismatch { b_d: 4, a_d: 5 })
+                    ),
+                    "{method}: {err}"
+                );
+                assert!(err.to_string().contains("dimensionality"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_inputs_obey_the_size_constraint() {
+        let dir = std::env::temp_dir().join("csj_cli_csjp_sizes");
+        let (b_csv, b_csjp) = write_both_formats(&dir, "one", &ones("one", 1, 2), 1, 2);
+        let (a_csv, a_csjp) = write_both_formats(&dir, "five", &ones("five", 5, 2), 1, 2);
+        for method in [CsjMethod::ExMinMax, CsjMethod::ApMinMax] {
+            let csv_err = execute(join_cmd(b_csv.clone(), a_csv.clone(), method, 2)).unwrap_err();
+            assert!(
+                csv_err.to_string().contains("ceil(|A|/2) <= |B| <= |A|"),
+                "{csv_err}"
+            );
+            for cmd in [
+                join_cmd(b_csjp.clone(), a_csjp.clone(), method, 2),
+                explain_cmd(b_csjp.clone(), a_csjp.clone(), method, 2),
+            ] {
+                let err = execute(cmd).unwrap_err();
+                assert_eq!(err.to_string(), csv_err.to_string(), "{method}");
+            }
+        }
     }
 
     #[test]

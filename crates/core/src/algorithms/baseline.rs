@@ -1,145 +1,113 @@
 //! The Baseline substrate (Section 5.1): plain nested-loop pairing.
 //!
-//! One generic [`drive_baseline`] scan drives both consumption modes:
+//! One [`baseline`] function drives both consumption modes:
 //!
 //! * **Ap-Baseline** = Baseline × [`GreedySink`]: the first match
 //!   consumes both users; the shared [`PrefixPruner`] keeps the
 //!   contiguous prefix of consumed `A` users out of later scans.
 //! * **Ex-Baseline** = Baseline × [`CollectSink`]: every match becomes an
 //!   edge and the one-to-one matcher (the paper's CSF) runs **once**.
+//!
+//! [`GreedySink`]: crate::algorithms::kernel::GreedySink
+
+use std::ops::Range;
 
 use crate::algorithms::kernel::{
     drive_baseline, drive_baseline_blocked, join_worker, CollectSink, DriveCtx, EdgeListSink,
-    GreedySink, PairSink, PrefixPruner,
+    PairSink, PrefixPruner,
 };
-use crate::algorithms::{CsjOptions, RawJoin};
-use crate::community::Community;
-use crate::quant::{LaneView, QuantizedCommunity};
+use crate::algorithms::{CsjOptions, JoinInput, RawJoin};
+use crate::quant::LaneView;
 
-/// Quantize both sides when the fast path is on (the scalar view needs
-/// no side tables). Returned by value so the entry points can borrow
-/// views out of it for the drive's lifetime.
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
-
-/// Approximate Baseline: nested-loop substrate × greedy sink.
-pub fn ap_baseline(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let nb = b.len();
-    let na = a.len();
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
-    let mut out = RawJoin::default();
+/// The Baseline substrate under `sink`: the nested loop with prefix
+/// pruning for a greedy sink, the exact all-pairs scan for a collector.
+pub(crate) fn baseline<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOptions) -> RawJoin {
+    let view = input.lanes(opts);
+    let (nb, na) = (input.b.len(), input.a.len());
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    let mut sink = GreedySink::new(nb, na);
-    // Section 5.1: "skip and offset are used similarly to Ap-MinMax for
-    // the faster processing of the nested loop join".
-    let mut pruner = PrefixPruner::new(opts.offset_pruning);
-    drive_baseline(&view, 0..nb, na, &mut pruner, &mut ctx, &mut sink);
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
+    match sink.collector() {
+        Some(collect) => exact_scan(&view, nb, na, opts, &mut ctx, collect),
+        None => {
+            // Section 5.1: "skip and offset are used similarly to
+            // Ap-MinMax for the faster processing of the nested loop join".
+            let mut pruner = PrefixPruner::new(opts.offset_pruning);
+            drive_baseline(&view, 0..nb, na, &mut pruner, &mut ctx, &mut sink);
+        }
+    }
+    let pairs = sink.finish(&mut ctx);
+    ctx.into_raw(pairs)
 }
 
-/// Exact Baseline: nested-loop substrate × collect sink.
+/// Ex-Baseline's enumeration: every `(b, a)` judgement becomes an edge
+/// of `collect`.
 ///
 /// With `opts.threads > 1` the enumeration partitions `B` into row
-/// ranges processed by scoped workers, each streaming into an
-/// [`EdgeListSink`]; edges and telemetry merge in range order, so the
-/// result (pairs *and* telemetry) is identical to the serial run. A
-/// worker panic is re-raised on the caller's thread with its original
-/// payload, so the engine's panic isolation reports the real message.
-pub fn ex_baseline(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let nb = b.len();
-    let na = a.len();
+/// ranges processed by scoped workers; edges and telemetry merge in
+/// range order, so the result (pairs *and* telemetry) is identical to
+/// the serial run. A worker panic is re-raised on the caller's thread
+/// with its original payload, so the engine's panic isolation reports
+/// the real message.
+fn exact_scan(
+    view: &LaneView,
+    nb: usize,
+    na: usize,
+    opts: &CsjOptions,
+    ctx: &mut DriveCtx,
+    collect: &mut CollectSink,
+) {
     let threads = opts.threads.max(1).min(nb.max(1));
-    let mut out = RawJoin::default();
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
     // The exact scan is unconditional (every row and column is wanted,
     // nothing is consumed mid-scan), so the cache-blocked drive emits
     // the identical edge list and telemetry; `Off` keeps the serial
     // scalar scan as the benchmark baseline.
     let blocked = opts.quant.enabled();
-
-    let cancel = opts.cancel.as_ref();
-    let mut ctx = DriveCtx::new(cancel);
-    // Exact mode never consumes during the scan, so prefix pruning is a
-    // no-op; keep it disabled to preserve full comparison counts.
-    let mut sink = CollectSink::whole(nb, na, opts.matcher, true);
-    let drive_range = |ctx: &mut DriveCtx, range: std::ops::Range<usize>| -> Vec<(u32, u32)> {
+    let drive_range = |ctx: &mut DriveCtx, range: Range<usize>| -> Vec<(u32, u32)> {
         if blocked {
             let mut edges = Vec::new();
-            drive_baseline_blocked(&view, range, na, ctx, &mut edges);
+            drive_baseline_blocked(view, range, na, ctx, &mut edges);
             edges
         } else {
+            // Exact mode never consumes during the scan, so prefix
+            // pruning is a no-op; keep it disabled to preserve full
+            // comparison counts.
             let mut pruner = PrefixPruner::new(false);
             let mut edges = EdgeListSink::new();
-            drive_baseline(&view, range, na, &mut pruner, ctx, &mut edges);
+            drive_baseline(view, range, na, &mut pruner, ctx, &mut edges);
             edges.into_edges()
         }
     };
     if threads <= 1 {
-        let edges = drive_range(&mut ctx, 0..nb);
-        sink.absorb_edges(&edges);
-    } else {
-        let chunk = nb.div_ceil(threads);
-        let ranges: Vec<std::ops::Range<usize>> = (0..threads)
-            .map(|t| (t * chunk).min(nb)..((t + 1) * chunk).min(nb))
-            .collect();
-        let chunks = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .map(|r| {
-                    let drive_range = &drive_range;
-                    scope.spawn(move || {
-                        let mut ctx = DriveCtx::new(cancel);
-                        let edges = drive_range(&mut ctx, r);
-                        (ctx.telemetry, ctx.cancelled, edges)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect::<Vec<_>>()
-        });
-        for (telemetry, cancelled, edges) in chunks {
-            ctx.telemetry.merge(&telemetry);
-            ctx.cancelled |= cancelled;
-            sink.absorb_edges(&edges);
-        }
+        let edges = drive_range(ctx, 0..nb);
+        collect.absorb_edges(&edges);
+        return;
     }
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
+    let cancel = opts.cancel.as_ref();
+    let chunk = nb.div_ceil(threads);
+    let chunks = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| (t * chunk).min(nb)..((t + 1) * chunk).min(nb))
+            .map(|r| {
+                let drive_range = &drive_range;
+                scope.spawn(move || {
+                    let mut ctx = DriveCtx::new(cancel);
+                    let edges = drive_range(&mut ctx, r);
+                    (ctx.telemetry, ctx.cancelled, edges)
+                })
+            })
+            .collect();
+        handles.into_iter().map(join_worker).collect::<Vec<_>>()
+    });
+    for (telemetry, cancelled, edges) in chunks {
+        ctx.telemetry.merge(&telemetry);
+        ctx.cancelled |= cancelled;
+        collect.absorb_edges(&edges);
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::algorithms::CsjOptions;
+    use crate::algorithms::{join_unchecked, CsjMethod, CsjOptions};
+    use crate::community::Community;
 
     fn community(name: &str, rows: &[&[u32]]) -> Community {
         let mut c = Community::new(name, rows[0].len());
@@ -155,11 +123,11 @@ mod tests {
         let b = community("B", &[&[3, 4, 2], &[2, 2, 3]]);
         let a = community("A", &[&[2, 3, 5], &[2, 3, 1], &[3, 3, 3]]);
         let opts = CsjOptions::new(1);
-        let ap = ap_baseline(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
         // b1 greedily takes its first match in scan order (a2 at index 1);
         // b2 can still take a3 -> here greedy happens to find both.
         assert_eq!(ap.pairs.len(), 2);
-        let ex = ex_baseline(&b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
         assert_eq!(ex.pairs.len(), 2);
     }
 
@@ -171,9 +139,9 @@ mod tests {
         let a = community("A", &[&[5], &[9]]);
         // b0={5} matches a0={5} (eps 0); b1={5} matches a0 only.
         let opts = CsjOptions::new(0);
-        let ap = ap_baseline(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
         assert_eq!(ap.pairs, vec![(0, 0)]);
-        let ex = ex_baseline(&b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
         assert_eq!(ex.pairs.len(), 1); // maximum is still 1 here
     }
 
@@ -184,7 +152,7 @@ mod tests {
         let b = community("B", &[&[1], &[1], &[1]]);
         let a = community("A", &[&[1], &[1], &[1]]);
         let opts = CsjOptions::new(0);
-        let out = ap_baseline(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
         assert_eq!(out.pairs, vec![(0, 0), (1, 1), (2, 2)]);
         assert_eq!(out.telemetry.events.matches, 3);
         // b1 must not re-compare a0 (consumed): only match events + zero
@@ -201,7 +169,7 @@ mod tests {
         let b = community("B", &[&[0], &[10]]);
         let a = community("A", &[&[0], &[10], &[20]]);
         let opts = CsjOptions::new(1);
-        let out = ex_baseline(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
         assert_eq!(out.telemetry.events.full_comparisons(), 6);
         assert_eq!(out.telemetry.events.matches, 2);
         assert_eq!(out.pairs.len(), 2);
@@ -215,8 +183,12 @@ mod tests {
         let b = Community::new("B", 2);
         let a = community("A", &[&[1, 1]]);
         let opts = CsjOptions::new(1);
-        assert!(ap_baseline(&b, &a, &opts).pairs.is_empty());
-        assert!(ex_baseline(&b, &a, &opts).pairs.is_empty());
+        assert!(join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts)
+            .pairs
+            .is_empty());
+        assert!(join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts)
+            .pairs
+            .is_empty());
     }
 
     #[test]
@@ -250,8 +222,8 @@ mod tests {
         let serial = CsjOptions::new(1);
         let mut parallel = serial.clone();
         parallel.threads = 4;
-        let s = ex_baseline(&b, &a, &serial);
-        let p = ex_baseline(&b, &a, &parallel);
+        let s = join_unchecked(CsjMethod::ExBaseline, &b, &a, &serial);
+        let p = join_unchecked(CsjMethod::ExBaseline, &b, &a, &parallel);
         assert_eq!(s.pairs, p.pairs);
         // Range-ordered merging makes the whole telemetry block — not
         // just the event counters — bit-identical to the serial drive.
@@ -265,14 +237,14 @@ mod tests {
         let token = crate::cancel::CancelToken::new();
         token.cancel();
         let opts = CsjOptions::new(0).with_cancel(token);
-        let ap = ap_baseline(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
         assert!(ap.cancelled);
         assert!(ap.pairs.is_empty());
-        let ex = ex_baseline(&b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
         assert!(ex.cancelled);
         assert!(ex.pairs.is_empty());
         // Without a token the same inputs run to completion.
-        let full = ap_baseline(&b, &a, &CsjOptions::new(0));
+        let full = join_unchecked(CsjMethod::ApBaseline, &b, &a, &CsjOptions::new(0));
         assert!(!full.cancelled);
         assert_eq!(full.pairs.len(), 3);
     }
@@ -282,7 +254,7 @@ mod tests {
         let b = community("B", &[&[1, 2]]);
         let a = community("A", &[&[1, 2], &[1, 3]]);
         let opts = CsjOptions::new(0);
-        let out = ap_baseline(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
         assert_eq!(out.pairs, vec![(0, 0)]);
     }
 }

@@ -22,16 +22,17 @@
 //! NO OVERLAP events (both the ID-window and the part/range filter are
 //! encoding-level rejections); full comparisons report NO MATCH / MATCH
 //! as usual.
+//!
+//! [`GreedySink`]: crate::algorithms::kernel::GreedySink
+//! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
 use csj_ego::{EgoStats, PointSet, SuperEgoParams};
 
-use crate::algorithms::kernel::{
-    drive_ego, CollectSink, DriveCtx, GreedySink, Judgement, PairSink,
-};
-use crate::algorithms::{CsjOptions, RawJoin};
+use crate::algorithms::kernel::{drive_ego, DriveCtx, Judgement, PairSink};
+use crate::algorithms::{CsjOptions, JoinInput, RawJoin};
 use crate::community::Community;
 use crate::encoding::{encode_vector_a, encode_vector_b, part_bounds};
-use crate::quant::{LaneView, QuantizedCommunity};
+use crate::quant::LaneView;
 
 /// Per-user encodings addressable by community index (unsorted — the EGO
 /// order provides the traversal; the encodings only filter).
@@ -122,39 +123,20 @@ fn hybrid_judgement(
     }
 }
 
-/// Quantized side tables for the leaf comparisons (`Off` skips them).
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
-
-/// Approximate hybrid: EGO recursion × greedy sink with the encoding
-/// filters in front of each comparison.
-pub fn ap_hybrid(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
+/// The hybrid substrate under `sink`: EGO recursion on raw integers with
+/// the encoding filters in front of each leaf comparison — greedy
+/// (Ap-Hybrid) or collecting for one matcher call (Ex-Hybrid).
+pub(crate) fn hybrid<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOptions) -> RawJoin {
+    let (b, a) = (input.b, input.a);
     let setup = std::time::Instant::now();
     let (ps_b, ps_a) = prepare(b, a, opts.eps);
     let index = HybridIndex::build(b, a, opts.eps, opts.encoding.effective_parts(b.d()));
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
+    let view = input.lanes(opts);
     let setup = setup.elapsed();
     let params = SuperEgoParams { t: opts.superego.t };
     let mut stats = EgoStats::default();
-    let mut out = RawJoin::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     ctx.telemetry.lane_bits = view.lane_bits();
-    let mut sink = GreedySink::new(b.len(), a.len());
     drive_ego(
         &ps_b,
         &ps_a,
@@ -165,63 +147,17 @@ pub fn ap_hybrid(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
         &mut sink,
     );
     ctx.cancelled |= opts.is_cancelled();
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.timings.setup = setup;
-    out.ego = Some(stats);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
-}
-
-/// Exact hybrid: EGO recursion × collect sink, one matcher call.
-pub fn ex_hybrid(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let setup = std::time::Instant::now();
-    let (ps_b, ps_a) = prepare(b, a, opts.eps);
-    let index = HybridIndex::build(b, a, opts.eps, opts.encoding.effective_parts(b.d()));
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
-    let setup = setup.elapsed();
-    let params = SuperEgoParams { t: opts.superego.t };
-    let mut stats = EgoStats::default();
-    let mut out = RawJoin::default();
-    let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    ctx.telemetry.lane_bits = view.lane_bits();
-    // Honour cancellation before paying for the matcher: the empty
-    // matching is trivially valid and the flag tells the caller why.
-    let mut sink = CollectSink::whole(b.len(), a.len(), opts.matcher, false);
-    drive_ego(
-        &ps_b,
-        &ps_a,
-        params,
-        &mut stats,
-        &mut |i, j| hybrid_judgement(&index, &view, &ps_b, &ps_a, i, j),
-        &mut ctx,
-        &mut sink,
-    );
-    ctx.cancelled |= opts.is_cancelled();
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.timings.setup = setup;
-    out.ego = Some(stats);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
+    let pairs = sink.finish(&mut ctx);
+    let mut raw = ctx.into_raw(pairs);
+    raw.timings.setup = setup;
+    raw.ego = Some(stats);
+    raw
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::baseline::ex_baseline;
-    use crate::algorithms::minmax::ex_minmax;
-    use crate::algorithms::CsjOptions;
+    use crate::algorithms::{join_unchecked, CsjMethod, CsjOptions};
     use crate::vectors_match;
 
     fn community(name: &str, rows: &[Vec<u32>]) -> Community {
@@ -247,8 +183,15 @@ mod tests {
         let b = community("B", &[vec![3, 4, 2], vec![2, 2, 3]]);
         let a = community("A", &[vec![2, 3, 5], vec![2, 3, 1], vec![3, 3, 3]]);
         let opts = CsjOptions::new(1).with_parts(3);
-        assert_eq!(ex_hybrid(&b, &a, &opts).pairs.len(), 2);
-        assert!(!ap_hybrid(&b, &a, &opts).pairs.is_empty());
+        assert_eq!(
+            join_unchecked(CsjMethod::ExHybrid, &b, &a, &opts)
+                .pairs
+                .len(),
+            2
+        );
+        assert!(!join_unchecked(CsjMethod::ApHybrid, &b, &a, &opts)
+            .pairs
+            .is_empty());
     }
 
     #[test]
@@ -263,8 +206,12 @@ mod tests {
         let a = community("A", &rows_a);
         let opts = CsjOptions::new(1).with_parts(2);
         assert_eq!(
-            ex_hybrid(&b, &a, &opts).pairs.len(),
-            ex_baseline(&b, &a, &opts).pairs.len()
+            join_unchecked(CsjMethod::ExHybrid, &b, &a, &opts)
+                .pairs
+                .len(),
+            join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts)
+                .pairs
+                .len()
         );
     }
 
@@ -283,8 +230,12 @@ mod tests {
             let mut opts = CsjOptions::new(eps).with_parts(2);
             opts.superego.t = 8;
             assert_eq!(
-                ex_hybrid(&b, &a, &opts).pairs.len(),
-                ex_minmax(&b, &a, &opts).pairs.len(),
+                join_unchecked(CsjMethod::ExHybrid, &b, &a, &opts)
+                    .pairs
+                    .len(),
+                join_unchecked(CsjMethod::ExMinMax, &b, &a, &opts)
+                    .pairs
+                    .len(),
                 "d={d} eps={eps}"
             );
         }
@@ -299,10 +250,10 @@ mod tests {
         let b = community("B", &rows_b);
         let a = community("A", &rows_a);
         let opts = CsjOptions::new(1).with_parts(2);
-        let out = ex_hybrid(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ExHybrid, &b, &a, &opts);
         assert!(out.pairs.is_empty());
         assert_eq!(out.telemetry.events.full_comparisons(), 0);
-        let stats = out.ego.unwrap();
+        let stats = out.ego_stats.unwrap();
         assert!(stats.prunes >= 1, "EGO should prune the separated clusters");
     }
 
@@ -319,8 +270,8 @@ mod tests {
         let b = community("B", &rows_b);
         let a = community("A", &rows_a);
         let opts = CsjOptions::new(1).with_parts(2);
-        let ap = ap_hybrid(&b, &a, &opts);
-        let ex = ex_hybrid(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApHybrid, &b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExHybrid, &b, &a, &opts);
         assert!(ap.pairs.len() <= ex.pairs.len());
         for &(x, y) in &ap.pairs {
             assert!(vectors_match(b.vector(x as usize), a.vector(y as usize), 1));

@@ -6,8 +6,9 @@
 //! **sink** (how candidates are consumed: [`GreedySink`] takes the first
 //! match and consumes both users, [`CollectSink`] gathers every edge for
 //! a one-to-one matcher). Each substrate is written once as a generic
-//! `drive` function; the eight public entry points are thin
-//! `substrate × sink` instantiations.
+//! `drive` function behind one substrate function per pairing strategy;
+//! the dispatcher in `algorithms` instantiates the eight methods as
+//! `substrate × sink`.
 //!
 //! Cross-cutting concerns live here instead of being copy-pasted into
 //! each method: the cancel poll site, [`JoinTelemetry`] recording, the
@@ -23,6 +24,7 @@ use std::time::{Duration, Instant};
 use csj_ego::{super_ego_join, EgoStats, PointSet, Scalar, SuperEgoParams};
 use csj_matching::{run_matcher, GraphBuilder, MatchGraph, MatcherKind};
 
+use crate::algorithms::RawJoin;
 use crate::cancel::CancelToken;
 use crate::events::Event;
 use crate::quant::LaneView;
@@ -94,15 +96,28 @@ impl<'t> DriveCtx<'t> {
     /// Phase timings of the drive: `pairing` is the wall-clock since
     /// the context was created minus time spent inside the one-to-one
     /// matcher, `matching` is the matcher time, and `setup` is zero
-    /// (encoding/index builds happen before the context exists, so
-    /// entry points overwrite it). Call after the sink's `finish` so
-    /// the matcher time is final — this is the one place the
-    /// `pairing`/`matching` split is computed for all eight methods.
+    /// (lane/encoding/index builds happen before the context exists;
+    /// the substrate functions and the dispatch add them). Call after
+    /// the sink's `finish` so the matcher time is final — this is the
+    /// one place the `pairing`/`matching` split is computed for all
+    /// eight methods.
     pub(crate) fn phase_timings(&self) -> crate::algorithms::PhaseTimings {
         crate::algorithms::PhaseTimings {
             setup: Duration::ZERO,
             pairing: self.started.elapsed().saturating_sub(self.matcher_time),
             matching: self.matcher_time,
+        }
+    }
+
+    /// Package the drive's result: the sink's `pairs` plus this
+    /// context's telemetry, cancel flag and phase timings.
+    pub(crate) fn into_raw(self, pairs: Vec<(u32, u32)>) -> RawJoin {
+        RawJoin {
+            pairs,
+            timings: self.phase_timings(),
+            cancelled: self.cancelled,
+            telemetry: self.telemetry,
+            ego: None,
         }
     }
 
@@ -286,6 +301,14 @@ pub(crate) trait PairSink {
 
     /// Finalise into matched pairs (exact sinks run their matcher here).
     fn finish(self, ctx: &mut DriveCtx) -> Vec<(u32, u32)>;
+
+    /// The whole-graph collector behind an exact sink. Exact-mode
+    /// branches that gather edges outside the generic drive
+    /// (Ex-Baseline's blocked/threaded scan, Ex-SuperEGO's parallel
+    /// enumeration) hand them over through it; greedy sinks have none.
+    fn collector(&mut self) -> Option<&mut CollectSink> {
+        None
+    }
 }
 
 /// The approximate consumption mode: the first MATCH consumes both
@@ -592,6 +615,10 @@ impl PairSink for CollectSink {
             // itself flushes the final segment on normal exit.
             CollectMode::Segmented { .. } => self.pairs,
         }
+    }
+
+    fn collector(&mut self) -> Option<&mut CollectSink> {
+        Some(self)
     }
 }
 

@@ -35,15 +35,15 @@
 //! tests can replay the exact executions of Figures 2 and 3 of the paper
 //! (see `figure2_trace` / `figure3_trace`), observing the ordered event
 //! stream through the kernel's `Tape` hook.
+//!
+//! [`GreedySink`]: crate::algorithms::kernel::GreedySink
+//! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
-use crate::algorithms::kernel::{
-    CollectSink, DriveCtx, GreedySink, Judgement, PairSink, PrefixPruner,
-};
-use crate::algorithms::{CsjOptions, RawJoin};
-use crate::community::Community;
-use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB};
+use crate::algorithms::kernel::{DriveCtx, Judgement, PairSink, PrefixPruner};
+use crate::algorithms::{CsjOptions, JoinInput, RawJoin};
+use crate::encoding::{EncodedA, EncodedB};
 use crate::events::Event;
-use crate::quant::{LaneView, QuantizedCommunity};
+use crate::quant::LaneView;
 
 /// Supplies [`Judgement`]s for candidate pairs whose encoded ID passed the
 /// Min/Max window. Production code uses [`RealOracle`]; the figure tests
@@ -141,54 +141,19 @@ pub(crate) fn drive_minmax<O: MinMaxOracle, S: PairSink>(
     }
 }
 
-/// Build the quantized side tables the fast path wants (no-op in `Off`
-/// mode — the scalar view reads the raw data directly).
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
-
-/// Approximate MinMax (Algorithm Ap-MinMax).
-pub fn ap_minmax(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let setup = std::time::Instant::now();
-    let eb = encode_b(b, opts.encoding);
-    let ea = encode_a(a, opts.eps, opts.encoding);
-    let quant = quantize(b, a, opts);
-    let setup = setup.elapsed();
-    let mut raw = ap_minmax_prepared(
-        b,
-        a,
-        &eb,
-        &ea,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts,
-    );
-    raw.timings.setup = setup;
-    raw
-}
-
-/// Ap-MinMax over pre-encoded buffers (see `csj_core::prepared`).
-pub(crate) fn ap_minmax_prepared(
-    b: &Community,
-    a: &Community,
-    eb: &EncodedB,
-    ea: &EncodedA,
-    qb: Option<&QuantizedCommunity>,
-    qa: Option<&QuantizedCommunity>,
-    opts: &CsjOptions,
-) -> RawJoin {
-    let mut out = RawJoin::default();
-    let view = LaneView::select(opts.quant, b, a, qb, qa, opts.eps);
+/// The MinMax substrate under `sink`: Algorithm Ap-MinMax with a
+/// greedy sink, Ex-MinMax with a segmented collector. On cancellation
+/// Ex-MinMax returns the already-flushed segments (a valid partial
+/// matching) — edges of the still-open segment are dropped rather than
+/// matched so cancellation stays prompt.
+pub(crate) fn minmax<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOptions) -> RawJoin {
+    let (eb, ea) = input
+        .encoded
+        .expect("both entries supply the MinMax encodings");
+    let view = input.lanes(opts);
     let mut oracle = RealOracle { view, eb, ea };
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     ctx.telemetry.lane_bits = view.lane_bits();
-    let mut sink = GreedySink::new(eb.encd_ids.len(), ea.encd_mins.len());
     drive_minmax(
         &eb.encd_ids,
         &ea.encd_mins,
@@ -199,67 +164,9 @@ pub(crate) fn ap_minmax_prepared(
         &mut sink,
     );
     let pos_pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.pairs = map_positions(&pos_pairs, eb, ea);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
-}
-
-/// Exact MinMax (Algorithm Ex-MinMax).
-pub fn ex_minmax(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let setup = std::time::Instant::now();
-    let eb = encode_b(b, opts.encoding);
-    let ea = encode_a(a, opts.eps, opts.encoding);
-    let quant = quantize(b, a, opts);
-    let setup = setup.elapsed();
-    let mut raw = ex_minmax_prepared(
-        b,
-        a,
-        &eb,
-        &ea,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts,
-    );
-    raw.timings.setup = setup;
+    let mut raw = ctx.into_raw(pos_pairs);
+    raw.pairs = map_positions(&raw.pairs, eb, ea);
     raw
-}
-
-/// Ex-MinMax over pre-encoded buffers (see `csj_core::prepared`). On
-/// cancellation the already-flushed segments are returned (a valid
-/// partial matching) — edges of the still-open segment are dropped
-/// rather than matched so cancellation stays prompt.
-pub(crate) fn ex_minmax_prepared(
-    b: &Community,
-    a: &Community,
-    eb: &EncodedB,
-    ea: &EncodedA,
-    qb: Option<&QuantizedCommunity>,
-    qa: Option<&QuantizedCommunity>,
-    opts: &CsjOptions,
-) -> RawJoin {
-    let mut out = RawJoin::default();
-    let view = LaneView::select(opts.quant, b, a, qb, qa, opts.eps);
-    let mut oracle = RealOracle { view, eb, ea };
-    let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    ctx.telemetry.lane_bits = view.lane_bits();
-    let mut sink = CollectSink::segmented(ea.encd_mins.len(), opts.matcher);
-    drive_minmax(
-        &eb.encd_ids,
-        &ea.encd_mins,
-        &ea.encd_maxs,
-        &mut oracle,
-        opts.offset_pruning,
-        &mut ctx,
-        &mut sink,
-    );
-    let pos_pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.pairs = map_positions(&pos_pairs, eb, ea);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
 }
 
 /// Translate buffer positions back to community user indices.
@@ -273,9 +180,9 @@ fn map_positions(pos_pairs: &[(u32, u32)], eb: &EncodedB, ea: &EncodedA) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::baseline::{ap_baseline, ex_baseline};
-    use crate::algorithms::kernel::Tape as TapeHook;
-    use crate::algorithms::CsjOptions;
+    use crate::algorithms::kernel::{CollectSink, GreedySink, Tape as TapeHook};
+    use crate::algorithms::{join_unchecked, CsjMethod, CsjOptions};
+    use crate::community::Community;
     use crate::vectors_match;
     use csj_matching::MatcherKind;
 
@@ -477,9 +384,9 @@ mod tests {
         let b = community("B", &[&[3, 4, 2], &[2, 2, 3]]);
         let a = community("A", &[&[2, 3, 5], &[2, 3, 1], &[3, 3, 3]]);
         let opts = CsjOptions::new(1).with_parts(3);
-        let ex = ex_minmax(&b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExMinMax, &b, &a, &opts);
         assert_eq!(ex.pairs.len(), 2, "exact similarity must be 100%");
-        let ap = ap_minmax(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApMinMax, &b, &a, &opts);
         assert!(!ap.pairs.is_empty());
     }
 
@@ -515,13 +422,13 @@ mod tests {
             let opts = CsjOptions::new(eps).with_parts(2.min(d));
 
             // Exact MinMax == Exact Baseline (same matcher, same graph).
-            let exm = ex_minmax(&b, &a, &opts);
-            let exb = ex_baseline(&b, &a, &opts);
+            let exm = join_unchecked(CsjMethod::ExMinMax, &b, &a, &opts);
+            let exb = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
             assert_eq!(exm.pairs.len(), exb.pairs.len(), "d={d} eps={eps}");
 
             // Approximate methods are valid one-to-one subsets.
-            let apm = ap_minmax(&b, &a, &opts);
-            let apb = ap_baseline(&b, &a, &opts);
+            let apm = join_unchecked(CsjMethod::ApMinMax, &b, &a, &opts);
+            let apb = join_unchecked(CsjMethod::ApBaseline, &b, &a, &opts);
             assert!(apm.pairs.len() <= exm.pairs.len());
             assert!(apb.pairs.len() <= exm.pairs.len());
             for raw in [&apm, &exm] {
@@ -553,7 +460,7 @@ mod tests {
         let b = community("B", &[&[0, 0], &[1, 0]]);
         let a = community("A", &[&[50, 50], &[60, 60]]);
         let opts = CsjOptions::new(1).with_parts(2);
-        let out = ap_minmax(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ApMinMax, &b, &a, &opts);
         assert!(out.pairs.is_empty());
         assert_eq!(out.telemetry.events.min_prune, 2);
         assert_eq!(out.telemetry.events.full_comparisons(), 0);
@@ -567,7 +474,7 @@ mod tests {
         let b = community("B", &[&[50, 50], &[60, 60], &[70, 70]]);
         let a = community("A", &[&[0, 0], &[1, 1], &[2, 2]]);
         let opts = CsjOptions::new(1).with_parts(2);
-        let out = ap_minmax(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ApMinMax, &b, &a, &opts);
         assert!(out.pairs.is_empty());
         assert_eq!(
             out.telemetry.events.max_prune, 3,
@@ -580,8 +487,12 @@ mod tests {
         let b = Community::new("B", 2);
         let a = Community::new("A", 2);
         let opts = CsjOptions::new(1).with_parts(2);
-        assert!(ap_minmax(&b, &a, &opts).pairs.is_empty());
-        assert!(ex_minmax(&b, &a, &opts).pairs.is_empty());
+        assert!(join_unchecked(CsjMethod::ApMinMax, &b, &a, &opts)
+            .pairs
+            .is_empty());
+        assert!(join_unchecked(CsjMethod::ExMinMax, &b, &a, &opts)
+            .pairs
+            .is_empty());
     }
 
     #[test]
@@ -616,12 +527,23 @@ mod tests {
         let mut off = on.clone();
         off.offset_pruning = false;
         // Identical results either way; pruning only affects work done.
-        assert_eq!(ap_minmax(&b, &a, &on).pairs, ap_minmax(&b, &a, &off).pairs);
         assert_eq!(
-            ex_minmax(&b, &a, &on).pairs.len(),
-            ex_minmax(&b, &a, &off).pairs.len()
+            join_unchecked(CsjMethod::ApMinMax, &b, &a, &on).pairs,
+            join_unchecked(CsjMethod::ApMinMax, &b, &a, &off).pairs
         );
-        assert_eq!(ex_minmax(&b, &a, &off).telemetry.events.max_prune, 0);
+        assert_eq!(
+            join_unchecked(CsjMethod::ExMinMax, &b, &a, &on).pairs.len(),
+            join_unchecked(CsjMethod::ExMinMax, &b, &a, &off)
+                .pairs
+                .len()
+        );
+        assert_eq!(
+            join_unchecked(CsjMethod::ExMinMax, &b, &a, &off)
+                .telemetry
+                .events
+                .max_prune,
+            0
+        );
     }
 
     #[test]
@@ -631,7 +553,7 @@ mod tests {
         let b = community("B", &refs);
         let a = community("A", &refs);
         let opts = CsjOptions::new(0).with_parts(4);
-        let out = ex_minmax(&b, &a, &opts);
+        let out = join_unchecked(CsjMethod::ExMinMax, &b, &a, &opts);
         assert_eq!(out.pairs.len(), 20);
     }
 }

@@ -2,20 +2,17 @@
 //!
 //! Six paper methods (approximate/exact × Baseline/MinMax/SuperEGO) plus
 //! the hybrid MinMax–SuperEGO pair sketched in the paper's Section 6.2
-//! discussion. All are invoked through [`run`], which validates the
-//! problem instance, dispatches, times the execution and assembles a
-//! [`JoinOutcome`].
+//! discussion. Every join enters through [`run`] (raw communities) or
+//! [`run_prepared`] (cached [`PreparedCommunity`] state); both validate
+//! the instance the same way and reach one dispatch, which runs the
+//! method's substrate function with its sink, times the execution and
+//! assembles a [`JoinOutcome`].
 
 mod baseline;
 mod hybrid;
 pub(crate) mod kernel;
 pub(crate) mod minmax;
 mod superego;
-
-pub use baseline::{ap_baseline, ex_baseline};
-pub use hybrid::{ap_hybrid, ex_hybrid};
-pub use minmax::{ap_minmax, ex_minmax};
-pub use superego::{ap_superego, ex_superego};
 
 use std::time::{Duration, Instant};
 
@@ -24,13 +21,15 @@ use csj_matching::MatcherKind;
 
 use crate::cancel::CancelToken;
 use crate::community::Community;
-use crate::encoding::EncodingParams;
+use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB, EncodingParams};
 use crate::error::CsjError;
 use crate::events::EventCounters;
-use crate::quant::QuantMode;
+use crate::prepared::PreparedCommunity;
+use crate::quant::{LaneView, QuantMode, QuantizedCommunity};
 use crate::similarity::Similarity;
 use crate::telemetry::JoinTelemetry;
 use crate::validate_sizes;
+use kernel::{CollectSink, GreedySink};
 
 /// The CSJ method to execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -219,7 +218,7 @@ pub struct CsjOptions {
     /// truncated result is reported via [`JoinOutcome::cancelled`].
     /// `None` (the default) runs to completion.
     pub cancel: Option<CancelToken>,
-    /// Quantized fast-path control: `Auto`/`On` let the integer-domain
+    /// Quantized fast-path control: `Auto` lets the integer-domain
     /// kernels run on the narrowest lossless lane (`u8`/`u16`/`u32`)
     /// with cache-blocked tiling where the scan order permits; `Off`
     /// forces the pre-quantization scalar kernels. Results are
@@ -278,8 +277,11 @@ impl CsjOptions {
 /// Wall-clock breakdown of one join's phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Input preparation: encoding (MinMax), normalisation + dimension
-    /// reordering + EGO sort (SuperEGO/hybrid). Zero for Baseline.
+    /// Input preparation: quantized lanes (all but SuperEGO, unless
+    /// [`QuantMode::Off`]) and encodings (MinMax) when the entry builds
+    /// them, normalisation + dimension reordering + EGO sort
+    /// (SuperEGO/hybrid). Near zero for Baseline and MinMax over
+    /// prepared inputs.
     pub setup: Duration,
     /// The pairing loop / recursion, including filter checks and full
     /// comparisons.
@@ -296,12 +298,10 @@ impl PhaseTimings {
     }
 }
 
-/// Intermediate result of one algorithm before [`run`] packages it into a
-/// [`JoinOutcome`]. Exposed because the individual algorithm functions
-/// (`ap_minmax`, `ex_baseline`, ...) are part of the public API for
-/// benchmarking without the driver's validation overhead.
+/// Intermediate result of one substrate function before the dispatch
+/// packages it into a [`JoinOutcome`].
 #[derive(Debug, Clone, Default)]
-pub struct RawJoin {
+pub(crate) struct RawJoin {
     /// Matched pairs as `(b_index, a_index)` into the two communities.
     pub pairs: Vec<(u32, u32)>,
     /// Kernel telemetry of the drive (event counters, stream depths,
@@ -364,20 +364,41 @@ pub fn orient<'c>(x: &'c Community, y: &'c Community) -> (&'c Community, &'c Com
     }
 }
 
-/// Validate inputs and execute `method` on communities `b` (smaller) and
-/// `a` (larger).
-///
-/// Returns [`CsjError::DimensionMismatch`] when the communities disagree
-/// on `d`, [`CsjError::SizeConstraint`] when
-/// `ceil(|A|/2) <= |B| <= |A|` fails (unless
-/// [`CsjOptions::enforce_sizes`] is off) and [`CsjError::InvalidOptions`]
-/// for bad tuning values.
-pub fn run(
+/// What one join reads: the two communities plus the prepared pieces
+/// its substrate consults. [`run`] builds only what the method needs;
+/// [`run_prepared`] borrows everything from the two
+/// [`PreparedCommunity`]s.
+pub(crate) struct JoinInput<'x> {
+    pub b: &'x Community,
+    pub a: &'x Community,
+    /// Quantized lanes of `b` and `a`: borrowed from prepared inputs;
+    /// [`run`] builds them unless the method is SuperEGO (which
+    /// compares normalised floats) or the fast path is
+    /// [`QuantMode::Off`].
+    pub quant: Option<(&'x QuantizedCommunity, &'x QuantizedCommunity)>,
+    /// `Encd_B` of `b` and `Encd_A` of `a` (present for MinMax).
+    pub encoded: Option<(&'x EncodedB, &'x EncodedA)>,
+}
+
+impl<'x> JoinInput<'x> {
+    /// The pair's lane-resolved comparison view under `opts.quant`.
+    pub(crate) fn lanes(&self, opts: &CsjOptions) -> LaneView<'x> {
+        LaneView::select(opts.quant, self.b, self.a, self.quant, opts.eps)
+    }
+}
+
+/// The checks both entries share: dimensionality, the size constraint
+/// (unless [`CsjOptions::enforce_sizes`] is off) and the tuning values.
+/// Returns the concrete method: [`CsjMethod::Auto`] resolves through
+/// the seeded cost table, since a standalone join has no latency
+/// history (engine callers resolve `Auto` through their calibrated
+/// planner before reaching this point).
+fn validate(
     method: CsjMethod,
     b: &Community,
     a: &Community,
     opts: &CsjOptions,
-) -> Result<JoinOutcome, CsjError> {
+) -> Result<CsjMethod, CsjError> {
     if b.d() != a.d() {
         return Err(CsjError::DimensionMismatch {
             b_d: b.d(),
@@ -399,42 +420,110 @@ pub fn run(
             "thread counts must be >= 1".into(),
         ));
     }
+    if method != CsjMethod::Auto {
+        return Ok(method);
+    }
+    let input = crate::plan::PlanInput::new(
+        b.len(),
+        a.len(),
+        b.d(),
+        opts.eps,
+        crate::plan::Exactness::Any,
+    );
+    Ok(crate::plan::CostTable::seeded().plan(&input).chosen)
+}
 
-    // Resolve delegated selection before dispatch so JoinOutcome::method
-    // is always a concrete method. Standalone `run` has no latency
-    // history, so the seeded table decides; engine callers resolve Auto
-    // through their calibrated planner before reaching this point.
-    let method = if method == CsjMethod::Auto {
-        let input = crate::plan::PlanInput::new(
-            b.len(),
-            a.len(),
-            b.d(),
-            opts.eps,
-            crate::plan::Exactness::Any,
-        );
-        crate::plan::CostTable::seeded().plan(&input).chosen
-    } else {
-        method
-    };
-
+/// Validate inputs and execute `method` on communities `b` (smaller) and
+/// `a` (larger), building the quantized lanes and MinMax encodings the
+/// method needs.
+///
+/// Returns [`CsjError::DimensionMismatch`] when the communities disagree
+/// on `d`, [`CsjError::SizeConstraint`] when
+/// `ceil(|A|/2) <= |B| <= |A|` fails (unless
+/// [`CsjOptions::enforce_sizes`] is off) and [`CsjError::InvalidOptions`]
+/// for bad tuning values.
+pub fn run(
+    method: CsjMethod,
+    b: &Community,
+    a: &Community,
+    opts: &CsjOptions,
+) -> Result<JoinOutcome, CsjError> {
+    let method = validate(method, b, a, opts)?;
     let start = Instant::now();
-    let raw = match method {
-        CsjMethod::ApBaseline => ap_baseline(b, a, opts),
-        CsjMethod::ExBaseline => ex_baseline(b, a, opts),
-        CsjMethod::ApMinMax => ap_minmax(b, a, opts),
-        CsjMethod::ExMinMax => ex_minmax(b, a, opts),
-        CsjMethod::ApSuperEgo => ap_superego(b, a, opts),
-        CsjMethod::ExSuperEgo => ex_superego(b, a, opts),
-        CsjMethod::ApHybrid => ap_hybrid(b, a, opts),
-        CsjMethod::ExHybrid => ex_hybrid(b, a, opts),
-        CsjMethod::Auto => unreachable!("Auto resolved above"),
+    let lanes = (opts.quant.enabled()
+        && !matches!(method, CsjMethod::ApSuperEgo | CsjMethod::ExSuperEgo))
+    .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)));
+    let encoded = matches!(method, CsjMethod::ApMinMax | CsjMethod::ExMinMax).then(|| {
+        (
+            encode_b(b, opts.encoding),
+            encode_a(a, opts.eps, opts.encoding),
+        )
+    });
+    let input = JoinInput {
+        b,
+        a,
+        quant: lanes.as_ref().map(|(qb, qa)| (qb, qa)),
+        encoded: encoded.as_ref().map(|(eb, ea)| (eb, ea)),
     };
+    Ok(execute(method, &input, opts, start))
+}
+
+/// [`run`] over prepared communities (`b` smaller, `a` larger): every
+/// method borrows the cached quantized lanes and MinMax encodings
+/// instead of building them.
+///
+/// Validates exactly like [`run`], and additionally returns
+/// [`CsjError::InvalidOptions`] when either side was prepared for a
+/// different `eps` or encoding than `opts` asks for.
+pub fn run_prepared(
+    method: CsjMethod,
+    b: &PreparedCommunity,
+    a: &PreparedCommunity,
+    opts: &CsjOptions,
+) -> Result<JoinOutcome, CsjError> {
+    let method = validate(method, b.community(), a.community(), opts)?;
+    b.check_options(opts)?;
+    a.check_options(opts)?;
+    let start = Instant::now();
+    let input = JoinInput {
+        b: b.community(),
+        a: a.community(),
+        quant: Some((b.quantized(), a.quantized())),
+        encoded: Some((b.encoded_b(), a.encoded_a())),
+    };
+    Ok(execute(method, &input, opts, start))
+}
+
+/// The one dispatch behind both entries: run the resolved `method`'s
+/// substrate function with its sink and package the outcome. `start`
+/// is when the entry began building `input`; that span counts as setup.
+fn execute(method: CsjMethod, input: &JoinInput, opts: &CsjOptions, start: Instant) -> JoinOutcome {
+    let setup = start.elapsed();
+    let (nb, na) = (input.b.len(), input.a.len());
+    let greedy = || GreedySink::new(nb, na);
+    // Ex-Baseline matches what it gathered even after a cancel; the EGO
+    // methods skip the matcher so cancellation stays prompt.
+    let whole = |matcher_on_cancel| CollectSink::whole(nb, na, opts.matcher, matcher_on_cancel);
+    let mut raw = match method {
+        CsjMethod::ApBaseline => baseline::baseline(input, greedy(), opts),
+        CsjMethod::ExBaseline => baseline::baseline(input, whole(true), opts),
+        CsjMethod::ApMinMax => minmax::minmax(input, greedy(), opts),
+        CsjMethod::ExMinMax => {
+            minmax::minmax(input, CollectSink::segmented(na, opts.matcher), opts)
+        }
+        CsjMethod::ApSuperEgo => superego::superego(input, greedy(), opts),
+        CsjMethod::ExSuperEgo => superego::superego(input, whole(false), opts),
+        CsjMethod::ApHybrid => hybrid::hybrid(input, greedy(), opts),
+        CsjMethod::ExHybrid => hybrid::hybrid(input, whole(false), opts),
+        CsjMethod::Auto => unreachable!("Auto is resolved by validate"),
+    };
+    raw.timings.setup += setup;
     let elapsed = start.elapsed();
 
-    debug_assert!(raw.pairs.len() <= b.len());
-    Ok(JoinOutcome {
+    debug_assert!(raw.pairs.len() <= nb);
+    JoinOutcome {
         method,
-        similarity: Similarity::new(raw.pairs.len(), b.len()),
+        similarity: Similarity::new(raw.pairs.len(), nb),
         pairs: raw.pairs,
         events: raw.telemetry.events,
         telemetry: raw.telemetry,
@@ -442,7 +531,23 @@ pub fn run(
         elapsed,
         timings: raw.timings,
         cancelled: raw.cancelled,
-    })
+    }
+}
+
+/// Unit-test shorthand: run `method` without the size constraint and
+/// unwrap.
+#[cfg(test)]
+pub(crate) fn join_unchecked(
+    method: CsjMethod,
+    b: &Community,
+    a: &Community,
+    opts: &CsjOptions,
+) -> JoinOutcome {
+    let opts = CsjOptions {
+        enforce_sizes: false,
+        ..opts.clone()
+    };
+    run(method, b, a, &opts).expect("valid test instance")
 }
 
 #[cfg(test)]

@@ -23,16 +23,16 @@
 //! dimension reordering live in the [`csj_ego`] substrate crate.
 //!
 //! [`SuperEgoConfig::l1_predicate`]: crate::algorithms::SuperEgoConfig
+//! [`GreedySink`]: crate::algorithms::kernel::GreedySink
+//! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
 use csj_ego::{
     collect_pairs_parallel, dimension_order, normalize_counters, permute_dimensions, EgoStats,
     JoinPredicate, PointSet, SuperEgoParams,
 };
 
-use crate::algorithms::kernel::{
-    drive_ego, CollectSink, DriveCtx, GreedySink, Judgement, PairSink,
-};
-use crate::algorithms::{CsjOptions, RawJoin};
+use crate::algorithms::kernel::{drive_ego, DriveCtx, Judgement, PairSink};
+use crate::algorithms::{CsjOptions, JoinInput, RawJoin};
 use crate::community::Community;
 
 /// Normalise, optionally reorder dimensions, and EGO-sort both
@@ -72,73 +72,35 @@ fn prepare(
     (ps_b, ps_a, pred)
 }
 
-/// Approximate SuperEGO: the recursion with the greedy sink at the
-/// leaves.
-pub fn ap_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
+/// The SuperEGO substrate under `sink`: the recursion with the greedy
+/// sink at the leaves (Ap-SuperEGO), or collecting all leaf pairs for
+/// one matcher call (Ex-SuperEGO, the paper's CSF by default).
+pub(crate) fn superego<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOptions) -> RawJoin {
     let setup = std::time::Instant::now();
-    let (ps_b, ps_a, pred) = prepare(b, a, opts);
+    let (ps_b, ps_a, pred) = prepare(input.b, input.a, opts);
     let params = SuperEgoParams { t: opts.superego.t };
-    let mut out = RawJoin::default();
     let setup = setup.elapsed();
     let mut stats = EgoStats::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    let mut sink = GreedySink::new(ps_b.len(), ps_a.len());
-    drive_ego(
-        &ps_b,
-        &ps_a,
-        params,
-        &mut stats,
-        &mut |i, j| {
-            if pred.matches(ps_b.point(i), ps_a.point(j)) {
-                Judgement::Match
-            } else {
-                Judgement::NoMatch
-            }
-        },
-        &mut ctx,
-        &mut sink,
-    );
-    ctx.cancelled |= opts.is_cancelled();
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.timings.setup = setup;
-    out.ego = Some(stats);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
-}
-
-/// Exact SuperEGO: the recursion collecting all leaf pairs, then one
-/// matcher call (the paper's CSF by default).
-pub fn ex_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
-    let setup = std::time::Instant::now();
-    let (ps_b, ps_a, pred) = prepare(b, a, opts);
-    let params = SuperEgoParams { t: opts.superego.t };
-    let mut out = RawJoin::default();
-    let setup = setup.elapsed();
-    let mut stats = EgoStats::default();
-    let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    // The leaf enumeration cannot run the matcher after a trip: skip it
-    // and return an empty (trivially valid) matching so cancellation
-    // stays prompt.
-    let mut sink = CollectSink::whole(b.len(), a.len(), opts.matcher, false);
-    if opts.superego.threads > 1 {
-        // The parallel enumeration lives in csj_ego and streams edges
-        // from worker threads; per-row kernel telemetry is unavailable
-        // there, so only the event counters are reconstructed.
-        let edges = collect_pairs_parallel(
-            &ps_b,
-            &ps_a,
-            pred,
-            params,
-            &mut stats,
-            opts.superego.threads,
-        );
-        ctx.telemetry.events.matches = edges.len() as u64;
-        ctx.telemetry.events.no_match = stats.pairs_checked - edges.len() as u64;
-        sink.absorb_edges(&edges);
-    } else {
-        drive_ego(
+    match sink.collector() {
+        Some(collect) if opts.superego.threads > 1 => {
+            // The parallel enumeration lives in csj_ego and streams
+            // edges from worker threads; per-row kernel telemetry is
+            // unavailable there, so only the event counters are
+            // reconstructed.
+            let edges = collect_pairs_parallel(
+                &ps_b,
+                &ps_a,
+                pred,
+                params,
+                &mut stats,
+                opts.superego.threads,
+            );
+            ctx.telemetry.events.matches = edges.len() as u64;
+            ctx.telemetry.events.no_match = stats.pairs_checked - edges.len() as u64;
+            collect.absorb_edges(&edges);
+        }
+        _ => drive_ego(
             &ps_b,
             &ps_a,
             params,
@@ -152,23 +114,20 @@ pub fn ex_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
             },
             &mut ctx,
             &mut sink,
-        );
+        ),
     }
     ctx.cancelled |= opts.is_cancelled();
-    out.pairs = sink.finish(&mut ctx);
-    out.timings = ctx.phase_timings();
-    out.timings.setup = setup;
-    out.ego = Some(stats);
-    out.cancelled = ctx.cancelled;
-    out.telemetry = ctx.telemetry;
-    out
+    let pairs = sink.finish(&mut ctx);
+    let mut raw = ctx.into_raw(pairs);
+    raw.timings.setup = setup;
+    raw.ego = Some(stats);
+    raw
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::baseline::ex_baseline;
-    use crate::algorithms::CsjOptions;
+    use crate::algorithms::{join_unchecked, CsjMethod, CsjOptions};
 
     fn community(name: &str, rows: &[Vec<u32>]) -> Community {
         let mut c = Community::new(name, rows[0].len());
@@ -199,9 +158,9 @@ mod tests {
         let b = community("B", &[vec![3, 4, 2], vec![2, 2, 3]]);
         let a = community("A", &[vec![2, 3, 5], vec![2, 3, 1], vec![3, 3, 3]]);
         let opts = CsjOptions::new(1).with_parts(3);
-        let ex = ex_superego(&b, &a, &opts);
+        let ex = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &opts);
         assert!(ex.pairs.len() <= 2);
-        let ap = ap_superego(&b, &a, &opts);
+        let ap = join_unchecked(CsjMethod::ApSuperEgo, &b, &a, &opts);
         assert!(ap.pairs.len() <= ex.pairs.len().max(ap.pairs.len()));
         for &(x, y) in ex.pairs.iter().chain(ap.pairs.iter()) {
             // Any pair it does report must be a true per-dim match.
@@ -233,8 +192,8 @@ mod tests {
             let mut opts = CsjOptions::new(eps).with_parts(2);
             opts.superego.t = 8;
             opts.superego.max_value = Some(16); // power of two -> exact
-            let ego = ex_superego(&b, &a, &opts);
-            let base = ex_baseline(&b, &a, &opts);
+            let ego = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &opts);
+            let base = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
             assert_eq!(ego.pairs.len(), base.pairs.len(), "eps={eps}");
         }
     }
@@ -267,8 +226,8 @@ mod tests {
         let mut opts = CsjOptions::new(1).with_parts(2);
         opts.superego.t = 8;
         opts.superego.max_value = Some(152_532); // the paper's VK maximum
-        let ego = ex_superego(&b, &a, &opts);
-        let base = ex_baseline(&b, &a, &opts);
+        let ego = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &opts);
+        let base = join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts);
         assert_eq!(base.pairs.len(), 70);
         assert!(ego.pairs.len() >= 60, "interior pairs must all survive");
         assert!(ego.pairs.len() <= 70);
@@ -290,8 +249,8 @@ mod tests {
         serial_opts.superego.t = 16;
         let mut par_opts = serial_opts.clone();
         par_opts.superego.threads = 4;
-        let s = ex_superego(&b, &a, &serial_opts);
-        let p = ex_superego(&b, &a, &par_opts);
+        let s = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &serial_opts);
+        let p = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &par_opts);
         assert_eq!(s.pairs.len(), p.pairs.len());
         // Both routes must agree on the event counters too.
         assert_eq!(s.telemetry.events, p.telemetry.events);
@@ -315,8 +274,8 @@ mod tests {
         per.superego.t = 8;
         let mut l1 = per.clone();
         l1.superego.l1_predicate = true;
-        let per_out = ex_superego(&b, &a, &per);
-        let l1_out = ex_superego(&b, &a, &l1);
+        let per_out = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &per);
+        let l1_out = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &l1);
         assert!(l1_out.pairs.len() >= per_out.pairs.len());
     }
 
@@ -337,8 +296,12 @@ mod tests {
         let mut without = with.clone();
         without.superego.reorder = false;
         assert_eq!(
-            ex_superego(&b, &a, &with).pairs.len(),
-            ex_superego(&b, &a, &without).pairs.len()
+            join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &with)
+                .pairs
+                .len(),
+            join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &without)
+                .pairs
+                .len()
         );
     }
 
@@ -346,8 +309,13 @@ mod tests {
     fn records_ego_stats() {
         let b = community("B", &[vec![1, 1]]);
         let a = community("A", &[vec![1, 1]]);
-        let out = ex_superego(&b, &a, &CsjOptions::new(1).with_parts(2));
-        let stats = out.ego.expect("superego must report stats");
+        let out = join_unchecked(
+            CsjMethod::ExSuperEgo,
+            &b,
+            &a,
+            &CsjOptions::new(1).with_parts(2),
+        );
+        let stats = out.ego_stats.expect("superego must report stats");
         assert!(stats.calls >= 1);
     }
 
@@ -355,7 +323,12 @@ mod tests {
     fn eps_zero_equality_join() {
         let b = community("B", &[vec![5, 7]]);
         let a = community("A", &[vec![5, 7], vec![5, 8]]);
-        let out = ex_superego(&b, &a, &CsjOptions::new(0).with_parts(2));
+        let out = join_unchecked(
+            CsjMethod::ExSuperEgo,
+            &b,
+            &a,
+            &CsjOptions::new(0).with_parts(2),
+        );
         assert_eq!(out.pairs, vec![(0, 0)]);
     }
 }

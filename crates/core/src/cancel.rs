@@ -3,10 +3,9 @@
 //! A [`CancelToken`] is a cheap, clonable flag shared between the caller
 //! and a running join. The join loops poll it at per-row granularity and
 //! bail out early once it trips, reporting the truncation through
-//! `RawJoin::cancelled` / `JoinOutcome::cancelled` rather than an error:
-//! the pairs gathered so far still form a valid (partial) one-to-one
-//! matching, so callers can degrade gracefully instead of discarding
-//! work.
+//! `JoinOutcome::cancelled` rather than an error: the pairs gathered so
+//! far still form a valid (partial) one-to-one matching, so callers can
+//! degrade gracefully instead of discarding work.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -65,7 +65,9 @@ pub mod similarity;
 pub mod telemetry;
 pub mod verify;
 
-pub use algorithms::{run, CsjMethod, CsjOptions, JoinOutcome, PhaseTimings, SuperEgoConfig};
+pub use algorithms::{
+    run, run_prepared, CsjMethod, CsjOptions, JoinOutcome, PhaseTimings, SuperEgoConfig,
+};
 pub use cancel::CancelToken;
 pub use community::{Community, UserId};
 pub use encoding::{encode_a, encode_b, part_bounds, EncodedA, EncodedB, EncodingParams};

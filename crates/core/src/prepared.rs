@@ -1,15 +1,15 @@
 //! Prepared communities: encode once, join many times.
 //!
 //! Catalog workloads (the engine's screening phase, broadcast sweeps)
-//! join the *same* community against many partners. The plain entry
-//! points re-encode both sides on every call; a [`PreparedCommunity`]
-//! carries both encoded buffers (`Encd_B` for when it plays the smaller
-//! side, `Encd_A` for when it plays the larger side) so repeated MinMax
-//! joins skip the `O(n·d + n log n)` encode-and-sort setup entirely.
+//! join the *same* community against many partners. [`crate::run`]
+//! builds each side's quantized lanes (and, for MinMax, both encoded
+//! buffers) on every call; a [`PreparedCommunity`] carries them all —
+//! `Encd_B` for when it plays the smaller side, `Encd_A` for when it
+//! plays the larger side — so [`crate::run_prepared`] joins it under any
+//! method without that setup.
 //!
 //! ```
-//! use csj_core::prepared::{ex_minmax_between, PreparedCommunity};
-//! use csj_core::{Community, CsjOptions};
+//! use csj_core::{run, run_prepared, Community, CsjMethod, CsjOptions, PreparedCommunity};
 //!
 //! let mut x = Community::new("X", 2);
 //! x.push(1, &[1, 1]).unwrap();
@@ -17,15 +17,16 @@
 //! y.push(9, &[1, 2]).unwrap();
 //!
 //! let opts = CsjOptions::new(1);
-//! let px = PreparedCommunity::new(x, &opts);
-//! let py = PreparedCommunity::new(y, &opts);
-//! let raw = ex_minmax_between(&px, &py, &opts);
-//! assert_eq!(raw.pairs.len(), 1);
+//! let px = PreparedCommunity::new(x.clone(), &opts);
+//! let py = PreparedCommunity::new(y.clone(), &opts);
+//! let prepared = run_prepared(CsjMethod::ExMinMax, &px, &py, &opts).unwrap();
+//! assert_eq!(prepared.similarity.matched, 1);
+//! assert_eq!(prepared.pairs, run(CsjMethod::ExMinMax, &x, &y, &opts).unwrap().pairs);
 //! ```
 
 use std::sync::Arc;
 
-use crate::algorithms::{CsjOptions, RawJoin};
+use crate::algorithms::CsjOptions;
 use crate::community::Community;
 use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB, EncodingParams};
 use crate::quant::QuantizedCommunity;
@@ -82,6 +83,23 @@ impl PreparedCommunity {
     /// The encoding parameters the buffers were built with.
     pub fn params(&self) -> EncodingParams {
         self.params
+    }
+
+    /// Check that the encodings were built for `opts`' `eps` and
+    /// encoding parameters, the configuration a join under `opts` reads
+    /// them with.
+    pub fn check_options(&self, opts: &CsjOptions) -> Result<(), crate::CsjError> {
+        if self.eps != opts.eps || self.params != opts.encoding {
+            return Err(crate::CsjError::InvalidOptions(format!(
+                "{} was prepared for eps {} and {} parts, the join asks for eps {} and {} parts",
+                self.community.name(),
+                self.eps,
+                self.params.parts,
+                opts.eps,
+                opts.encoding.parts
+            )));
+        }
+        Ok(())
     }
 
     /// Number of subscribers.
@@ -152,64 +170,11 @@ impl PreparedCommunity {
     }
 }
 
-fn check_compatible(b: &PreparedCommunity, a: &PreparedCommunity, opts: &CsjOptions) {
-    assert_eq!(
-        b.community.d(),
-        a.community.d(),
-        "prepared communities must share dimensionality"
-    );
-    assert!(
-        b.eps == opts.eps && a.eps == opts.eps,
-        "prepared encodings were built for a different eps"
-    );
-    assert!(
-        b.params == opts.encoding && a.params == opts.encoding,
-        "prepared encodings were built with different encoding params"
-    );
-}
-
-/// Ap-MinMax over prepared communities (`b` smaller, `a` larger); no
-/// re-encoding happens.
-pub fn ap_minmax_between(
-    b: &PreparedCommunity,
-    a: &PreparedCommunity,
-    opts: &CsjOptions,
-) -> RawJoin {
-    check_compatible(b, a, opts);
-    crate::algorithms::minmax::ap_minmax_prepared(
-        b.community(),
-        a.community(),
-        b.encoded_b(),
-        a.encoded_a(),
-        Some(b.quantized()),
-        Some(a.quantized()),
-        opts,
-    )
-}
-
-/// Ex-MinMax over prepared communities (`b` smaller, `a` larger); no
-/// re-encoding happens.
-pub fn ex_minmax_between(
-    b: &PreparedCommunity,
-    a: &PreparedCommunity,
-    opts: &CsjOptions,
-) -> RawJoin {
-    check_compatible(b, a, opts);
-    crate::algorithms::minmax::ex_minmax_prepared(
-        b.community(),
-        a.community(),
-        b.encoded_b(),
-        a.encoded_a(),
-        Some(b.quantized()),
-        Some(a.quantized()),
-        opts,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{ap_minmax, ex_minmax};
+    use crate::algorithms::{run, run_prepared, CsjMethod};
+    use crate::quant::QuantMode;
 
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
         let mut state = seed;
@@ -233,20 +198,28 @@ mod tests {
 
     #[test]
     fn prepared_joins_match_plain_joins() {
-        let opts = CsjOptions::new(1).with_parts(2);
-        let b = random_community("B", 80, 4, 1);
-        let a = random_community("A", 100, 4, 2);
-        let pb = PreparedCommunity::new(b.clone(), &opts);
-        let pa = PreparedCommunity::new(a.clone(), &opts);
-
-        let plain_ap = ap_minmax(&b, &a, &opts);
-        let prep_ap = ap_minmax_between(&pb, &pa, &opts);
-        assert_eq!(plain_ap.pairs, prep_ap.pairs);
-        assert_eq!(plain_ap.telemetry, prep_ap.telemetry);
-
-        let plain_ex = ex_minmax(&b, &a, &opts);
-        let prep_ex = ex_minmax_between(&pb, &pa, &opts);
-        assert_eq!(plain_ex.pairs, prep_ex.pairs);
+        // The prepared entry borrows exactly what the raw entry builds,
+        // so every method must produce the same outcome (all but the
+        // clock) with and without the quantized fast path.
+        for (d, seed) in [(4usize, 1u64), (6, 3), (3, 5)] {
+            let b = random_community("B", 80, d, seed);
+            let a = random_community("A", 100, d, seed + 1);
+            for quant in [QuantMode::Auto, QuantMode::Off] {
+                let opts = CsjOptions::new(1).with_parts(2).with_quant(quant);
+                let pb = PreparedCommunity::new(b.clone(), &opts);
+                let pa = PreparedCommunity::new(a.clone(), &opts);
+                for method in CsjMethod::ALL {
+                    let plain = run(method, &b, &a, &opts).unwrap();
+                    let prepared = run_prepared(method, &pb, &pa, &opts).unwrap();
+                    let at = format!("{method} d={d} {quant:?}");
+                    assert_eq!(plain.method, prepared.method, "{at}");
+                    assert_eq!(plain.pairs, prepared.pairs, "{at}");
+                    assert_eq!(plain.similarity, prepared.similarity, "{at}");
+                    assert_eq!(plain.events, prepared.events, "{at}");
+                    assert_eq!(plain.telemetry, prepared.telemetry, "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -257,8 +230,8 @@ mod tests {
         let mid = PreparedCommunity::new(random_community("mid", 60, 3, 7), &opts);
         let small = PreparedCommunity::new(random_community("small", 40, 3, 8), &opts);
         let large = PreparedCommunity::new(random_community("large", 90, 3, 9), &opts);
-        let as_a = ex_minmax_between(&small, &mid, &opts);
-        let as_b = ex_minmax_between(&mid, &large, &opts);
+        let as_a = run_prepared(CsjMethod::ExMinMax, &small, &mid, &opts).unwrap();
+        let as_b = run_prepared(CsjMethod::ExMinMax, &mid, &large, &opts).unwrap();
         assert!(as_a.pairs.len() <= small.len());
         assert!(as_b.pairs.len() <= mid.len());
     }
@@ -289,11 +262,32 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different eps")]
-    fn rejects_mismatched_eps() {
+    fn rejects_mismatched_preparation_with_typed_errors() {
         let c = random_community("x", 4, 2, 1);
         let p1 = PreparedCommunity::new(c.clone(), &CsjOptions::new(1));
-        let p2 = PreparedCommunity::new(c, &CsjOptions::new(2));
-        let _ = ex_minmax_between(&p1, &p2, &CsjOptions::new(1));
+        let p2 = PreparedCommunity::new(c.clone(), &CsjOptions::new(2));
+        let err = run_prepared(CsjMethod::ExMinMax, &p1, &p2, &CsjOptions::new(1)).unwrap_err();
+        assert!(
+            matches!(&err, crate::CsjError::InvalidOptions(m) if m.contains("eps 2")),
+            "{err}"
+        );
+        let p3 = PreparedCommunity::new(c, &CsjOptions::new(1).with_parts(1));
+        let err = run_prepared(CsjMethod::ApBaseline, &p1, &p3, &CsjOptions::new(1)).unwrap_err();
+        assert!(matches!(err, crate::CsjError::InvalidOptions(_)), "{err}");
+        // The size constraint holds for prepared inputs too.
+        let one = PreparedCommunity::new(random_community("one", 1, 2, 4), &CsjOptions::new(1));
+        let five = PreparedCommunity::new(random_community("five", 5, 2, 6), &CsjOptions::new(1));
+        assert_eq!(
+            run_prepared(CsjMethod::ExMinMax, &one, &five, &CsjOptions::new(1)).unwrap_err(),
+            crate::CsjError::SizeConstraint { nb: 1, na: 5 }
+        );
+        // Dimensionality is checked first, whatever the method.
+        let wide = PreparedCommunity::new(random_community("w", 4, 3, 2), &CsjOptions::new(1));
+        for method in CsjMethod::ALL {
+            assert_eq!(
+                run_prepared(method, &p1, &wide, &CsjOptions::new(1)).unwrap_err(),
+                crate::CsjError::DimensionMismatch { b_d: 2, a_d: 3 }
+            );
+        }
     }
 }

@@ -17,8 +17,8 @@
 //! path.
 //!
 //! [`QuantMode`] is the kill-switch: `Off` forces the pre-quantization
-//! scalar kernels (the benchmark baseline), `On`/`Auto` enable the
-//! compact fast path.
+//! scalar kernels (the benchmark baseline), `Auto` enables the compact
+//! fast path.
 
 use csj_ego::lanes;
 
@@ -30,9 +30,6 @@ pub enum QuantMode {
     /// Pick the narrowest valid lane per community pair (the default).
     #[default]
     Auto,
-    /// Same lane selection as `Auto`; kept distinct so callers (tests,
-    /// benches) can state the intent explicitly.
-    On,
     /// Disable the fast path: scalar short-circuit `u32` comparisons,
     /// no chunked kernels, no tiling. This is bit-for-bit the
     /// pre-quantization behaviour and the `kernel_gate` baseline.
@@ -194,14 +191,13 @@ pub(crate) enum LaneView<'x> {
 
 impl<'x> LaneView<'x> {
     /// Resolve the view for a pair, honouring the mode's kill-switch.
-    /// `qb`/`qa` are the cached quantizations when the caller has them
-    /// (prepared state); `None` quantizes on the spot.
+    /// `quant` holds both sides' quantizations (`b`'s, then `a`'s);
+    /// without them the fast path falls back to the `u32` lanes.
     pub(crate) fn select(
         mode: QuantMode,
         b: &'x Community,
         a: &'x Community,
-        qb: Option<&'x QuantizedCommunity>,
-        qa: Option<&'x QuantizedCommunity>,
+        quant: Option<(&'x QuantizedCommunity, &'x QuantizedCommunity)>,
         eps: u32,
     ) -> Self {
         let d = b.d();
@@ -214,28 +210,20 @@ impl<'x> LaneView<'x> {
                 eps,
             };
         }
-        let lane = match (qb, qa) {
-            (Some(qb), Some(qa)) => pair_lane(qb, qa, eps),
-            _ => LaneKind::U32,
-        };
-        match lane {
-            LaneKind::U8 => LaneView::U8 {
-                b: qb.and_then(QuantizedCommunity::u8_lanes).expect("u8 lane"),
-                a: qa.and_then(QuantizedCommunity::u8_lanes).expect("u8 lane"),
+        match quant.map(|(qb, qa)| (pair_lane(qb, qa, eps), qb, qa)) {
+            Some((LaneKind::U8, qb, qa)) => LaneView::U8 {
+                b: qb.u8_lanes().expect("u8 lane"),
+                a: qa.u8_lanes().expect("u8 lane"),
                 d,
                 eps: eps as u8,
             },
-            LaneKind::U16 => LaneView::U16 {
-                b: qb
-                    .and_then(QuantizedCommunity::u16_lanes)
-                    .expect("u16 lane"),
-                a: qa
-                    .and_then(QuantizedCommunity::u16_lanes)
-                    .expect("u16 lane"),
+            Some((LaneKind::U16, qb, qa)) => LaneView::U16 {
+                b: qb.u16_lanes().expect("u16 lane"),
+                a: qa.u16_lanes().expect("u16 lane"),
                 d,
                 eps: eps as u16,
             },
-            LaneKind::U32 => LaneView::U32 {
+            _ => LaneView::U32 {
                 b: b.raw_data(),
                 a: a.raw_data(),
                 d,
@@ -360,8 +348,8 @@ mod tests {
         let qb = QuantizedCommunity::build(&b);
         let qa = QuantizedCommunity::build(&a);
         for eps in [0u32, 1, 2, 150] {
-            let fast = LaneView::select(QuantMode::Auto, &b, &a, Some(&qb), Some(&qa), eps);
-            let slow = LaneView::select(QuantMode::Off, &b, &a, None, None, eps);
+            let fast = LaneView::select(QuantMode::Auto, &b, &a, Some((&qb, &qa)), eps);
+            let slow = LaneView::select(QuantMode::Off, &b, &a, None, eps);
             for bi in 0..2 {
                 for aj in 0..2 {
                     assert_eq!(

@@ -15,7 +15,7 @@
 //!   with the exact MinMax method, for verifying a calibration or doing
 //!   a search over a generator knob.
 
-use csj_core::{algorithms, Community, CsjOptions};
+use csj_core::{run, Community, CsjMethod, CsjOptions};
 
 /// Closed-form value range for the uniform generator.
 ///
@@ -42,12 +42,15 @@ pub fn uniform_value_range(target_similarity: f64, na: usize, d: usize, eps: u32
 /// most practical exact method). Intended for calibration pilots and
 /// tests; runs the full join.
 pub fn pilot_similarity(b: &Community, a: &Community, eps: u32) -> f64 {
-    let opts = CsjOptions::new(eps);
-    let raw = algorithms::ex_minmax(b, a, &opts);
-    if b.is_empty() {
-        return 0.0;
-    }
-    raw.pairs.len() as f64 / b.len() as f64
+    // Pilots join whatever pair they are handed: no size constraint.
+    let opts = CsjOptions {
+        enforce_sizes: false,
+        ..CsjOptions::new(eps)
+    };
+    run(CsjMethod::ExMinMax, b, a, &opts)
+        .expect("pilot communities share dimensionality")
+        .similarity
+        .ratio()
 }
 
 #[cfg(test)]

@@ -168,8 +168,7 @@ fn read_u32s<R: Read>(r: &mut R, n: usize) -> Result<Vec<u32>, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csj_core::prepared::ex_minmax_between;
-    use csj_core::Community;
+    use csj_core::{run_prepared, Community, CsjMethod};
 
     fn sample_prepared() -> PreparedCommunity {
         let mut c = Community::new("Indexed", 4);
@@ -193,9 +192,9 @@ mod tests {
 
         // And it actually joins identically.
         let opts = CsjOptions::new(1).with_parts(2);
-        let from_disk = ex_minmax_between(&back, &p, &opts);
-        let in_memory = ex_minmax_between(&p, &p, &opts);
-        assert_eq!(from_disk.pairs.len(), in_memory.pairs.len());
+        let from_disk = run_prepared(CsjMethod::ExMinMax, &back, &p, &opts).unwrap();
+        let in_memory = run_prepared(CsjMethod::ExMinMax, &p, &p, &opts).unwrap();
+        assert_eq!(from_disk.pairs, in_memory.pairs);
     }
 
     #[test]

@@ -18,10 +18,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csj_core::plan::{Exactness, PlanInput, QueryPlan};
-use csj_core::prepared::{ap_minmax_between, ex_minmax_between, PreparedCommunity};
 use csj_core::{
-    community_mass, plan_shards, run, Community, Coverage, CsjError, CsjMethod, CsjOptions,
-    JoinTelemetry, ShardLayout, Similarity, UserId,
+    community_mass, plan_shards, run_prepared, Community, Coverage, CsjError, CsjMethod,
+    CsjOptions, JoinOutcome, JoinTelemetry, PreparedCommunity, ShardLayout, Similarity, UserId,
 };
 use csj_obs::{ForensicRecord, MetricsSnapshot, QueryTrace};
 use csj_shard::{ShardConfig, ShardCtx, ShardExecutor, ShardOutcome};
@@ -368,10 +367,11 @@ impl CsjEngine {
         (0..self.entries.len() as u32).map(CommunityHandle)
     }
 
-    /// Get (building if stale) the prepared MinMax encoding of a
-    /// community. Encodings are shared (`Arc`) with in-flight queries,
-    /// and share the community rows with the registry rather than
-    /// cloning them. Building happens under the slot's lock, so
+    /// Get (building if stale) the prepared state of a community: the
+    /// MinMax encodings and quantized lanes every join method reads
+    /// through `run_prepared`. It is shared (`Arc`) with in-flight
+    /// queries, and shares the community rows with the registry rather
+    /// than cloning them. Building happens under the slot's lock, so
     /// concurrent queries racing on a cold slot prepare it exactly once.
     fn prepared(&self, handle: u32) -> Arc<PreparedCommunity> {
         let entry = &self.entries[handle as usize];
@@ -400,8 +400,9 @@ impl CsjEngine {
         mass
     }
 
-    /// Join an oriented prepared pair with `method`, using the prepared
-    /// fast paths for the MinMax methods. Runs under `opts` (which may
+    /// Join an oriented prepared pair with `method` through
+    /// [`run_prepared`], which validates the pair and reuses every
+    /// cached piece of the prepared state. Runs under `opts` (which may
     /// carry a query budget's cancellation token); a join truncated by
     /// cancellation reports [`EngineError::Cancelled`] rather than an
     /// under-counted similarity.
@@ -421,39 +422,28 @@ impl CsjEngine {
         opts: &CsjOptions,
         rec: Option<&QueryRecorder>,
     ) -> Result<Similarity, EngineError> {
-        csj_core::validate_sizes(b.len(), a.len()).map_err(EngineError::Csj)?;
-        let input = PlanInput::from_prepared(b, a, exactness);
+        let plan_input = || PlanInput::from_prepared(b, a, exactness);
         let planned: Option<(QueryPlan, PlanSource)> =
-            (method == CsjMethod::Auto).then(|| self.planner.plan(&input));
+            (method == CsjMethod::Auto).then(|| self.planner.plan(&plan_input()));
         let method = planned.as_ref().map_or(method, |(p, _)| p.chosen);
-        self.joins_executed.fetch_add(1, Ordering::Relaxed);
         let start_us = rec.map_or(0, QueryRecorder::now_us);
-        let (matched, cancelled, telemetry, timings) = match method {
-            CsjMethod::ApMinMax => {
-                let raw = ap_minmax_between(b, a, opts);
-                (raw.pairs.len(), raw.cancelled, raw.telemetry, raw.timings)
-            }
-            CsjMethod::ExMinMax => {
-                let raw = ex_minmax_between(b, a, opts);
-                (raw.pairs.len(), raw.cancelled, raw.telemetry, raw.timings)
-            }
-            other => {
-                let outcome = run(other, b.community(), a.community(), opts)?;
-                (
-                    outcome.similarity.matched,
-                    outcome.cancelled,
-                    outcome.telemetry,
-                    outcome.timings,
-                )
-            }
-        };
+        // A rejected pair (size constraint, mismatched preparation) ran
+        // no join, so it is not counted.
+        let JoinOutcome {
+            similarity,
+            telemetry,
+            timings,
+            cancelled,
+            ..
+        } = run_prepared(method, b, a, opts)?;
+        self.joins_executed.fetch_add(1, Ordering::Relaxed);
         let actual_us = timings.total().as_micros().min(u128::from(u64::MAX)) as u64;
         // Close the feedback loop (a cancelled join under-reports its
         // true cost, so it must not drag the model down).
         if !cancelled {
             self.planner.observe(
                 method,
-                self.planner.base_estimate(method, &input),
+                self.planner.base_estimate(method, &plan_input()),
                 actual_us as f64,
             );
         }
@@ -489,7 +479,7 @@ impl CsjEngine {
         if cancelled {
             return Err(EngineError::Cancelled);
         }
-        Ok(Similarity::new(matched, b.len()))
+        Ok(similarity)
     }
 
     /// Fire any injected faults registered for `handle`. Called just

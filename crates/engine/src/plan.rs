@@ -39,9 +39,6 @@ pub struct PlannerConfig {
     /// The base cost table (seeded, or loaded from a calibrated
     /// `csj-cost-table` file).
     pub table: CostTable,
-    /// EWMA smoothing factor for the actual/estimated latency ratio,
-    /// in `(0, 1]`; higher adapts faster but is noisier.
-    pub ewma_alpha: f64,
 }
 
 impl Default for PlannerConfig {
@@ -49,7 +46,6 @@ impl Default for PlannerConfig {
         Self {
             mode: PlannerMode::Adaptive,
             table: CostTable::seeded(),
-            ewma_alpha: 0.2,
         }
     }
 }
@@ -64,6 +60,10 @@ csj_obs::label_enum! {
         Refined => "refined",
     }
 }
+
+/// EWMA smoothing factor for the actual/estimated latency ratio: higher
+/// adapts faster but is noisier.
+const EWMA_ALPHA: f64 = 0.2;
 
 /// Per-method feedback state: EWMA of `actual_us / estimated_us`.
 #[derive(Debug, Clone, Copy)]
@@ -191,8 +191,7 @@ impl Planner {
         if c.samples == 0 {
             c.ratio = ratio;
         } else {
-            let alpha = self.config.ewma_alpha.clamp(0.0, 1.0);
-            c.ratio += alpha * (ratio - c.ratio);
+            c.ratio += EWMA_ALPHA * (ratio - c.ratio);
         }
         c.samples += 1;
     }

@@ -128,11 +128,10 @@ pub struct ShardConfig {
     /// Never hedge a shard before it has run this long, regardless of
     /// how fast its peers were.
     pub hedge_floor: Duration,
-    /// Latency quantile of completed attempts that defines a straggler.
-    pub hedge_quantile: f64,
     /// Completed attempts required before the quantile is trusted.
     pub hedge_min_samples: usize,
-    /// A shard is a straggler once it has run `factor ×` the quantile.
+    /// A shard is a straggler once it has run `factor ×` the 95th
+    /// percentile of its completed peers' latencies.
     pub hedge_factor: f64,
 }
 
@@ -144,7 +143,6 @@ impl Default for ShardConfig {
             shards: 0,
             shard_deadline: None,
             hedge_floor: Duration::from_millis(10),
-            hedge_quantile: 0.95,
             hedge_min_samples: 3,
             hedge_factor: 3.0,
         }
@@ -220,6 +218,9 @@ impl<R> Pool<R> {
 
 /// How often the deadline ticker checks the shards' deadline slices.
 const DEADLINE_TICK: Duration = Duration::from_millis(1);
+
+/// Latency quantile of completed attempts that defines a straggler.
+const HEDGE_QUANTILE: f64 = 0.95;
 
 /// The supervised executor. Construct one per query from the engine's
 /// config; `run` blocks the calling thread (which works as one of the
@@ -581,15 +582,14 @@ impl ShardExecutor {
     }
 
     /// Straggler threshold from completed-attempt latencies: `factor ×`
-    /// the configured quantile, floored at `hedge_floor`; `None` until
+    /// their [`HEDGE_QUANTILE`], floored at `hedge_floor`; `None` until
     /// enough samples exist.
     fn straggler_threshold(&self, samples: &mut [Duration]) -> Option<Duration> {
         if samples.len() < self.cfg.hedge_min_samples.max(1) {
             return None;
         }
         samples.sort_unstable();
-        let q = self.cfg.hedge_quantile.clamp(0.0, 1.0);
-        let idx = (((samples.len() - 1) as f64) * q).ceil() as usize;
+        let idx = (((samples.len() - 1) as f64) * HEDGE_QUANTILE).ceil() as usize;
         let quantile = samples[idx.min(samples.len() - 1)];
         let scaled = quantile.mul_f64(self.cfg.hedge_factor.max(1.0));
         Some(scaled.max(self.cfg.hedge_floor))
