@@ -708,28 +708,24 @@ impl Loaded {
             Loaded::Prepared(p) => p.community(),
         }
     }
-}
 
-fn load_any(path: &Path) -> Result<Loaded, CliError> {
-    if path.extension().is_some_and(|e| e == "csjp") {
-        let file = std::fs::File::open(path)
-            .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-        let prepared =
-            read_prepared(file).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-        Ok(Loaded::Prepared(Box::new(prepared)))
-    } else {
-        load(path).map(Loaded::Plain)
+    fn into_community(self) -> Community {
+        match self {
+            Loaded::Plain(c) => c,
+            Loaded::Prepared(p) => p.into_community(),
+        }
     }
 }
 
-fn load(path: &Path) -> Result<Community, CliError> {
+/// Load a community file of any format, chosen by extension: a `.csjp`
+/// prepared index, a `.csv` table, or a CSJB binary otherwise.
+fn load(path: &Path) -> Result<Loaded, CliError> {
     let file =
         std::fs::File::open(path).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-    let is_csv = path.extension().is_some_and(|e| e == "csv");
-    let parsed = if is_csv {
-        read_csv(file)
-    } else {
-        read_binary(file)
+    let parsed = match path.extension().and_then(|e| e.to_str()) {
+        Some("csjp") => read_prepared(file).map(|p| Loaded::Prepared(Box::new(p))),
+        Some("csv") => read_csv(file).map(Loaded::Plain),
+        _ => read_binary(file).map(Loaded::Plain),
     };
     parsed.map_err(|e| CliError::Io(format!("{}: {e}", path.display())))
 }
@@ -753,7 +749,7 @@ fn load_and_join(
     method: CsjMethod,
     opts: &CsjOptions,
 ) -> Result<(Loaded, Loaded, csj_core::JoinOutcome), CliError> {
-    let (lb, la) = orient(load_any(b)?, load_any(a)?);
+    let (lb, la) = orient(load(b)?, load(a)?);
     join_loaded(lb, la, method, opts)
 }
 
@@ -781,10 +777,7 @@ fn join_loaded(
 /// `.csjp` indexes have no record-level failure mode and load as-is.
 fn load_quarantine(path: &Path) -> Result<(Community, u64), CliError> {
     if path.extension().is_some_and(|e| e == "csjp") {
-        return load_any(path).map(|l| match l {
-            Loaded::Plain(c) => (c, 0),
-            Loaded::Prepared(p) => (p.into_community(), 0),
-        });
+        return Ok((load(path)?.into_community(), 0));
     }
     let file =
         std::fs::File::open(path).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
@@ -818,10 +811,7 @@ fn load_engine(
             quarantined_total += quarantined;
             c
         } else {
-            match load_any(path)? {
-                Loaded::Plain(c) => c,
-                Loaded::Prepared(p) => p.into_community(),
-            }
+            load(path)?.into_community()
         };
         let engine = engine.get_or_insert_with(|| {
             let mut config = EngineConfig::new(eps);
@@ -887,7 +877,8 @@ fn load_cost_table(path: Option<&Path>) -> Result<csj_core::CostTable, CliError>
 
 /// Measure every method over a spread of generated couple shapes, fit
 /// the cost model ([`csj_core::plan::fit`]) and write the table
-/// atomically (tmp file + rename, so readers never see a torn table).
+/// atomically (fsynced tmp file + rename, so readers never see a torn
+/// table).
 fn plan_calibrate(scale: u32, seed: u64, rounds: u32, out: &Path) -> Result<String, CliError> {
     use std::fmt::Write as _;
     // A spread of couple shapes (different |B|/|A| ratios) at two
@@ -939,10 +930,8 @@ fn plan_calibrate(scale: u32, seed: u64, rounds: u32, out: &Path) -> Result<Stri
         );
     }
     let fitted = csj_core::plan::fit(&samples, &csj_core::CostTable::seeded());
-    let tmp = out.with_extension("tmp");
-    std::fs::write(&tmp, fitted.to_text())
-        .map_err(|e| CliError::Io(format!("{}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, out).map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
+    csj_durability::atomic::write_atomic(out, fitted.to_text().as_bytes())
+        .map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
     Ok(format!(
         "calibrated over {} shapes ({} samples, best of {rounds}):\n{report}cost table written to {}\n",
         shapes.len(),
@@ -1004,7 +993,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             ))
         }
         Command::Info { path } => {
-            let c = load(&path)?;
+            let c = load(&path)?.into_community();
             let s = summarize(&c);
             Ok(format!(
                 "community: {}\nusers: {}\ndimensions: {}\nmean counter: {:.2}\n\
@@ -1025,7 +1014,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             parts,
             out,
         } => {
-            let community = load(&input)?;
+            let community = load(&input)?.into_community();
             let opts = CsjOptions::new(eps).with_parts(parts);
             let prepared = PreparedCommunity::new(community, &opts);
             let file = std::fs::File::create(&out)
@@ -1123,7 +1112,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         } => {
             let opts = CsjOptions::new(eps).with_matcher(matcher).with_parts(parts);
             let table = load_cost_table(cost_table.as_deref())?;
-            let (lb, la) = orient(load_any(&b)?, load_any(&a)?);
+            let (lb, la) = orient(load(&b)?, load(&a)?);
             let input = csj_core::PlanInput::new(
                 lb.community().len(),
                 la.community().len(),
@@ -1218,10 +1207,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             shards,
         } => {
             use csj_engine::{Budget, CsjEngine, EngineConfig};
-            let anchor_c = match load_any(&anchor)? {
-                Loaded::Plain(c) => c,
-                Loaded::Prepared(p) => p.into_community(),
-            };
+            let anchor_c = load(&anchor)?.into_community();
             let d = anchor_c.d();
             let mut config = EngineConfig::new(eps);
             if let Some(n) = shards {
@@ -1233,10 +1219,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 .map_err(|e| CliError::Io(e.to_string()))?;
             let mut handles = Vec::new();
             for path in &candidates {
-                let c = match load_any(path)? {
-                    Loaded::Plain(c) => c,
-                    Loaded::Prepared(p) => p.into_community(),
-                };
+                let c = load(path)?.into_community();
                 handles.push(
                     engine
                         .register(c)
@@ -1694,8 +1677,8 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             Ok(out)
         }
         Command::Truth { b, a, eps } => {
-            let cb = load(&b)?;
-            let ca = load(&a)?;
+            let cb = load(&b)?.into_community();
+            let ca = load(&a)?.into_community();
             let (cb, ca) = if cb.len() <= ca.len() {
                 (cb, ca)
             } else {
@@ -2670,6 +2653,58 @@ mod tests {
         assert_eq!(parse_matched(&via_index), parse_matched(&via_plain));
     }
 
+    #[test]
+    fn info_truth_and_prepare_read_prepared_files() {
+        let dir = std::env::temp_dir().join("csj_cli_csjp_readers");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (b, a) = (dir.join("b.csv"), dir.join("a.csv"));
+        execute(Command::Generate {
+            dataset: Dataset::VkLike,
+            cid: 3,
+            scale: 1024,
+            seed: 11,
+            out_b: b.clone(),
+            out_a: a.clone(),
+        })
+        .unwrap();
+        let prepare = |input: &Path, out: &Path| {
+            execute(Command::Prepare {
+                input: input.to_path_buf(),
+                eps: 1,
+                parts: 4,
+                out: out.to_path_buf(),
+            })
+            .unwrap()
+        };
+        let (bp, ap) = (dir.join("b.csjp"), dir.join("a.csjp"));
+        prepare(&b, &bp);
+        prepare(&a, &ap);
+
+        let info = |path: &Path| {
+            execute(Command::Info {
+                path: path.to_path_buf(),
+            })
+            .unwrap()
+        };
+        assert_eq!(info(&bp), info(&b));
+        assert_eq!(info(&ap), info(&a));
+        let truth = |b: &Path, a: &Path| {
+            execute(Command::Truth {
+                b: b.to_path_buf(),
+                a: a.to_path_buf(),
+                eps: 1,
+            })
+            .unwrap()
+        };
+        assert_eq!(truth(&bp, &ap), truth(&b, &a));
+
+        // Re-preparing from an index writes the index the source gives.
+        let again = dir.join("b-again.csjp");
+        prepare(&bp, &again);
+        assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&bp).unwrap());
+    }
+
     /// Write `community` as `dir/name.csv` and as a `.csjp` index built
     /// for `eps` and `parts`; returns both paths.
     fn write_both_formats(
@@ -2849,6 +2884,7 @@ mod tests {
     #[test]
     fn plan_calibrate_writes_a_loadable_table() {
         let dir = std::env::temp_dir().join("csj_cli_plan_calibrate");
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("cost-table.txt");
         let out = execute(Command::PlanCalibrate {
@@ -2874,8 +2910,12 @@ mod tests {
         })
         .unwrap();
         assert!(show.contains("(calibrated)"), "{show}");
-        // No torn tmp file left behind.
-        assert!(!dir.join("cost-table.tmp").exists());
+        // No tmp file left behind: the directory holds only the table.
+        let entries: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(entries, ["cost-table.txt"], "{entries:?}");
     }
 
     #[test]

@@ -9,15 +9,12 @@
 //!   edge and the one-to-one matcher (the paper's CSF) runs **once**.
 //!
 //! [`GreedySink`]: crate::algorithms::kernel::GreedySink
-
-use std::ops::Range;
+//! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
 use crate::algorithms::kernel::{
-    drive_baseline, drive_baseline_blocked, join_worker, CollectSink, DriveCtx, EdgeListSink,
-    PairSink, PrefixPruner,
+    drive_baseline, drive_baseline_blocked, DriveCtx, PairSink, PrefixPruner,
 };
 use crate::algorithms::{CsjOptions, JoinInput, RawJoin};
-use crate::quant::LaneView;
 
 /// The Baseline substrate under `sink`: the nested loop with prefix
 /// pruning for a greedy sink, the exact all-pairs scan for a collector.
@@ -26,82 +23,24 @@ pub(crate) fn baseline<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOp
     let (nb, na) = (input.b.len(), input.a.len());
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     match sink.collector() {
-        Some(collect) => exact_scan(&view, nb, na, opts, &mut ctx, collect),
-        None => {
+        // The exact scan is unconditional (every row and column is
+        // wanted, nothing is consumed mid-scan), so the cache-blocked
+        // drive emits the identical edge list and telemetry; `Off`
+        // keeps the scalar nested loop as the benchmark baseline.
+        Some(collect) if opts.quant.enabled() => {
+            drive_baseline_blocked(&view, nb, na, &mut ctx, collect);
+        }
+        _ => {
             // Section 5.1: "skip and offset are used similarly to
-            // Ap-MinMax for the faster processing of the nested loop join".
+            // Ap-MinMax for the faster processing of the nested loop
+            // join". A collector wants every column, so the pruner
+            // never folds anything in exact mode.
             let mut pruner = PrefixPruner::new(opts.offset_pruning);
-            drive_baseline(&view, 0..nb, na, &mut pruner, &mut ctx, &mut sink);
+            drive_baseline(&view, nb, na, &mut pruner, &mut ctx, &mut sink);
         }
     }
     let pairs = sink.finish(&mut ctx);
     ctx.into_raw(pairs)
-}
-
-/// Ex-Baseline's enumeration: every `(b, a)` judgement becomes an edge
-/// of `collect`.
-///
-/// With `opts.threads > 1` the enumeration partitions `B` into row
-/// ranges processed by scoped workers; edges and telemetry merge in
-/// range order, so the result (pairs *and* telemetry) is identical to
-/// the serial run. A worker panic is re-raised on the caller's thread
-/// with its original payload, so the engine's panic isolation reports
-/// the real message.
-fn exact_scan(
-    view: &LaneView,
-    nb: usize,
-    na: usize,
-    opts: &CsjOptions,
-    ctx: &mut DriveCtx,
-    collect: &mut CollectSink,
-) {
-    let threads = opts.threads.max(1).min(nb.max(1));
-    // The exact scan is unconditional (every row and column is wanted,
-    // nothing is consumed mid-scan), so the cache-blocked drive emits
-    // the identical edge list and telemetry; `Off` keeps the serial
-    // scalar scan as the benchmark baseline.
-    let blocked = opts.quant.enabled();
-    let drive_range = |ctx: &mut DriveCtx, range: Range<usize>| -> Vec<(u32, u32)> {
-        if blocked {
-            let mut edges = Vec::new();
-            drive_baseline_blocked(view, range, na, ctx, &mut edges);
-            edges
-        } else {
-            // Exact mode never consumes during the scan, so prefix
-            // pruning is a no-op; keep it disabled to preserve full
-            // comparison counts.
-            let mut pruner = PrefixPruner::new(false);
-            let mut edges = EdgeListSink::new();
-            drive_baseline(view, range, na, &mut pruner, ctx, &mut edges);
-            edges.into_edges()
-        }
-    };
-    if threads <= 1 {
-        let edges = drive_range(ctx, 0..nb);
-        collect.absorb_edges(&edges);
-        return;
-    }
-    let cancel = opts.cancel.as_ref();
-    let chunk = nb.div_ceil(threads);
-    let chunks = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| (t * chunk).min(nb)..((t + 1) * chunk).min(nb))
-            .map(|r| {
-                let drive_range = &drive_range;
-                scope.spawn(move || {
-                    let mut ctx = DriveCtx::new(cancel);
-                    let edges = drive_range(&mut ctx, r);
-                    (ctx.telemetry, ctx.cancelled, edges)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_worker).collect::<Vec<_>>()
-    });
-    for (telemetry, cancelled, edges) in chunks {
-        ctx.telemetry.merge(&telemetry);
-        ctx.cancelled |= cancelled;
-        collect.absorb_edges(&edges);
-    }
 }
 
 #[cfg(test)]
@@ -189,45 +128,6 @@ mod tests {
         assert!(join_unchecked(CsjMethod::ExBaseline, &b, &a, &opts)
             .pairs
             .is_empty());
-    }
-
-    #[test]
-    fn parallel_ex_baseline_matches_serial() {
-        let mut state = 0x7777_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let d = 4;
-        let rows_b: Vec<Vec<u32>> = (0..90)
-            .map(|_| (0..d).map(|_| next() % 10).collect())
-            .collect();
-        let rows_a: Vec<Vec<u32>> = (0..110)
-            .map(|_| (0..d).map(|_| next() % 10).collect())
-            .collect();
-        let b = Community::from_rows(
-            "B",
-            d,
-            rows_b.into_iter().enumerate().map(|(i, v)| (i as u64, v)),
-        )
-        .unwrap();
-        let a = Community::from_rows(
-            "A",
-            d,
-            rows_a.into_iter().enumerate().map(|(i, v)| (i as u64, v)),
-        )
-        .unwrap();
-        let serial = CsjOptions::new(1);
-        let mut parallel = serial.clone();
-        parallel.threads = 4;
-        let s = join_unchecked(CsjMethod::ExBaseline, &b, &a, &serial);
-        let p = join_unchecked(CsjMethod::ExBaseline, &b, &a, &parallel);
-        assert_eq!(s.pairs, p.pairs);
-        // Range-ordered merging makes the whole telemetry block — not
-        // just the event counters — bit-identical to the serial drive.
-        assert_eq!(s.telemetry, p.telemetry);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! paper-figure tests without any production overhead beyond a
 //! predictable `Option` check.
 
-use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use csj_ego::{super_ego_join, EgoStats, PointSet, Scalar, SuperEgoParams};
@@ -302,10 +301,9 @@ pub(crate) trait PairSink {
     /// Finalise into matched pairs (exact sinks run their matcher here).
     fn finish(self, ctx: &mut DriveCtx) -> Vec<(u32, u32)>;
 
-    /// The whole-graph collector behind an exact sink. Exact-mode
-    /// branches that gather edges outside the generic drive
-    /// (Ex-Baseline's blocked/threaded scan, Ex-SuperEGO's parallel
-    /// enumeration) hand them over through it; greedy sinks have none.
+    /// The whole-graph collector behind an exact sink, for drives that
+    /// only run in exact mode (Ex-Baseline's cache-blocked scan);
+    /// greedy sinks have none.
     fn collector(&mut self) -> Option<&mut CollectSink> {
         None
     }
@@ -433,27 +431,6 @@ impl CollectSink {
                 },
             },
             pairs: Vec::new(),
-        }
-    }
-
-    /// Merge edges gathered by a parallel worker (whole mode only; the
-    /// workers stream into [`EdgeListSink`]s and the ranges concatenate
-    /// in row order, so the result equals the serial drive).
-    pub(crate) fn absorb_edges(&mut self, edges: &[(u32, u32)]) {
-        match &mut self.mode {
-            CollectMode::Whole {
-                builder,
-                edge_count,
-                ..
-            } => {
-                for &(bi, aj) in edges {
-                    builder.add_edge(bi, aj);
-                    *edge_count += 1;
-                }
-            }
-            CollectMode::Segmented { .. } => {
-                unreachable!("segmented sinks have no parallel drive")
-            }
         }
     }
 
@@ -622,72 +599,22 @@ impl PairSink for CollectSink {
     }
 }
 
-/// Edge recorder used by parallel whole-graph workers; the main thread
-/// absorbs the edges into the real [`CollectSink`] in row order.
-pub(crate) struct EdgeListSink {
-    edges: Vec<(u32, u32)>,
-}
-
-impl EdgeListSink {
-    pub(crate) fn new() -> Self {
-        Self { edges: Vec::new() }
-    }
-
-    pub(crate) fn into_edges(self) -> Vec<(u32, u32)> {
-        self.edges
-    }
-}
-
-impl PairSink for EdgeListSink {
-    #[inline]
-    fn wants_b(&self, _bi: u32) -> bool {
-        true
-    }
-
-    #[inline]
-    fn wants_a(&self, _aj: u32) -> bool {
-        true
-    }
-
-    #[inline]
-    fn on_match(&mut self, _ctx: &mut DriveCtx, bi: u32, aj: u32, _a_bound: u64) -> bool {
-        self.edges.push((bi, aj));
-        false
-    }
-
-    fn row_end(&mut self, _ctx: &mut DriveCtx, _next_watermark: Option<u64>) {}
-
-    fn finish(self, _ctx: &mut DriveCtx) -> Vec<(u32, u32)> {
-        self.edges
-    }
-}
-
-/// Join a scoped worker, re-raising a panic with its **original**
-/// payload instead of masking it behind a generic `expect` message, so
-/// the engine's `catch_unwind` isolation reports the real panic text.
-pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match handle.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// Drive the Baseline substrate: scan `A` for each `B` row in `rows`.
-/// The one nested loop behind both Ap- and Ex-Baseline (and their
-/// parallel row-range workers). The full d-dimensional comparison goes
-/// through the pair's resolved [`LaneView`], so the scan order —
-/// and with it every consumption/pruning decision — is untouched by
-/// the compact encodings.
+/// Drive the Baseline substrate: scan `A` for each of the `nb` `B` rows.
+/// The one nested loop behind both Ap- and Ex-Baseline. The full
+/// d-dimensional comparison goes through the pair's resolved
+/// [`LaneView`], so the scan order — and with it every
+/// consumption/pruning decision — is untouched by the compact
+/// encodings.
 pub(crate) fn drive_baseline<S: PairSink>(
     view: &LaneView,
-    rows: Range<usize>,
+    nb: usize,
     na: usize,
     pruner: &mut PrefixPruner,
     ctx: &mut DriveCtx,
     sink: &mut S,
 ) {
     ctx.telemetry.lane_bits = ctx.telemetry.lane_bits.max(view.lane_bits());
-    for i in rows {
+    for i in 0..nb {
         if ctx.poll_cancel() {
             break;
         }
@@ -725,18 +652,18 @@ pub(crate) fn drive_baseline<S: PairSink>(
 ///
 /// The scan processes a block of `B` rows against one `A` tile at a
 /// time (tile sized by [`crate::quant::tile_geometry`] so its columns
-/// stay resident in L1), buffering matches per row and re-emitting them
-/// row-major — so the edge list, every telemetry counter and the
+/// stay resident in L1), buffering matches per row and handing them to
+/// `sink` row-major — so the edge list, every telemetry counter and the
 /// uncancelled cancel-poll count (one per row) are identical to
-/// [`drive_baseline`] over an [`EdgeListSink`]. Cancellation is polled
+/// [`drive_baseline`] over the same sink. Cancellation is polled
 /// once per row at block granularity: a tripped token aborts before the
 /// block is scanned, exactly like the serial scan aborts before a row.
 pub(crate) fn drive_baseline_blocked(
     view: &LaneView,
-    rows: Range<usize>,
+    nb: usize,
     na: usize,
     ctx: &mut DriveCtx,
-    edges: &mut Vec<(u32, u32)>,
+    sink: &mut CollectSink,
 ) {
     /// `B` rows per block: enough to amortise each `A` tile sweep,
     /// small enough that the block's rows stay cache-resident too.
@@ -745,9 +672,9 @@ pub(crate) fn drive_baseline_blocked(
     ctx.telemetry.lane_bits = ctx.telemetry.lane_bits.max(view.lane_bits());
     ctx.telemetry.a_tiles = ctx.telemetry.a_tiles.max(tile_count as u64);
     let mut row_hits: Vec<Vec<u32>> = vec![Vec::new(); B_BLOCK];
-    let mut block = rows.start;
-    while block < rows.end {
-        let block_rows = (rows.end - block).min(B_BLOCK);
+    let mut block = 0;
+    while block < nb {
+        let block_rows = (nb - block).min(B_BLOCK);
         // One poll per row keeps the uncancelled poll count identical
         // to the serial scan's row-granular polling.
         let mut tripped = false;
@@ -779,7 +706,9 @@ pub(crate) fn drive_baseline_blocked(
         for (bi, buf) in row_hits.iter().enumerate().take(block_rows) {
             let i = block + bi;
             ctx.bulk_row(na as u64, buf.len() as u64);
-            edges.extend(buf.iter().map(|&j| (i as u32, j)));
+            for &j in buf {
+                sink.on_match(ctx, i as u32, j, 0);
+            }
         }
         block += block_rows;
     }
@@ -957,24 +886,6 @@ mod tests {
         assert_eq!(ctx.telemetry.candidates_streamed, 3);
         assert_eq!(ctx.telemetry.peak_stream_depth, 2);
         assert_eq!(ctx.telemetry.stream_depth_hist.count(), 2);
-    }
-
-    #[test]
-    fn worker_panic_payload_survives_join() {
-        let caught = std::panic::catch_unwind(|| {
-            std::thread::scope(|scope| {
-                let h = scope.spawn(|| -> u32 { panic!("kernel worker exploded") });
-                join_worker(h)
-            })
-        })
-        .unwrap_err();
-        let msg = caught
-            .downcast_ref::<&str>()
-            .copied()
-            .map(String::from)
-            .or_else(|| caught.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert_eq!(msg, "kernel worker exploded", "payload must survive");
     }
 
     #[test]

@@ -167,9 +167,6 @@ pub struct SuperEgoConfig {
     pub t: usize,
     /// Apply Super-EGO dimension reordering before sorting.
     pub reorder: bool,
-    /// Worker threads for the exact pair enumeration (1 = serial; the
-    /// paper runs SuperEGO single-threaded for fair comparison).
-    pub threads: usize,
     /// Normalisation divisor. `None` uses the larger of the two
     /// communities' maxima; the paper uses the dataset-wide maximum
     /// (152 532 for VK, 500 000 for Synthetic).
@@ -184,7 +181,6 @@ impl Default for SuperEgoConfig {
         Self {
             t: 32,
             reorder: true,
-            threads: 1,
             max_value: None,
             l1_predicate: false,
         }
@@ -209,10 +205,6 @@ pub struct CsjOptions {
     /// MinMax loops (Section 4.1). On by default; disabling exists for
     /// the `ablation_skip` bench that quantifies its contribution.
     pub offset_pruning: bool,
-    /// Worker threads for the exact methods' candidate enumeration
-    /// (Ex-Baseline partitions `B`; Ex-SuperEGO uses its own
-    /// `superego.threads`). 1 = serial, the paper's setting.
-    pub threads: usize,
     /// Cooperative cancellation hook. When set, the join loops poll the
     /// token at per-row granularity and stop early once it trips; the
     /// truncated result is reported via [`JoinOutcome::cancelled`].
@@ -237,7 +229,6 @@ impl CsjOptions {
             superego: SuperEgoConfig::default(),
             enforce_sizes: true,
             offset_pruning: true,
-            threads: 1,
             cancel: None,
             quant: QuantMode::default(),
         }
@@ -414,11 +405,6 @@ fn validate(
             "SuperEGO leaf threshold t must be >= 2, got {}",
             opts.superego.t
         )));
-    }
-    if opts.superego.threads == 0 || opts.threads == 0 {
-        return Err(CsjError::InvalidOptions(
-            "thread counts must be >= 1".into(),
-        ));
     }
     if method != CsjMethod::Auto {
         return Ok(method);
@@ -669,9 +655,6 @@ mod tests {
         let mut opts = CsjOptions::new(1);
         opts.superego.t = 1;
         assert!(run(CsjMethod::ApSuperEgo, &b, &a, &opts).is_err());
-        let mut opts = CsjOptions::new(1);
-        opts.superego.threads = 0;
-        assert!(run(CsjMethod::ExSuperEgo, &b, &a, &opts).is_err());
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
 use csj_ego::{
-    collect_pairs_parallel, dimension_order, normalize_counters, permute_dimensions, EgoStats,
-    JoinPredicate, PointSet, SuperEgoParams,
+    dimension_order, normalize_counters, permute_dimensions, EgoStats, JoinPredicate, PointSet,
+    SuperEgoParams,
 };
 
 use crate::algorithms::kernel::{drive_ego, DriveCtx, Judgement, PairSink};
@@ -82,40 +82,21 @@ pub(crate) fn superego<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOp
     let setup = setup.elapsed();
     let mut stats = EgoStats::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
-    match sink.collector() {
-        Some(collect) if opts.superego.threads > 1 => {
-            // The parallel enumeration lives in csj_ego and streams
-            // edges from worker threads; per-row kernel telemetry is
-            // unavailable there, so only the event counters are
-            // reconstructed.
-            let edges = collect_pairs_parallel(
-                &ps_b,
-                &ps_a,
-                pred,
-                params,
-                &mut stats,
-                opts.superego.threads,
-            );
-            ctx.telemetry.events.matches = edges.len() as u64;
-            ctx.telemetry.events.no_match = stats.pairs_checked - edges.len() as u64;
-            collect.absorb_edges(&edges);
-        }
-        _ => drive_ego(
-            &ps_b,
-            &ps_a,
-            params,
-            &mut stats,
-            &mut |i, j| {
-                if pred.matches(ps_b.point(i), ps_a.point(j)) {
-                    Judgement::Match
-                } else {
-                    Judgement::NoMatch
-                }
-            },
-            &mut ctx,
-            &mut sink,
-        ),
-    }
+    drive_ego(
+        &ps_b,
+        &ps_a,
+        params,
+        &mut stats,
+        &mut |i, j| {
+            if pred.matches(ps_b.point(i), ps_a.point(j)) {
+                Judgement::Match
+            } else {
+                Judgement::NoMatch
+            }
+        },
+        &mut ctx,
+        &mut sink,
+    );
     ctx.cancelled |= opts.is_cancelled();
     let pairs = sink.finish(&mut ctx);
     let mut raw = ctx.into_raw(pairs);
@@ -231,29 +212,6 @@ mod tests {
         assert_eq!(base.pairs.len(), 70);
         assert!(ego.pairs.len() >= 60, "interior pairs must all survive");
         assert!(ego.pairs.len() <= 70);
-    }
-
-    #[test]
-    fn parallel_exact_agrees_with_serial() {
-        let mut rng = lcg(77);
-        let d = 4;
-        let rows_b: Vec<Vec<u32>> = (0..200)
-            .map(|_| (0..d).map(|_| rng() % 20).collect())
-            .collect();
-        let rows_a: Vec<Vec<u32>> = (0..250)
-            .map(|_| (0..d).map(|_| rng() % 20).collect())
-            .collect();
-        let b = community("B", &rows_b);
-        let a = community("A", &rows_a);
-        let mut serial_opts = CsjOptions::new(2).with_parts(2);
-        serial_opts.superego.t = 16;
-        let mut par_opts = serial_opts.clone();
-        par_opts.superego.threads = 4;
-        let s = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &serial_opts);
-        let p = join_unchecked(CsjMethod::ExSuperEgo, &b, &a, &par_opts);
-        assert_eq!(s.pairs.len(), p.pairs.len());
-        // Both routes must agree on the event counters too.
-        assert_eq!(s.telemetry.events, p.telemetry.events);
     }
 
     #[test]

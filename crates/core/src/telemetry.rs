@@ -126,14 +126,13 @@ pub struct JoinTelemetry {
     /// Merges as a max: the widest lane any merged join used.
     pub lane_bits: u64,
     /// `A`-side cache tiles swept by the blocked all-pairs scan (0 when
-    /// the drive was not tiled). Merges as a max — parallel workers of
-    /// one join share the same tile geometry.
+    /// the drive was not tiled). Merges as a max: the most tiles any
+    /// merged join swept.
     pub a_tiles: u64,
 }
 
 impl JoinTelemetry {
-    /// Accumulate another telemetry block (engine aggregation, parallel
-    /// worker merges).
+    /// Accumulate another join's telemetry block (engine aggregation).
     pub fn merge(&mut self, other: &JoinTelemetry) {
         self.events.merge(&other.events);
         self.rows_driven += other.rows_driven;

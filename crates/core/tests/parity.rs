@@ -659,11 +659,13 @@ fn parity_on_large_duplicate_heavy_segments() {
 }
 
 /// Run one method with and without the quantized fast path and demand
-/// bit-identical pairs and event counters: the narrow-lane fast path is
-/// an *encoding* of the same booleans, never a semantic change.
+/// bit-identical pairs, event counters and work counters: the
+/// narrow-lane fast path is an *encoding* of the same booleans, never a
+/// semantic change, and Ex-Baseline's cache-blocked scan drives the same
+/// rows, candidates and matcher calls as the scalar nested loop.
 /// (Telemetry's `lane_bits`/`a_tiles` fields legitimately differ between
-/// modes — they describe the encoding — so this compares results, not
-/// the whole telemetry block.)
+/// modes — they describe the encoding — so this compares the counters
+/// one by one, not the whole telemetry block.)
 fn assert_quant_parity(b: &Community, a: &Community, opts: &CsjOptions) {
     use csj_core::QuantMode;
     for method in CsjMethod::ALL {
@@ -680,6 +682,21 @@ fn assert_quant_parity(b: &Community, a: &Community, opts: &CsjOptions) {
             "{method}: quantized events diverged from scalar\nB = {b:?}\nA = {a:?}"
         );
         assert_eq!(off.similarity, fast.similarity, "{method}");
+        let work = |t: &csj_core::JoinTelemetry| {
+            (
+                t.rows_driven,
+                t.candidates_streamed,
+                t.matcher_edges,
+                t.matcher_flushes,
+                t.peak_stream_depth,
+            )
+        };
+        assert_eq!(
+            work(&off.telemetry),
+            work(&fast.telemetry),
+            "{method}: quantized work counters (rows, candidates, matcher edges, \
+             flushes, peak depth) diverged from scalar\nB = {b:?}\nA = {a:?}"
+        );
     }
 }
 

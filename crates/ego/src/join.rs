@@ -67,16 +67,6 @@ pub struct EgoStats {
     pub pairs_checked: u64,
 }
 
-impl EgoStats {
-    /// Accumulate another stats block (used when merging parallel workers).
-    pub fn merge(&mut self, other: &EgoStats) {
-        self.calls += other.calls;
-        self.prunes += other.prunes;
-        self.leaves += other.leaves;
-        self.pairs_checked += other.pairs_checked;
-    }
-}
-
 /// Run the SuperEGO recursion over `b` and `a`, invoking `leaf` for every
 /// unpruned segment pair below the size threshold.
 ///
@@ -174,124 +164,6 @@ pub fn collect_pairs<S: Scalar>(
     pairs
 }
 
-/// Parallel variant of [`collect_pairs`] using `threads` scoped workers.
-///
-/// The recursion is expanded breadth-first until enough independent
-/// segment-pair tasks exist, tasks are distributed round-robin, and the
-/// per-worker results are concatenated in task order, so the output is a
-/// permutation-stable superset ordering of the serial result's pairs
-/// (identical *set* of pairs; deterministic order for a fixed thread
-/// count).
-pub fn collect_pairs_parallel<S: Scalar>(
-    b: &PointSet<S>,
-    a: &PointSet<S>,
-    pred: JoinPredicate<S>,
-    params: SuperEgoParams,
-    stats: &mut EgoStats,
-    threads: usize,
-) -> Vec<(u32, u32)> {
-    assert!(params.t >= 2, "SuperEGO leaf threshold t must be >= 2");
-    if threads <= 1 || b.len() < 2 * params.t {
-        return collect_pairs(b, a, pred, params, stats);
-    }
-
-    // Expand a frontier of tasks without descending below the threshold.
-    let target = threads * 8;
-    let mut frontier: Vec<(Range<usize>, Range<usize>)> = vec![(0..b.len(), 0..a.len())];
-    loop {
-        let expandable = frontier
-            .iter()
-            .position(|(br, ar)| br.len() >= params.t || ar.len() >= params.t);
-        if frontier.len() >= target {
-            break;
-        }
-        let Some(idx) = expandable else { break };
-        let (br, ar) = frontier.swap_remove(idx);
-        stats.calls += 1;
-        if ego_prune(b, &br, a, &ar) {
-            stats.prunes += 1;
-            continue;
-        }
-        match (br.len() < params.t, ar.len() < params.t) {
-            (true, true) => unreachable!("expandable task below threshold"),
-            (true, false) => {
-                let (a1, a2) = split(&ar);
-                frontier.push((br.clone(), a1));
-                frontier.push((br, a2));
-            }
-            (false, true) => {
-                let (b1, b2) = split(&br);
-                frontier.push((b1, ar.clone()));
-                frontier.push((b2, ar));
-            }
-            (false, false) => {
-                let (b1, b2) = split(&br);
-                let (a1, a2) = split(&ar);
-                frontier.push((b1.clone(), a1.clone()));
-                frontier.push((b1, a2.clone()));
-                frontier.push((b2.clone(), a1));
-                frontier.push((b2, a2));
-            }
-        }
-    }
-
-    // Deterministic task order for stable output.
-    frontier.sort_by_key(|(br, ar)| (br.start, br.end, ar.start, ar.end));
-
-    let results: Vec<(EgoStats, Vec<(u32, u32)>)> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let frontier = &frontier;
-            handles.push(scope.spawn(move || {
-                let mut local_stats = EgoStats::default();
-                let mut local_pairs = Vec::new();
-                let mut task_idx = w;
-                while task_idx < frontier.len() {
-                    let (br, ar) = frontier[task_idx].clone();
-                    recurse(
-                        b,
-                        br,
-                        a,
-                        ar,
-                        params.t,
-                        &mut local_stats,
-                        &mut |b, br, a, ar, stats| {
-                            for i in br {
-                                let bp = b.point(i);
-                                for j in ar.clone() {
-                                    stats.pairs_checked += 1;
-                                    if pred.matches(bp, a.point(j)) {
-                                        local_pairs.push((b.id(i), a.id(j)));
-                                    }
-                                }
-                            }
-                        },
-                    );
-                    task_idx += threads;
-                }
-                (local_stats, local_pairs)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise with the original payload so callers that
-                // isolate panics report the real message instead of a
-                // generic "worker panicked".
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-
-    let mut pairs = Vec::new();
-    for (s, p) in results {
-        stats.merge(&s);
-        pairs.extend(p);
-    }
-    pairs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,31 +246,6 @@ mod tests {
         assert!(pairs.is_empty());
         assert_eq!(stats.prunes, 1, "root call should prune immediately");
         assert_eq!(stats.pairs_checked, 0);
-    }
-
-    #[test]
-    fn parallel_equals_serial() {
-        let mut rng = lcg(99);
-        let d = 3;
-        let eps = 2u32;
-        let rows_b: Vec<Vec<u32>> = (0..300)
-            .map(|_| (0..d).map(|_| rng() % 30).collect())
-            .collect();
-        let rows_a: Vec<Vec<u32>> = (0..400)
-            .map(|_| (0..d).map(|_| rng() % 30).collect())
-            .collect();
-        let b = make_set(d, eps, rows_b);
-        let a = make_set(d, eps, rows_a);
-        let pred = JoinPredicate::PerDim { eps };
-        let mut s1 = EgoStats::default();
-        let mut serial = collect_pairs(&b, &a, pred, SuperEgoParams { t: 16 }, &mut s1);
-        let mut s2 = EgoStats::default();
-        let mut parallel =
-            collect_pairs_parallel(&b, &a, pred, SuperEgoParams { t: 16 }, &mut s2, 4);
-        serial.sort_unstable();
-        parallel.sort_unstable();
-        assert_eq!(serial, parallel);
-        assert_eq!(s1.pairs_checked > 0, s2.pairs_checked > 0);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //! * [`super_ego_join`] — the recursive divide-and-conquer driver
 //!   (Algorithm SuperEGO in the paper), pruning with [`ego_prune`] and
 //!   handing qualifying segment pairs to a caller-supplied leaf join.
-//! * [`collect_pairs`] / [`collect_pairs_parallel`] — convenience leafs
-//!   that enumerate all joinable pairs (what the *exact* CSJ methods need).
+//! * [`collect_pairs`] — a convenience leaf that enumerates all joinable
+//!   pairs (what the *exact* CSJ methods need).
 
 mod join;
 pub mod lanes;
@@ -40,7 +40,7 @@ mod reorder;
 mod scalar;
 mod strategy;
 
-pub use join::{collect_pairs, collect_pairs_parallel, super_ego_join, EgoStats, SuperEgoParams};
+pub use join::{collect_pairs, super_ego_join, EgoStats, SuperEgoParams};
 pub use lanes::{all_within, all_within_scalar};
 pub use order::ego_sort_order;
 pub use points::PointSet;

@@ -1,8 +1,8 @@
 //! Property-based tests of the EGO substrate.
 
 use csj_ego::{
-    collect_pairs, collect_pairs_parallel, dimension_order, ego_prune, permute_dimensions,
-    JoinPredicate, PointSet, SuperEgoParams,
+    collect_pairs, dimension_order, ego_prune, permute_dimensions, JoinPredicate, PointSet,
+    SuperEgoParams,
 };
 use proptest::prelude::*;
 
@@ -43,22 +43,6 @@ proptest! {
             &b, &a, JoinPredicate::PerDim { eps }, SuperEgoParams { t }, &mut stats);
         got.sort_unstable();
         prop_assert_eq!(got, brute(d, eps, &rb, &ra));
-    }
-
-    /// Parallel enumeration returns the same pair set as serial.
-    #[test]
-    fn parallel_matches_serial((d, eps, rb, ra, t) in instance()) {
-        let b = build(d, eps, &rb);
-        let a = build(d, eps, &ra);
-        let pred = JoinPredicate::PerDim { eps };
-        let mut s1 = csj_ego::EgoStats::default();
-        let mut serial = collect_pairs(&b, &a, pred, SuperEgoParams { t }, &mut s1);
-        let mut s2 = csj_ego::EgoStats::default();
-        let mut parallel =
-            collect_pairs_parallel(&b, &a, pred, SuperEgoParams { t }, &mut s2, 3);
-        serial.sort_unstable();
-        parallel.sort_unstable();
-        prop_assert_eq!(serial, parallel);
     }
 
     /// EGO-strategy soundness: whole-set segments are never pruned when a

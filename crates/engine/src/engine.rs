@@ -54,15 +54,15 @@ pub struct EngineConfig {
     /// refined (the paper's "similar-enough group" cut).
     pub screen_threshold: f64,
     /// Worker threads for multi-pair queries: the shard executor's pool
-    /// size (shards fan out across pairs; each join stays
-    /// single-threaded). Every query uses the whole pool: ranked
-    /// queries screen one shard per worker, and a broadcast sweep
-    /// splits its pairs into several tasks per worker, so no worker
-    /// idles behind a heavy task. The default is the machine's full
-    /// `available_parallelism`: each worker is compute-bound with no
-    /// blocking I/O, so there is nothing to win from running more
-    /// threads than cores (they would only steal each other's cache)
-    /// and nothing to win from running fewer.
+    /// size, and the only parallelism a query has (shards fan out
+    /// across pairs; every join runs single-threaded). Every query uses
+    /// the whole pool: ranked queries screen one shard per worker, and
+    /// a broadcast sweep splits its pairs into several tasks per
+    /// worker, so no worker idles behind a heavy task. The default is
+    /// the machine's full `available_parallelism`: each worker is
+    /// compute-bound with no blocking I/O, so there is nothing to win
+    /// from running more threads than cores (they would only steal each
+    /// other's cache) and nothing to win from running fewer.
     pub threads: usize,
     /// Observability: span recording, metrics, flight-recorder depth.
     pub obs: ObsConfig,

@@ -30,7 +30,8 @@
 //! [`Partial`] that degrades gracefully on exhaustion instead of
 //! erroring. Joins are panic-isolated per candidate, and the
 //! `fault-injection` cargo feature compiles in a chaos-testing harness
-//! ([`fault`]) that injects panics, errors, and slowdowns into joins.
+//! (the `fault` module) that injects panics, errors, and slowdowns into
+//! joins.
 //!
 //! For fault *isolation* beyond the per-join boundary, every multi-pair
 //! query partitions its work into mass-balanced shards executed under
