@@ -29,7 +29,7 @@ use csj_core::{
 };
 use csj_data::io::{
     read_binary, read_binary_quarantine, read_csv, read_csv_quarantine, read_prepared,
-    write_binary, write_csv, write_prepared,
+    write_binary, write_csv, write_prepared, IoError,
 };
 use csj_data::pairs::{build_couple, BuildOptions, Dataset};
 use csj_data::spec::COUPLES;
@@ -941,15 +941,27 @@ fn plan_calibrate(scale: u32, seed: u64, rounds: u32, out: &Path) -> Result<Stri
 }
 
 fn store(community: &Community, path: &Path) -> Result<(), CliError> {
-    let file = std::fs::File::create(path)
-        .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
     let is_csv = path.extension().is_some_and(|e| e == "csv");
-    let written = if is_csv {
-        write_csv(community, file)
-    } else {
-        write_binary(community, file)
-    };
-    written.map_err(|e| CliError::Io(format!("{}: {e}", path.display())))
+    write_artifact(path, |bytes| {
+        if is_csv {
+            write_csv(community, bytes)
+        } else {
+            write_binary(community, bytes)
+        }
+    })
+}
+
+/// Serialize with `write` and put the bytes at `path` with
+/// `write_atomic`, so a crash leaves the old file or the new one, never
+/// a torn one.
+fn write_artifact(
+    path: &Path,
+    write: impl FnOnce(&mut Vec<u8>) -> Result<(), IoError>,
+) -> Result<(), CliError> {
+    let mut bytes = Vec::new();
+    write(&mut bytes).map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
+    csj_durability::atomic::write_atomic(path, &bytes)
+        .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))
 }
 
 /// Execute a command, returning the text to print.
@@ -1017,10 +1029,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             let community = load(&input)?.into_community();
             let opts = CsjOptions::new(eps).with_parts(parts);
             let prepared = PreparedCommunity::new(community, &opts);
-            let file = std::fs::File::create(&out)
-                .map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
-            write_prepared(&prepared, file)
-                .map_err(|e| CliError::Io(format!("{}: {e}", out.display())))?;
+            write_artifact(&out, |bytes| write_prepared(&prepared, bytes))?;
             Ok(format!(
                 "wrote {} ({} users, eps = {eps}, {} parts, {} KiB of encodings)\n",
                 out.display(),
@@ -2703,6 +2712,63 @@ mod tests {
         let again = dir.join("b-again.csjp");
         prepare(&bp, &again);
         assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&bp).unwrap());
+    }
+
+    #[test]
+    fn generate_and_prepare_replace_existing_files_atomically() {
+        let root = std::env::temp_dir().join(format!("csj_cli_atomic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (src, idx) = (root.join("src"), root.join("idx"));
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::create_dir_all(&idx).unwrap();
+        let (b, a, bp) = (src.join("b.csjb"), src.join("a.csv"), idx.join("b.csjp"));
+        // A second link to each old file shows whether the writer
+        // replaced the path (old inode untouched, as a crash-safe write
+        // must leave it) or truncated the old file in place.
+        let keep = root.join("keep");
+        std::fs::create_dir_all(&keep).unwrap();
+        for (i, stale) in [&b, &a, &bp].into_iter().enumerate() {
+            std::fs::write(stale, b"stale bytes").unwrap();
+            std::fs::hard_link(stale, keep.join(i.to_string())).unwrap();
+        }
+        execute(Command::Generate {
+            dataset: Dataset::VkLike,
+            cid: 2,
+            scale: 1024,
+            seed: 5,
+            out_b: b.clone(),
+            out_a: a.clone(),
+        })
+        .unwrap();
+        execute(Command::Prepare {
+            input: b.clone(),
+            eps: 1,
+            parts: 4,
+            out: bp.clone(),
+        })
+        .unwrap();
+
+        let listing = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(listing(&src), ["a.csv", "b.csjb"]);
+        assert_eq!(listing(&idx), ["b.csjp"]);
+        for i in 0..3 {
+            assert_eq!(
+                std::fs::read(keep.join(i.to_string())).unwrap(),
+                b"stale bytes"
+            );
+        }
+        let source = read_binary(std::fs::File::open(&b).unwrap()).unwrap();
+        read_csv(std::fs::File::open(&a).unwrap()).unwrap();
+        let index = read_prepared(std::fs::File::open(&bp).unwrap()).unwrap();
+        assert_eq!(index.len(), source.len());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Write `community` as `dir/name.csv` and as a `.csjp` index built

@@ -62,7 +62,10 @@ pub struct EngineConfig {
     /// the machine's full `available_parallelism`: each worker is
     /// compute-bound with no blocking I/O, so there is nothing to win
     /// from running more threads than cores (they would only steal each
-    /// other's cache) and nothing to win from running fewer.
+    /// other's cache) and nothing to win from running fewer. The
+    /// calling thread is one of the workers; the others are spawned per
+    /// query and each starts on a different CPU from the caller's (the
+    /// next ones its affinity mask allows), without being pinned there.
     pub threads: usize,
     /// Observability: span recording, metrics, flight-recorder depth.
     pub obs: ObsConfig,

@@ -33,6 +33,7 @@ use csj_core::CancelToken;
 
 #[cfg(feature = "fault-injection")]
 pub mod fault;
+mod placement;
 #[cfg(feature = "fault-injection")]
 pub use fault::ShardFaultPlan;
 
@@ -261,6 +262,13 @@ impl ShardExecutor {
     /// straggler's hedge can run). Only a shard deadline needs watching
     /// while every worker is busy, so only then does a ticker thread run
     /// beside them.
+    ///
+    /// The calling thread is worker 0; workers `1..` are spawned for
+    /// this run and joined before it returns. Each spawned worker `k`
+    /// moves itself, before its first task, to the `k`-th CPU its
+    /// affinity mask allows after the caller's, and keeps the mask it
+    /// had: it is placed, not pinned (DESIGN.md §17, "Worker
+    /// placement"). A one-worker run spawns nothing.
     pub fn run<R, F>(&self, shard_count: usize, global: &CancelToken, f: F) -> Vec<ShardReport<R>>
     where
         R: Send,
@@ -288,13 +296,20 @@ impl ShardExecutor {
             changed: Condvar::new(),
         };
         let workers = self.threads.min(shard_count).max(1);
+        let home = (workers > 1).then(placement::current_cpu).flatten();
 
         std::thread::scope(|scope| {
             if self.cfg.shard_deadline.is_some() {
                 scope.spawn(|| self.tick_deadlines(&pool, global));
             }
-            for _ in 1..workers {
-                scope.spawn(|| self.worker_loop(&pool, global, &f));
+            for k in 1..workers {
+                let (pool, f) = (&pool, &f);
+                scope.spawn(move || {
+                    if let Some(home) = home {
+                        placement::place_after(home, k);
+                    }
+                    self.worker_loop(pool, global, f)
+                });
             }
             // The calling thread is one of the workers, so a one-worker
             // run keeps every shard on the caller's thread (and its
@@ -721,6 +736,25 @@ mod tests {
         });
         assert_eq!(reports[0].value, Some(true), "{reports:?}");
         assert_eq!(reports[1].value, Some(true), "{reports:?}");
+    }
+
+    #[test]
+    fn two_workers_complete_on_a_one_cpu_mask() {
+        // Placement has nowhere to move a worker whose inherited mask
+        // holds one CPU; the run still completes. The mask is this test
+        // thread's own, so tests running beside it keep theirs.
+        let Some(before) = placement::two_cpu_mask() else {
+            eprintln!("skipped: fewer than two CPUs allowed");
+            return;
+        };
+        let only = placement::current_cpu().expect("checked by two_cpu_mask");
+        assert!(placement::set_affinity(&placement::CpuSet::single(only)));
+        let reports = exec(ShardConfig::default(), 2).run(4, &CancelToken::new(), |ctx| ctx.shard);
+        assert!(placement::set_affinity(&before));
+        for (s, r) in reports.iter().enumerate() {
+            assert_eq!(r.outcome, ShardOutcome::Completed, "shard {s}");
+            assert_eq!(r.value, Some(s));
+        }
     }
 
     #[test]
