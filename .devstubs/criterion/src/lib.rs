@@ -2,7 +2,7 @@
 //! targets and runs each benchmark a handful of times printing rough
 //! timings (no statistics, no reports).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)
@@ -40,6 +40,36 @@ impl Bencher {
         }
         self.elapsed_ns = start.elapsed().as_nanos() as f64;
     }
+
+    /// Time `routine` on fresh inputs from `setup`; only the routine is
+    /// timed. The stand-in builds one input per iteration whatever the
+    /// `BatchSize`.
+    pub fn iter_batched<I, O, S: FnMut() -> I, R: FnMut(I) -> O>(
+        &mut self,
+        mut setup: S,
+        mut routine: R,
+        _size: BatchSize,
+    ) {
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            elapsed += start.elapsed();
+            drop(output);
+        }
+        self.elapsed_ns = elapsed.as_nanos() as f64;
+    }
+}
+
+/// How many inputs `Bencher::iter_batched` prepares at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    SmallInput,
+    LargeInput,
+    PerIteration,
+    NumBatches(u64),
+    NumIterations(u64),
 }
 
 #[derive(Default)]

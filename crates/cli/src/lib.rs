@@ -2092,11 +2092,14 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             // exact breaker trips and later recovers through half-open
             // probes), and one is pathologically slow (capacity
             // collapses, so admission control sheds and deadlines force
-            // degradation).
+            // degradation). Its stall outlasts the soaks' 100 ms
+            // request deadline: a join that finishes in time is cached
+            // and never runs again, so only a community too slow to
+            // finish keeps costing every request that touches it.
             _ => engine.inject_faults(
                 FaultPlan::new()
                     .panic_n_times(handles[0].0, 3)
-                    .slow_on(handles[1].0, Duration::from_millis(25)),
+                    .slow_on(handles[1].0, Duration::from_millis(150)),
             ),
         }
     }

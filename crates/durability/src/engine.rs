@@ -479,6 +479,36 @@ mod tests {
     }
 
     #[test]
+    fn recovered_engine_ranks_like_the_live_one() {
+        let dir = scratch("topk");
+        let mut d = open(&dir);
+        let mut handles = Vec::new();
+        for i in 0..5u32 {
+            let rows: Vec<(u64, [u32; 2])> = (0..4 + u64::from(i % 2))
+                .map(|u| (u, [(u as u32 * 3 + i) % 9, (u as u32 + 2 * i) % 7]))
+                .collect();
+            let (h, _) = d.register(community(&format!("c{i}"), &rows)).unwrap();
+            handles.push(h);
+        }
+        let x = handles[0];
+        // Warm the live caches, then change two communities so the live
+        // answer mixes cached and recomputed scores.
+        d.engine().top_k_similar(x, 3).unwrap();
+        d.upsert_user(handles[1], 0, &[0, 0]).unwrap();
+        d.remove_user(handles[3], 2).unwrap();
+        let live = d.engine().top_k_similar(x, 3).unwrap();
+        assert!(!live.is_empty());
+        assert_eq!(d.engine().top_k_similar(x, 3).unwrap(), live, "warm");
+        drop(d);
+
+        // Recovery starts with cold caches.
+        let recovered = open(&dir);
+        assert_eq!(recovered.engine().stats().cached_pairs, 0);
+        assert_eq!(recovered.engine().top_k_similar(x, 3).unwrap(), live);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn into_engine_hands_over_recovered_state() {
         let dir = scratch("into");
         let mut d = open(&dir);

@@ -1,5 +1,9 @@
 //! The engine proper: registry, cache, screening pipeline, queries.
 //!
+//! The cache holds, per oriented community pair, the screen score and
+//! the exact score, each kept until either community changes; a cached
+//! score is served without a join.
+//!
 //! Every multi-pair query (`screen`, `screen_and_refine`,
 //! `top_k_similar`, `pairs_above`) runs on one path: its work units are
 //! split into mass-balanced shards on the supervised [`ShardExecutor`]
@@ -156,6 +160,11 @@ pub struct PairsSweep {
 }
 
 /// Aggregate engine statistics.
+///
+/// The cache keeps two scores per pair: the exact (refine) score and the
+/// screen method's approximate score. `cached_pairs` and `cache_hits`
+/// count the exact ones only; `screen_cache_hits` counts screens served
+/// without a join.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Registered communities.
@@ -164,8 +173,10 @@ pub struct EngineStats {
     pub cached_pairs: usize,
     /// Joins executed since creation (screen + refine).
     pub joins_executed: u64,
-    /// Cache hits served.
+    /// Exact-similarity cache hits served.
     pub cache_hits: u64,
+    /// Screen scores served from the cache instead of a screen join.
+    pub screen_cache_hits: u64,
     /// Kernel telemetry aggregated across every join the engine ran
     /// (cache hits contribute nothing — no kernel work happened).
     pub telemetry: JoinTelemetry,
@@ -177,15 +188,21 @@ impl std::fmt::Display for EngineStats {
         writeln!(f, "cached pairs:    {}", self.cached_pairs)?;
         writeln!(f, "joins executed:  {}", self.joins_executed)?;
         writeln!(f, "cache hits:      {}", self.cache_hits)?;
+        writeln!(f, "screen hits:     {}", self.screen_cache_hits)?;
         write!(f, "{}", self.telemetry)
     }
 }
 
+/// The cached scores of one oriented pair `(b, a)`, valid while both
+/// communities are still at the versions they were computed at.
 #[derive(Debug, Clone, Copy)]
 struct CacheEntry {
-    similarity: Similarity,
-    version_x: u64,
-    version_y: u64,
+    version_b: u64,
+    version_a: u64,
+    /// The screen method's (approximate) score.
+    screen: Option<Similarity>,
+    /// The refine method's exact score.
+    exact: Option<Similarity>,
 }
 
 /// One registered community plus its (lazily rebuilt) prepared encoding.
@@ -230,11 +247,13 @@ pub struct CsjEngine {
     d: usize,
     entries: Vec<Registered>,
     names: HashMap<String, u32>,
-    /// Exact-similarity cache keyed by (smaller handle, larger handle);
-    /// `Mutex` so concurrent `&self` queries share it.
+    /// Screen and exact scores keyed by the oriented pair (see
+    /// [`Self::oriented`]); `Mutex` so concurrent `&self` queries share
+    /// it.
     cache: Mutex<HashMap<(u32, u32), CacheEntry>>,
     joins_executed: AtomicU64,
     cache_hits: AtomicU64,
+    screen_cache_hits: AtomicU64,
     /// Aggregated kernel telemetry; a `Mutex` (not per-field atomics) so
     /// parallel screening workers merge whole [`JoinTelemetry`] blocks
     /// consistently — histograms and maxima don't decompose into
@@ -267,6 +286,7 @@ impl CsjEngine {
             cache: Mutex::new(HashMap::new()),
             joins_executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
+            screen_cache_hits: AtomicU64::new(0),
             telemetry: Mutex::new(JoinTelemetry::default()),
             #[cfg(feature = "fault-injection")]
             faults: None,
@@ -588,7 +608,7 @@ impl CsjEngine {
         let entry = &mut self.entries[handle as usize];
         entry.version += 1;
         *entry.mass.get_mut() = STALE_MASS;
-        // Encodings are stale now.
+        // Encodings and both cached scores of its pairs are stale now.
         *entry.prepared.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
         self.cache
             .get_mut()
@@ -597,7 +617,11 @@ impl CsjEngine {
     }
 
     /// Orient a pair as (smaller B, larger A) with their handles; equal
-    /// sizes tie-break on the handle so the cache key is canonical.
+    /// sizes tie-break on the handle. Every join of a pair (screen or
+    /// refine, from either side, ranked query or sweep) runs in this
+    /// orientation, so the pair has one canonical cache slot: Ap
+    /// methods are not symmetric on equal sizes, and a screen score
+    /// must not depend on which side asked.
     fn oriented(&self, x: CommunityHandle, y: CommunityHandle) -> Result<(u32, u32), EngineError> {
         let cx = self.community(x)?;
         let cy = self.community(y)?;
@@ -608,19 +632,42 @@ impl CsjEngine {
         })
     }
 
-    /// The cached exact similarity of the oriented pair `(b, a)`, if the
-    /// cache holds one that is still fresh (neither community changed
-    /// since the cached join).
-    fn cached_similarity(&self, b: u32, a: u32) -> Option<Similarity> {
+    /// The cache entry of the oriented pair `(b, a)`, if the cache holds
+    /// one that is still fresh (neither community changed since its
+    /// scores were computed). One check covers both scores.
+    fn cached(&self, b: u32, a: u32) -> Option<CacheEntry> {
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&(b, a))
             .filter(|e| {
-                e.version_x == self.entries[b as usize].version
-                    && e.version_y == self.entries[a as usize].version
+                e.version_b == self.entries[b as usize].version
+                    && e.version_a == self.entries[a as usize].version
             })
-            .map(|e| e.similarity)
+            .copied()
+    }
+
+    /// The cached exact similarity of the oriented pair `(b, a)`.
+    fn cached_similarity(&self, b: u32, a: u32) -> Option<Similarity> {
+        self.cached(b, a).and_then(|e| e.exact)
+    }
+
+    /// Store one score of the oriented pair `(b, a)` with `set`, next to
+    /// the other one if the entry is still fresh (a stale entry is
+    /// replaced). Only completed joins are stored.
+    fn store(&self, b: u32, a: u32, set: impl FnOnce(&mut CacheEntry)) {
+        let fresh = CacheEntry {
+            version_b: self.entries[b as usize].version,
+            version_a: self.entries[a as usize].version,
+            screen: None,
+            exact: None,
+        };
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = cache.entry((b, a)).or_insert(fresh);
+        if (entry.version_b, entry.version_a) != (fresh.version_b, fresh.version_a) {
+            *entry = fresh;
+        }
+        set(entry);
     }
 
     /// Exact similarity of a pair, cached. Recomputes only when either
@@ -717,15 +764,48 @@ impl CsjEngine {
             self.join_prepared(method, Exactness::Exact, &pb, &pa, qopts, rec)
         })?;
         joins.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            (b, a),
-            CacheEntry {
-                similarity,
-                version_x: self.entries[b as usize].version,
-                version_y: self.entries[a as usize].version,
-            },
-        );
+        self.store(b, a, |e| e.exact = Some(similarity));
         Ok(similarity)
+    }
+
+    /// The screen score of the oriented pair `(b, a)` (prepared as `pb`,
+    /// `pa`): served from the cache while neither community changed,
+    /// otherwise one `screen_method` join (fault hooks first) whose
+    /// score is stored. A hit runs no join, fires no fault hook and
+    /// counts nothing in `joins`; a miss counts its join once it
+    /// completes. With [`CsjMethod::Auto`] the stored score is the one
+    /// the chosen Ap method produced, still a sound lower bound. The
+    /// caller provides the per-pair panic boundary.
+    #[allow(clippy::too_many_arguments)]
+    fn screen_pair(
+        &self,
+        b: u32,
+        a: u32,
+        pb: &PreparedCommunity,
+        pa: &PreparedCommunity,
+        qopts: &CsjOptions,
+        joins: &AtomicU64,
+        rec: &QueryRecorder,
+    ) -> Result<Similarity, EngineError> {
+        if let Some(screened) = self.cached(b, a).and_then(|e| e.screen) {
+            self.screen_cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.obs.on_screen_cache_hit();
+            rec.note_screen_cache_hit();
+            return Ok(screened);
+        }
+        self.fault_hook(b)?;
+        self.fault_hook(a)?;
+        let screened = self.join_prepared(
+            self.config.screen_method,
+            Exactness::Approximate,
+            pb,
+            pa,
+            qopts,
+            Some(rec),
+        )?;
+        joins.fetch_add(1, Ordering::Relaxed);
+        self.store(b, a, |e| e.screen = Some(screened));
+        Ok(screened)
     }
 
     /// Phase 1 of the paper's pipeline: screen `x` against `candidates`
@@ -733,6 +813,16 @@ impl CsjEngine {
     /// partitioning them into shortlisted / rejected / inadmissible. A
     /// candidate whose join panics lands in [`ScreenOutcome::failed`]
     /// while the others complete.
+    ///
+    /// Screen scores are cached per pair, next to the exact score, until
+    /// either community changes: a repeated screen (from either side,
+    /// or by a ranked query or sweep that screens the same pair) runs no
+    /// join, counts none against a [`Budget`]'s join cap and fires no
+    /// injected fault. Each pair is screened in one canonical
+    /// orientation (smaller community as B, lower handle first on equal
+    /// sizes), so its score does not depend on which side asked.
+    /// [`EngineStats::screen_cache_hits`] counts the screens served from
+    /// the cache.
     pub fn screen(
         &self,
         x: CommunityHandle,
@@ -841,7 +931,7 @@ impl CsjEngine {
                             return ScreenState::Skipped;
                         }
                         let cand = candidates[idx];
-                        self.screen_one(&px, cand, &prepared[idx], &qopts, joins, rec)
+                        self.screen_one((x, &px), (cand, &prepared[idx]), &qopts, joins, rec)
                     })
                     .collect::<Vec<_>>()
             });
@@ -886,38 +976,24 @@ impl CsjEngine {
         Ok((out, run, budget_skips))
     }
 
-    /// One screen join of `x` (prepared as `px`) against `cand`,
-    /// inside the per-pair panic boundary.
+    /// The screen score of `x` against `cand` (each with its prepared
+    /// encoding), in the pair's canonical orientation and inside the
+    /// per-pair panic boundary.
     fn screen_one(
         &self,
-        px: &Arc<PreparedCommunity>,
-        cand: CommunityHandle,
-        py: &Arc<PreparedCommunity>,
+        (x, px): (CommunityHandle, &PreparedCommunity),
+        (cand, pc): (CommunityHandle, &PreparedCommunity),
         qopts: &CsjOptions,
         joins: &AtomicU64,
         rec: &QueryRecorder,
     ) -> ScreenState {
-        let (b, a) = if px.len() <= py.len() {
-            (px, py)
-        } else {
-            (py, px)
-        };
         let screened = self.isolated(cand.0, || {
-            self.fault_hook(cand.0)?;
-            self.join_prepared(
-                self.config.screen_method,
-                Exactness::Approximate,
-                b,
-                a,
-                qopts,
-                Some(rec),
-            )
+            let (b, a) = self.oriented(x, cand)?;
+            let (pb, pa) = if b == x.0 { (px, pc) } else { (pc, px) };
+            self.screen_pair(b, a, pb, pa, qopts, joins, rec)
         });
         match screened {
-            Ok(similarity) => {
-                joins.fetch_add(1, Ordering::Relaxed);
-                ScreenState::Scored(similarity)
-            }
+            Ok(similarity) => ScreenState::Scored(similarity),
             Err(EngineError::Csj(CsjError::SizeConstraint { .. })) => ScreenState::Inadmissible,
             Err(EngineError::Cancelled) => {
                 joins.fetch_add(1, Ordering::Relaxed);
@@ -1090,14 +1166,17 @@ impl CsjEngine {
     }
 
     /// Degraded broadcast sweep: *approximate only*. Each admissible
-    /// pair gets one join with the screening (Ap-*) method and is
-    /// reported when its approximate similarity reaches `threshold`;
-    /// no exact refinement runs and the exact-similarity cache is
-    /// neither consulted nor written. Because approximate CSJ never
-    /// over-counts, every returned pair truly clears the threshold —
-    /// the sweep can only *miss* pairs whose exact similarity is
-    /// between `threshold` and `2 * threshold` of the reported bound
-    /// (greedy maximal matchings reach at least half the maximum).
+    /// pair gets its screening (Ap-*) score and is reported when that
+    /// approximate similarity reaches `threshold`; no exact refinement
+    /// runs and the exact-similarity cache is neither consulted nor
+    /// written. The pair's screen score comes from the cache when a
+    /// screen or sweep already computed it for the current versions, and
+    /// is stored there otherwise (see [`screen`](CsjEngine::screen)).
+    /// Because approximate CSJ never over-counts, every returned pair
+    /// truly clears the threshold — the sweep can only *miss* pairs
+    /// whose exact similarity is between `threshold` and
+    /// `2 * threshold` of the reported bound (greedy maximal matchings
+    /// reach at least half the maximum).
     /// This is the `pairs_above` rung of the service's degradation
     /// ladder; [`PairScore::similarity`] carries the Ap lower bound.
     pub fn pairs_above_approx_with_budget(
@@ -1254,37 +1333,15 @@ impl CsjEngine {
             return Ok(None);
         }
         let (pb, pa) = (&prepared[b as usize], &prepared[a as usize]);
+        let hit = |similarity: Similarity| {
+            (similarity.ratio() >= threshold).then_some(PairScore { x, y, similarity })
+        };
         if approx {
-            self.fault_hook(b)?;
-            self.fault_hook(a)?;
-            let screened = self.join_prepared(
-                self.config.screen_method,
-                Exactness::Approximate,
-                pb,
-                pa,
-                qopts,
-                Some(rec),
-            )?;
-            joins.fetch_add(1, Ordering::Relaxed);
-            return Ok((screened.ratio() >= threshold).then_some(PairScore {
-                x,
-                y,
-                similarity: screened,
-            }));
+            return Ok(hit(self.screen_pair(b, a, pb, pa, qopts, joins, rec)?));
         }
         // Phase 1: cheap screen (unless already cached exactly).
         if self.cached_similarity(b, a).is_none() {
-            self.fault_hook(b)?;
-            self.fault_hook(a)?;
-            let screened = self.join_prepared(
-                self.config.screen_method,
-                Exactness::Approximate,
-                pb,
-                pa,
-                qopts,
-                Some(rec),
-            )?;
-            joins.fetch_add(1, Ordering::Relaxed);
+            let screened = self.screen_pair(b, a, pb, pa, qopts, joins, rec)?;
             // Maximal matchings reach at least half the maximum, so a
             // screened ratio below threshold/2 proves the exact ratio is
             // below threshold.
@@ -1294,11 +1351,7 @@ impl CsjEngine {
         }
         // Phase 2: exact (cached).
         let similarity = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, Some(rec))?;
-        if similarity.ratio() >= threshold {
-            Ok(Some(PairScore { x, y, similarity }))
-        } else {
-            Ok(None)
-        }
+        Ok(hit(similarity))
     }
 
     /// Number of pairs a sweep starting at `cursor` still has to visit
@@ -1378,8 +1431,14 @@ impl CsjEngine {
     /// [`MetricsSnapshot::to_prometheus`] or
     /// [`MetricsSnapshot::to_json`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let cached = self.cache.lock().unwrap_or_else(|e| e.into_inner()).len();
-        self.obs.snapshot(self.entries.len(), cached)
+        self.obs.snapshot(self.entries.len(), self.exact_cached())
+    }
+
+    /// How many pairs hold a cached exact similarity (screen-only
+    /// entries excluded).
+    fn exact_cached(&self) -> usize {
+        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        cache.values().filter(|e| e.exact.is_some()).count()
     }
 
     /// Count `n` records quarantined by a data loader in the
@@ -1417,9 +1476,10 @@ impl CsjEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             communities: self.entries.len(),
-            cached_pairs: self.cache.lock().unwrap_or_else(|e| e.into_inner()).len(),
+            cached_pairs: self.exact_cached(),
             joins_executed: self.joins_executed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            screen_cache_hits: self.screen_cache_hits.load(Ordering::Relaxed),
             telemetry: *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
@@ -1803,6 +1863,7 @@ mod tests {
     fn failed_upsert_keeps_prepared_encoding_and_version() {
         let (mut engine, a, n, _) = engine_with_three();
         engine.similarity(a, n).unwrap(); // warms both encodings + cache
+        engine.screen(a, &[n]).unwrap();
         assert!(engine.has_prepared(n));
         let version = engine.community_version(n).unwrap();
 
@@ -1819,12 +1880,27 @@ mod tests {
         let joins = engine.stats().joins_executed;
         engine.similarity(a, n).unwrap();
         assert_eq!(engine.stats().joins_executed, joins, "cache must survive");
+        assert_screen_cached(&engine, a, n);
+    }
+
+    /// The screen score of `(a, n)` is still cached: a screen runs no
+    /// join and is counted as a screen cache hit.
+    fn assert_screen_cached(engine: &CsjEngine, a: CommunityHandle, n: CommunityHandle) {
+        let before = engine.stats();
+        engine.screen(a, &[n]).unwrap();
+        let after = engine.stats();
+        assert_eq!(
+            after.joins_executed, before.joins_executed,
+            "screen evicted"
+        );
+        assert_eq!(after.screen_cache_hits, before.screen_cache_hits + 1);
     }
 
     #[test]
     fn failed_remove_keeps_prepared_encoding_and_version() {
         let (mut engine, a, n, _) = engine_with_three();
         engine.similarity(a, n).unwrap();
+        engine.screen(a, &[n]).unwrap();
         let version = engine.community_version(n).unwrap();
         assert_eq!(
             engine.remove_user(n, 424242).unwrap_err(),
@@ -1832,6 +1908,151 @@ mod tests {
         );
         assert!(engine.has_prepared(n), "failed remove evicted the encoding");
         assert_eq!(engine.community_version(n).unwrap(), version);
+        let joins = engine.stats().joins_executed;
+        engine.similarity(a, n).unwrap();
+        assert_eq!(engine.stats().joins_executed, joins, "cache must survive");
+        assert_screen_cached(&engine, a, n);
+    }
+
+    #[test]
+    fn updates_evict_only_the_touched_communitys_screen_scores() {
+        let (mut engine, a, n, f) = engine_with_three();
+        engine.screen(a, &[n, f]).unwrap();
+        engine.screen(n, &[f]).unwrap();
+        assert_eq!(engine.stats().joins_executed, 3);
+        assert_eq!(engine.stats().cached_pairs, 0, "screens are not exact");
+
+        // Touching `f` evicts its two pairs; (a, n) stays cached.
+        engine.upsert_user(f, 0, &[1, 1]).unwrap();
+        let before = engine.stats();
+        engine.screen(a, &[n, f]).unwrap();
+        engine.screen(n, &[f]).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.joins_executed - before.joins_executed, 2);
+        assert_eq!(after.screen_cache_hits - before.screen_cache_hits, 1);
+
+        // Removing one of `n`'s users evicts (a, n) and (n, f) only.
+        engine.remove_user(n, 3).unwrap();
+        let before = engine.stats();
+        engine.screen(f, &[a, n]).unwrap();
+        let after = engine.stats();
+        assert_eq!(after.joins_executed - before.joins_executed, 1);
+        assert_eq!(after.screen_cache_hits - before.screen_cache_hits, 1);
+    }
+
+    #[test]
+    fn warm_top_k_runs_no_joins_and_returns_the_cold_answer() {
+        let (engine, a, n, f) = engine_with_three();
+        let cold = engine.top_k_similar(a, 5).unwrap();
+        let joins = engine.stats().joins_executed;
+        assert_eq!(joins, 3, "two screens and one refine");
+
+        let warm = engine.top_k_similar(a, 5).unwrap();
+        assert_eq!(warm, cold);
+        let stats = engine.stats();
+        assert_eq!(stats.joins_executed, joins, "a warm top-k runs no join");
+        assert_eq!(stats.screen_cache_hits, 2);
+        assert_eq!(stats.cache_hits, 1, "exact hits keep their own count");
+        assert_eq!(stats.cached_pairs, 1);
+
+        // The trace says why the query ran no join.
+        let trace = engine.traces(1).pop().expect("recorded");
+        let hits = Some(&csj_obs::AttrValue::U64(2));
+        assert_eq!(trace.root.get_attr("screen_cache_hits"), hits);
+        let screen = trace.root.find("screen").expect("screen phase");
+        assert_eq!(screen.get_attr("joins"), Some(&csj_obs::AttrValue::U64(0)));
+        assert_eq!(screen.get_attr("screen_cache_hits"), hits);
+        let snap = engine.metrics_snapshot();
+        assert_eq!(snap.counter_value("csj_screen_cache_hits_total", &[]), 2);
+        assert_eq!(snap.counter_value("csj_cache_hits_total", &[]), 1);
+
+        // One slot per pair: screening from the other side hits it too.
+        engine.screen(n, &[a]).unwrap();
+        engine.screen(f, &[a]).unwrap();
+        assert_eq!(engine.stats().joins_executed, joins);
+        assert_eq!(engine.stats().screen_cache_hits, 4);
+    }
+
+    #[test]
+    fn sweeps_reuse_cached_screens() {
+        let (engine, _, _, _) = engine_with_three();
+        let approx = engine
+            .pairs_above_approx_with_budget(0.5, &Budget::unlimited(), None)
+            .unwrap()
+            .value;
+        let joins = engine.stats().joins_executed;
+        assert_eq!(joins, 3, "one screen per pair");
+        assert_eq!(engine.stats().cached_pairs, 0, "exact cache untouched");
+        let again = engine
+            .pairs_above_approx_with_budget(0.5, &Budget::unlimited(), None)
+            .unwrap()
+            .value;
+        assert_eq!(again, approx);
+        assert_eq!(engine.stats().joins_executed, joins);
+
+        // The exact sweep screens nothing again: it refines the one pair
+        // above threshold / 2 and skips the others on their cached
+        // screen scores; a resweep then runs no join at all.
+        let exact = engine.pairs_above(0.5).unwrap();
+        assert_eq!(engine.stats().joins_executed, joins + 1);
+        assert_eq!(engine.pairs_above(0.5).unwrap(), exact);
+        assert_eq!(engine.stats().joins_executed, joins + 1);
+    }
+
+    /// Two equal-size communities whose Ap-MinMax score depends on which
+    /// one is B, from a seeded search (such pairs are common, so the
+    /// search ends within a few attempts).
+    fn asymmetric_equal_pair() -> (Community, Community) {
+        let mut state = 7u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let opts = CsjOptions::new(1);
+        for _ in 0..10_000 {
+            let mut make = |name: &str| {
+                let rows = (0..8u64).map(|u| (u, (0..3).map(|_| next() % 4).collect::<Vec<u32>>()));
+                Community::from_rows(name, 3, rows).expect("well-formed")
+            };
+            let (p, q) = (make("p"), make("q"));
+            let ap = |b: &Community, a: &Community| {
+                csj_core::run(CsjMethod::ApMinMax, b, a, &opts)
+                    .expect("admissible")
+                    .similarity
+            };
+            if ap(&p, &q) != ap(&q, &p) {
+                return (p, q);
+            }
+        }
+        panic!("no asymmetric equal-size pair found");
+    }
+
+    #[test]
+    fn equal_size_pair_screens_the_same_from_both_sides() {
+        let (p, q) = asymmetric_equal_pair();
+        // A fresh engine per query, so no answer comes from a cache.
+        let fresh = || {
+            let mut engine = CsjEngine::new(3, EngineConfig::new(1));
+            let hp = engine.register(p.clone()).unwrap();
+            let hq = engine.register(q.clone()).unwrap();
+            (engine, hp, hq)
+        };
+        let (engine, _, _) = fresh();
+        let swept = engine
+            .pairs_above_approx_with_budget(0.0, &Budget::unlimited(), None)
+            .unwrap()
+            .value
+            .pairs;
+        assert_eq!(swept.len(), 1);
+        for p_asks in [true, false] {
+            let (engine, hp, hq) = fresh();
+            let (x, y) = if p_asks { (hp, hq) } else { (hq, hp) };
+            let out = engine.screen(x, &[y]).unwrap();
+            let (_, screened) = *out.shortlisted.iter().chain(&out.rejected).next().unwrap();
+            assert_eq!(screened, swept[0].similarity, "p asks: {p_asks}");
+        }
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! > method."
 //!
 //! [`CsjEngine`] packages exactly that: a registry of communities, the
-//! two-phase **screen (approximate) → refine (exact)** pipeline, cached
-//! exact similarities with version-based invalidation, top-k
+//! two-phase **screen (approximate) → refine (exact)** pipeline, a
+//! per-pair cache of both phases' scores with version-based
+//! invalidation (a repeated top-k over unchanged communities runs no
+//! join), top-k
 //! most-similar queries and in-place community updates (subscribers
 //! arrive and counters grow continuously in a live system).
 //!

@@ -177,6 +177,7 @@ pub(crate) struct EngineObs {
     join_panics: Arc<Counter>,
     faults: Arc<Counter>,
     cache_hits: Arc<Counter>,
+    screen_cache_hits: Arc<Counter>,
     quarantined: Arc<Counter>,
     rows_driven: Arc<Counter>,
     candidates_streamed: Arc<Counter>,
@@ -227,6 +228,7 @@ impl EngineObs {
             join_panics: r.register(&JOIN_PANICS, []),
             faults: r.register(&FAULTS, []),
             cache_hits: r.register(&CACHE_HITS, []),
+            screen_cache_hits: r.register(&SCREEN_CACHE_HITS, []),
             quarantined: r.register(&DATA_QUARANTINED, []),
             rows_driven: r.register(&ROWS_DRIVEN, []),
             candidates_streamed: r.register(&CANDIDATES_STREAMED, []),
@@ -333,6 +335,12 @@ impl EngineObs {
         }
     }
 
+    pub(crate) fn on_screen_cache_hit(&self) {
+        if self.enabled {
+            self.screen_cache_hits.inc();
+        }
+    }
+
     pub(crate) fn on_quarantined(&self, n: u64) {
         if self.enabled {
             self.quarantined.add(n);
@@ -435,6 +443,10 @@ pub(crate) struct QueryRecorder {
     phases: Mutex<Vec<Span>>,
     joins_dropped: AtomicU64,
     joins_recorded: AtomicU64,
+    /// Screens served from the cache: since the last phase boundary,
+    /// and in the whole query.
+    phase_screen_hits: AtomicU64,
+    screen_hits: AtomicU64,
     telemetry: Mutex<JoinTelemetry>,
     budget: Mutex<Option<(&'static str, u64, u64)>>,
     coverage: Mutex<Option<Coverage>>,
@@ -461,6 +473,8 @@ impl QueryRecorder {
             phases: Mutex::new(Vec::new()),
             joins_dropped: AtomicU64::new(0),
             joins_recorded: AtomicU64::new(0),
+            phase_screen_hits: AtomicU64::new(0),
+            screen_hits: AtomicU64::new(0),
             telemetry: Mutex::new(JoinTelemetry::default()),
             budget: Mutex::new(None),
             coverage: Mutex::new(None),
@@ -566,9 +580,18 @@ impl QueryRecorder {
         joins.push(span);
     }
 
+    /// Count one screen served from the cache (no join ran for it).
+    pub(crate) fn note_screen_cache_hit(&self) {
+        if self.on {
+            self.phase_screen_hits.fetch_add(1, Ordering::Relaxed);
+            self.screen_hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Close the phase that started at `start_us`: every join recorded
     /// since the previous phase boundary becomes a child of one
-    /// `name` span.
+    /// `name` span, which also counts the screens served from the
+    /// cache in that time (`screen_cache_hits`, when any were).
     pub(crate) fn end_phase(&self, name: &'static str, start_us: u64) {
         if !self.on {
             return;
@@ -578,6 +601,10 @@ impl QueryRecorder {
         let mut span = Span::new(name)
             .at(start_us, self.now_us().saturating_sub(start_us))
             .attr("joins", children.len());
+        let screen_hits = self.phase_screen_hits.swap(0, Ordering::Relaxed);
+        if screen_hits > 0 {
+            span = span.attr("screen_cache_hits", screen_hits);
+        }
         span.children = children;
         self.phases
             .lock()
@@ -672,6 +699,10 @@ impl QueryRecorder {
                 .attr("shards_hedged", c.hedged)
                 .attr("units_screened", c.units_screened)
                 .attr("units_skipped", c.units_skipped);
+        }
+        let screen_hits = self.screen_hits.load(Ordering::Relaxed);
+        if screen_hits > 0 {
+            root = root.attr("screen_cache_hits", screen_hits);
         }
         let dropped = self.joins_dropped.load(Ordering::Relaxed);
         if dropped > 0 {

@@ -148,9 +148,9 @@ fn sharded_pairs_above_matches_flat() {
 
 /// A sweep under a small join cap advances on every resumed call, even
 /// when its pairs span more shard tasks than there are workers, and its
-/// slices add up to the unbounded sweep. Pairs screened below
-/// `threshold / 2` are never cached, so a call that spent its cap on
-/// later tasks would repeat itself forever.
+/// slices add up to the unbounded sweep. The sweep's first pair is
+/// admitted whatever sibling tasks spent; without that, a call that
+/// spent its cap on later tasks would return the same cursor again.
 #[test]
 fn capped_sweep_resumes_to_completion() {
     let threshold = 0.3;
@@ -192,6 +192,58 @@ fn capped_sweep_resumes_to_completion() {
                 union, flat,
                 "slices must add up to the unbounded sweep: threads={threads} shards={shards} cap={cap}"
             );
+        }
+    }
+}
+
+/// Run `query` on `engine` twice: the warm run, served from the screen
+/// and exact caches the cold one filled, must return the cold answer
+/// and run no join. Returns the answer.
+fn cold_then_warm<T: PartialEq + std::fmt::Debug>(
+    engine: &CsjEngine,
+    what: &str,
+    query: impl Fn(&CsjEngine) -> T,
+) -> T {
+    let cold = query(engine);
+    let joins = engine.stats().joins_executed;
+    let warm = query(engine);
+    assert_eq!(warm, cold, "warm {what} diverged");
+    assert_eq!(
+        engine.stats().joins_executed,
+        joins,
+        "warm {what} ran joins"
+    );
+    cold
+}
+
+#[test]
+fn warm_answers_match_cold_across_layouts() {
+    let threshold = 0.3;
+    let reference = skewed_engine(7, 1, 1);
+    let x = anchor(&reference);
+    let candidates: Vec<_> = reference.handles().filter(|&h| h != x).collect();
+    let flat_topk = reference.top_k_similar(x, 4).expect("flat top-k");
+    let flat_sweep = skewed_engine(7, 1, 1)
+        .pairs_above(threshold)
+        .expect("flat sweep");
+
+    for shards in [1usize, 2, 3, 5, 8] {
+        for threads in [1usize, 2, 4] {
+            // A fresh engine per query kind, so each cold run is cold.
+            let fresh = || skewed_engine(7, threads, shards);
+            let topk = cold_then_warm(&fresh(), "top-k", |e| e.top_k_similar(x, 4).unwrap());
+            assert_eq!(topk, flat_topk, "shards={shards} threads={threads}");
+            cold_then_warm(&fresh(), "screen+refine", |e| {
+                e.screen_and_refine(x, &candidates).unwrap()
+            });
+            cold_then_warm(&fresh(), "screen", |e| e.screen(x, &candidates).unwrap());
+            let swept = cold_then_warm(&fresh(), "sweep", |e| e.pairs_above(threshold).unwrap());
+            assert_eq!(swept, flat_sweep, "shards={shards} threads={threads}");
+            cold_then_warm(&fresh(), "approx sweep", |e| {
+                e.pairs_above_approx_with_budget(threshold, &Budget::unlimited(), None)
+                    .unwrap()
+                    .value
+            });
         }
     }
 }

@@ -239,6 +239,8 @@ catalog! {
         "Injected faults fired (fault-injection builds only).";
     CACHE_HITS: Counter[] = "csj_cache_hits_total",
         "Exact-similarity queries served from the cache.";
+    SCREEN_CACHE_HITS: Counter[] = "csj_screen_cache_hits_total",
+        "Screen scores served from the cache instead of a screen join.";
     DATA_QUARANTINED: Counter[] = "csj_data_quarantined_total",
         "Malformed records skipped by quarantine-mode data loads.";
     ROWS_DRIVEN: Counter[] = "csj_rows_driven_total",
