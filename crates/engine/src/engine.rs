@@ -435,7 +435,8 @@ impl CsjEngine {
     /// caller's `exactness` requirement (refinement demands an exact
     /// method even when the configured refine method is `Auto`, so the
     /// exact-similarity cache stays exact). Every join — planned or
-    /// pinned — feeds its measured latency back to the planner.
+    /// pinned — feeds its measured latency back to the planner, and
+    /// hands its candidate count back to the caller in [`Scored`].
     fn join_prepared(
         &self,
         method: CsjMethod,
@@ -444,7 +445,7 @@ impl CsjEngine {
         a: &PreparedCommunity,
         opts: &CsjOptions,
         rec: Option<&QueryRecorder>,
-    ) -> Result<Similarity, EngineError> {
+    ) -> Result<Scored, EngineError> {
         let plan_input = || PlanInput::from_prepared(b, a, exactness);
         let planned: Option<(QueryPlan, PlanSource)> =
             (method == CsjMethod::Auto).then(|| self.planner.plan(&plan_input()));
@@ -502,7 +503,10 @@ impl CsjEngine {
         if cancelled {
             return Err(EngineError::Cancelled);
         }
-        Ok(similarity)
+        Ok(Scored {
+            similarity,
+            streamed: Some(telemetry.candidates_streamed),
+        })
     }
 
     /// Fire any injected faults registered for `handle`. Called just
@@ -680,7 +684,9 @@ impl CsjEngine {
         let qopts = self.config.options.clone();
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_query(QueryKind::Similarity);
-        let result = self.refine_pair(x, y, None, &qopts, &joins, Some(&rec));
+        let result = self
+            .refine_pair(x, y, None, &qopts, &joins, Some(&rec))
+            .map(|refined| refined.similarity);
         let outcome = match &result {
             Ok(_) => "completed".to_string(),
             Err(e) => format!("failed:{e}"),
@@ -718,6 +724,7 @@ impl CsjEngine {
                 self.fault_hook(b)?;
                 self.fault_hook(a)?;
                 self.join_prepared(method, Exactness::Any, &pb, &pa, &qopts, Some(&rec))
+                    .map(|scored| scored.similarity)
             })
         });
         let outcome = match &result {
@@ -744,19 +751,19 @@ impl CsjEngine {
         qopts: &CsjOptions,
         joins: &AtomicU64,
         rec: Option<&QueryRecorder>,
-    ) -> Result<Similarity, EngineError> {
+    ) -> Result<Scored, EngineError> {
         let (b, a) = self.oriented(x, y)?;
         if let Some(similarity) = self.cached_similarity(b, a) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             self.obs.on_cache_hit();
-            return Ok(similarity);
+            return Ok(Scored::cached(similarity));
         }
         let (pb, pa) = match ready {
             Some((pb, pa)) => (Arc::clone(pb), Arc::clone(pa)),
             None => (self.prepared(b), self.prepared(a)),
         };
         let method = self.config.refine_method;
-        let similarity = self.isolated(y.0, || {
+        let refined = self.isolated(y.0, || {
             self.fault_hook(b)?;
             self.fault_hook(a)?;
             // The result lands in the exact-similarity cache, so an
@@ -764,8 +771,8 @@ impl CsjEngine {
             self.join_prepared(method, Exactness::Exact, &pb, &pa, qopts, rec)
         })?;
         joins.fetch_add(1, Ordering::Relaxed);
-        self.store(b, a, |e| e.exact = Some(similarity));
-        Ok(similarity)
+        self.store(b, a, |e| e.exact = Some(refined.similarity));
+        Ok(refined)
     }
 
     /// The screen score of the oriented pair `(b, a)` (prepared as `pb`,
@@ -786,12 +793,12 @@ impl CsjEngine {
         qopts: &CsjOptions,
         joins: &AtomicU64,
         rec: &QueryRecorder,
-    ) -> Result<Similarity, EngineError> {
+    ) -> Result<Scored, EngineError> {
         if let Some(screened) = self.cached(b, a).and_then(|e| e.screen) {
             self.screen_cache_hits.fetch_add(1, Ordering::Relaxed);
             self.obs.on_screen_cache_hit();
             rec.note_screen_cache_hit();
-            return Ok(screened);
+            return Ok(Scored::cached(screened));
         }
         self.fault_hook(b)?;
         self.fault_hook(a)?;
@@ -804,7 +811,7 @@ impl CsjEngine {
             Some(rec),
         )?;
         joins.fetch_add(1, Ordering::Relaxed);
-        self.store(b, a, |e| e.screen = Some(screened));
+        self.store(b, a, |e| e.screen = Some(screened.similarity));
         Ok(screened)
     }
 
@@ -993,7 +1000,7 @@ impl CsjEngine {
             self.screen_pair(b, a, pb, pa, qopts, joins, rec)
         });
         match screened {
-            Ok(similarity) => ScreenState::Scored(similarity),
+            Ok(screened) => ScreenState::Scored(screened.similarity),
             Err(EngineError::Csj(CsjError::SizeConstraint { .. })) => ScreenState::Inadmissible,
             Err(EngineError::Cancelled) => {
                 joins.fetch_add(1, Ordering::Relaxed);
@@ -1070,12 +1077,12 @@ impl CsjEngine {
                 break;
             }
             match self.refine_pair(x, cand, None, &qopts, &joins, Some(&rec)) {
-                Ok(similarity) => {
+                Ok(scored) => {
                     done += 1;
                     refined.push(PairScore {
                         x,
                         y: cand,
-                        similarity,
+                        similarity: scored.similarity,
                     });
                 }
                 // The refine join was truncated mid-flight (external
@@ -1126,12 +1133,19 @@ impl CsjEngine {
     /// *exact* similarity reaches `threshold` (the broadcast-
     /// recommendation sweep of scenario ii.b).
     ///
-    /// Uses the paper's two-phase strategy per pair: the cheap screening
-    /// method first, refining only pairs whose screened similarity
-    /// clears the threshold. Because approximate CSJ never over-counts,
-    /// a pair screened *below* the threshold minus the screening margin
-    /// cannot reach it exactly — but since greedy matchings are maximal
-    /// (>= half the maximum), the safe skip bound is `threshold / 2`.
+    /// Screens with the paper's two-phase strategy while screening pays:
+    /// the cheap screening method first, refining only pairs whose
+    /// screened similarity clears the skip bound. Approximate CSJ never
+    /// over-counts and its greedy matchings are maximal (>= half the
+    /// maximum), so a pair screened below `threshold / 2` cannot reach
+    /// `threshold` exactly and is pruned. Where the screen prunes too
+    /// little to repay its own joins, the sweep refines pairs directly
+    /// instead; each shard task decides from the candidates its own
+    /// joins streamed (see `DESIGN.md` §17, "When the sweep screens").
+    /// Either way every admissible pair whose exact similarity reaches
+    /// `threshold` is returned with its exact score, so the answer does
+    /// not depend on which plan ran. Cached screen scores are always
+    /// used, and cached exact scores skip both joins.
     ///
     /// Runs unbudgeted; the first panicked/faulted pair (if any) is
     /// surfaced as its error. Use
@@ -1218,7 +1232,10 @@ impl CsjEngine {
         let (values, mut run) = self.dispatch("sweep", &tasks, budget, &rec, |pairs, ctx| {
             let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
             let mut stop = false;
-            pairs
+            // Each task learns from its own joins only, so its choices
+            // do not depend on what sibling tasks ran before it.
+            let mut plan = ScreenPlan::default();
+            let states = pairs
                 .iter()
                 .map(|&(i, j)| {
                     // The first pair is admitted whenever the budget
@@ -1235,7 +1252,9 @@ impl CsjEngine {
                     }
                     let (x, y) = (CommunityHandle(i), CommunityHandle(j));
                     let swept = self.isolated(j, || {
-                        self.sweep_pair(x, y, threshold, &prepared, &qopts, &joins, &rec, approx)
+                        self.sweep_pair(
+                            x, y, threshold, &prepared, &qopts, &joins, &rec, &mut plan, approx,
+                        )
                     });
                     match swept {
                         Ok(Some(score)) => SweptPair::Hit(score),
@@ -1249,7 +1268,9 @@ impl CsjEngine {
                         Err(e) => SweptPair::Failed(e),
                     }
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            rec.note_sweep_plan(plan.screened, plan.pruned, plan.direct_refines);
+            states
         });
         // Each task's pairs are sorted and a shard stops for good at its
         // first skip, so a task contributes its processed prefix and at
@@ -1306,11 +1327,16 @@ impl CsjEngine {
         Ok(self.finish_partial(rec, sweep, run, exhausted))
     }
 
-    /// One pair of the broadcast sweep: admissibility, cheap screen with
-    /// the safe `threshold / 2` skip bound, then cached exact refine.
-    /// With `approx` the screen join *is* the answer (degraded mode):
-    /// accept on the approximate score, skip refinement and the cache.
-    /// `prepared` holds every community's encoding, by handle.
+    /// One pair of the broadcast sweep: admissibility, then the exact
+    /// score. A cached exact score runs no join. Otherwise the pair is
+    /// screened when its screen score is cached (free) or `plan` says
+    /// screening pays, and pruned when the screen is below the safe
+    /// `threshold / 2` skip bound; a pair that is not pruned, or not
+    /// screened, gets the exact refine (cached). `plan` records what
+    /// the pair's joins streamed. With `approx` the screen *is* the
+    /// answer (degraded mode): accept on the approximate score, skip
+    /// refinement and the exact cache. `prepared` holds every
+    /// community's encoding, by handle.
     #[allow(clippy::too_many_arguments)]
     fn sweep_pair(
         &self,
@@ -1321,6 +1347,7 @@ impl CsjEngine {
         qopts: &CsjOptions,
         joins: &AtomicU64,
         rec: &QueryRecorder,
+        plan: &mut ScreenPlan,
         approx: bool,
     ) -> Result<Option<PairScore>, EngineError> {
         let (b, a) = self.oriented(x, y)?;
@@ -1337,21 +1364,36 @@ impl CsjEngine {
             (similarity.ratio() >= threshold).then_some(PairScore { x, y, similarity })
         };
         if approx {
-            return Ok(hit(self.screen_pair(b, a, pb, pa, qopts, joins, rec)?));
+            plan.screened += 1;
+            let screened = self.screen_pair(b, a, pb, pa, qopts, joins, rec)?;
+            return Ok(hit(screened.similarity));
         }
-        // Phase 1: cheap screen (unless already cached exactly).
-        if self.cached_similarity(b, a).is_none() {
+        let cached = self.cached(b, a);
+        let exact_cached = cached.is_some_and(|e| e.exact.is_some());
+        // Phase 1: cheap screen, when it is free or pays.
+        let mut screen = None;
+        if !exact_cached && (cached.is_some_and(|e| e.screen.is_some()) || plan.screens()) {
             let screened = self.screen_pair(b, a, pb, pa, qopts, joins, rec)?;
             // Maximal matchings reach at least half the maximum, so a
             // screened ratio below threshold/2 proves the exact ratio is
             // below threshold.
-            if screened.ratio() < threshold / 2.0 {
+            if screened.similarity.ratio() < threshold / 2.0 {
+                plan.record_pruned(screened.streamed);
                 return Ok(None);
             }
+            screen = Some(screened.streamed);
         }
         // Phase 2: exact (cached).
-        let similarity = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, Some(rec))?;
-        Ok(hit(similarity))
+        let refined = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, Some(rec))?;
+        match screen {
+            Some(screen) => plan.record_refined(screen, refined.streamed),
+            None if !exact_cached => plan.record_direct(
+                refined.streamed,
+                refined.similarity.ratio() < threshold / 2.0,
+            ),
+            None => {}
+        }
+        Ok(hit(refined.similarity))
     }
 
     /// Number of pairs a sweep starting at `cursor` still has to visit
@@ -1510,6 +1552,115 @@ enum SweptPair {
     Failed(EngineError),
     /// Never processed: budget or attempt cancellation.
     Skipped,
+}
+
+/// A pair's score and what it cost.
+#[derive(Debug)]
+struct Scored {
+    similarity: Similarity,
+    /// The candidates its join streamed
+    /// ([`JoinTelemetry::candidates_streamed`]); `None` when the score
+    /// came from the cache and no join ran.
+    streamed: Option<u64>,
+}
+
+impl Scored {
+    fn cached(similarity: Similarity) -> Self {
+        Self {
+            similarity,
+            streamed: None,
+        }
+    }
+}
+
+/// One sweep task's choice, pair by pair, between the paper's
+/// screen→refine and a direct exact refine (`DESIGN.md` §17, "When the
+/// sweep screens"). Costs are candidates streamed, counted over the
+/// task's own joins; scores served from the cache cost nothing and
+/// teach nothing.
+///
+/// - `r`, the screen's price per refine candidate, is the ratio of
+///   screen to refine candidates over the pairs the task both screened
+///   and refined with a join each;
+/// - screening costs the task's screen joins plus `r` times its direct
+///   refines (the screens it skipped);
+/// - screening saves the refines its pruning screens avoided (their
+///   candidates over `r`), plus the direct refines whose exact ratio
+///   came out below `threshold / 2`: the screen would have pruned
+///   those, since an Ap score never exceeds the exact one.
+///
+/// The task screens while `r` is unknown (or zero) and while the saving
+/// covers the cost, and refines directly otherwise. Every plan returns
+/// the same pairs and scores; only the work differs.
+#[derive(Debug, Default)]
+struct ScreenPlan {
+    /// Screen candidates of the pairs screened and refined by a join each.
+    paired_screen: u64,
+    /// Refine candidates of those same pairs.
+    paired_refine: u64,
+    /// Candidates of every screen join the task ran.
+    screen_cost: u64,
+    /// Candidates of the screen joins that pruned their pair.
+    pruning: u64,
+    /// Candidates of the direct refine joins.
+    direct_cost: u64,
+    /// Candidates of the direct refine joins whose exact ratio was below
+    /// `threshold / 2`.
+    direct_below: u64,
+    /// Pairs screened (by a join or from the cache), for the trace.
+    screened: u64,
+    /// Screened pairs the screen pruned, for the trace.
+    pruned: u64,
+    /// Pairs refined without a screen, for the trace.
+    direct_refines: u64,
+}
+
+impl ScreenPlan {
+    /// Whether the next pair without a cached score is screened first.
+    fn screens(&self) -> bool {
+        if self.paired_screen == 0 || self.paired_refine == 0 {
+            return true;
+        }
+        let r = self.paired_screen as f64 / self.paired_refine as f64;
+        let cost = self.screen_cost as f64 + r * self.direct_cost as f64;
+        let save = self.pruning as f64 / r + self.direct_below as f64;
+        save >= cost
+    }
+
+    /// A screen pruned its pair; `screen` is its join's candidates
+    /// (`None`: a cached score).
+    fn record_pruned(&mut self, screen: Option<u64>) {
+        self.screened += 1;
+        self.pruned += 1;
+        if let Some(screen) = screen {
+            self.screen_cost += screen;
+            self.pruning += screen;
+        }
+    }
+
+    /// A screen let its pair through to the refine.
+    fn record_refined(&mut self, screen: Option<u64>, refine: Option<u64>) {
+        self.screened += 1;
+        if let Some(screen) = screen {
+            self.screen_cost += screen;
+            if let Some(refine) = refine {
+                self.paired_screen += screen;
+                self.paired_refine += refine;
+            }
+        }
+    }
+
+    /// A pair was refined without a screen; `below_half` says its exact
+    /// ratio was below `threshold / 2`.
+    fn record_direct(&mut self, refine: Option<u64>, below_half: bool) {
+        self.direct_refines += 1;
+        if let Some(refine) = refine {
+            self.direct_cost += refine;
+            if below_half {
+                self.direct_below += refine;
+            }
+        }
+    }
 }
 
 /// Shard fates and per-shard latencies of one dispatch, for the
@@ -1997,6 +2148,78 @@ mod tests {
         assert_eq!(engine.stats().joins_executed, joins + 1);
         assert_eq!(engine.pairs_above(0.5).unwrap(), exact);
         assert_eq!(engine.stats().joins_executed, joins + 1);
+    }
+
+    /// A plan whose three pruning screens (60 candidates each) and one
+    /// screened refine (60 + 100) priced the screen at r = 0.6.
+    fn plan_after_three_prunes() -> ScreenPlan {
+        let mut plan = ScreenPlan::default();
+        assert!(plan.screens(), "a fresh task screens");
+        for _ in 0..3 {
+            plan.record_pruned(Some(60));
+            assert!(plan.screens(), "r is unknown until a pair is refined");
+        }
+        plan.record_refined(Some(60), Some(100));
+        plan
+    }
+
+    #[test]
+    fn sweep_plan_screens_first() {
+        let plan = plan_after_three_prunes();
+        // Saved 180 / 0.6 = 300 refine candidates for 240 screened.
+        assert!(plan.screens());
+        assert_eq!((plan.screened, plan.pruned, plan.direct_refines), (4, 3, 0));
+    }
+
+    #[test]
+    fn sweep_plan_stops_screening_once_prunes_no_longer_pay() {
+        let mut plan = plan_after_three_prunes();
+        plan.record_refined(Some(60), Some(100));
+        assert!(plan.screens(), "300 saved for 300 spent still pays");
+        plan.record_refined(Some(60), Some(100));
+        assert!(!plan.screens(), "300 saved for 360 spent");
+    }
+
+    #[test]
+    fn sweep_plan_screens_again_when_low_direct_refines_pile_up() {
+        let mut plan = plan_after_three_prunes();
+        for _ in 0..2 {
+            plan.record_refined(Some(60), Some(100));
+        }
+        // A direct refine above threshold / 2 adds r * 100 to the cost.
+        plan.record_direct(Some(100), false);
+        assert!(!plan.screens(), "300 saved for 420");
+        // One below threshold / 2 adds the same cost and saves its 100.
+        plan.record_direct(Some(100), true);
+        plan.record_direct(Some(100), true);
+        assert!(!plan.screens(), "500 saved for 540");
+        plan.record_direct(Some(100), true);
+        assert!(plan.screens(), "600 saved for 600");
+        assert_eq!(plan.direct_refines, 4);
+    }
+
+    #[test]
+    fn sweep_plan_ignores_cache_hits() {
+        let mut plan = plan_after_three_prunes();
+        for _ in 0..2 {
+            plan.record_refined(Some(60), Some(100));
+        }
+        assert!(!plan.screens());
+        for _ in 0..10 {
+            plan.record_pruned(None);
+            plan.record_direct(None, true);
+            plan.record_refined(None, Some(100));
+        }
+        assert!(!plan.screens(), "cached scores cost and save nothing");
+        assert_eq!(
+            (plan.screened, plan.pruned, plan.direct_refines),
+            (26, 13, 10)
+        );
+        // A refine served from the cache leaves r as it was.
+        let mut fresh = ScreenPlan::default();
+        fresh.record_refined(Some(60), None);
+        fresh.record_pruned(Some(60));
+        assert!(fresh.screens(), "r is still unknown");
     }
 
     /// Two equal-size communities whose Ap-MinMax score depends on which

@@ -447,6 +447,9 @@ pub(crate) struct QueryRecorder {
     /// and in the whole query.
     phase_screen_hits: AtomicU64,
     screen_hits: AtomicU64,
+    /// A broadcast sweep's plan since the last phase boundary: pairs
+    /// screened, pruned by their screen, and refined without a screen.
+    sweep_plan: Mutex<Option<[u64; 3]>>,
     telemetry: Mutex<JoinTelemetry>,
     budget: Mutex<Option<(&'static str, u64, u64)>>,
     coverage: Mutex<Option<Coverage>>,
@@ -475,6 +478,7 @@ impl QueryRecorder {
             joins_recorded: AtomicU64::new(0),
             phase_screen_hits: AtomicU64::new(0),
             screen_hits: AtomicU64::new(0),
+            sweep_plan: Mutex::new(None),
             telemetry: Mutex::new(JoinTelemetry::default()),
             budget: Mutex::new(None),
             coverage: Mutex::new(None),
@@ -588,10 +592,26 @@ impl QueryRecorder {
         }
     }
 
+    /// Add one sweep task's plan: pairs it screened (by a join or from
+    /// the cache), pairs its screen pruned, and pairs it refined without
+    /// a screen.
+    pub(crate) fn note_sweep_plan(&self, screened: u64, pruned: u64, direct_refines: u64) {
+        if !self.on {
+            return;
+        }
+        let mut plan = self.sweep_plan.lock().unwrap_or_else(|e| e.into_inner());
+        let sums = plan.get_or_insert([0; 3]);
+        for (sum, n) in sums.iter_mut().zip([screened, pruned, direct_refines]) {
+            *sum += n;
+        }
+    }
+
     /// Close the phase that started at `start_us`: every join recorded
     /// since the previous phase boundary becomes a child of one
     /// `name` span, which also counts the screens served from the
-    /// cache in that time (`screen_cache_hits`, when any were).
+    /// cache in that time (`screen_cache_hits`, when any were) and, for
+    /// a sweep, what its plan did (`screened`, `pruned`,
+    /// `direct_refines`).
     pub(crate) fn end_phase(&self, name: &'static str, start_us: u64) {
         if !self.on {
             return;
@@ -604,6 +624,17 @@ impl QueryRecorder {
         let screen_hits = self.phase_screen_hits.swap(0, Ordering::Relaxed);
         if screen_hits > 0 {
             span = span.attr("screen_cache_hits", screen_hits);
+        }
+        let plan = self
+            .sweep_plan
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        if let Some([screened, pruned, direct_refines]) = plan {
+            span = span
+                .attr("screened", screened)
+                .attr("pruned", pruned)
+                .attr("direct_refines", direct_refines);
         }
         span.children = children;
         self.phases

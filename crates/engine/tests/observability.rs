@@ -172,3 +172,45 @@ fn engine_stats_display_is_human_readable() {
     assert!(text.contains("joins executed:  1"));
     assert!(text.contains("rows driven"), "telemetry block included");
 }
+
+/// An attribute's value as text ("-" when the span lacks it).
+fn shown(value: Option<impl ToString>) -> String {
+    value.map_or_else(|| "-".to_string(), |v| v.to_string())
+}
+
+#[test]
+fn sweep_trace_says_which_pairs_were_screened_pruned_or_refined_directly() {
+    // One task (one worker, one shard) over four identical communities:
+    // it screens and refines the first pair, which prices the screen,
+    // and since nothing is pruned it refines the other five directly.
+    let mut config = EngineConfig::new(1);
+    config.threads = 1;
+    config.shard.shards = 1;
+    let mut engine = CsjEngine::new(2, config);
+    for name in ["p", "q", "r", "s"] {
+        engine
+            .register(community(name, &[[1, 1], [5, 5], [9, 9], [13, 13]]))
+            .unwrap();
+    }
+    assert_eq!(engine.pairs_above(0.5).unwrap().len(), 6);
+    let trace = &engine.traces(1)[0];
+    let sweep = trace.root.find("sweep").expect("sweep phase");
+    assert_eq!(shown(sweep.get_attr("screened")), "1");
+    assert_eq!(shown(sweep.get_attr("pruned")), "0");
+    assert_eq!(shown(sweep.get_attr("direct_refines")), "5");
+    assert_eq!(
+        shown(sweep.get_attr("joins")),
+        "7",
+        "one screen, six refines"
+    );
+    assert_eq!(engine.stats().joins_executed, 7);
+
+    // A warm sweep is served from the cache: no pair is screened,
+    // pruned or refined, and no join runs.
+    engine.pairs_above(0.5).unwrap();
+    let trace = &engine.traces(1)[0];
+    let sweep = trace.root.find("sweep").expect("sweep phase");
+    assert_eq!(shown(sweep.get_attr("screened")), "0");
+    assert_eq!(shown(sweep.get_attr("direct_refines")), "0");
+    assert_eq!(shown(sweep.get_attr("joins")), "0");
+}
