@@ -1,7 +1,7 @@
 //! Ablation: the one-to-one matcher inside the exact methods.
 //!
-//! The paper's CSF is a lowest-degree-first heuristic; Hopcroft–Karp and
-//! Kuhn guarantee the true maximum. This bench times all four matchers on
+//! The paper's CSF is a lowest-degree-first heuristic; Hopcroft–Karp
+//! guarantees the true maximum. This bench times all three matchers on
 //! candidate graphs produced by real CSJ joins and reports (once, to
 //! stderr) how many pairs each heuristic leaves on the table.
 

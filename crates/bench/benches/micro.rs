@@ -5,11 +5,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use csj_core::{encode_a, encode_b, vectors_match, EncodingParams};
 use csj_data::vklike::{VkLikeConfig, VkLikeGenerator};
-use csj_ego::{normalize_counters, PointSet};
+use csj_ego::{
+    dimension_order_cells, ego_point_sets, grid_cells, normalize_counters, PointSet, REORDER_SAMPLE,
+};
 
-fn vk_community(n: usize) -> csj_core::Community {
+fn vk_pair(n: usize) -> (csj_core::Community, csj_core::Community) {
     let generator = VkLikeGenerator::new(VkLikeConfig::default());
-    let (b, _) = generator.generate_pair(
+    generator.generate_pair(
         "B",
         "A",
         csj_data::Category::Sport,
@@ -17,8 +19,11 @@ fn vk_community(n: usize) -> csj_core::Community {
         n,
         n + 1,
         42,
-    );
-    b
+    )
+}
+
+fn vk_community(n: usize) -> csj_core::Community {
+    vk_pair(n).0
 }
 
 fn bench_encoding(c: &mut Criterion) {
@@ -38,8 +43,8 @@ fn bench_encoding(c: &mut Criterion) {
 fn bench_ego_setup(c: &mut Criterion) {
     let mut group = c.benchmark_group("ego_setup");
     for n in [1_000usize, 10_000] {
-        let community = vk_community(n);
-        let max = community.max_counter().max(1);
+        let (community, other) = vk_pair(n);
+        let max = community.max_counter().max(other.max_counter()).max(1);
         group.bench_with_input(
             BenchmarkId::new("normalize", n),
             &community,
@@ -51,6 +56,27 @@ fn bench_ego_setup(c: &mut Criterion) {
         let width = 1.0f32 / max as f32;
         group.bench_with_input(BenchmarkId::new("ego_sort", n), &data, |bench, data| {
             bench.iter(|| PointSet::build(27, width, black_box(data.clone()), None));
+        });
+        // The VK-like join setup at eps = 1: the dimension ranking from
+        // grid cells, and the whole SuperEGO prepare (normalise both
+        // sides, grid once, rank, permute, EGO-sort).
+        let cells_b = grid_cells(&data, width);
+        let cells_a = grid_cells(&normalize_counters(other.raw_data(), max), width);
+        group.bench_function(BenchmarkId::new("reorder", n), |bench| {
+            bench.iter(|| {
+                dimension_order_cells(27, black_box(&cells_b), black_box(&cells_a), REORDER_SAMPLE)
+            });
+        });
+        group.bench_function(BenchmarkId::new("superego_prepare", n), |bench| {
+            bench.iter(|| {
+                ego_point_sets(
+                    27,
+                    width,
+                    normalize_counters(black_box(community.raw_data()), max),
+                    normalize_counters(black_box(other.raw_data()), max),
+                    true,
+                )
+            });
         });
     }
     group.finish();

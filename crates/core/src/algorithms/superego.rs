@@ -27,8 +27,7 @@
 //! [`CollectSink`]: crate::algorithms::kernel::CollectSink
 
 use csj_ego::{
-    dimension_order, normalize_counters, permute_dimensions, EgoStats, JoinPredicate, PointSet,
-    SuperEgoParams,
+    ego_point_sets, normalize_counters, EgoStats, JoinPredicate, PointSet, SuperEgoParams,
 };
 
 use crate::algorithms::kernel::{drive_ego, DriveCtx, Judgement, PairSink};
@@ -53,15 +52,13 @@ fn prepare(
     // joins); any tiny width keeps the pruning sound.
     let width = if eps_norm > 0.0 { eps_norm } else { 1.0e-6 };
 
-    let mut data_b = normalize_counters(b.raw_data(), max_value);
-    let mut data_a = normalize_counters(a.raw_data(), max_value);
-    if opts.superego.reorder {
-        let order = dimension_order(d, &data_b, &data_a, width, 10_000);
-        data_b = permute_dimensions(&data_b, d, &order);
-        data_a = permute_dimensions(&data_a, d, &order);
-    }
-    let ps_b = PointSet::build(d, width, data_b, None);
-    let ps_a = PointSet::build(d, width, data_a, None);
+    let (ps_b, ps_a) = ego_point_sets(
+        d,
+        width,
+        normalize_counters(b.raw_data(), max_value),
+        normalize_counters(a.raw_data(), max_value),
+        opts.superego.reorder,
+    );
     let pred = if opts.superego.l1_predicate {
         JoinPredicate::L1 {
             eps_sum: d as f64 * eps_norm as f64,

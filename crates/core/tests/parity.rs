@@ -37,6 +37,7 @@ mod reference {
         encode_a, encode_b, part_bounds, vectors_match, Community, CsjMethod, CsjOptions, EncodedA,
         EncodedB, Event, EventCounters,
     };
+    use std::collections::HashMap;
 
     pub fn dispatch(method: CsjMethod, b: &Community, a: &Community, opts: &CsjOptions) -> RefJoin {
         match method {
@@ -273,7 +274,10 @@ mod reference {
     }
 
     /// The old SuperEGO `prepare`: normalise, optionally reorder
-    /// dimensions, EGO-sort, derive the per-dimension predicate.
+    /// dimensions, EGO-sort, derive the per-dimension predicate. Cells
+    /// and the dimension ranking are the frozen ones below, so only the
+    /// EGO sort itself (`PointSet::from_cells`) is shared with the code
+    /// under test.
     fn ego_prepare(
         b: &Community,
         a: &Community,
@@ -290,12 +294,14 @@ mod reference {
         let mut data_b = normalize(b.raw_data(), max_value);
         let mut data_a = normalize(a.raw_data(), max_value);
         if opts.superego.reorder {
-            let order = csj_core::csj_ego::dimension_order(d, &data_b, &data_a, width, 10_000);
+            let order = frozen_dimension_order(d, &data_b, &data_a, width, 10_000);
             data_b = csj_core::csj_ego::permute_dimensions(&data_b, d, &order);
             data_a = csj_core::csj_ego::permute_dimensions(&data_a, d, &order);
         }
-        let ps_b = PointSet::build(d, width, data_b, None);
-        let ps_a = PointSet::build(d, width, data_a, None);
+        let cells = |data: &[f32]| data.iter().map(|&v| floor_cell(v, width)).collect();
+        let (cells_b, cells_a) = (cells(&data_b), cells(&data_a));
+        let ps_b = PointSet::from_cells(d, width, data_b, cells_b, None);
+        let ps_a = PointSet::from_cells(d, width, data_a, cells_a, None);
         let pred = if opts.superego.l1_predicate {
             JoinPredicate::L1 {
                 eps_sum: d as f64 * eps_norm as f64,
@@ -304,6 +310,63 @@ mod reference {
             JoinPredicate::PerDim { eps: eps_norm }
         };
         (ps_b, ps_a, pred)
+    }
+
+    /// The old `f32` grid cell: floor of the widened quotient, clamped.
+    fn floor_cell(v: f32, width: f32) -> u32 {
+        let c = (v as f64 / width as f64).floor();
+        if c <= 0.0 {
+            0
+        } else if c >= u32::MAX as f64 {
+            u32::MAX
+        } else {
+            c as u32
+        }
+    }
+
+    /// The old Super-EGO selectivity ranking: per dimension, a `HashMap`
+    /// cell histogram of every `n / max_sample`-th point of each side,
+    /// scored by the probability that a B and an A point land within one
+    /// cell of each other; stable ascending sort.
+    fn frozen_dimension_order(
+        d: usize,
+        b_data: &[f32],
+        a_data: &[f32],
+        width: f32,
+        max_sample: usize,
+    ) -> Vec<usize> {
+        let histogram = |data: &[f32], dim: usize| {
+            let n = data.len() / d;
+            let stride = (n / max_sample.max(1)).max(1);
+            let mut h: HashMap<u32, u64> = HashMap::new();
+            for i in (0..n).step_by(stride) {
+                *h.entry(floor_cell(data[i * d + dim], width)).or_insert(0) += 1;
+            }
+            h
+        };
+        let mut scores: Vec<(f64, usize)> = (0..d)
+            .map(|dim| {
+                let (hb, ha) = (histogram(b_data, dim), histogram(a_data, dim));
+                let nb: u64 = hb.values().sum();
+                let na: u64 = ha.values().sum();
+                if nb == 0 || na == 0 {
+                    return (1.0, dim);
+                }
+                let mut hits = 0.0f64;
+                for (&c, &cb) in &hb {
+                    let near = ha.get(&c).copied().unwrap_or(0)
+                        + c.checked_sub(1)
+                            .and_then(|p| ha.get(&p))
+                            .copied()
+                            .unwrap_or(0)
+                        + ha.get(&c.saturating_add(1)).copied().unwrap_or(0);
+                    hits += cb as f64 * near as f64;
+                }
+                (hits / (nb as f64 * na as f64), dim)
+            })
+            .collect();
+        scores.sort_by(|x, y| x.0.partial_cmp(&y.0).unwrap_or(std::cmp::Ordering::Equal));
+        scores.into_iter().map(|(_, dim)| dim).collect()
     }
 
     fn normalize(data: &[u32], max_value: u32) -> Vec<f32> {
@@ -566,6 +629,30 @@ fn lcg_sweep_all_methods() {
         let (b, a) = random_pair(seed.wrapping_mul(0x9E37), d, na, 10);
         let opts = CsjOptions::new(eps).with_parts(parts);
         assert_parity(&b, &a, &opts);
+    }
+}
+
+/// Ap- and Ex-SuperEGO against the frozen `HashMap` ranking and
+/// floor-based cells, pair for pair, over the LCG seeds with counter
+/// ranges from a few cells (the dense count path) to far more cells than
+/// points (the sorted tail), with and without a normalisation divisor
+/// that makes the `f32` conversion lossy.
+#[test]
+fn superego_setup_matches_frozen_reference() {
+    for seed in 0..40u64 {
+        let d = 1 + (seed % 6) as usize;
+        let na = 20 + (seed % 23) as usize * 3;
+        let hi = [10, 400, 200_000][(seed % 3) as usize];
+        let eps = [0, 1, 3, 2_000][(seed % 4) as usize];
+        let (b, a) = random_pair(seed.wrapping_mul(0x51ED), d, na, hi);
+        let mut opts = CsjOptions::new(eps).with_parts(1 + (seed % 3) as usize);
+        opts.superego.max_value = [None, Some(152_532)][(seed % 2) as usize];
+        for method in [CsjMethod::ApSuperEgo, CsjMethod::ExSuperEgo] {
+            let outcome = run(method, &b, &a, &opts).expect("valid parity instance");
+            let frozen = reference::dispatch(method, &b, &a, &opts);
+            assert_eq!(outcome.pairs, frozen.pairs, "{method}, seed {seed}");
+            assert_eq!(outcome.events, frozen.events, "{method}, seed {seed}");
+        }
     }
 }
 

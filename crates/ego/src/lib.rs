@@ -19,10 +19,17 @@
 //! Components:
 //!
 //! * [`PointSet`] — flat SoA storage of points + their grid cells, sorted
-//!   in EGO (lexicographic cell) order.
+//!   in EGO (lexicographic cell) order. [`PointSet::from_cells`] takes
+//!   cells the caller already has; [`PointSet::build`] computes them with
+//!   [`grid_cells`] first.
 //! * [`normalize_counters`] — the `[0,1]^d` conversion.
-//! * [`dimension_order`] — Super-EGO's selectivity-based dimension
-//!   reordering.
+//! * [`dimension_order_cells`] — Super-EGO's selectivity-based dimension
+//!   reordering, ranked from grid cells by exact near-pair counts (a dense
+//!   count array over the low cells, a binary search over the rest; no
+//!   hashing).
+//!   [`dimension_order`] is the same ranking from raw coordinates.
+//! * [`ego_point_sets`] — the whole Super-EGO setup: each value's cell is
+//!   computed once and feeds both the ranking and the point sets.
 //! * [`JoinPredicate`] — per-dimension or aggregate-L1 epsilon condition
 //!   with short-circuit evaluation.
 //! * [`super_ego_join`] — the recursive divide-and-conquer driver
@@ -43,9 +50,9 @@ mod strategy;
 pub use join::{collect_pairs, super_ego_join, EgoStats, SuperEgoParams};
 pub use lanes::{all_within, all_within_scalar};
 pub use order::ego_sort_order;
-pub use points::PointSet;
+pub use points::{grid_cells, PointSet};
 pub use predicate::JoinPredicate;
-pub use reorder::{dimension_order, permute_dimensions};
+pub use reorder::{dimension_order, dimension_order_cells, permute_dimensions};
 pub use scalar::Scalar;
 pub use strategy::ego_prune;
 
@@ -76,6 +83,42 @@ pub fn normalize_counters(data: &[u32], max_value: u32) -> Vec<f32> {
         .collect()
 }
 
+/// How many points per side [`ego_point_sets`] samples to rank
+/// dimensions.
+pub const REORDER_SAMPLE: usize = 10_000;
+
+/// The Super-EGO setup of one join: grid every value of `b_data` and
+/// `a_data` (flat row-major, stride `d`) once with cell width `width`,
+/// rank the dimensions from those cells when `reorder` is set
+/// ([`dimension_order_cells`], sampling [`REORDER_SAMPLE`] points per
+/// side), and permute and EGO-sort both sides. The returned point sets
+/// identify points by their input row.
+///
+/// # Panics
+/// Panics if a side's length is not a multiple of `d`, or if `d == 0`
+/// and `reorder` is set.
+pub fn ego_point_sets<S: Scalar>(
+    d: usize,
+    width: S,
+    mut b_data: Vec<S>,
+    mut a_data: Vec<S>,
+    reorder: bool,
+) -> (PointSet<S>, PointSet<S>) {
+    let mut cells_b = grid_cells(&b_data, width);
+    let mut cells_a = grid_cells(&a_data, width);
+    if reorder {
+        let order = dimension_order_cells(d, &cells_b, &cells_a, REORDER_SAMPLE);
+        b_data = permute_dimensions(&b_data, d, &order);
+        a_data = permute_dimensions(&a_data, d, &order);
+        cells_b = permute_dimensions(&cells_b, d, &order);
+        cells_a = permute_dimensions(&cells_a, d, &order);
+    }
+    (
+        PointSet::from_cells(d, width, b_data, cells_b, None),
+        PointSet::from_cells(d, width, a_data, cells_a, None),
+    )
+}
+
 /// The classic epsilon-join of Böhm et al. / Kalashnikov: all pairs of
 /// points within Euclidean distance `eps`, computed with the full
 /// Super-EGO machinery (dimension reordering, EGO sort, EGO-strategy
@@ -102,11 +145,7 @@ pub fn epsilon_join(
     // Reorder dimensions by selectivity (Super-EGO), then EGO-sort with
     // cell width = eps: a gap of two cells in any dimension implies a
     // per-dimension difference > eps, hence Euclidean distance > eps.
-    let order = dimension_order(d, b_data, a_data, eps, 10_000);
-    let b_perm = permute_dimensions(b_data, d, &order);
-    let a_perm = permute_dimensions(a_data, d, &order);
-    let b = PointSet::build(d, eps, b_perm, None);
-    let a = PointSet::build(d, eps, a_perm, None);
+    let (b, a) = ego_point_sets(d, eps, b_data.to_vec(), a_data.to_vec(), true);
     let mut stats = EgoStats::default();
     let mut pairs = collect_pairs(
         &b,

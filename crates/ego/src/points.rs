@@ -3,6 +3,11 @@
 use crate::order::ego_sort_order;
 use crate::scalar::Scalar;
 
+/// The grid cell of every value of `data`, in the same layout.
+pub fn grid_cells<S: Scalar>(data: &[S], width: S) -> Vec<u32> {
+    data.iter().map(|&v| v.cell(width)).collect()
+}
+
 /// A set of d-dimensional points with precomputed grid cells, stored flat
 /// (stride `d`) and sorted in EGO (lexicographic cell) order.
 ///
@@ -27,20 +32,34 @@ impl<S: Scalar> PointSet<S> {
     /// Panics if `data.len()` is not a multiple of `d`, or `ids` has the
     /// wrong length, or `d == 0` with non-empty data.
     pub fn build(d: usize, width: S, data: Vec<S>, ids: Option<Vec<u32>>) -> Self {
+        let cells = grid_cells(&data, width);
+        Self::from_cells(d, width, data, cells, ids)
+    }
+
+    /// [`build`](Self::build) with the grid cells already computed:
+    /// `cells[k]` must be `data[k].cell(width)` (see [`grid_cells`]), so a
+    /// caller that needed the cells before building (say, to rank
+    /// dimensions) computes them once.
+    ///
+    /// # Panics
+    /// As [`build`](Self::build), and if `cells.len() != data.len()`.
+    pub fn from_cells(
+        d: usize,
+        width: S,
+        data: Vec<S>,
+        cells: Vec<u32>,
+        ids: Option<Vec<u32>>,
+    ) -> Self {
         assert!(d > 0 || data.is_empty(), "d must be positive");
         assert!(
             d == 0 || data.len().is_multiple_of(d),
             "data length {} not a multiple of d={d}",
             data.len()
         );
+        assert_eq!(cells.len(), data.len(), "one cell per coordinate");
         let n = data.len().checked_div(d).unwrap_or(0);
         let ids = ids.unwrap_or_else(|| (0..n as u32).collect());
         assert_eq!(ids.len(), n, "ids length must equal point count");
-
-        let mut cells = vec![0u32; data.len()];
-        for (c, &v) in cells.iter_mut().zip(data.iter()) {
-            *c = v.cell(width);
-        }
 
         let perm = ego_sort_order(d, &cells);
         let mut sorted_data = Vec::with_capacity(data.len());

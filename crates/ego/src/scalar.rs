@@ -23,15 +23,11 @@ impl Scalar for f32 {
     fn cell(self, width: f32) -> u32 {
         debug_assert!(width > 0.0);
         // Values live in [0, 1]; the division is widened to f64 so a tiny
-        // width (e.g. 1/152532) does not lose cell resolution.
-        let c = (self as f64 / width as f64).floor();
-        if c <= 0.0 {
-            0
-        } else if c >= u32::MAX as f64 {
-            u32::MAX
-        } else {
-            c as u32
-        }
+        // width (e.g. 1/152532) does not lose cell resolution. The cast
+        // truncates (the floor, for a non-negative quotient) and saturates:
+        // negative and NaN quotients give 0, quotients of 2^32 or more
+        // give `u32::MAX`. Unlike `f64::floor` it needs no libm call.
+        (self as f64 / width as f64) as u32
     }
 
     #[inline]

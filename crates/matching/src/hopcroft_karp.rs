@@ -136,7 +136,7 @@ pub fn hopcroft_karp(graph: &MatchGraph) -> Matching {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{brute_force_maximum, kuhn};
+    use crate::{brute_force_maximum, DynamicMatching};
 
     fn graph(nb: u32, na: u32, edges: &[(u32, u32)]) -> MatchGraph {
         MatchGraph::from_edges(nb, na, edges.to_vec())
@@ -155,10 +155,35 @@ mod tests {
         assert_eq!(m.len(), 3);
     }
 
+    type Case = (u32, u32, Vec<(u32, u32)>);
+
+    fn assert_matches_brute_force(cases: Vec<Case>) {
+        for (nb, na, edges) in cases {
+            let g = graph(nb, na, &edges);
+            let hk = hopcroft_karp(&g);
+            hk.validate(&g).unwrap();
+            assert_eq!(hk.len(), brute_force_maximum(&g).len(), "edges={edges:?}");
+        }
+    }
+
     #[test]
-    fn agrees_with_kuhn_and_brute_force() {
-        type Case = (u32, u32, Vec<(u32, u32)>);
-        let cases: Vec<Case> = vec![
+    fn empty_graph() {
+        assert!(hopcroft_karp(&graph(0, 0, &[])).is_empty());
+    }
+
+    #[test]
+    fn finds_augmenting_path() {
+        // Greedy takes (0, 0) and strands b_1; only the augmenting path
+        // b_1 -> a_0 -> b_0 -> a_1 reaches size 2.
+        let g = graph(2, 2, &[(0, 0), (0, 1), (1, 0)]);
+        let m = hopcroft_karp(&g);
+        m.validate(&g).unwrap();
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn agrees_with_brute_force() {
+        assert_matches_brute_force(vec![
             (3, 3, vec![(0, 0), (1, 0), (2, 0)]),
             (4, 2, vec![(0, 0), (1, 0), (2, 1), (3, 1)]),
             (2, 2, vec![(0, 0), (0, 1), (1, 0)]),
@@ -179,18 +204,64 @@ mod tests {
                     (5, 4),
                 ],
             ),
-        ];
-        for (nb, na, edges) in cases {
-            let g = graph(nb, na, &edges);
-            let hk = hopcroft_karp(&g);
-            hk.validate(&g).unwrap();
-            assert_eq!(hk.len(), kuhn(&g).len(), "edges={edges:?}");
-            assert_eq!(hk.len(), brute_force_maximum(&g).len(), "edges={edges:?}");
-        }
+        ]);
     }
 
     #[test]
-    fn large_random_agrees_with_kuhn() {
+    fn matches_brute_force_on_small_graphs() {
+        assert_matches_brute_force(vec![
+            (3, 3, vec![(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]),
+            (
+                5,
+                5,
+                vec![
+                    (0, 1),
+                    (0, 2),
+                    (1, 0),
+                    (1, 3),
+                    (2, 1),
+                    (3, 4),
+                    (3, 0),
+                    (4, 2),
+                    (4, 4),
+                ],
+            ),
+        ]);
+    }
+
+    #[test]
+    fn long_augmenting_chain() {
+        // Chain graph forcing repeated re-matching: b_i -> {a_i, a_{i+1}}.
+        let n = 50u32;
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, i));
+            edges.push((i, i + 1));
+        }
+        let g = graph(n, n + 1, &edges);
+        let m = hopcroft_karp(&g);
+        m.validate(&g).unwrap();
+        assert_eq!(m.len(), n as usize);
+    }
+
+    #[test]
+    fn deep_chain_does_not_overflow_stack() {
+        // One very long augmenting path: every b_i lists a_0 first, then
+        // its own a_i.
+        let n = 5_000u32;
+        let mut edges = Vec::new();
+        for i in 0..n {
+            edges.push((i, 0));
+            edges.push((i, i));
+        }
+        let g = graph(n, n, &edges);
+        let m = hopcroft_karp(&g);
+        m.validate(&g).unwrap();
+        assert_eq!(m.len(), n as usize);
+    }
+
+    #[test]
+    fn large_random_agrees_with_dynamic_matching() {
         // Deterministic pseudo-random graph via an LCG (no rand dependency
         // needed in non-dev builds; this is a dev test but the LCG keeps it
         // reproducible across rand versions).
@@ -210,6 +281,13 @@ mod tests {
         let g = graph(nb, na, &edges);
         let hk = hopcroft_karp(&g);
         hk.validate(&g).unwrap();
-        assert_eq!(hk.len(), kuhn(&g).len());
+        // `DynamicMatching::from_graph` starts from Hopcroft–Karp's own
+        // answer, so the oracle inserts the left vertices one at a time:
+        // each insertion repairs the matching by augmenting paths.
+        let mut dm = DynamicMatching::new(nb as usize, na as usize);
+        for b in 0..nb {
+            dm.set_left_edges(b, g.neighbors_of_left(b).to_vec());
+        }
+        assert_eq!(hk.len(), dm.matching_size());
     }
 }

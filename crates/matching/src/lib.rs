@@ -14,7 +14,6 @@
 //!   the paper).
 //! * [`greedy`] — first-fit greedy matching (what the *approximate* CSJ
 //!   methods effectively compute, made reusable for audits).
-//! * [`kuhn`] — Kuhn's augmenting-path algorithm (simple exact maximum).
 //! * [`hopcroft_karp`] — Hopcroft–Karp (fast exact maximum), used to audit
 //!   how far CSF is from the true optimum.
 //! * [`brute_force_maximum`] — exponential oracle for tiny instances, used
@@ -31,7 +30,6 @@ mod dynamic;
 mod graph;
 mod greedy;
 mod hopcroft_karp;
-mod kuhn;
 mod matching;
 
 pub use brute::brute_force_maximum;
@@ -40,14 +38,13 @@ pub use dynamic::DynamicMatching;
 pub use graph::{GraphBuilder, MatchGraph};
 pub use greedy::greedy;
 pub use hopcroft_karp::hopcroft_karp;
-pub use kuhn::kuhn;
 pub use matching::{Matching, MatchingError};
 
 /// Which one-to-one matcher an exact CSJ method should use.
 ///
 /// The paper's exact methods use [`MatcherKind::Csf`]. The other variants
-/// exist for ablation: `HopcroftKarp`/`Kuhn` compute the true maximum
-/// matching, `Greedy` reproduces the approximate method's assignment on an
+/// exist for ablation: `HopcroftKarp` computes the true maximum matching,
+/// `Greedy` reproduces the approximate method's assignment on an
 /// already-materialised candidate graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
@@ -56,18 +53,15 @@ pub enum MatcherKind {
     Csf,
     /// Hopcroft–Karp maximum bipartite matching, `O(E sqrt(V))`.
     HopcroftKarp,
-    /// Kuhn's augmenting paths, `O(V * E)`.
-    Kuhn,
     /// First-fit greedy in edge insertion order.
     Greedy,
 }
 
 impl MatcherKind {
     /// All matcher kinds, for sweeps and ablations.
-    pub const ALL: [MatcherKind; 4] = [
+    pub const ALL: [MatcherKind; 3] = [
         MatcherKind::Csf,
         MatcherKind::HopcroftKarp,
-        MatcherKind::Kuhn,
         MatcherKind::Greedy,
     ];
 
@@ -76,14 +70,13 @@ impl MatcherKind {
         match self {
             MatcherKind::Csf => "csf",
             MatcherKind::HopcroftKarp => "hopcroft-karp",
-            MatcherKind::Kuhn => "kuhn",
             MatcherKind::Greedy => "greedy",
         }
     }
 
     /// Whether this matcher is guaranteed to return a *maximum* matching.
     pub fn is_guaranteed_maximum(self) -> bool {
-        matches!(self, MatcherKind::HopcroftKarp | MatcherKind::Kuhn)
+        self == MatcherKind::HopcroftKarp
     }
 }
 
@@ -94,7 +87,6 @@ impl std::str::FromStr for MatcherKind {
         match s {
             "csf" => Ok(MatcherKind::Csf),
             "hopcroft-karp" | "hk" => Ok(MatcherKind::HopcroftKarp),
-            "kuhn" => Ok(MatcherKind::Kuhn),
             "greedy" => Ok(MatcherKind::Greedy),
             other => Err(format!("unknown matcher kind: {other:?}")),
         }
@@ -112,7 +104,6 @@ pub fn run_matcher(graph: &MatchGraph, kind: MatcherKind) -> Matching {
     match kind {
         MatcherKind::Csf => csf(graph),
         MatcherKind::HopcroftKarp => hopcroft_karp(graph),
-        MatcherKind::Kuhn => kuhn(graph),
         MatcherKind::Greedy => greedy(graph),
     }
 }
@@ -138,7 +129,6 @@ mod tests {
     fn guaranteed_maximum_flags() {
         assert!(!MatcherKind::Csf.is_guaranteed_maximum());
         assert!(MatcherKind::HopcroftKarp.is_guaranteed_maximum());
-        assert!(MatcherKind::Kuhn.is_guaranteed_maximum());
         assert!(!MatcherKind::Greedy.is_guaranteed_maximum());
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for the matching substrate.
 
 use csj_matching::{
-    brute_force_maximum, csf, greedy, hopcroft_karp, kuhn, run_matcher, MatchGraph, MatcherKind,
+    brute_force_maximum, csf, greedy, hopcroft_karp, run_matcher, DynamicMatching, MatchGraph,
+    MatcherKind,
 };
 use proptest::prelude::*;
 
@@ -37,7 +38,6 @@ proptest! {
     fn exact_matchers_hit_the_true_maximum(g in small_graph()) {
         let best = brute_force_maximum(&g).len();
         prop_assert_eq!(hopcroft_karp(&g).len(), best);
-        prop_assert_eq!(kuhn(&g).len(), best);
     }
 
     /// Heuristics never exceed the maximum and CSF dominates plain greedy's
@@ -54,10 +54,16 @@ proptest! {
         prop_assert!(2 * greedy_len >= best, "greedy={greedy_len} best={best}");
     }
 
-    /// Kuhn and Hopcroft–Karp agree on graphs beyond the oracle's reach.
+    /// Hopcroft–Karp agrees, on graphs beyond the brute-force oracle's
+    /// reach, with a `DynamicMatching` grown one left vertex at a time
+    /// (augmenting-path repair, no Hopcroft–Karp inside).
     #[test]
     fn exact_matchers_agree_on_medium_graphs(g in medium_graph()) {
-        prop_assert_eq!(hopcroft_karp(&g).len(), kuhn(&g).len());
+        let mut dm = DynamicMatching::new(g.num_left() as usize, g.num_right() as usize);
+        for b in 0..g.num_left() {
+            dm.set_left_edges(b, g.neighbors_of_left(b).to_vec());
+        }
+        prop_assert_eq!(hopcroft_karp(&g).len(), dm.matching_size());
     }
 
     /// CSF is maximal: after it finishes no edge has two free endpoints.

@@ -6,7 +6,7 @@
 //! * `core` ([`csj_core`]) — the CSJ problem, the MinMax encoding and the
 //!   eight join methods (the paper's six plus the hybrid pair).
 //! * `matching` ([`csj_matching`]) — one-to-one matchers (CSF, greedy,
-//!   Kuhn, Hopcroft–Karp).
+//!   Hopcroft–Karp).
 //! * `ego` ([`csj_ego`]) — the SuperEGO substrate (EGO order, pruning
 //!   strategy, dimension reordering, recursive join).
 //! * `data` ([`csj_data`]) — dataset generators calibrated to the paper's
