@@ -24,6 +24,7 @@ use crate::community::Community;
 use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB, EncodingParams};
 use crate::error::CsjError;
 use crate::events::EventCounters;
+use crate::plan::{choose, density_estimate, Exactness};
 use crate::prepared::PreparedCommunity;
 use crate::quant::{LaneView, QuantMode, QuantizedCommunity};
 use crate::similarity::Similarity;
@@ -52,12 +53,11 @@ pub enum CsjMethod {
     /// Exact MinMax–SuperEGO hybrid: integer recursion, encoded all-pairs
     /// leaf, one matcher call.
     ExHybrid,
-    /// Delegate method selection to the cost-based planner (the paper's
-    /// §6.2 "combined algorithm"): [`run`] resolves this to the cheapest
-    /// concrete method for the instance via [`crate::plan::CostTable`],
-    /// and engine callers resolve it through their calibrated planner.
-    /// Never appears in [`CsjMethod::ALL`] — every plan produces one of
-    /// the eight concrete methods above.
+    /// Delegate method selection to the density rule (the paper's §6.2
+    /// "combined algorithm"): [`run`], [`run_prepared`] and the engine
+    /// resolve this through [`crate::plan::choose`] on the pair's
+    /// measured candidate density. Never appears in [`CsjMethod::ALL`]
+    /// — every plan produces one of the eight concrete methods above.
     Auto,
 }
 
@@ -380,16 +380,7 @@ impl<'x> JoinInput<'x> {
 
 /// The checks both entries share: dimensionality, the size constraint
 /// (unless [`CsjOptions::enforce_sizes`] is off) and the tuning values.
-/// Returns the concrete method: [`CsjMethod::Auto`] resolves through
-/// the seeded cost table, since a standalone join has no latency
-/// history (engine callers resolve `Auto` through their calibrated
-/// planner before reaching this point).
-fn validate(
-    method: CsjMethod,
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Result<CsjMethod, CsjError> {
+fn validate(b: &Community, a: &Community, opts: &CsjOptions) -> Result<(), CsjError> {
     if b.d() != a.d() {
         return Err(CsjError::DimensionMismatch {
             b_d: b.d(),
@@ -406,17 +397,17 @@ fn validate(
             opts.superego.t
         )));
     }
-    if method != CsjMethod::Auto {
-        return Ok(method);
+    Ok(())
+}
+
+/// Resolve [`CsjMethod::Auto`] by the density rule on the pair's MinMax
+/// encodings (the approximate pick, as for [`Exactness::Any`]); a
+/// concrete method passes through untouched.
+fn resolve(method: CsjMethod, eb: &EncodedB, ea: &EncodedA) -> CsjMethod {
+    match method {
+        CsjMethod::Auto => choose(density_estimate(eb, ea), Exactness::Any),
+        concrete => concrete,
     }
-    let input = crate::plan::PlanInput::new(
-        b.len(),
-        a.len(),
-        b.d(),
-        opts.eps,
-        crate::plan::Exactness::Any,
-    );
-    Ok(crate::plan::CostTable::seeded().plan(&input).chosen)
 }
 
 /// Validate inputs and execute `method` on communities `b` (smaller) and
@@ -434,17 +425,25 @@ pub fn run(
     a: &Community,
     opts: &CsjOptions,
 ) -> Result<JoinOutcome, CsjError> {
-    let method = validate(method, b, a, opts)?;
+    validate(b, a, opts)?;
     let start = Instant::now();
-    let lanes = (opts.quant.enabled()
-        && !matches!(method, CsjMethod::ApSuperEgo | CsjMethod::ExSuperEgo))
-    .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)));
-    let encoded = matches!(method, CsjMethod::ApMinMax | CsjMethod::ExMinMax).then(|| {
+    let encode = || {
         (
             encode_b(b, opts.encoding),
             encode_a(a, opts.eps, opts.encoding),
         )
-    });
+    };
+    // `Auto` measures density on the MinMax encodings, which a MinMax
+    // pick then reuses.
+    let planned = (method == CsjMethod::Auto).then(encode);
+    let method = planned
+        .as_ref()
+        .map_or(method, |(eb, ea)| resolve(method, eb, ea));
+    let lanes = (opts.quant.enabled()
+        && !matches!(method, CsjMethod::ApSuperEgo | CsjMethod::ExSuperEgo))
+    .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)));
+    let encoded = matches!(method, CsjMethod::ApMinMax | CsjMethod::ExMinMax)
+        .then(|| planned.unwrap_or_else(encode));
     let input = JoinInput {
         b,
         a,
@@ -467,10 +466,11 @@ pub fn run_prepared(
     a: &PreparedCommunity,
     opts: &CsjOptions,
 ) -> Result<JoinOutcome, CsjError> {
-    let method = validate(method, b.community(), a.community(), opts)?;
+    validate(b.community(), a.community(), opts)?;
     b.check_options(opts)?;
     a.check_options(opts)?;
     let start = Instant::now();
+    let method = resolve(method, b.encoded_b(), a.encoded_a());
     let input = JoinInput {
         b: b.community(),
         a: a.community(),
@@ -501,7 +501,7 @@ fn execute(method: CsjMethod, input: &JoinInput, opts: &CsjOptions, start: Insta
         CsjMethod::ExSuperEgo => superego::superego(input, whole(false), opts),
         CsjMethod::ApHybrid => hybrid::hybrid(input, greedy(), opts),
         CsjMethod::ExHybrid => hybrid::hybrid(input, whole(false), opts),
-        CsjMethod::Auto => unreachable!("Auto is resolved by validate"),
+        CsjMethod::Auto => unreachable!("Auto is resolved by resolve"),
     };
     raw.timings.setup += setup;
     let elapsed = start.elapsed();
@@ -601,10 +601,16 @@ mod tests {
         assert!(!CsjMethod::PAPER.contains(&CsjMethod::Auto));
         let b = tiny("B", &[&[3, 4, 2], &[2, 2, 3]]);
         let a = tiny("A", &[&[2, 3, 5], &[2, 3, 1], &[3, 3, 3]]);
-        let out = run(CsjMethod::Auto, &b, &a, &CsjOptions::new(1).with_parts(3)).unwrap();
+        let opts = CsjOptions::new(1).with_parts(3);
+        let out = run(CsjMethod::Auto, &b, &a, &opts).unwrap();
         assert_ne!(out.method, CsjMethod::Auto);
         assert!(CsjMethod::ALL.contains(&out.method));
-        assert!(out.similarity.matched >= 1);
+        // Every counter pair is within a few eps: dense, so the rule's
+        // approximate pick is Ap-SuperEGO, and `Auto` answers exactly
+        // what its pick answers.
+        assert_eq!(out.method, CsjMethod::ApSuperEgo);
+        let pinned = run(out.method, &b, &a, &opts).unwrap();
+        assert_eq!(out.pairs, pinned.pairs);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use community::{Community, UserId};
 pub use encoding::{encode_a, encode_b, part_bounds, EncodedA, EncodedB, EncodingParams};
 pub use error::CsjError;
 pub use events::{Event, EventCounters};
-pub use plan::{CostSample, CostTable, Exactness, PlanInput, QueryPlan};
+pub use plan::{Exactness, PlanInput, QueryPlan};
 pub use prepared::PreparedCommunity;
 pub use quant::{pair_lane, tile_geometry, LaneKind, QuantMode, QuantizedCommunity};
 pub use shard::{community_mass, plan_shards, Coverage, ShardLayout};

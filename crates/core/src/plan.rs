@@ -1,60 +1,55 @@
-//! Cost-based query planning: pick a [`CsjMethod`] from the instance.
+//! Method selection for [`CsjMethod::Auto`]: one rule on measured
+//! candidate density.
 //!
-//! The paper's Section 6.2 timing analysis shows that no single method
-//! wins everywhere: the Ex-MinMax / Ex-SuperEGO crossover moves with
-//! `|A|`, `|B|`, `d`, `eps` and data density, and the discussion
-//! sketches a "combined algorithm" that picks per instance. This module
-//! is that combiner's model half: a [`PlanInput`] summarises one join
-//! instance, a versioned [`CostTable`] holds per-method linear cost
-//! coefficients (seeded from the offline `tables -- crossover`
-//! experiment, recalibratable via [`fit`]), and [`CostTable::plan`]
-//! deterministically resolves [`CsjMethod::Auto`] to the cheapest
-//! admissible concrete method, keeping the rejected alternatives for
-//! `csj explain` and query traces.
+//! The paper's Section 6.2 finds that the data regime decides which
+//! method wins. On skewed VK data (eps 1) most users sit in a few
+//! low-counter profiles and the MinMax filters leave very few
+//! candidates per row, so MinMax wins. On uniform data (eps 15,000) the
+//! filter windows cover a large share of the other side, and the
+//! SuperEGO family's grid recursion wins. [`density_estimate`] measures
+//! that regime from the two MinMax encodings in one pass over `A`. The
+//! two regimes sit orders of magnitude apart on the §6 couples (VK-like
+//! 0.0001–0.0012, uniform 0.14–0.19), and [`choose`] splits them at
+//! [`DENSITY_THRESHOLD`]:
 //!
-//! Everything here is **pure and deterministic**: the same table and the
-//! same input always produce the same [`QueryPlan`] (the planner's
-//! online feedback loop lives in `csj-engine`, where latency
-//! observations exist). The table serialises to a small versioned text
-//! format (`csj-cost-table v1`) so a calibrated model survives process
-//! restarts and can be reviewed in a diff.
+//! | density | exact | approximate |
+//! |---|---|---|
+//! | below the threshold | Ex-MinMax | Ap-MinMax |
+//! | at or above it | Ex-Hybrid | Ap-SuperEGO |
+//!
+//! Exact picks are lossless: Ex-SuperEGO compares normalised floats and
+//! can under-count, so [`Exactness::Exact`] never admits it (it stays
+//! reachable by name for the §6 tables). Everything here is pure: the
+//! same encodings always give the same [`QueryPlan`].
 
 use crate::algorithms::CsjMethod;
+use crate::encoding::{EncodedA, EncodedB};
 use crate::prepared::PreparedCommunity;
 
-/// Format/semantics version of [`CostTable`]; bumped when the feature
-/// vector or the serialised layout changes incompatibly. v2 extended
-/// the vector with the quantized-kernel features (narrow-lane compare
-/// volume, A-tile count).
-pub const COST_TABLE_VERSION: u32 = 2;
-
-/// Length of the per-method feature/weight vector.
-pub const FEATURES: usize = 6;
-
-/// Number of concrete methods the table covers.
-const METHODS: usize = CsjMethod::ALL.len();
-
-/// Density assumed when no prepared encodings are available to estimate
-/// it (cold CLI paths, registry-average ladder inputs).
-pub const DEFAULT_DENSITY: f64 = 0.25;
+/// Candidate density below which the MinMax methods win (see the module
+/// docs). It sits inside the gap between the two measured regimes, an
+/// order of magnitude from either side.
+pub const DENSITY_THRESHOLD: f64 = 0.02;
 
 /// What kind of answer the caller needs; restricts which methods a plan
 /// may choose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Exactness {
-    /// Only exact methods qualify (refinement, cached similarities).
+    /// Only lossless exact methods qualify (refinement, cached
+    /// similarities): Ex-Baseline, Ex-MinMax and Ex-Hybrid.
     Exact,
     /// Only approximate methods qualify (screening, degraded sweeps).
     Approximate,
-    /// Any method qualifies; the plan simply picks the cheapest.
+    /// Any method qualifies; the plan takes the approximate pick.
     Any,
 }
 
 impl Exactness {
-    /// Whether `method` satisfies this requirement.
+    /// Whether `method` satisfies this requirement. Ex-SuperEGO is not
+    /// exact here: its float comparator can lose pairs.
     pub fn admits(self, method: CsjMethod) -> bool {
         match self {
-            Exactness::Exact => method.is_exact(),
+            Exactness::Exact => method.is_exact() && method != CsjMethod::ExSuperEgo,
             Exactness::Approximate => !method.is_exact(),
             Exactness::Any => true,
         }
@@ -70,102 +65,44 @@ impl Exactness {
     }
 }
 
-/// Everything the cost model knows about one join instance.
+/// What the rule knows about one join instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanInput {
-    /// Size of the smaller community `B`.
-    pub nb: usize,
-    /// Size of the larger community `A`.
-    pub na: usize,
-    /// Dimensionality.
-    pub d: usize,
-    /// The per-dimension epsilon threshold.
-    pub eps: u32,
     /// The caller's exactness requirement.
     pub exactness: Exactness,
-    /// Estimated fraction of `(b, a)` pairs that survive the cheap
-    /// MIN/MAX filters and reach a full d-dimensional comparison, in
-    /// `(0, 1]`. Derived from the prepared encodings' part-sum spread
-    /// ([`PlanInput::from_prepared`]) or [`DEFAULT_DENSITY`].
+    /// Estimated fraction of `A` each `B` row must compare against
+    /// ([`density_estimate`]).
     pub density: f64,
-    /// Bytes per counter lane the quantized kernel would use for this
-    /// pair (1, 2 or 4): the widest of both sides' narrowest fitting
-    /// lanes, widened further if `eps` exceeds the lane's range. 4 when
-    /// nothing is known about the data (cold CLI paths).
-    pub lane_bytes: usize,
 }
 
 impl PlanInput {
-    /// An input with the default density estimate.
-    pub fn new(nb: usize, na: usize, d: usize, eps: u32, exactness: Exactness) -> Self {
+    /// Measure the instance from the MinMax encodings of `B` and `A`.
+    pub fn measure(eb: &EncodedB, ea: &EncodedA, exactness: Exactness) -> Self {
         Self {
-            nb,
-            na,
-            d,
-            eps,
             exactness,
-            density: DEFAULT_DENSITY,
-            lane_bytes: 4,
+            density: density_estimate(eb, ea),
         }
     }
 
-    /// Set the quantized lane width the kernel would pick for this pair
-    /// (see [`crate::quant::pair_lane`]).
-    pub fn with_lane(mut self, lane_bytes: usize) -> Self {
-        self.lane_bytes = lane_bytes;
-        self
-    }
-
-    /// Build the input from two prepared communities (`b` smaller, `a`
-    /// larger), estimating the candidate density from their encodings:
-    /// the mean `[encoded_Min, encoded_Max]` window of `A` relative to
-    /// the spread of `B`'s sorted `encoded_ID`s approximates the
-    /// fraction of `A` each driven `B` row must consider.
+    /// [`PlanInput::measure`] on two prepared communities (`b` smaller,
+    /// `a` larger).
     pub fn from_prepared(
         b: &PreparedCommunity,
         a: &PreparedCommunity,
         exactness: Exactness,
     ) -> Self {
-        let mut input = Self::new(b.len(), a.len(), b.community().d(), b.eps(), exactness);
-        input.density = density_estimate(b, a);
-        input.lane_bytes =
-            crate::quant::pair_lane(b.quantized(), a.quantized(), b.eps()).bytes() as usize;
-        input
-    }
-
-    /// The model's feature vector: `[1, setup elements, raw candidate
-    /// pairs, surviving comparisons, narrow-lane compare volume, A-tile
-    /// count]`. The last two describe the quantized kernel: the compare
-    /// volume rescaled by the chosen lane width (a `u8` pair moves a
-    /// quarter of the bytes a `u32` pair does, so its weight lets the
-    /// fit learn the narrow-lane discount) and the number of L1-sized
-    /// tiles the blocked scan walks (per-tile loop overhead).
-    pub fn features(&self) -> [f64; FEATURES] {
-        let nb = self.nb as f64;
-        let na = self.na as f64;
-        let d = self.d as f64;
-        let compare = nb * na * d * self.density.clamp(1e-6, 1.0);
-        let lane_scale = (self.lane_bytes.clamp(1, 4) as f64) / 4.0;
-        let (_, tiles) =
-            crate::quant::tile_geometry(self.na, self.d, self.lane_bytes.clamp(1, 4) as u32);
-        [
-            1.0,
-            (nb + na) * d,
-            nb * na,
-            compare,
-            compare * lane_scale,
-            tiles as f64,
-        ]
+        Self::measure(b.encoded_b(), a.encoded_a(), exactness)
     }
 }
 
-/// Density estimate from prepared encodings; see
-/// [`PlanInput::from_prepared`].
-pub fn density_estimate(b: &PreparedCommunity, a: &PreparedCommunity) -> f64 {
-    let eb = b.encoded_b();
-    let ea = a.encoded_a();
+/// Candidate density from the MinMax encodings: the mean
+/// `[encoded_Min, encoded_Max]` window of `A` relative to the spread of
+/// `B`'s sorted `encoded_ID`s approximates the fraction of `A` each
+/// driven `B` row must consider. In `[1/|A|, 1]`; 0 when a side is
+/// empty (there is nothing to compare).
+pub fn density_estimate(eb: &EncodedB, ea: &EncodedA) -> f64 {
     if eb.is_empty() || ea.is_empty() {
-        return DEFAULT_DENSITY;
+        return 0.0;
     }
     let window_sum: u64 = ea
         .encd_mins
@@ -175,386 +112,84 @@ pub fn density_estimate(b: &PreparedCommunity, a: &PreparedCommunity) -> f64 {
         .sum();
     let mean_window = window_sum as f64 / ea.len() as f64;
     let spread = (eb.encd_ids[eb.len() - 1] - eb.encd_ids[0]).max(1) as f64;
-    (mean_window / spread).clamp(1.0 / a.len().max(1) as f64, 1.0)
+    (mean_window / spread).clamp(1.0 / ea.len() as f64, 1.0)
 }
 
-/// One method's cost estimate within a [`QueryPlan`].
+/// The rule: MinMax below [`DENSITY_THRESHOLD`], Ex-Hybrid / Ap-SuperEGO
+/// at or above it. [`Exactness::Any`] takes the approximate pick.
+pub fn choose(density: f64, exactness: Exactness) -> CsjMethod {
+    let sparse = density < DENSITY_THRESHOLD;
+    match (exactness, sparse) {
+        (Exactness::Exact, true) => CsjMethod::ExMinMax,
+        (Exactness::Exact, false) => CsjMethod::ExHybrid,
+        (_, true) => CsjMethod::ApMinMax,
+        (_, false) => CsjMethod::ApSuperEgo,
+    }
+}
+
+/// The resolved plan for one join instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanCandidate {
-    /// The concrete method.
-    pub method: CsjMethod,
-    /// Estimated wall-clock cost, microseconds.
-    pub estimated_us: f64,
-}
-
-/// The resolved plan for one join instance: the chosen method, its cost
-/// estimate and every admissible alternative the model rejected.
-#[derive(Debug, Clone, PartialEq)]
 pub struct QueryPlan {
-    /// The instance the plan was made for.
+    /// The instance the plan was made for (it carries the density).
     pub input: PlanInput,
-    /// The cheapest admissible method.
+    /// The method [`choose`] picked.
     pub chosen: CsjMethod,
-    /// The chosen method's estimated cost, microseconds.
-    pub estimated_us: f64,
-    /// Every admissible candidate, cheapest first (the chosen method is
-    /// `candidates[0]`).
-    pub candidates: Vec<PlanCandidate>,
-    /// Version of the cost table that produced the plan.
-    pub table_version: u32,
-    /// Provenance of the table (`"seeded"` or `"calibrated"`).
-    pub table_source: String,
 }
 
 impl QueryPlan {
-    /// The admissible alternatives the model did *not* choose, cheapest
-    /// first.
-    pub fn rejected(&self) -> &[PlanCandidate] {
-        &self.candidates[1..]
-    }
-
-    /// One-line rendering of the rejected alternatives, for traces and
-    /// `csj explain` (`"ex-superego:312us, ex-baseline:4102us"`).
-    pub fn rejected_summary(&self) -> String {
-        self.rejected()
-            .iter()
-            .map(|c| format!("{}:{:.0}us", c.method.name(), c.estimated_us))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
-
-/// Versioned per-method cost coefficients over [`PlanInput::features`].
-/// `weights[i]` corresponds to `CsjMethod::ALL[i]`; the estimated cost
-/// of a method is the dot product of its weights with the feature
-/// vector, in microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostTable {
-    /// Format/semantics version (see [`COST_TABLE_VERSION`]).
-    pub version: u32,
-    /// Provenance: `"seeded"` for the built-in coefficients,
-    /// `"calibrated"` for tables produced by [`fit`].
-    pub source: String,
-    /// Per-method weight rows, indexed like [`CsjMethod::ALL`].
-    pub weights: [[f64; FEATURES]; METHODS],
-}
-
-fn method_index(method: CsjMethod) -> usize {
-    CsjMethod::ALL
-        .iter()
-        .position(|&m| m == method)
-        .expect("concrete method in ALL")
-}
-
-impl CostTable {
-    /// The built-in coefficients, seeded from the shape of the
-    /// `tables -- crossover` results: Baseline pays nothing in setup but
-    /// scans every pair; MinMax buys a ~5x smaller scan with a cheap
-    /// encode-and-sort; SuperEGO pays the largest setup (normalise,
-    /// reorder, EGO sort) for the cheapest scan; hybrids sit between.
-    /// Exact variants add the matcher's per-edge cost on top of their
-    /// approximate siblings. Absolute values are rough — [`fit`]
-    /// recalibrates them on the actual machine — but the *relative*
-    /// shape already reproduces the paper's small-instance/large-
-    /// instance crossover.
-    pub fn seeded() -> Self {
-        // The two v2 kernel features (narrow-lane compare volume, tile
-        // count) are seeded at zero: the seed stays behaviourally
-        // identical to the v1 table and only calibration against the
-        // quantized kernels gives them weight.
-        let row =
-            |base: f64, setup: f64, scan: f64, compare: f64| [base, setup, scan, compare, 0.0, 0.0];
+    /// Apply the rule to `input`.
+    pub fn new(input: PlanInput) -> Self {
         Self {
-            version: COST_TABLE_VERSION,
-            source: "seeded".to_string(),
-            // Indexed like CsjMethod::ALL:
-            // ApBaseline, ApMinMax, ApSuperEgo, ApHybrid,
-            // ExBaseline, ExMinMax, ExSuperEgo, ExHybrid.
-            weights: [
-                row(2.0, 0.0, 0.0040, 0.0015),
-                row(3.0, 0.010, 0.0008, 0.0015),
-                row(5.0, 0.030, 0.0005, 0.0015),
-                row(5.0, 0.020, 0.0006, 0.0015),
-                row(3.0, 0.0, 0.0040, 0.0035),
-                row(4.0, 0.010, 0.0008, 0.0035),
-                row(6.0, 0.030, 0.0005, 0.0035),
-                row(6.0, 0.020, 0.0006, 0.0035),
-            ],
+            input,
+            chosen: choose(input.density, input.exactness),
         }
-    }
-
-    /// Estimated cost of running `method` on `input`, microseconds.
-    /// Never below 1 µs (a calibrated row must not go negative on
-    /// inputs outside its fitting range).
-    pub fn estimate(&self, method: CsjMethod, input: &PlanInput) -> f64 {
-        let w = &self.weights[method_index(method)];
-        let f = input.features();
-        w.iter()
-            .zip(f.iter())
-            .map(|(wi, fi)| wi * fi)
-            .sum::<f64>()
-            .max(1.0)
-    }
-
-    /// Resolve `input` to a concrete method: every admissible method is
-    /// costed and the cheapest wins (ties break on [`CsjMethod::ALL`]
-    /// order, so planning is fully deterministic).
-    pub fn plan(&self, input: &PlanInput) -> QueryPlan {
-        let mut candidates: Vec<PlanCandidate> = CsjMethod::ALL
-            .iter()
-            .filter(|&&m| input.exactness.admits(m))
-            .map(|&m| PlanCandidate {
-                method: m,
-                estimated_us: self.estimate(m, input),
-            })
-            .collect();
-        candidates.sort_by(|p, q| {
-            p.estimated_us
-                .total_cmp(&q.estimated_us)
-                .then_with(|| method_index(p.method).cmp(&method_index(q.method)))
-        });
-        let best = candidates[0];
-        QueryPlan {
-            input: *input,
-            chosen: best.method,
-            estimated_us: best.estimated_us,
-            candidates,
-            table_version: self.version,
-            table_source: self.source.clone(),
-        }
-    }
-
-    /// The degradation ladder for an exact `primary` method under
-    /// pressure (open breaker, deadline): *fastest-exact → hybrid →
-    /// approximate*. Rungs are ordered from least to most degraded and
-    /// the final rung is always [`CsjMethod::approximate_counterpart`],
-    /// whose score is a sound lower bound within a factor of two of the
-    /// exact answer. An approximate (or [`CsjMethod::Auto`]) primary
-    /// has nothing to degrade to and gets a single-rung ladder.
-    pub fn degradation_ladder(&self, primary: CsjMethod, input: &PlanInput) -> Vec<CsjMethod> {
-        if !primary.is_exact() {
-            return vec![primary.approximate_counterpart()];
-        }
-        let mut ladder = Vec::with_capacity(4);
-        let push = |m: CsjMethod, ladder: &mut Vec<CsjMethod>| {
-            if m != primary && !ladder.contains(&m) {
-                ladder.push(m);
-            }
-        };
-        // Rung 1: the cheapest *other* exact method (the breaker is
-        // per-method, so a healthy exact sibling preserves exactness).
-        if let Some(fastest) = CsjMethod::ALL
-            .iter()
-            .filter(|&&m| m.is_exact() && m != primary)
-            .min_by(|&&p, &&q| self.estimate(p, input).total_cmp(&self.estimate(q, input)))
-        {
-            push(*fastest, &mut ladder);
-        }
-        // Rung 2: the exact hybrid — a different substrate (integer EGO
-        // recursion + encoded leaf), robust when the primary's substrate
-        // is the problem.
-        push(CsjMethod::ExHybrid, &mut ladder);
-        // Rung 3+: approximate — cheapest first, the primary's
-        // counterpart always last (the documented 2x soundness rung).
-        if let Some(cheapest_ap) = CsjMethod::ALL
-            .iter()
-            .filter(|&&m| !m.is_exact() && m != primary.approximate_counterpart())
-            .min_by(|&&p, &&q| self.estimate(p, input).total_cmp(&self.estimate(q, input)))
-        {
-            push(*cheapest_ap, &mut ladder);
-        }
-        let counterpart = primary.approximate_counterpart();
-        if !ladder.contains(&counterpart) {
-            ladder.push(counterpart);
-        }
-        ladder
-    }
-
-    /// Serialise to the versioned `csj-cost-table` text format. Float
-    /// weights use Rust's shortest-roundtrip rendering, so
-    /// `from_text(to_text())` reproduces the table bit-identically.
-    pub fn to_text(&self) -> String {
-        let mut out = format!("csj-cost-table v{}\nsource {}\n", self.version, self.source);
-        for (i, m) in CsjMethod::ALL.iter().enumerate() {
-            out.push_str(&format!("method {}", m.name()));
-            for w in &self.weights[i] {
-                out.push_str(&format!(" {w:?}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parse the `csj-cost-table` text format; rejects unknown versions,
-    /// unknown/missing methods and malformed weights.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty cost table")?;
-        let version: u32 = header
-            .strip_prefix("csj-cost-table v")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or_else(|| format!("bad cost-table header: {header:?}"))?;
-        if version != COST_TABLE_VERSION {
-            return Err(format!(
-                "unsupported cost-table version {version} (this build reads v{COST_TABLE_VERSION})"
-            ));
-        }
-        let source_line = lines.next().ok_or("missing source line")?;
-        let source = source_line
-            .strip_prefix("source ")
-            .ok_or_else(|| format!("bad source line: {source_line:?}"))?
-            .trim()
-            .to_string();
-        let mut weights = [[f64::NAN; FEATURES]; METHODS];
-        let mut seen = [false; METHODS];
-        for line in lines {
-            let mut tok = line.split_whitespace();
-            match tok.next() {
-                Some("method") => {}
-                other => return Err(format!("unexpected line start: {other:?}")),
-            }
-            let name = tok.next().ok_or("method line without a name")?;
-            let method: CsjMethod = name.parse().map_err(|e| format!("cost table: {e}"))?;
-            if method == CsjMethod::Auto {
-                return Err("cost table cannot contain a row for auto".into());
-            }
-            let idx = method_index(method);
-            if seen[idx] {
-                return Err(format!("duplicate row for {name}"));
-            }
-            seen[idx] = true;
-            for w in weights[idx].iter_mut() {
-                let raw = tok
-                    .next()
-                    .ok_or_else(|| format!("{name}: missing weight"))?;
-                *w = raw
-                    .parse()
-                    .map_err(|_| format!("{name}: bad weight {raw:?}"))?;
-                if !w.is_finite() {
-                    return Err(format!("{name}: non-finite weight {raw:?}"));
-                }
-            }
-            if tok.next().is_some() {
-                return Err(format!("{name}: too many weights"));
-            }
-        }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            return Err(format!(
-                "cost table missing a row for {}",
-                CsjMethod::ALL[missing].name()
-            ));
-        }
-        Ok(Self {
-            version,
-            source,
-            weights,
-        })
     }
 }
 
-impl Default for CostTable {
-    fn default() -> Self {
-        Self::seeded()
+/// The degradation ladder for an exact `primary` method under pressure
+/// (open breaker, deadline), ordered from least to most degraded:
+/// *exact sibling → Ex-Hybrid → approximate → counterpart*. The exact
+/// sibling is the rule's exact pick at `density`, or the other regime's
+/// pick when that is `primary`; the approximate rung is the rule's
+/// approximate pick. The last rung is always
+/// [`CsjMethod::approximate_counterpart`], whose score is a sound lower
+/// bound within a factor of two of the exact answer. Exact rungs are
+/// lossless. Without a measured density (no concrete pair) the rungs
+/// rank as on dense data, where Ex-Hybrid is the exact pick. An
+/// approximate (or [`CsjMethod::Auto`]) primary has nothing to degrade
+/// to and gets a single-rung ladder.
+pub fn degradation_ladder(primary: CsjMethod, density: Option<f64>) -> Vec<CsjMethod> {
+    let counterpart = primary.approximate_counterpart();
+    if !primary.is_exact() {
+        return vec![counterpart];
     }
-}
-
-/// One calibration observation: `method` ran on `input` in `actual_us`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostSample {
-    /// The measured method.
-    pub method: CsjMethod,
-    /// The instance it ran on.
-    pub input: PlanInput,
-    /// Measured wall-clock, microseconds.
-    pub actual_us: f64,
-}
-
-/// Fit a calibrated table from measured samples: per method, ridge
-/// least squares over the feature vector, regularised toward the seed
-/// coefficients so under-determined fits (few shapes) degrade to a
-/// rescaled seed instead of oscillating. Methods with no samples keep
-/// their seed row. Deterministic: same samples, same table.
-pub fn fit(samples: &[CostSample], seed: &CostTable) -> CostTable {
-    let mut table = seed.clone();
-    table.source = "calibrated".to_string();
-    for (idx, &method) in CsjMethod::ALL.iter().enumerate() {
-        let rows: Vec<&CostSample> = samples.iter().filter(|s| s.method == method).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        // Normal equations with Tikhonov regularisation toward the seed:
-        // (X'X + λS) w = X'y + λS w_seed, with S scaling λ per feature so
-        // the penalty is dimensionless across wildly different feature
-        // magnitudes.
-        let mut xtx = [[0.0f64; FEATURES]; FEATURES];
-        let mut xty = [0.0f64; FEATURES];
-        let mut scale = [0.0f64; FEATURES];
-        for s in &rows {
-            let f = s.input.features();
-            for i in 0..FEATURES {
-                scale[i] += f[i] * f[i];
-                xty[i] += f[i] * s.actual_us;
-                for j in 0..FEATURES {
-                    xtx[i][j] += f[i] * f[j];
-                }
-            }
-        }
-        const LAMBDA: f64 = 1e-2;
-        for i in 0..FEATURES {
-            let s = LAMBDA * (scale[i] / rows.len() as f64).max(1e-12);
-            xtx[i][i] += s;
-            xty[i] += s * seed.weights[idx][i];
-        }
-        if let Some(w) = solve(xtx, xty) {
-            table.weights[idx] = w;
+    let density = density.unwrap_or(1.0);
+    let exact = choose(density, Exactness::Exact);
+    let sibling = if exact != primary {
+        exact
+    } else if density < DENSITY_THRESHOLD {
+        CsjMethod::ExHybrid
+    } else {
+        CsjMethod::ExMinMax
+    };
+    let approximate = choose(density, Exactness::Approximate);
+    let mut ladder = Vec::with_capacity(4);
+    for rung in [sibling, CsjMethod::ExHybrid, approximate, counterpart] {
+        if rung != primary && !ladder.contains(&rung) {
+            ladder.push(rung);
         }
     }
-    table
-}
-
-/// Gaussian elimination with partial pivoting; `None` on a (numerically)
-/// singular system — the caller keeps the seed row then.
-fn solve(mut a: [[f64; FEATURES]; FEATURES], mut b: [f64; FEATURES]) -> Option<[f64; FEATURES]> {
-    for col in 0..FEATURES {
-        let pivot = (col..FEATURES).max_by(|&p, &q| a[p][col].abs().total_cmp(&a[q][col].abs()))?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in (col + 1)..FEATURES {
-            let factor = a[row][col] / a[col][col];
-            let pivot_row = a[col];
-            for (k, &p) in pivot_row.iter().enumerate().skip(col) {
-                a[row][k] -= factor * p;
-            }
-            b[row] -= factor * b[col];
-        }
-    }
-    let mut x = [0.0f64; FEATURES];
-    for row in (0..FEATURES).rev() {
-        let mut acc = b[row];
-        for k in (row + 1)..FEATURES {
-            acc -= a[row][k] * x[k];
-        }
-        x[row] = acc / a[row][row];
-        if !x[row].is_finite() {
-            return None;
-        }
-    }
-    Some(x)
+    ladder
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::{CsjOptions, PreparedCommunity};
 
-    fn input(nb: usize, na: usize, d: usize, eps: u32, exactness: Exactness) -> PlanInput {
-        PlanInput::new(nb, na, d, eps, exactness)
-    }
-
-    fn random_community(name: &str, n: usize, d: usize, seed: u64) -> crate::Community {
+    /// A community whose `n` users spread their counters over
+    /// `0..spread` in every dimension.
+    fn community(name: &str, n: usize, spread: u32, seed: u64) -> crate::Community {
         let mut state = seed;
         let mut next = move || {
             state = state
@@ -564,237 +199,115 @@ mod tests {
         };
         crate::Community::from_rows(
             name,
-            d,
-            (0..n).map(|i| (i as u64, (0..d).map(|_| next() % 12).collect::<Vec<u32>>())),
+            4,
+            (0..n).map(|i| {
+                (
+                    i as u64,
+                    (0..4).map(|_| next() % spread).collect::<Vec<u32>>(),
+                )
+            }),
         )
         .expect("well-formed")
     }
 
+    fn plan_of(spread: u32, eps: u32, exactness: Exactness) -> QueryPlan {
+        let opts = CsjOptions::new(eps).with_parts(2);
+        let b = PreparedCommunity::new(community("b", 300, spread, 1), &opts);
+        let a = PreparedCommunity::new(community("a", 400, spread, 2), &opts);
+        QueryPlan::new(PlanInput::from_prepared(&b, &a, exactness))
+    }
+
     #[test]
     fn plan_respects_exactness() {
-        let table = CostTable::seeded();
-        let exact = table.plan(&input(100, 120, 27, 2, Exactness::Exact));
-        assert!(exact.chosen.is_exact());
-        assert!(exact.candidates.iter().all(|c| c.method.is_exact()));
-        assert_eq!(exact.candidates.len(), 4);
-
-        let approx = table.plan(&input(100, 120, 27, 2, Exactness::Approximate));
-        assert!(!approx.chosen.is_exact());
-        assert_eq!(approx.candidates.len(), 4);
-
-        let any = table.plan(&input(100, 120, 27, 2, Exactness::Any));
-        assert_eq!(any.candidates.len(), 8);
-        // The cheapest overall can never be exact under this model: the
-        // exact sibling always adds matcher cost on identical features.
-        assert!(!any.chosen.is_exact());
+        for density in [0.0, 0.001, DENSITY_THRESHOLD, 0.5, 1.0] {
+            for exactness in [Exactness::Exact, Exactness::Approximate, Exactness::Any] {
+                let chosen = choose(density, exactness);
+                assert!(exactness.admits(chosen), "{density} {exactness:?}");
+                assert_eq!(chosen.is_exact(), exactness == Exactness::Exact);
+            }
+        }
     }
 
     #[test]
-    fn candidates_sorted_and_rejected_excludes_chosen() {
-        let table = CostTable::seeded();
-        let plan = table.plan(&input(500, 550, 27, 2, Exactness::Exact));
-        assert!(plan
-            .candidates
-            .windows(2)
-            .all(|w| w[0].estimated_us <= w[1].estimated_us));
-        assert_eq!(plan.candidates[0].method, plan.chosen);
-        assert_eq!(plan.rejected().len(), plan.candidates.len() - 1);
-        assert!(plan.rejected().iter().all(|c| c.method != plan.chosen));
-        assert!(plan.rejected_summary().contains(":"));
-    }
-
-    #[test]
-    fn seeded_model_reproduces_the_crossover_shape() {
-        // Tiny instances: no-setup Baseline wins. Large instances: the
-        // encoded scan methods win (setup amortised).
-        let table = CostTable::seeded();
-        let small = table.plan(&input(8, 10, 27, 2, Exactness::Exact));
-        assert_eq!(small.chosen, CsjMethod::ExBaseline);
-        let large = table.plan(&input(4000, 4400, 27, 2, Exactness::Exact));
-        assert_ne!(large.chosen, CsjMethod::ExBaseline);
-    }
-
-    #[test]
-    fn text_roundtrip_is_identical() {
-        let table = CostTable::seeded();
-        let text = table.to_text();
-        let back = CostTable::from_text(&text).unwrap();
-        assert_eq!(back, table);
-        assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn from_text_rejects_malformed_tables() {
-        assert!(CostTable::from_text("").is_err());
-        assert!(CostTable::from_text("csj-cost-table v99\nsource x\n").is_err());
-        let mut missing = CostTable::seeded().to_text();
-        let last = missing.rfind("method").unwrap();
-        missing.truncate(last);
-        assert!(CostTable::from_text(&missing)
-            .unwrap_err()
-            .contains("missing"));
-        let dup = format!(
-            "{}method ap-baseline 1 1 1 1 1 1\n",
-            CostTable::seeded().to_text()
+    fn exact_admits_only_lossless_methods() {
+        let exact: Vec<CsjMethod> = CsjMethod::ALL
+            .into_iter()
+            .filter(|&m| Exactness::Exact.admits(m))
+            .collect();
+        assert_eq!(
+            exact,
+            [
+                CsjMethod::ExBaseline,
+                CsjMethod::ExMinMax,
+                CsjMethod::ExHybrid
+            ]
         );
-        assert!(CostTable::from_text(&dup)
-            .unwrap_err()
-            .contains("duplicate"));
-        let auto_row = "csj-cost-table v2\nsource x\nmethod auto 1 1 1 1 1 1\n";
-        assert!(CostTable::from_text(auto_row).is_err());
-        // Pre-kernel v1 tables (4 features) are rejected loudly, not
-        // silently zero-extended.
-        let v1 = "csj-cost-table v1\nsource seeded\nmethod ap-baseline 1 1 1 1\n";
-        assert!(CostTable::from_text(v1)
-            .unwrap_err()
-            .contains("unsupported cost-table version 1"));
+        assert!(!Exactness::Exact.admits(CsjMethod::ExSuperEgo));
+    }
+
+    #[test]
+    fn the_rule_splits_the_regimes_at_the_threshold() {
+        // Wide counters at eps 1: narrow windows, MinMax.
+        let sparse = plan_of(100_000, 1, Exactness::Exact);
+        assert!(sparse.input.density < DENSITY_THRESHOLD, "{sparse:?}");
+        assert_eq!(sparse.chosen, CsjMethod::ExMinMax);
+        // eps comparable to the counter range: wide windows, Ex-Hybrid.
+        let dense = plan_of(100, 40, Exactness::Exact);
+        assert!(dense.input.density >= DENSITY_THRESHOLD, "{dense:?}");
+        assert_eq!(dense.chosen, CsjMethod::ExHybrid);
+        assert_eq!(
+            plan_of(100, 40, Exactness::Any).chosen,
+            CsjMethod::ApSuperEgo
+        );
+        assert_eq!(
+            plan_of(100_000, 1, Exactness::Approximate).chosen,
+            CsjMethod::ApMinMax
+        );
+        assert_eq!(
+            choose(DENSITY_THRESHOLD, Exactness::Exact),
+            CsjMethod::ExHybrid
+        );
     }
 
     #[test]
     fn ladder_ends_on_the_counterpart_and_never_contains_primary() {
-        let table = CostTable::seeded();
-        let inp = input(400, 440, 27, 2, Exactness::Exact);
-        for primary in CsjMethod::ALL.into_iter().filter(|m| m.is_exact()) {
-            let ladder = table.degradation_ladder(primary, &inp);
-            assert!(!ladder.is_empty());
-            assert!(!ladder.contains(&primary), "{primary}");
-            assert_eq!(*ladder.last().unwrap(), primary.approximate_counterpart());
-            // fastest-exact rung first, then strictly more degraded.
-            assert!(ladder[0].is_exact(), "{primary}: {ladder:?}");
-            let mut deduped = ladder.clone();
-            deduped.dedup();
-            assert_eq!(deduped, ladder, "no duplicate rungs");
+        for density in [None, Some(0.001), Some(0.5)] {
+            for primary in CsjMethod::ALL.into_iter().filter(|m| m.is_exact()) {
+                let ladder = degradation_ladder(primary, density);
+                assert!(!ladder.contains(&primary), "{primary}");
+                assert_eq!(*ladder.last().unwrap(), primary.approximate_counterpart());
+                // An exact sibling first, then strictly more degraded;
+                // every exact rung is lossless.
+                assert!(Exactness::Exact.admits(ladder[0]), "{primary}: {ladder:?}");
+                assert!(ladder
+                    .iter()
+                    .all(|&m| !m.is_exact() || Exactness::Exact.admits(m)));
+                let mut deduped = ladder.clone();
+                deduped.dedup();
+                assert_eq!(deduped, ladder, "no duplicate rungs");
+            }
         }
+        assert_eq!(
+            degradation_ladder(CsjMethod::ExMinMax, Some(0.001)),
+            vec![CsjMethod::ExHybrid, CsjMethod::ApMinMax]
+        );
+        assert_eq!(
+            degradation_ladder(CsjMethod::ExHybrid, Some(0.5)),
+            vec![
+                CsjMethod::ExMinMax,
+                CsjMethod::ApSuperEgo,
+                CsjMethod::ApHybrid
+            ]
+        );
         // Approximate primaries have a single self rung.
         assert_eq!(
-            table.degradation_ladder(CsjMethod::ApMinMax, &inp),
+            degradation_ladder(CsjMethod::ApMinMax, Some(0.5)),
             vec![CsjMethod::ApMinMax]
         );
         // Auto is not exact: delegated selection stays delegated.
         assert_eq!(
-            table.degradation_ladder(CsjMethod::Auto, &inp),
+            degradation_ladder(CsjMethod::Auto, None),
             vec![CsjMethod::Auto]
         );
-    }
-
-    #[test]
-    fn fit_recovers_planted_coefficients() {
-        // Synthesise samples from a known table and check the fit ranks
-        // methods identically on a held-out instance.
-        let mut truth = CostTable::seeded();
-        truth.weights[method_index(CsjMethod::ExMinMax)] = [10.0, 0.02, 0.0002, 0.001, 0.0, 0.0];
-        truth.weights[method_index(CsjMethod::ExBaseline)] = [5.0, 0.0, 0.006, 0.004, 0.0, 0.0];
-        let shapes = [
-            input(50, 60, 27, 2, Exactness::Exact),
-            input(200, 220, 27, 2, Exactness::Exact),
-            input(800, 880, 27, 2, Exactness::Exact),
-            input(2000, 2200, 27, 2, Exactness::Exact),
-            input(400, 800, 27, 2, Exactness::Exact),
-        ];
-        let mut samples = Vec::new();
-        for m in [CsjMethod::ExMinMax, CsjMethod::ExBaseline] {
-            for s in &shapes {
-                samples.push(CostSample {
-                    method: m,
-                    input: *s,
-                    actual_us: truth.estimate(m, s),
-                });
-            }
-        }
-        let fitted = fit(&samples, &CostTable::seeded());
-        assert_eq!(fitted.source, "calibrated");
-        let held_out = input(1200, 1300, 27, 2, Exactness::Exact);
-        let truth_best = truth.estimate(CsjMethod::ExMinMax, &held_out)
-            < truth.estimate(CsjMethod::ExBaseline, &held_out);
-        let fit_best = fitted.estimate(CsjMethod::ExMinMax, &held_out)
-            < fitted.estimate(CsjMethod::ExBaseline, &held_out);
-        assert_eq!(truth_best, fit_best);
-        // Unmeasured methods keep their seed rows.
-        assert_eq!(
-            fitted.weights[method_index(CsjMethod::ApSuperEgo)],
-            CostTable::seeded().weights[method_index(CsjMethod::ApSuperEgo)]
-        );
-    }
-
-    #[test]
-    fn narrow_lanes_shift_the_planned_crossover() {
-        // A calibrated table can express "the blocked Baseline scan is
-        // bandwidth-bound": its compare cost rides on the lane-scaled
-        // v2 feature while MinMax's stays on the raw pair count. On a
-        // u8-lane pair the quantized scan then wins the plan; the same
-        // shape with u32 lanes keeps the encoded method. The seeded
-        // weights alone can't distinguish these (both v2 features seed
-        // to zero) — this is exactly what `plan --calibrate` against
-        // the quantized kernels learns.
-        let mut table = CostTable::seeded();
-        let ex_baseline = method_index(CsjMethod::ExBaseline);
-        // All of ExBaseline's scan cost is byte volume: feature 4.
-        table.weights[ex_baseline] = [3.0, 0.0, 0.0, 0.0, 0.0120, 0.05];
-        let shape = input(600, 660, 27, 2, Exactness::Exact);
-
-        let wide = table.plan(&shape.with_lane(4));
-        assert_ne!(wide.chosen, CsjMethod::ExBaseline);
-
-        let narrow = table.plan(&shape.with_lane(1));
-        assert_eq!(narrow.chosen, CsjMethod::ExBaseline);
-        // The estimate itself reflects the 4x byte discount (modulo the
-        // fixed floor and per-tile overhead).
-        assert!(narrow.estimated_us < wide.candidates[0].estimated_us * 2.0);
-    }
-
-    #[test]
-    fn from_prepared_reports_the_pair_lane() {
-        let opts = crate::CsjOptions::new(1).with_parts(2);
-        let narrow = random_community("narrow", 30, 3, 11); // counters < 12
-        let wide = {
-            let mut c = random_community("wide", 30, 3, 12);
-            c.push(999, &[70_000, 1, 2]).unwrap();
-            c
-        };
-        let pn = PreparedCommunity::new(narrow, &opts);
-        let pw = PreparedCommunity::new(wide, &opts);
-        assert_eq!(
-            PlanInput::from_prepared(&pn, &pn, Exactness::Any).lane_bytes,
-            1
-        );
-        // One side exceeding u16 range widens the pair to u32.
-        assert_eq!(
-            PlanInput::from_prepared(&pn, &pw, Exactness::Any).lane_bytes,
-            4
-        );
-    }
-
-    #[test]
-    fn estimates_have_a_floor() {
-        let mut table = CostTable::seeded();
-        table.weights[0] = [-100.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let e = table.estimate(CsjMethod::ApBaseline, &input(1, 1, 1, 0, Exactness::Any));
-        assert_eq!(e, 1.0);
-    }
-
-    proptest! {
-        /// Frozen-table determinism: for any seeded input, planning is a
-        /// pure function — two independent table instances (one via the
-        /// text roundtrip) produce byte-identical plans.
-        #[test]
-        fn frozen_table_plans_are_byte_identical(
-            nb in 1usize..5000,
-            extra in 0usize..5000,
-            d in 1usize..64,
-            eps in 0u32..10,
-            density_millis in 1u32..1000,
-            which in 0usize..3,
-        ) {
-            let exactness = [Exactness::Exact, Exactness::Approximate, Exactness::Any][which];
-            let mut input = PlanInput::new(nb, nb + extra, d, eps, exactness);
-            input.density = f64::from(density_millis) / 1000.0;
-            let table = CostTable::seeded();
-            let roundtripped = CostTable::from_text(&table.to_text()).unwrap();
-            let p1 = table.plan(&input);
-            let p2 = roundtripped.plan(&input);
-            prop_assert_eq!(&p1, &p2);
-            prop_assert_eq!(format!("{p1:?}"), format!("{p2:?}"));
-            prop_assert!(input.exactness.admits(p1.chosen));
-        }
     }
 }

@@ -66,16 +66,6 @@ impl LaneKind {
             LaneKind::U32 => 32,
         }
     }
-
-    /// Lane width in bytes (what the planner's cost features use).
-    #[must_use]
-    pub fn bytes(self) -> u32 {
-        match self {
-            LaneKind::U8 => 1,
-            LaneKind::U16 => 2,
-            LaneKind::U32 => 4,
-        }
-    }
 }
 
 /// Narrow-lane copies of a community's counter matrix.
@@ -288,8 +278,7 @@ impl<'x> LaneView<'x> {
 /// rows fit one tile so a tile's counters stay resident in L1/L2 while
 /// a block of `B` rows streams over it.
 ///
-/// Returns `(tile_rows, tile_count)`. Also feeds the planner's tile
-/// feature, so it must stay deterministic in `(na, d, lane_bytes)`.
+/// Returns `(tile_rows, tile_count)`.
 #[must_use]
 pub fn tile_geometry(na: usize, d: usize, lane_bytes: u32) -> (usize, usize) {
     /// Target bytes of `A` data per tile — half a typical 64 KiB L1d,

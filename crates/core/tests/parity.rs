@@ -284,15 +284,7 @@ mod reference {
         opts: &CsjOptions,
     ) -> (PointSet<f32>, PointSet<f32>, JoinPredicate<f32>) {
         let d = b.d();
-        let max_value = opts
-            .superego
-            .max_value
-            .unwrap_or_else(|| b.max_counter().max(a.max_counter()))
-            .max(1);
-        let eps_norm = (opts.eps as f64 / max_value as f64) as f32;
-        let width = if eps_norm > 0.0 { eps_norm } else { 1.0e-6 };
-        let mut data_b = normalize(b.raw_data(), max_value);
-        let mut data_a = normalize(a.raw_data(), max_value);
+        let (mut data_b, mut data_a, eps_norm, width) = ego_inputs(b, a, opts);
         if opts.superego.reorder {
             let order = frozen_dimension_order(d, &data_b, &data_a, width, 10_000);
             data_b = csj_core::csj_ego::permute_dimensions(&data_b, d, &order);
@@ -312,6 +304,29 @@ mod reference {
         (ps_b, ps_a, pred)
     }
 
+    /// The old normalisation: both sides' counters divided by the
+    /// SuperEGO divisor, with the normalised eps and the grid width
+    /// `(data_b, data_a, eps_norm, width)`.
+    pub fn ego_inputs(
+        b: &Community,
+        a: &Community,
+        opts: &CsjOptions,
+    ) -> (Vec<f32>, Vec<f32>, f32, f32) {
+        let max_value = opts
+            .superego
+            .max_value
+            .unwrap_or_else(|| b.max_counter().max(a.max_counter()))
+            .max(1);
+        let eps_norm = (opts.eps as f64 / max_value as f64) as f32;
+        let width = if eps_norm > 0.0 { eps_norm } else { 1.0e-6 };
+        (
+            normalize(b.raw_data(), max_value),
+            normalize(a.raw_data(), max_value),
+            eps_norm,
+            width,
+        )
+    }
+
     /// The old `f32` grid cell: floor of the widened quotient, clamped.
     fn floor_cell(v: f32, width: f32) -> u32 {
         let c = (v as f64 / width as f64).floor();
@@ -328,7 +343,7 @@ mod reference {
     /// cell histogram of every `n / max_sample`-th point of each side,
     /// scored by the probability that a B and an A point land within one
     /// cell of each other; stable ascending sort.
-    fn frozen_dimension_order(
+    pub fn frozen_dimension_order(
         d: usize,
         b_data: &[f32],
         a_data: &[f32],
@@ -636,22 +651,52 @@ fn lcg_sweep_all_methods() {
 /// floor-based cells, pair for pair, over the LCG seeds with counter
 /// ranges from a few cells (the dense count path) to far more cells than
 /// points (the sorted tail), with and without a normalisation divisor
-/// that makes the `f32` conversion lossy.
+/// that makes the `f32` conversion lossy. The dimension ranking itself
+/// is compared too: on these small instances a wrong ranking rarely
+/// changes the pairs or the events.
 #[test]
 fn superego_setup_matches_frozen_reference() {
-    for seed in 0..40u64 {
-        let d = 1 + (seed % 6) as usize;
-        let na = 20 + (seed % 23) as usize * 3;
-        let hi = [10, 400, 200_000][(seed % 3) as usize];
-        let eps = [0, 1, 3, 2_000][(seed % 4) as usize];
-        let (b, a) = random_pair(seed.wrapping_mul(0x51ED), d, na, hi);
-        let mut opts = CsjOptions::new(eps).with_parts(1 + (seed % 3) as usize);
-        opts.superego.max_value = [None, Some(152_532)][(seed % 2) as usize];
+    use csj_core::csj_ego::{dimension_order, REORDER_SAMPLE};
+    let mut instances: Vec<(Community, Community, CsjOptions)> = (0..40u64)
+        .map(|seed| {
+            let d = 1 + (seed % 6) as usize;
+            let na = 20 + (seed % 23) as usize * 3;
+            let hi = [10, 400, 200_000][(seed % 3) as usize];
+            let eps = [0, 1, 3, 2_000][(seed % 4) as usize];
+            let (b, a) = random_pair(seed.wrapping_mul(0x51ED), d, na, hi);
+            let mut opts = CsjOptions::new(eps).with_parts(1 + (seed % 3) as usize);
+            opts.superego.max_value = [None, Some(152_532)][(seed % 2) as usize];
+            (b, a, opts)
+        })
+        .collect();
+    // Random rows almost never put a B cell next to a cell of A's sorted
+    // tail. Here B is A's first rows with one dimension a cell lower or
+    // higher, on a divisor that makes cells exactly the counters.
+    for seed in 0..6u64 {
+        let (_, a) = random_pair(seed, 3, 60, 200_000);
+        let (dim, shift) = ((seed % 3) as usize, [1i64, -1][(seed % 2) as usize]);
+        let rows = (0..45).map(|i| {
+            let mut row = a.vector(i).to_vec();
+            row[dim] = (i64::from(row[dim]) + shift).max(0) as u32;
+            (i as u64, row)
+        });
+        let b = Community::from_rows("B", 3, rows).expect("well-formed");
+        let mut opts = CsjOptions::new(1);
+        opts.superego.max_value = Some(1 << 18);
+        instances.push((b, a, opts));
+    }
+    for (i, (b, a, opts)) in instances.iter().enumerate() {
+        let (data_b, data_a, _, width) = reference::ego_inputs(b, a, opts);
+        assert_eq!(
+            dimension_order(b.d(), &data_b, &data_a, width, REORDER_SAMPLE),
+            reference::frozen_dimension_order(b.d(), &data_b, &data_a, width, 10_000),
+            "dimension order, instance {i}"
+        );
         for method in [CsjMethod::ApSuperEgo, CsjMethod::ExSuperEgo] {
-            let outcome = run(method, &b, &a, &opts).expect("valid parity instance");
-            let frozen = reference::dispatch(method, &b, &a, &opts);
-            assert_eq!(outcome.pairs, frozen.pairs, "{method}, seed {seed}");
-            assert_eq!(outcome.events, frozen.events, "{method}, seed {seed}");
+            let outcome = run(method, b, a, opts).expect("valid parity instance");
+            let frozen = reference::dispatch(method, b, a, opts);
+            assert_eq!(outcome.pairs, frozen.pairs, "{method}, instance {i}");
+            assert_eq!(outcome.events, frozen.events, "{method}, instance {i}");
         }
     }
 }
@@ -669,11 +714,7 @@ fn parity_holds_with_pruning_disabled() {
 #[test]
 fn parity_holds_for_every_matcher() {
     use csj_core::MatcherKind;
-    for matcher in [
-        MatcherKind::Csf,
-        MatcherKind::Greedy,
-        MatcherKind::HopcroftKarp,
-    ] {
+    for matcher in MatcherKind::ALL {
         for seed in 40..48u64 {
             let (b, a) = random_pair(seed, 2, 10, 6);
             let opts = CsjOptions::new(1).with_matcher(matcher);
@@ -723,11 +764,7 @@ fn parity_on_large_duplicate_heavy_segments() {
     use csj_core::MatcherKind;
     for (seed, nb, na) in [(3u64, 180usize, 240usize), (9, 240, 300)] {
         let (b, a) = duplicate_heavy_pair(seed, nb, na);
-        for matcher in [
-            MatcherKind::Csf,
-            MatcherKind::Greedy,
-            MatcherKind::HopcroftKarp,
-        ] {
+        for matcher in MatcherKind::ALL {
             let opts = CsjOptions::new(1).with_matcher(matcher);
             assert_parity(&b, &a, &opts);
             let ex = run(CsjMethod::ExMinMax, &b, &a, &opts).expect("admissible");

@@ -21,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use csj_core::plan::{Exactness, PlanInput, QueryPlan};
+use csj_core::plan::{degradation_ladder, Exactness, PlanInput, QueryPlan};
 use csj_core::{
     community_mass, plan_shards, run_prepared, Community, Coverage, CsjError, CsjMethod,
     CsjOptions, JoinOutcome, JoinTelemetry, PreparedCommunity, ShardLayout, Similarity, UserId,
@@ -34,7 +34,6 @@ use crate::error::EngineError;
 #[cfg(feature = "fault-injection")]
 use crate::fault::FaultPlan;
 use crate::obs::{outcome_label, EngineObs, ObsConfig, QueryKind, QueryRecorder};
-use crate::plan::{PlanSource, Planner, PlannerConfig};
 
 /// [`Registered::mass`] before it is computed (a real mass is far
 /// smaller: counters are `u32` and communities fit in memory).
@@ -73,9 +72,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Observability: span recording, metrics, flight-recorder depth.
     pub obs: ObsConfig,
-    /// Cost-based planner: resolves [`CsjMethod::Auto`], ranks the
-    /// degradation ladder, refines estimates from measured latencies.
-    pub planner: PlannerConfig,
     /// Sharded execution of multi-pair queries: shard count, per-shard
     /// deadline slices, straggler hedging.
     pub shard: ShardConfig,
@@ -93,7 +89,6 @@ impl EngineConfig {
             screen_threshold: 0.15,
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
             obs: ObsConfig::default(),
-            planner: PlannerConfig::default(),
             shard: ShardConfig::default(),
         }
     }
@@ -261,9 +256,6 @@ pub struct CsjEngine {
     telemetry: Mutex<JoinTelemetry>,
     /// Metrics registry + flight recorder (see [`ObsConfig`]).
     obs: EngineObs,
-    /// Cost-based planner (Auto resolution, degradation ladders,
-    /// online latency feedback). See [`PlannerConfig`].
-    planner: Planner,
     #[cfg(feature = "fault-injection")]
     faults: Option<FaultPlan>,
     #[cfg(feature = "fault-injection")]
@@ -275,12 +267,10 @@ impl CsjEngine {
     pub fn new(d: usize, config: EngineConfig) -> Self {
         assert!(d > 0, "dimensionality must be positive");
         let obs = EngineObs::new(&config.obs);
-        let planner = Planner::new(config.planner.clone());
         Self {
             config,
             d,
             obs,
-            planner,
             entries: Vec::new(),
             names: HashMap::new(),
             cache: Mutex::new(HashMap::new()),
@@ -430,13 +420,12 @@ impl CsjEngine {
     /// cancellation reports [`EngineError::Cancelled`] rather than an
     /// under-counted similarity.
     ///
-    /// This is the planner stage: [`CsjMethod::Auto`] is resolved to a
-    /// concrete method *here*, before kernel dispatch, under the
-    /// caller's `exactness` requirement (refinement demands an exact
-    /// method even when the configured refine method is `Auto`, so the
-    /// exact-similarity cache stays exact). Every join — planned or
-    /// pinned — feeds its measured latency back to the planner, and
-    /// hands its candidate count back to the caller in [`Scored`].
+    /// [`CsjMethod::Auto`] is resolved *here*, by the density rule under
+    /// the caller's `exactness` requirement (refinement demands a
+    /// lossless exact method even when the configured refine method is
+    /// `Auto`, so the exact-similarity cache stays exact). A pinned
+    /// method does no plan work. Every join hands its candidate count
+    /// back to the caller in [`Scored`].
     fn join_prepared(
         &self,
         method: CsjMethod,
@@ -446,10 +435,9 @@ impl CsjEngine {
         opts: &CsjOptions,
         rec: Option<&QueryRecorder>,
     ) -> Result<Scored, EngineError> {
-        let plan_input = || PlanInput::from_prepared(b, a, exactness);
-        let planned: Option<(QueryPlan, PlanSource)> =
-            (method == CsjMethod::Auto).then(|| self.planner.plan(&plan_input()));
-        let method = planned.as_ref().map_or(method, |(p, _)| p.chosen);
+        let plan = (method == CsjMethod::Auto)
+            .then(|| QueryPlan::new(PlanInput::from_prepared(b, a, exactness)));
+        let method = plan.map_or(method, |p| p.chosen);
         let start_us = rec.map_or(0, QueryRecorder::now_us);
         // A rejected pair (size constraint, mismatched preparation) ran
         // no join, so it is not counted.
@@ -461,16 +449,6 @@ impl CsjEngine {
             ..
         } = run_prepared(method, b, a, opts)?;
         self.joins_executed.fetch_add(1, Ordering::Relaxed);
-        let actual_us = timings.total().as_micros().min(u128::from(u64::MAX)) as u64;
-        // Close the feedback loop (a cancelled join under-reports its
-        // true cost, so it must not drag the model down).
-        if !cancelled {
-            self.planner.observe(
-                method,
-                self.planner.base_estimate(method, &plan_input()),
-                actual_us as f64,
-            );
-        }
         self.telemetry
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -482,13 +460,14 @@ impl CsjEngine {
             cancelled,
             rec.map_or(0, |r| r.trace_id()),
         );
-        if let Some((plan, source)) = &planned {
-            self.obs.on_plan(plan, *source, actual_us);
+        if let Some(plan) = &plan {
+            let actual_us = timings.total().as_micros().min(u128::from(u64::MAX)) as u64;
+            self.obs.on_plan(plan, actual_us);
+            if let Some(rec) = rec {
+                rec.record_plan(plan, actual_us, start_us);
+            }
         }
         if let Some(rec) = rec {
-            if let Some((plan, source)) = &planned {
-                rec.record_plan(plan, *source, actual_us, start_us);
-            }
             let outcome = if cancelled { "cancelled" } else { "ok" };
             rec.record_join(
                 method,
@@ -1404,11 +1383,10 @@ impl CsjEngine {
         n.saturating_sub(u64::from(cursor.j)) + rest.saturating_sub(1) * rest / 2
     }
 
-    /// Resolve the cost-based plan for one pair without running a join:
-    /// which method the planner would pick under `exactness`, its cost
-    /// estimate and the ranked alternatives. This is what `csj explain`
-    /// surfaces, and what an `Auto` join of the pair would execute
-    /// (modulo feedback accumulated in between).
+    /// Resolve the plan for one pair without running a join: the pair's
+    /// measured density and the method the density rule picks under
+    /// `exactness`. This is what `csj explain` surfaces, and exactly what
+    /// an `Auto` join of the pair executes.
     pub fn plan_pair(
         &self,
         x: CommunityHandle,
@@ -1416,56 +1394,29 @@ impl CsjEngine {
         exactness: Exactness,
     ) -> Result<QueryPlan, EngineError> {
         let (b, a) = self.oriented(x, y)?;
-        let pb = self.prepared(b);
-        let pa = self.prepared(a);
-        let input = PlanInput::from_prepared(&pb, &pa, exactness);
-        Ok(self.planner.plan(&input).0)
+        let (pb, pa) = (self.prepared(b), self.prepared(a));
+        Ok(QueryPlan::new(PlanInput::from_prepared(
+            &pb, &pa, exactness,
+        )))
     }
 
-    /// The planner-ranked degradation ladder for an exact `primary`
-    /// method: *fastest-exact → hybrid → approximate*, always ending on
+    /// The degradation ladder for an exact `primary` method, ranked by
+    /// the density rule ([`degradation_ladder`]): *exact sibling →
+    /// Ex-Hybrid → approximate*, always ending on
     /// [`CsjMethod::approximate_counterpart`] (the documented 2x-sound
-    /// rung). With a `pair` the ladder is costed on that instance;
-    /// without one it is costed on a registry-average instance (the
-    /// broadcast-query case). Non-exact primaries get a single-rung
-    /// ladder of their own counterpart.
+    /// rung). With a `pair` the rungs are ranked on that pair's
+    /// measured density; without one (a broadcast query) they rank as
+    /// on dense data. Non-exact primaries get a single-rung ladder of
+    /// their own counterpart.
     pub fn degradation_ladder_for(
         &self,
         primary: CsjMethod,
         pair: Option<(CommunityHandle, CommunityHandle)>,
     ) -> Vec<CsjMethod> {
-        self.degradation_ladder_with_source(primary, pair).0
-    }
-
-    /// [`degradation_ladder_for`](CsjEngine::degradation_ladder_for),
-    /// plus the ranking's provenance: whether latency feedback for
-    /// `primary` refined the cost model ([`PlanSource::Refined`]) or
-    /// the static table ranked alone. Degraded requests surface this in
-    /// their traces so an operator can tell a cold-start ladder from a
-    /// learned one.
-    pub fn degradation_ladder_with_source(
-        &self,
-        primary: CsjMethod,
-        pair: Option<(CommunityHandle, CommunityHandle)>,
-    ) -> (Vec<CsjMethod>, PlanSource) {
-        let input = pair
-            .and_then(|(x, y)| {
-                let (b, a) = self.oriented(x, y).ok()?;
-                let pb = self.prepared(b);
-                let pa = self.prepared(a);
-                Some(PlanInput::from_prepared(&pb, &pa, Exactness::Any))
-            })
-            .unwrap_or_else(|| self.average_plan_input());
-        self.planner.ladder_with_source(primary, &input)
-    }
-
-    /// A representative [`PlanInput`] when no concrete pair is in play:
-    /// mean registered community size, the engine's `d` and eps, the
-    /// default density.
-    fn average_plan_input(&self) -> PlanInput {
-        let total: usize = self.entries.iter().map(|e| e.community.len()).sum();
-        let mean = total.checked_div(self.entries.len()).unwrap_or(1).max(1);
-        PlanInput::new(mean, mean, self.d, self.config.options.eps, Exactness::Any)
+        let density = pair
+            .and_then(|(x, y)| self.plan_pair(x, y, Exactness::Any).ok())
+            .map(|plan| plan.input.density);
+        degradation_ladder(primary, density)
     }
 
     /// Point-in-time snapshot of every `csj_*` metric (counters,

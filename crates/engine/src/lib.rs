@@ -48,11 +48,10 @@ mod error;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 mod obs;
-mod plan;
 mod tracked;
 
 pub use budget::{Budget, BudgetExhausted, CancelToken, ExhaustReason, Partial};
-pub use csj_core::plan::{CostTable, Exactness, PlanInput, QueryPlan};
+pub use csj_core::plan::{Exactness, PlanInput, QueryPlan};
 pub use csj_core::{Coverage, ShardLayout};
 pub use csj_obs::{CaptureCause, ForensicRecord, MetricsSnapshot, QueryTrace};
 #[cfg(feature = "fault-injection")]
@@ -64,7 +63,6 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use obs::{engine_slos, ObsConfig};
-pub use plan::{PlanSource, PlannerConfig, PlannerMode};
 pub use tracked::{Side, TrackedPair};
 
 #[cfg(test)]

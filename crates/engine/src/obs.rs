@@ -22,10 +22,9 @@ use csj_obs::{
     SloSource, SlowQueryLog, Span,
 };
 
-use csj_core::plan::QueryPlan;
+use csj_core::plan::{QueryPlan, DENSITY_THRESHOLD};
 
 use crate::budget::ExhaustReason;
-use crate::plan::PlanSource;
 
 /// Observability configuration, part of
 /// [`EngineConfig`](crate::EngineConfig).
@@ -170,8 +169,6 @@ pub(crate) struct EngineObs {
     queries: ByLabel<Counter, QueryKind>,
     budget_exhausted: ByLabel<Counter, ExhaustReason>,
     plan_selected: ByLabel<Counter, CsjMethod>,
-    plan_source: ByLabel<Counter, PlanSource>,
-    plan_estimated_us: Arc<Counter>,
     plan_actual_us: Arc<Counter>,
     joins_cancelled: Arc<Counter>,
     join_panics: Arc<Counter>,
@@ -221,8 +218,6 @@ impl EngineObs {
             queries: r.register_each(&QUERIES),
             budget_exhausted: r.register_each(&BUDGET_EXHAUSTED),
             plan_selected: r.register_each(&PLAN_SELECTED),
-            plan_source: r.register_each(&PLAN_SOURCE),
-            plan_estimated_us: r.register(&PLAN_ESTIMATED_US, []),
             plan_actual_us: r.register(&PLAN_ACTUAL_US, []),
             joins_cancelled: r.register(&JOINS_CANCELLED, []),
             join_panics: r.register(&JOIN_PANICS, []),
@@ -302,17 +297,13 @@ impl EngineObs {
         );
     }
 
-    /// Count one resolved `Auto` plan: the chosen method, whether the
-    /// estimates were static or latency-refined, and the estimated vs
-    /// actual cost totals (their ratio is the model's live accuracy).
-    pub(crate) fn on_plan(&self, plan: &QueryPlan, source: PlanSource, actual_us: u64) {
+    /// Count one resolved `Auto` plan: the chosen method and the
+    /// measured latency of the join it ran.
+    pub(crate) fn on_plan(&self, plan: &QueryPlan, actual_us: u64) {
         if !self.enabled {
             return;
         }
         self.plan_selected.get(plan.chosen).inc();
-        self.plan_source.get(source).inc();
-        self.plan_estimated_us
-            .add(plan.estimated_us.max(0.0) as u64);
         self.plan_actual_us.add(actual_us);
     }
 
@@ -553,15 +544,9 @@ impl QueryRecorder {
     }
 
     /// Record one resolved `Auto` plan as a span next to its join:
-    /// chosen method, estimated vs actual cost, the rejected
-    /// alternatives with their estimates, and the cost-table provenance.
-    pub(crate) fn record_plan(
-        &self,
-        plan: &QueryPlan,
-        source: PlanSource,
-        actual_us: u64,
-        start_us: u64,
-    ) {
+    /// chosen method, the measured density and the rule's threshold,
+    /// and the join's actual cost.
+    pub(crate) fn record_plan(&self, plan: &QueryPlan, actual_us: u64, start_us: u64) {
         if !self.on {
             return;
         }
@@ -573,14 +558,10 @@ impl QueryRecorder {
         let span = Span::new("plan")
             .at(start_us, 0)
             .attr("method", plan.chosen.name())
-            .attr("source", source.label())
-            .attr("estimated_us", plan.estimated_us as u64)
-            .attr("actual_us", actual_us)
-            .attr("alternatives", plan.rejected_summary())
-            .attr(
-                "cost_table",
-                format!("v{} ({})", plan.table_version, plan.table_source),
-            );
+            .attr("exactness", plan.input.exactness.label())
+            .attr("density", plan.input.density)
+            .attr("threshold", DENSITY_THRESHOLD)
+            .attr("actual_us", actual_us);
         joins.push(span);
     }
 

@@ -1,9 +1,12 @@
-//! End-to-end planner behaviour: `Auto` resolution across every query
-//! kind, cold-start and frozen determinism, plan metrics and traces.
+//! End-to-end planner behaviour: `Auto` resolution by the density rule
+//! across every query kind, agreement with `csj_core`'s resolution, the
+//! Section 6 regimes, plan metrics and traces.
 
-use csj_core::plan::CostTable;
-use csj_core::{Community, CsjMethod};
-use csj_engine::{CsjEngine, EngineConfig, Exactness, PlanInput, PlannerConfig, PlannerMode};
+use csj_core::plan::{choose, degradation_ladder, DENSITY_THRESHOLD};
+use csj_core::{run, run_prepared, Community, CsjMethod, CsjOptions, PreparedCommunity};
+use csj_data::pairs::{build_couple, BuildOptions, Dataset};
+use csj_data::COUPLES;
+use csj_engine::{CsjEngine, EngineConfig, Exactness, PlanInput};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
     Community::from_rows(
@@ -64,57 +67,78 @@ fn auto_resolves_on_every_query_kind() {
         .map(|m| snap.counter_value("csj_joins_total", &[("method", m.name())]))
         .sum();
     assert_eq!(joins, planned, "every join here went through the planner");
-    let static_plans = snap.counter_value("csj_plan_source_total", &[("source", "static")]);
-    let refined_plans = snap.counter_value("csj_plan_source_total", &[("source", "refined")]);
-    assert_eq!(static_plans + refined_plans, planned);
     assert!(snap.counter_value("csj_plan_actual_us_total", &[]) > 0);
 
     // The metrics flow through the Prometheus exposition too.
     let prom = snap.to_prometheus();
     assert!(prom.contains("csj_plan_selected_total"));
-    assert!(prom.contains("csj_plan_source_total{source=\"static\"}"));
+    assert!(prom.contains("csj_plan_actual_us_total"));
 }
 
 #[test]
-fn plan_traces_carry_estimates_and_alternatives() {
+fn plan_traces_carry_density_and_threshold() {
     let (engine, a, n, _) = auto_engine();
     engine.similarity(a, n).unwrap();
     let traces = engine.traces(4);
     let trace = traces.last().expect("similarity trace recorded");
     let plan = trace.root.find("plan").expect("plan span");
-    assert!(plan.get_attr("method").is_some());
-    assert!(plan.get_attr("estimated_us").is_some());
+    let expected = engine.plan_pair(a, n, Exactness::Exact).unwrap();
+    assert!(matches!(
+        plan.get_attr("method"),
+        Some(csj_obs::AttrValue::Str(m)) if m.as_str() == expected.chosen.name()
+    ));
+    assert_eq!(
+        plan.get_attr("density"),
+        Some(&csj_obs::AttrValue::F64(expected.input.density))
+    );
+    assert_eq!(
+        plan.get_attr("threshold"),
+        Some(&csj_obs::AttrValue::F64(DENSITY_THRESHOLD))
+    );
+    assert!(plan.get_attr("exactness").is_some());
     assert!(plan.get_attr("actual_us").is_some());
-    assert!(plan.get_attr("alternatives").is_some());
-    assert!(plan.get_attr("cost_table").is_some());
 }
 
 #[test]
-fn cold_start_plans_match_the_static_table() {
-    // An engine with empty latency history must plan exactly like the
-    // bare seeded cost table, deterministically.
+fn engine_plans_match_the_core_rule() {
+    // The engine, `run` and `run_prepared` resolve `Auto` through one
+    // function on one density, so they cannot disagree.
     let (engine, a, n, _) = auto_engine();
-    let plan = engine.plan_pair(a, n, Exactness::Exact).unwrap();
-    assert!(plan.chosen.is_exact());
-    // Reproduce the input and check against the static table: the
-    // engine-side density estimate is deterministic, so the estimate
-    // must agree bit-for-bit.
-    let again = engine.plan_pair(a, n, Exactness::Exact).unwrap();
-    assert_eq!(plan, again);
-    let seeded = CostTable::seeded();
-    assert_eq!(plan.table_source, "seeded");
-    assert_eq!(plan.estimated_us, seeded.estimate(plan.chosen, &plan.input));
+    let plan = engine.plan_pair(a, n, Exactness::Any).unwrap();
+    assert_eq!(plan.chosen, choose(plan.input.density, Exactness::Any));
+    assert_eq!(plan, engine.plan_pair(a, n, Exactness::Any).unwrap());
+    let exact = engine.plan_pair(a, n, Exactness::Exact).unwrap();
+    assert!(Exactness::Exact.admits(exact.chosen));
+    assert_eq!(exact.input.density, plan.input.density);
+
+    let b = community("anchor", &[[1, 1], [5, 5], [9, 9], [13, 13]]);
+    let other = community("near", &[[1, 2], [5, 5], [9, 8], [100, 100]]);
+    let opts = CsjOptions::new(1);
+    assert_eq!(
+        run(CsjMethod::Auto, &b, &other, &opts).unwrap().method,
+        plan.chosen
+    );
+    let (pb, pa) = (
+        PreparedCommunity::new(b, &opts),
+        PreparedCommunity::new(other, &opts),
+    );
+    assert_eq!(
+        PlanInput::from_prepared(&pb, &pa, Exactness::Any).density,
+        plan.input.density
+    );
+    assert_eq!(
+        run_prepared(CsjMethod::Auto, &pb, &pa, &opts)
+            .unwrap()
+            .method,
+        plan.chosen
+    );
 }
 
 #[test]
-fn frozen_engines_plan_identically_across_instances() {
-    let frozen = || {
+fn engines_plan_identically_across_instances() {
+    let engine = || {
         let mut config = EngineConfig::new(1);
         config.refine_method = CsjMethod::Auto;
-        config.planner = PlannerConfig {
-            mode: PlannerMode::Frozen,
-            ..PlannerConfig::default()
-        };
         let mut engine = CsjEngine::new(2, config);
         let x = engine
             .register(community("x", &[[1, 1], [5, 5], [9, 9], [13, 13]]))
@@ -124,30 +148,42 @@ fn frozen_engines_plan_identically_across_instances() {
             .unwrap();
         (engine, x, y)
     };
-    let (e1, x1, y1) = frozen();
-    let (e2, x2, y2) = frozen();
-    // Warm one engine with queries; frozen mode must ignore the
-    // latency observations entirely.
+    let (e1, x1, y1) = engine();
+    let (e2, x2, y2) = engine();
+    // Warm one engine with queries: the rule keeps no state, so
+    // latencies cannot move its plans.
     for _ in 0..5 {
         e1.similarity_with(x1, y1, CsjMethod::ExBaseline).unwrap();
     }
     let p1 = e1.plan_pair(x1, y1, Exactness::Any).unwrap();
     let p2 = e2.plan_pair(x2, y2, Exactness::Any).unwrap();
-    assert_eq!(p1, p2, "frozen plans are byte-identical across engines");
+    assert_eq!(p1, p2, "plans are identical across engines");
     assert_eq!(format!("{p1:?}"), format!("{p2:?}"));
 }
 
 #[test]
 fn degradation_ladder_is_planner_ranked() {
     let (engine, a, n, _) = auto_engine();
+    let density = engine
+        .plan_pair(a, n, Exactness::Any)
+        .unwrap()
+        .input
+        .density;
     let ladder = engine.degradation_ladder_for(CsjMethod::ExMinMax, Some((a, n)));
-    assert!(!ladder.is_empty());
+    assert_eq!(
+        ladder,
+        degradation_ladder(CsjMethod::ExMinMax, Some(density))
+    );
     assert!(!ladder.contains(&CsjMethod::ExMinMax));
     assert_eq!(*ladder.last().unwrap(), CsjMethod::ApMinMax);
     assert!(ladder[0].is_exact(), "first rung preserves exactness");
-    // Registry-average fallback (no pair) still produces a full ladder.
+    // Without a pair the ladder still ends on the counterpart, and its
+    // exact rungs never use the lossy Ex-SuperEGO.
     let broad = engine.degradation_ladder_for(CsjMethod::ExSuperEgo, None);
     assert_eq!(*broad.last().unwrap(), CsjMethod::ApSuperEgo);
+    assert!(broad
+        .iter()
+        .all(|&m| !m.is_exact() || Exactness::Exact.admits(m)));
     // Approximate primaries degrade to themselves.
     assert_eq!(
         engine.degradation_ladder_for(CsjMethod::ApMinMax, None),
@@ -157,10 +193,8 @@ fn degradation_ladder_is_planner_ranked() {
 
 #[test]
 fn explicit_methods_bypass_the_planner() {
-    let mut config = EngineConfig::new(1);
     // Default config: concrete screen/refine methods.
-    config.planner = PlannerConfig::default();
-    let mut engine = CsjEngine::new(2, config);
+    let mut engine = CsjEngine::new(2, EngineConfig::new(1));
     let x = engine.register(community("x", &[[1, 1], [5, 5]])).unwrap();
     let y = engine.register(community("y", &[[1, 2], [5, 5]])).unwrap();
     engine.similarity(x, y).unwrap();
@@ -193,14 +227,48 @@ fn plan_input_from_engine_is_well_formed() {
     let (engine, a, n, _) = auto_engine();
     let plan = engine.plan_pair(a, n, Exactness::Any).unwrap();
     let input: PlanInput = plan.input;
-    assert_eq!(input.nb, 4);
-    assert_eq!(input.na, 4);
-    assert_eq!(input.d, 2);
-    assert_eq!(input.eps, 1);
+    assert_eq!(input.exactness, Exactness::Any);
     assert!(input.density > 0.0 && input.density <= 1.0);
-    assert_eq!(plan.candidates.len(), 8);
-    assert!(plan
-        .candidates
-        .windows(2)
-        .all(|w| w[0].estimated_us <= w[1].estimated_us));
+}
+
+/// Paper §6.2: MinMax wins on skewed VK data (eps 1), the SuperEGO
+/// family on uniform data (eps 15,000). At scale 128 the rule must pick
+/// Ex-MinMax / Ap-MinMax on every VK-like couple and Ex-Hybrid /
+/// Ap-SuperEGO on every uniform one, through the engine and through
+/// `csj_core::run_prepared`.
+#[test]
+fn auto_picks_by_regime_on_the_section6_couples() {
+    for (dataset, exact, approximate) in [
+        (Dataset::VkLike, CsjMethod::ExMinMax, CsjMethod::ApMinMax),
+        (Dataset::Uniform, CsjMethod::ExHybrid, CsjMethod::ApSuperEgo),
+    ] {
+        for spec in &COUPLES {
+            let pair = build_couple(
+                spec,
+                dataset,
+                BuildOptions {
+                    scale: 128,
+                    seed: 71,
+                },
+            );
+            let opts = CsjOptions::new(pair.eps);
+            let mut engine = CsjEngine::new(pair.b.d(), EngineConfig::new(pair.eps));
+            let b = engine.register(pair.b.clone()).unwrap();
+            let a = engine.register(pair.a.clone()).unwrap();
+            let label = format!("{} cid {}", dataset.name(), spec.cid);
+            let plan = engine.plan_pair(b, a, Exactness::Exact).unwrap();
+            assert_eq!(plan.chosen, exact, "{label}: {plan:?}");
+            let plan = engine.plan_pair(b, a, Exactness::Approximate).unwrap();
+            assert_eq!(plan.chosen, approximate, "{label}: {plan:?}");
+            let (pb, pa) = (
+                PreparedCommunity::new(pair.b, &opts),
+                PreparedCommunity::new(pair.a, &opts),
+            );
+            assert_eq!(
+                PlanInput::from_prepared(&pb, &pa, Exactness::Any).density,
+                plan.input.density,
+                "{label}"
+            );
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Exponential-time exact maximum matching for tiny graphs.
 //!
-//! This is the testing oracle: property tests compare CSF, greedy and
+//! This is the testing oracle: property tests compare CSF and
 //! Hopcroft–Karp against it on small random instances. It recurses over
 //! left nodes, trying "skip" and every available partner, with a simple
 //! remaining-nodes upper-bound prune.

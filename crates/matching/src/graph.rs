@@ -7,9 +7,8 @@
 
 /// Incrementally accumulates `(b, a)` candidate edges.
 ///
-/// Edge order is preserved: [`greedy`](crate::greedy) is defined in terms of
-/// insertion order, which for CSJ mirrors the order in which the join
-/// discovered the pairs.
+/// Edge order is preserved: for CSJ it mirrors the order in which the
+/// join discovered the pairs.
 #[derive(Debug, Clone, Default)]
 pub struct GraphBuilder {
     num_left: u32,

@@ -12,8 +12,6 @@
 //! * [`csf`] — the paper's **CSF (Cover Smallest First)** heuristic, which
 //!   repeatedly covers the currently smallest-degree user (Function CSF in
 //!   the paper).
-//! * [`greedy`] — first-fit greedy matching (what the *approximate* CSJ
-//!   methods effectively compute, made reusable for audits).
 //! * [`hopcroft_karp`] — Hopcroft–Karp (fast exact maximum), used to audit
 //!   how far CSF is from the true optimum.
 //! * [`brute_force_maximum`] — exponential oracle for tiny instances, used
@@ -28,7 +26,6 @@ mod brute;
 mod csf;
 mod dynamic;
 mod graph;
-mod greedy;
 mod hopcroft_karp;
 mod matching;
 
@@ -36,16 +33,13 @@ pub use brute::brute_force_maximum;
 pub use csf::csf;
 pub use dynamic::DynamicMatching;
 pub use graph::{GraphBuilder, MatchGraph};
-pub use greedy::greedy;
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::{Matching, MatchingError};
 
 /// Which one-to-one matcher an exact CSJ method should use.
 ///
-/// The paper's exact methods use [`MatcherKind::Csf`]. The other variants
-/// exist for ablation: `HopcroftKarp` computes the true maximum matching,
-/// `Greedy` reproduces the approximate method's assignment on an
-/// already-materialised candidate graph.
+/// The paper's exact methods use [`MatcherKind::Csf`]. `HopcroftKarp`
+/// computes the true maximum matching (ablation and audits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherKind {
     /// Cover Smallest First — the paper's matcher (degree-ascending greedy).
@@ -53,24 +47,17 @@ pub enum MatcherKind {
     Csf,
     /// Hopcroft–Karp maximum bipartite matching, `O(E sqrt(V))`.
     HopcroftKarp,
-    /// First-fit greedy in edge insertion order.
-    Greedy,
 }
 
 impl MatcherKind {
     /// All matcher kinds, for sweeps and ablations.
-    pub const ALL: [MatcherKind; 3] = [
-        MatcherKind::Csf,
-        MatcherKind::HopcroftKarp,
-        MatcherKind::Greedy,
-    ];
+    pub const ALL: [MatcherKind; 2] = [MatcherKind::Csf, MatcherKind::HopcroftKarp];
 
     /// Stable lowercase name (used in reports and CLI flags).
     pub fn name(self) -> &'static str {
         match self {
             MatcherKind::Csf => "csf",
             MatcherKind::HopcroftKarp => "hopcroft-karp",
-            MatcherKind::Greedy => "greedy",
         }
     }
 
@@ -87,7 +74,6 @@ impl std::str::FromStr for MatcherKind {
         match s {
             "csf" => Ok(MatcherKind::Csf),
             "hopcroft-karp" | "hk" => Ok(MatcherKind::HopcroftKarp),
-            "greedy" => Ok(MatcherKind::Greedy),
             other => Err(format!("unknown matcher kind: {other:?}")),
         }
     }
@@ -104,7 +90,6 @@ pub fn run_matcher(graph: &MatchGraph, kind: MatcherKind) -> Matching {
     match kind {
         MatcherKind::Csf => csf(graph),
         MatcherKind::HopcroftKarp => hopcroft_karp(graph),
-        MatcherKind::Greedy => greedy(graph),
     }
 }
 
@@ -129,6 +114,5 @@ mod tests {
     fn guaranteed_maximum_flags() {
         assert!(!MatcherKind::Csf.is_guaranteed_maximum());
         assert!(MatcherKind::HopcroftKarp.is_guaranteed_maximum());
-        assert!(!MatcherKind::Greedy.is_guaranteed_maximum());
     }
 }

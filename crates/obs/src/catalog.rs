@@ -224,11 +224,7 @@ catalog! {
     BUDGET_EXHAUSTED: Counter["reason"] = "csj_budget_exhausted_total",
         "Budgeted queries that ran out of budget, by reason.";
     PLAN_SELECTED: Counter["method"] = "csj_plan_selected_total",
-        "Auto plans resolved by the planner, by chosen method.";
-    PLAN_SOURCE: Counter["source"] = "csj_plan_source_total",
-        "Auto plans by estimate source (static table vs latency-refined).";
-    PLAN_ESTIMATED_US: Counter[] = "csj_plan_estimated_us_total",
-        "Sum of the planner's cost estimates for resolved Auto plans, microseconds.";
+        "Auto plans resolved by the density rule, by chosen method.";
     PLAN_ACTUAL_US: Counter[] = "csj_plan_actual_us_total",
         "Sum of measured join latencies for resolved Auto plans, microseconds.";
     JOINS_CANCELLED: Counter[] = "csj_joins_cancelled_total",

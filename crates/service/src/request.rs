@@ -101,10 +101,6 @@ pub struct Response {
     pub degrade_trigger: Option<&'static str>,
     /// Why and how the answer was degraded (`None` when not degraded).
     pub degrade_note: Option<String>,
-    /// Provenance of the degradation ladder that served the answer:
-    /// `"refined"` when latency feedback ranked the rungs, `"static"`
-    /// on a cold-start/frozen cost table (`None` when not degraded).
-    pub plan_source: Option<&'static str>,
     /// Transparent retry count this request consumed.
     pub retries: u32,
     /// Budget exhaustion the answer absorbed (partial coverage), if any.

@@ -361,7 +361,6 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
                         degraded: false,
                         degrade_trigger: None,
                         degrade_note: None,
-                        plan_source: None,
                         retries,
                         exhausted: Some(reason),
                         coverage,
@@ -381,7 +380,6 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
                         degrade_note: Some(format!(
                             "partial shard coverage: {cov}; surviving results are exact"
                         )),
-                        plan_source: None,
                         retries,
                         exhausted: None,
                         coverage,
@@ -392,7 +390,6 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
                     degraded: false,
                     degrade_trigger: None,
                     degrade_note: None,
-                    plan_source: None,
                     retries,
                     exhausted: None,
                     coverage,
@@ -460,7 +457,7 @@ fn run_primary(
     }
 }
 
-/// Serve the request off the planner-ranked degradation ladder
+/// Serve the request off the rule-ranked degradation ladder
 /// ([`CsjEngine::degradation_ladder_for`]): cheaper exact siblings
 /// first (each behind its own breaker gate), the approximate
 /// counterpart as the guaranteed last resort. A rung that serves an
@@ -480,14 +477,14 @@ fn degrade(
         Request::Similarity { x, y, .. } => Some((*x, *y)),
         _ => None,
     };
-    let (mut ladder, ladder_source) = engine.degradation_ladder_with_source(method, pair);
+    let mut ladder = engine.degradation_ladder_for(method, pair);
     if ladder.is_empty() {
         ladder.push(method.approximate_counterpart());
     }
     let note_for = |rung: CsjMethod| {
         if rung.is_exact() {
             format!(
-                "served by {} (trigger: {}): exact result from a planner-ranked \
+                "served by {} (trigger: {}): exact result from a lossless \
                  sibling method, no approximation involved",
                 rung.name(),
                 trigger.label()
@@ -510,7 +507,6 @@ fn degrade(
         degraded: true,
         degrade_trigger: Some(trigger.label()),
         degrade_note: Some(note_for(rung)),
-        plan_source: Some(ladder_source.label()),
         retries,
         exhausted,
         coverage: None,
@@ -719,9 +715,6 @@ fn request_trace(
             }
             if let Some(note) = &r.degrade_note {
                 root = root.attr("degrade_note", note.clone());
-            }
-            if let Some(source) = r.plan_source {
-                root = root.attr("plan_source", source);
             }
             if let Some(cov) = r.coverage {
                 root = root

@@ -7,7 +7,7 @@
 //!     load never sheds;
 //! (c) an open breaker stops routing to the broken method and half-open
 //!     probes eventually reset it (chaos tests, `fault-injection`);
-//! (d) degraded answers come off the planner-ranked ladder: either an
+//! (d) degraded answers come off the rule-ranked ladder: either an
 //!     exact sibling rung (no approximation) or a valid Ap-* result —
 //!     a sound lower bound within a factor of two of the exact score.
 
@@ -210,7 +210,7 @@ fn deadline_pressure_degrades_to_a_sound_lower_bound() {
     assert_eq!(response.degrade_trigger, Some("deadline"));
     let note = response.degrade_note.as_deref().unwrap();
     // Deadline pressure skips the exact rungs, so the serving rung is
-    // whichever approximate method the planner ranked cheapest.
+    // the density rule's approximate pick or the counterpart.
     assert!(note.contains("served by ap-"), "{note}");
     assert!(note.contains("2*score"), "{note}");
 
@@ -299,18 +299,14 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
     }
     b1.wait().expect("blocker answered");
     b2.wait().expect("blocker answered");
-    // One exact join feeds the planner's latency corrections, so the
-    // degraded requests below ride a *refined* ladder — and say so.
-    service
-        .engine()
-        .similarity(x, y)
-        .expect("exact warm-up join");
+    // Deadline pressure skips the exact rungs of the rule-ranked ladder.
     for _ in 0..3 {
         let r = service
             .call(Request::Similarity { x, y, method: None })
             .expect("deadline pressure degrades, not fails");
         assert!(r.degraded);
-        assert_eq!(r.plan_source, Some("refined"), "warm planner ladder");
+        let note = r.degrade_note.as_deref().unwrap_or_default();
+        assert!(note.contains("served by ap-"), "{note}");
     }
 
     // One evaluation window covering the whole soak.
