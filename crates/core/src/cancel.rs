@@ -5,7 +5,9 @@
 //! bail out early once it trips, reporting the truncation through
 //! `JoinOutcome::cancelled` rather than an error: the pairs gathered so
 //! far still form a valid (partial) one-to-one matching, so callers can
-//! degrade gracefully instead of discarding work.
+//! degrade gracefully instead of discarding work. Every shard of a
+//! sharded query polls the query's one token, so polling is a single
+//! relaxed load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,9 +18,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    /// The token this one was derived from with
-    /// [`child`](CancelToken::child): cancelling it cancels this one.
-    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -27,35 +26,15 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that trips when it is cancelled itself or when `self`
-    /// (or any of its own ancestors) is; cancelling the child leaves
-    /// `self` untouched. This is how one attempt of a larger query can
-    /// be stopped on its own while still seeing the query's cancel.
-    pub fn child(&self) -> Self {
-        CancelToken {
-            flag: Arc::default(),
-            parent: Some(Arc::new(self.clone())),
-        }
-    }
-
     /// Trip the flag. Safe to call from any thread, any number of times.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the flag, or an ancestor's, has been tripped.
+    /// Whether the flag has been tripped.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
-        let mut token = self;
-        loop {
-            if token.flag.load(Ordering::Relaxed) {
-                return true;
-            }
-            match &token.parent {
-                Some(parent) => token = parent,
-                None => return false,
-            }
-        }
+        self.flag.load(Ordering::Relaxed)
     }
 }
 
@@ -98,20 +77,6 @@ mod tests {
         let c = t.clone();
         assert_eq!(t, c);
         assert_ne!(t, CancelToken::new());
-    }
-
-    #[test]
-    fn children_see_their_ancestors_but_not_siblings() {
-        let root = CancelToken::new();
-        let child = root.child();
-        let grandchild = child.child();
-        let sibling = root.child();
-        child.cancel();
-        assert!(child.is_cancelled() && grandchild.is_cancelled());
-        assert!(!root.is_cancelled() && !sibling.is_cancelled());
-        root.cancel();
-        assert!(sibling.is_cancelled());
-        assert_ne!(root, sibling);
     }
 
     #[test]

@@ -27,21 +27,19 @@ use crate::community::Community;
 /// The shard counts satisfy the fate identity
 /// `dispatched == completed + failed + cancelled` (checked by
 /// [`Coverage::identity_holds`] and lint-checked in the invariant
-/// suite, like the service's four fates). `hedged` counts shards whose
-/// winning result came from a hedged re-dispatch; hedged shards are a
-/// *subset* of `completed`, not a fourth fate.
+/// suite, like the service's four fates). Each shard runs once, so a
+/// failed shard's units stay unscreened: the loss shows here, and a
+/// sweep's resume cursor points at it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Coverage {
     /// Shard tasks handed to the executor.
     pub dispatched: u64,
-    /// Shards that returned a usable value (including hedge winners).
+    /// Shards that returned a usable value.
     pub completed: u64,
-    /// Shards lost to a panic, worker death, or their deadline slice.
+    /// Shards lost to a panic or a worker death.
     pub failed: u64,
     /// Shards never started because the query was cancelled first.
     pub cancelled: u64,
-    /// Completed shards whose result came from the hedge attempt.
-    pub hedged: u64,
     /// Work units (candidate communities, or pairs for all-pairs
     /// sweeps) actually screened across surviving shards.
     pub units_screened: u64,
@@ -79,11 +77,10 @@ impl std::fmt::Display for Coverage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shards {}/{} completed ({} hedged, {} failed, {} cancelled), \
+            "shards {}/{} completed ({} failed, {} cancelled), \
              units {}/{} screened",
             self.completed,
             self.dispatched,
-            self.hedged,
             self.failed,
             self.cancelled,
             self.units_screened,
@@ -188,7 +185,6 @@ mod tests {
             completed: 2,
             failed: 1,
             cancelled: 1,
-            hedged: 1,
             units_screened: 30,
             units_skipped: 10,
         };
@@ -210,7 +206,6 @@ mod tests {
             dispatched: 4,
             completed: 3,
             failed: 1,
-            hedged: 1,
             units_screened: 9,
             units_skipped: 3,
             ..Coverage::default()

@@ -27,7 +27,7 @@ use csj_core::{
     CsjOptions, JoinOutcome, JoinTelemetry, PreparedCommunity, ShardLayout, Similarity, UserId,
 };
 use csj_obs::{ForensicRecord, MetricsSnapshot, QueryTrace};
-use csj_shard::{ShardConfig, ShardCtx, ShardExecutor, ShardOutcome};
+use csj_shard::{ShardConfig, ShardExecutor, ShardOutcome};
 
 use crate::budget::{exhausted_marker, Budget, BudgetExhausted, ExhaustReason, Partial};
 use crate::error::EngineError;
@@ -72,8 +72,7 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Observability: span recording, metrics, flight-recorder depth.
     pub obs: ObsConfig,
-    /// Sharded execution of multi-pair queries: shard count, per-shard
-    /// deadline slices, straggler hedging.
+    /// Sharded execution of multi-pair queries: the shard count.
     pub shard: ShardConfig,
 }
 
@@ -907,20 +906,23 @@ impl CsjEngine {
         let px = self.prepared(x.0);
         let prepared: Vec<Arc<PreparedCommunity>> =
             candidates.iter().map(|&c| self.prepared(c.0)).collect();
-        let (values, mut run) =
-            self.dispatch("screen", &layout.shards, budget, rec, |members, ctx| {
-                let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
-                members
-                    .iter()
-                    .map(|&idx| {
-                        if !admits(budget, joins.load(Ordering::Relaxed), ctx) {
-                            return ScreenState::Skipped;
-                        }
-                        let cand = candidates[idx];
-                        self.screen_one((x, &px), (cand, &prepared[idx]), &qopts, joins, rec)
-                    })
-                    .collect::<Vec<_>>()
-            });
+        let qopts = self
+            .config
+            .options
+            .clone()
+            .with_cancel(budget.cancel_token());
+        let (values, mut run) = self.dispatch("screen", &layout.shards, budget, rec, |members| {
+            members
+                .iter()
+                .map(|&idx| {
+                    if !admits(budget, joins.load(Ordering::Relaxed)) {
+                        return ScreenState::Skipped;
+                    }
+                    let cand = candidates[idx];
+                    self.screen_one((x, &px), (cand, &prepared[idx]), &qopts, joins, rec)
+                })
+                .collect::<Vec<_>>()
+        });
         let mut states: Vec<ScreenState> = Vec::with_capacity(candidates.len());
         states.resize_with(candidates.len(), || ScreenState::Skipped);
         let mut lost = 0u64;
@@ -1208,8 +1210,12 @@ impl CsjEngine {
         // encodings then live in the caller's allocator arena, and the
         // workers only run joins (DESIGN.md §17).
         let prepared: Vec<Arc<PreparedCommunity>> = (0..n).map(|h| self.prepared(h)).collect();
-        let (values, mut run) = self.dispatch("sweep", &tasks, budget, &rec, |pairs, ctx| {
-            let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
+        let qopts = self
+            .config
+            .options
+            .clone()
+            .with_cancel(budget.cancel_token());
+        let (values, mut run) = self.dispatch("sweep", &tasks, budget, &rec, |pairs| {
             let mut stop = false;
             // Each task learns from its own joins only, so its choices
             // do not depend on what sibling tasks ran before it.
@@ -1225,7 +1231,7 @@ impl CsjEngine {
                     } else {
                         joins.load(Ordering::Relaxed)
                     };
-                    stop = stop || !admits(budget, spent, ctx);
+                    stop = stop || !admits(budget, spent);
                     if stop {
                         return SweptPair::Skipped;
                     }
@@ -1487,8 +1493,8 @@ enum ScreenState {
     Inadmissible,
     /// The screen join panicked, faulted, or hit a hard error.
     Failed(EngineError),
-    /// Never screened: the budget ran out, or the attempt was cancelled
-    /// (slice timeout / hedge race / global cancel) before its turn.
+    /// Never screened: the budget ran out, or the query was cancelled
+    /// before its turn.
     Skipped,
 }
 
@@ -1501,7 +1507,7 @@ enum SweptPair {
     /// The pair's join panicked or faulted (or a hard error, surfaced
     /// at merge).
     Failed(EngineError),
-    /// Never processed: budget or attempt cancellation.
+    /// Never processed: the budget ran out or the query was cancelled.
     Skipped,
 }
 
@@ -1626,10 +1632,9 @@ struct ShardRun {
 /// multi-pair query. Work units are partitioned into mass-balanced
 /// shards ([`plan_shards`] over [`community_mass`], so one giant
 /// community cannot serialise the query behind it); each shard runs
-/// under its own deadline slice and panic boundary on the supervised
-/// [`ShardExecutor`] pool, stragglers are hedged, and lost shards
-/// shrink the attached [`Coverage`] report instead of failing the
-/// query. See `DESIGN.md` §17.
+/// once, inside its own panic boundary, on the [`ShardExecutor`] pool,
+/// and lost shards shrink the attached [`Coverage`] report instead of
+/// failing the query. See `DESIGN.md` §17.
 impl CsjEngine {
     /// How many shards a query over `units` work units gets: the
     /// configured count ([`ShardConfig::shards`]; 0 = auto, one per
@@ -1660,8 +1665,8 @@ impl CsjEngine {
         ))
     }
 
-    /// Run `task` over every shard's member list on the supervised
-    /// executor (its pool is [`EngineConfig::threads`] wide). Join
+    /// Run `task` over every shard's member list on the shard executor
+    /// (its pool is [`EngineConfig::threads`] wide). Join
     /// spans recorded while the shards run close as the `phase` span,
     /// followed by a `shards` phase with one span per shard. Returns
     /// each shard's value (for a shard that returned none, how it
@@ -1672,14 +1677,14 @@ impl CsjEngine {
         shards: &[Vec<M>],
         budget: &Budget,
         rec: &QueryRecorder,
-        task: impl Fn(&[M], &ShardCtx) -> T + Sync,
+        task: impl Fn(&[M]) -> T + Sync,
     ) -> (Vec<Result<T, ShardOutcome>>, ShardRun) {
-        let executor = ShardExecutor::new(self.config.shard.clone(), self.config.threads);
+        let executor = ShardExecutor::new(self.config.threads);
         #[cfg(feature = "fault-injection")]
         let executor = executor.with_faults(self.shard_faults.clone());
         let start = rec.now_us();
-        let reports = executor.run(shards.len(), &budget.cancel_token(), |ctx| {
-            task(&shards[ctx.shard], ctx)
+        let reports = executor.run(shards.len(), &budget.cancel_token(), |shard| {
+            task(&shards[shard])
         });
         rec.end_phase(phase, start);
         let mut run = ShardRun {
@@ -1691,13 +1696,10 @@ impl CsjEngine {
             .map(|report| {
                 let coverage = &mut run.coverage;
                 coverage.dispatched += 1;
-                match (&report.value, report.outcome) {
-                    (Some(_), outcome) => {
-                        coverage.completed += 1;
-                        coverage.hedged += u64::from(outcome == ShardOutcome::Hedged);
-                    }
-                    (None, ShardOutcome::Cancelled) => coverage.cancelled += 1,
-                    (None, _) => coverage.failed += 1,
+                match report.outcome {
+                    ShardOutcome::Completed => coverage.completed += 1,
+                    ShardOutcome::Panicked => coverage.failed += 1,
+                    ShardOutcome::Cancelled => coverage.cancelled += 1,
                 }
                 let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
                 run.elapsed_us.push(us);
@@ -1705,7 +1707,6 @@ impl CsjEngine {
                     report.shard,
                     report.outcome.label(),
                     shards[report.shard].len(),
-                    report.attempts,
                     us,
                     start,
                 );
@@ -1806,8 +1807,8 @@ impl CsjEngine {
     }
 
     /// Install a shard-boundary chaos plan; subsequent *sharded*
-    /// queries dispatch attempts through it (kills, stalls, injected
-    /// panics). Compiled only under the `fault-injection` feature.
+    /// queries dispatch their shards through it (kills, stalls,
+    /// injected panics). Compiled only under the `fault-injection` feature.
     pub fn inject_shard_faults(&mut self, plan: csj_shard::ShardFaultPlan) {
         self.shard_faults = Some(Arc::new(plan));
     }
@@ -1818,15 +1819,14 @@ impl CsjEngine {
     }
 }
 
-/// Whether a shard attempt may start its next work unit, `spent` joins
-/// into the query: the budget still admits work and the attempt was not
-/// cancelled. A passed deadline trips the budget's shared token, so
-/// in-flight joins in sibling shards stop at their next per-row check
-/// too; a spent join cap only stops new work, and joins already
-/// running finish.
-fn admits(budget: &Budget, spent: u64, ctx: &ShardCtx) -> bool {
+/// Whether a shard may start its next work unit, `spent` joins into the
+/// query: the budget still admits work and the query was not cancelled.
+/// A passed deadline trips the budget's shared token, so in-flight joins
+/// in sibling shards stop at their next per-row check too; a spent join
+/// cap only stops new work, and joins already running finish.
+fn admits(budget: &Budget, spent: u64) -> bool {
     match budget.exceeded(spent) {
-        None => !ctx.cancel.is_cancelled(),
+        None => true,
         Some(ExhaustReason::MaxJoins) => false,
         Some(_) => {
             budget.cancel();

@@ -36,11 +36,12 @@
 //! joins.
 //!
 //! For fault *isolation* beyond the per-join boundary, every multi-pair
-//! query partitions its work into mass-balanced shards executed under
-//! per-shard deadline slices with straggler hedging; a crashed or
-//! stalled shard shrinks the result's [`Coverage`] report instead of
-//! failing the query. Fault-free results are bit-identical for every
-//! shard count and thread count.
+//! query partitions its work into mass-balanced shards, each run once
+//! inside its own panic boundary; a crashed shard shrinks the result's
+//! [`Coverage`] report instead of failing the query. A passed query
+//! deadline stops every shard at its next work unit and trips the
+//! budget's shared token, which in-flight joins poll. Fault-free
+//! results are bit-identical for every shard count and thread count.
 
 mod budget;
 mod engine;

@@ -187,7 +187,6 @@ pub(crate) struct EngineObs {
     encode_tiles: Arc<Counter>,
     shard_dispatched: Arc<Counter>,
     shard_outcomes: ByLabel<Counter, ShardFate>,
-    shard_hedged: Arc<Counter>,
     shard_units: ByLabel<Counter, UnitFate>,
     shard_latency: Arc<LatencyHistogram>,
     stream_depth: Arc<LogHistogramCell>,
@@ -236,7 +235,6 @@ impl EngineObs {
             encode_tiles: r.register(&ENCODE_TILES, []),
             shard_dispatched: r.register(&SHARD_DISPATCHED, []),
             shard_outcomes: r.register_each(&SHARD_OUTCOMES),
-            shard_hedged: r.register(&SHARD_HEDGED, []),
             shard_units: r.register_each(&SHARD_UNITS),
             shard_latency: r.register(&SHARD_LATENCY, []),
             stream_depth: r.register(&CANDIDATE_STREAM_DEPTH, []),
@@ -358,7 +356,6 @@ impl EngineObs {
         fates.get(ShardFate::Completed).add(coverage.completed);
         fates.get(ShardFate::Failed).add(coverage.failed);
         fates.get(ShardFate::Cancelled).add(coverage.cancelled);
-        self.shard_hedged.add(coverage.hedged);
         self.shard_units
             .get(UnitFate::Screened)
             .add(coverage.units_screened);
@@ -641,7 +638,6 @@ impl QueryRecorder {
         shard: usize,
         outcome: &'static str,
         members: usize,
-        attempts: u32,
         elapsed_us: u64,
         start_us: u64,
     ) {
@@ -658,8 +654,7 @@ impl QueryRecorder {
                 .at(start_us, elapsed_us)
                 .attr("shard", shard)
                 .attr("outcome", outcome)
-                .attr("members", members)
-                .attr("attempts", u64::from(attempts)),
+                .attr("members", members),
         );
     }
 
@@ -708,7 +703,6 @@ impl QueryRecorder {
                 .attr("shards_completed", c.completed)
                 .attr("shards_failed", c.failed)
                 .attr("shards_cancelled", c.cancelled)
-                .attr("shards_hedged", c.hedged)
                 .attr("units_screened", c.units_screened)
                 .attr("units_skipped", c.units_skipped);
         }

@@ -395,7 +395,7 @@ mod faults {
     }
 
     #[test]
-    fn single_kill_is_rescued_by_hedge_with_full_coverage() {
+    fn single_kill_loses_one_query_then_heals() {
         let reference = skewed_engine(19, 1, 1);
         let x = anchor(&reference);
         let flat = reference.top_k_similar(x, 5).expect("flat top-k");
@@ -403,14 +403,21 @@ mod faults {
         let mut engine = skewed_engine(19, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(1, 1));
         let x = anchor(&engine);
-        let partial = engine
+        let first = engine
             .top_k_similar_with_budget(x, 5, &Budget::unlimited())
-            .expect("rescued");
-        let cov = partial.coverage.expect("coverage attached");
+            .expect("typed, not Err");
+        let cov = first.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
-        assert!(!cov.is_partial(), "the hedge restores completeness: {cov}");
-        assert_eq!(cov.hedged, 1, "the rescue is visible: {cov}");
-        assert_eq!(partial.value, flat, "rescued result is bit-identical");
+        assert_eq!(cov.failed, 1, "the killed shard is not run again: {cov}");
+        assert_survivors_exact(&first.value, &flat);
+
+        // The one charge is spent: the next query runs every shard.
+        let second = engine
+            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
+            .expect("healthy again");
+        let cov = second.coverage.expect("coverage attached");
+        assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
+        assert_eq!(second.value, flat, "bit-identical to the flat result");
     }
 
     #[test]

@@ -261,12 +261,10 @@ catalog! {
         "Shard tasks handed to the shard executor.";
     SHARD_OUTCOMES: Counter["fate"] = "csj_shard_outcomes_total",
         "Shard tasks resolved, by fate (dispatched == completed + failed + cancelled).";
-    SHARD_HEDGED: Counter[] = "csj_shard_hedged_total",
-        "Shards whose winning result came from a hedged re-dispatch (subset of completed).";
     SHARD_UNITS: Counter["fate"] = "csj_shard_units_total",
         "Work units (candidates or pairs) of sharded queries, by fate.";
     SHARD_LATENCY: LatencyHistogram[] = SHARD_LATENCY_NAME,
-        "Per-shard wall-clock latency (winning attempt, or longest failed one).";
+        "Per-shard wall-clock run time (zero for a shard that never ran).";
     CANDIDATE_STREAM_DEPTH: LogHistogramCell[] = "csj_candidate_stream_depth",
         "Distribution of candidates streamed per driven B row (log2 buckets).";
     PRUNE_DEPTH: LogHistogramCell[] = "csj_prune_depth",

@@ -722,7 +722,6 @@ fn request_trace(
                     .attr("shards_completed", cov.completed)
                     .attr("shards_failed", cov.failed)
                     .attr("shards_cancelled", cov.cancelled)
-                    .attr("shards_hedged", cov.hedged)
                     .attr("units_screened", cov.units_screened)
                     .attr("units_skipped", cov.units_skipped);
             }

@@ -1,12 +1,12 @@
 //! Shard-boundary fault injector (cfg-gated, chaos testing only).
 //!
 //! Mirrors the engine's per-join `FaultPlan`, but targets the *shard*
-//! boundary: a kill makes the next attempt on a shard vanish before its
-//! closure runs (a crashed worker), a stall delays the next attempt
-//! (a straggler, to exercise hedging), a panic blows up inside the
-//! attempt's `catch_unwind` boundary. Counts are consumed per attempt,
-//! so `kill(s, 1)` fails only the primary attempt and lets the hedge
-//! rescue the shard, while `kill(s, u32::MAX)` fails the shard outright.
+//! boundary: a kill makes a shard vanish before its closure runs (a
+//! crashed worker), a stall delays a shard before it runs (a straggler;
+//! it wakes early once the query is cancelled), a panic blows up inside
+//! the shard's `catch_unwind` boundary. Each dispatch runs a shard once
+//! and consumes one charge, so `kill(s, 1)` loses shard `s` of the next
+//! query only, while `kill(s, u32::MAX)` loses it in every query.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -27,7 +27,7 @@ impl ShardFaultPlan {
         Self::default()
     }
 
-    /// The next `times` attempts on `shard` die before running.
+    /// The next `times` runs of `shard` die before the closure starts.
     pub fn kill(self, shard: usize, times: u32) -> Self {
         self.kills
             .lock()
@@ -36,8 +36,8 @@ impl ShardFaultPlan {
         self
     }
 
-    /// The next `times` attempts on `shard` stall for `delay` before
-    /// running (they still poll their cancel token while stalled).
+    /// The next `times` runs of `shard` stall for `delay` before the
+    /// closure starts (they still poll the query's token while stalled).
     pub fn stall(self, shard: usize, delay: Duration, times: u32) -> Self {
         self.stalls
             .lock()
@@ -46,7 +46,7 @@ impl ShardFaultPlan {
         self
     }
 
-    /// The next `times` attempts on `shard` panic inside the shard's
+    /// The next `times` runs of `shard` panic inside the shard's
     /// `catch_unwind` boundary.
     pub fn panic_on(self, shard: usize, times: u32) -> Self {
         self.panics
@@ -93,12 +93,12 @@ fn take_count(map: &Mutex<HashMap<usize, u32>>, shard: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ShardConfig, ShardExecutor, ShardOutcome};
+    use crate::{ShardExecutor, ShardOutcome};
     use csj_core::CancelToken;
     use std::sync::Arc;
 
     #[test]
-    fn charges_are_consumed_per_attempt() {
+    fn charges_are_consumed_one_run_at_a_time() {
         let plan = ShardFaultPlan::new()
             .kill(0, 2)
             .stall(1, Duration::from_millis(1), 1)
@@ -114,20 +114,24 @@ mod tests {
     }
 
     #[test]
-    fn killed_shard_is_rescued_by_hedge() {
+    fn one_kill_charge_loses_one_run_of_the_shard() {
         let plan = Arc::new(ShardFaultPlan::new().kill(1, 1));
-        let ex = ShardExecutor::new(ShardConfig::default(), 2).with_faults(Some(plan));
-        let reports = ex.run(3, &CancelToken::new(), |ctx| ctx.shard * 2);
-        assert_eq!(reports[1].outcome, ShardOutcome::Hedged);
-        assert_eq!(reports[1].value, Some(2));
-        assert_eq!(reports[1].attempts, 2);
+        let ex = ShardExecutor::new(2).with_faults(Some(plan));
+        let first = ex.run(3, &CancelToken::new(), |shard| shard * 2);
+        assert_eq!(first[1].outcome, ShardOutcome::Panicked);
+        assert!(first[1].value.is_none());
+        assert_eq!(first[0].value, Some(0));
+        assert_eq!(first[2].value, Some(4));
+        let second = ex.run(3, &CancelToken::new(), |shard| shard * 2);
+        assert_eq!(second[1].outcome, ShardOutcome::Completed);
+        assert_eq!(second[1].value, Some(2));
     }
 
     #[test]
     fn persistent_kill_fails_the_shard_only() {
         let plan = Arc::new(ShardFaultPlan::new().kill(0, u32::MAX));
-        let ex = ShardExecutor::new(ShardConfig::default(), 2).with_faults(Some(plan));
-        let reports = ex.run(2, &CancelToken::new(), |ctx| ctx.shard);
+        let ex = ShardExecutor::new(2).with_faults(Some(plan));
+        let reports = ex.run(2, &CancelToken::new(), |shard| shard);
         assert_eq!(reports[0].outcome, ShardOutcome::Panicked);
         assert!(reports[0].value.is_none());
         let msg = reports[0].panic_message.as_deref().unwrap();
@@ -139,29 +143,32 @@ mod tests {
     #[test]
     fn injected_panic_is_contained() {
         let plan = Arc::new(ShardFaultPlan::new().panic_on(0, u32::MAX));
-        let ex = ShardExecutor::new(ShardConfig::default(), 2).with_faults(Some(plan));
-        let reports = ex.run(2, &CancelToken::new(), |ctx| ctx.shard);
+        let ex = ShardExecutor::new(2).with_faults(Some(plan));
+        let reports = ex.run(2, &CancelToken::new(), |shard| shard);
         assert_eq!(reports[0].outcome, ShardOutcome::Panicked);
         let msg = reports[0].panic_message.as_deref().unwrap();
         assert!(msg.contains("injected shard panic"), "got: {msg}");
     }
 
     #[test]
-    fn stalled_shard_gets_hedged_and_recovers() {
-        // A long stall (the loser's token trips it early, so the test
-        // stays fast): on a loaded box the healthy-shard latency
-        // quantile must still land far below it, or the stalled primary
-        // would finish before the hedge fires and flake this test.
-        let plan = Arc::new(ShardFaultPlan::new().stall(0, Duration::from_secs(5), 1));
-        let cfg = ShardConfig {
-            hedge_floor: Duration::from_millis(2),
-            hedge_min_samples: 2,
-            hedge_factor: 1.0,
-            ..ShardConfig::default()
-        };
-        let ex = ShardExecutor::new(cfg, 4).with_faults(Some(plan));
-        let reports = ex.run(4, &CancelToken::new(), |ctx| ctx.shard + 100);
-        assert_eq!(reports[0].outcome, ShardOutcome::Hedged, "{reports:?}");
-        assert_eq!(reports[0].value, Some(100));
+    fn stalled_shard_wakes_on_query_cancel() {
+        // Shard 1 cancels the query while shard 0 sits in a long stall:
+        // the stall ends at the cancel instead of running out. (Should
+        // shard 1 win the race to the cancel before shard 0 starts,
+        // shard 0 resolves `Cancelled` without stalling.)
+        let plan = Arc::new(ShardFaultPlan::new().stall(0, Duration::from_secs(30), 1));
+        let ex = ShardExecutor::new(2).with_faults(Some(plan));
+        let global = CancelToken::new();
+        let start = std::time::Instant::now();
+        let reports = ex.run(2, &global, |shard| {
+            if shard == 1 {
+                std::thread::sleep(Duration::from_millis(20));
+                global.cancel();
+            }
+            shard + 100
+        });
+        assert!(start.elapsed() < Duration::from_secs(20), "{reports:?}");
+        assert_ne!(reports[0].outcome, ShardOutcome::Panicked, "{reports:?}");
+        assert_eq!(reports[1].value, Some(101));
     }
 }
