@@ -126,7 +126,7 @@ pub enum Command {
         last: usize,
         json: bool,
         /// Route the query through the overload-safe service and print
-        /// its request traces (fate, retries, degradation attributes)
+        /// its request traces (fate and degradation attributes)
         /// instead of the engine's query spans.
         via_service: bool,
         /// Load community files in quarantine mode (see `stats`).
@@ -200,7 +200,7 @@ pub enum Command {
         eps: u32,
         seed: u64,
         /// Per-request deadline; 0 disables deadlines (and with them
-        /// the deadline-triggered degradation rung).
+        /// deadline-triggered degradation).
         deadline_ms: u64,
         /// Inject faults (a healing panic burst plus one pathologically
         /// slow community); needs the `chaos` cargo feature.
@@ -1779,8 +1779,8 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     use csj_engine::{CsjEngine, EngineConfig};
     use csj_obs::catalog::{
         SERVICE_ADMITTED, SERVICE_BREAKER_TRANSITIONS, SERVICE_COMPLETED, SERVICE_DEGRADED,
-        SERVICE_REQUEST, SERVICE_RETRIES, SERVICE_SHED, SERVICE_SUBMITTED, SHARD_DISPATCHED,
-        SHARD_OUTCOMES, SHARD_UNITS,
+        SERVICE_REQUEST, SERVICE_SHED, SERVICE_SUBMITTED, SHARD_DISPATCHED, SHARD_OUTCOMES,
+        SHARD_UNITS,
     };
     use csj_service::{
         BreakerConfig, BreakerState, CsjService, DegradeTrigger, Fate, Request, ServiceConfig,
@@ -1950,7 +1950,6 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
                 probes: 2,
             },
             flight_capacity: 256,
-            ..ServiceConfig::default()
         },
     );
     // The SLO engine samples the same snapshots the report reconciles,
@@ -2070,7 +2069,6 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
     }
     let admitted = snap.value(&SERVICE_ADMITTED, []);
-    let retries = snap.value(&SERVICE_RETRIES, []);
     let degraded_by = |t: DegradeTrigger| snap.value(&SERVICE_DEGRADED, [t.label()]);
     let breaker_to = |to: BreakerState| {
         snap.value(
@@ -2127,7 +2125,6 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
         degraded_by(DegradeTrigger::Deadline),
         degraded_by(DegradeTrigger::Coverage)
     );
-    let _ = writeln!(out, "retries={retries}");
     let _ = writeln!(
         out,
         "breaker ex-minmax transitions: open={} half_open={} closed={} (final={})",
@@ -3546,8 +3543,8 @@ mod tests {
     #[test]
     fn trace_via_service_surfaces_degradation_attributes() {
         let (b, a) = generated_pair("csj_cli_trace_service_test", 6);
-        // A zero deadline forces the exact top-k onto the approximate
-        // rung; the service trace must say so.
+        // A zero deadline degrades the exact top-k to the engine's
+        // screen scores; the service trace must say so.
         let text = execute(Command::Trace {
             communities: vec![b.clone(), a.clone()],
             eps: 1,

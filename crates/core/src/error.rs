@@ -42,6 +42,20 @@ impl std::fmt::Display for CsjError {
 
 impl std::error::Error for CsjError {}
 
+/// Best-effort message of a panic payload caught by `catch_unwind`:
+/// `&str` and `String` payloads verbatim, anything else opaque. Every
+/// isolation boundary (join, shard, service worker) reports panics
+/// through this one rendering.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

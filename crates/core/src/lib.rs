@@ -71,7 +71,7 @@ pub use algorithms::{
 pub use cancel::CancelToken;
 pub use community::{Community, UserId};
 pub use encoding::{encode_a, encode_b, part_bounds, EncodedA, EncodedB, EncodingParams};
-pub use error::CsjError;
+pub use error::{panic_message, CsjError};
 pub use events::{Event, EventCounters};
 pub use plan::{Exactness, PlanInput, QueryPlan};
 pub use prepared::PreparedCommunity;

@@ -146,42 +146,6 @@ impl QueryPlan {
     }
 }
 
-/// The degradation ladder for an exact `primary` method under pressure
-/// (open breaker, deadline), ordered from least to most degraded:
-/// *exact sibling → Ex-Hybrid → approximate → counterpart*. The exact
-/// sibling is the rule's exact pick at `density`, or the other regime's
-/// pick when that is `primary`; the approximate rung is the rule's
-/// approximate pick. The last rung is always
-/// [`CsjMethod::approximate_counterpart`], whose score is a sound lower
-/// bound within a factor of two of the exact answer. Exact rungs are
-/// lossless. Without a measured density (no concrete pair) the rungs
-/// rank as on dense data, where Ex-Hybrid is the exact pick. An
-/// approximate (or [`CsjMethod::Auto`]) primary has nothing to degrade
-/// to and gets a single-rung ladder.
-pub fn degradation_ladder(primary: CsjMethod, density: Option<f64>) -> Vec<CsjMethod> {
-    let counterpart = primary.approximate_counterpart();
-    if !primary.is_exact() {
-        return vec![counterpart];
-    }
-    let density = density.unwrap_or(1.0);
-    let exact = choose(density, Exactness::Exact);
-    let sibling = if exact != primary {
-        exact
-    } else if density < DENSITY_THRESHOLD {
-        CsjMethod::ExHybrid
-    } else {
-        CsjMethod::ExMinMax
-    };
-    let approximate = choose(density, Exactness::Approximate);
-    let mut ladder = Vec::with_capacity(4);
-    for rung in [sibling, CsjMethod::ExHybrid, approximate, counterpart] {
-        if rung != primary && !ladder.contains(&rung) {
-            ladder.push(rung);
-        }
-    }
-    ladder
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,48 +230,6 @@ mod tests {
         assert_eq!(
             choose(DENSITY_THRESHOLD, Exactness::Exact),
             CsjMethod::ExHybrid
-        );
-    }
-
-    #[test]
-    fn ladder_ends_on_the_counterpart_and_never_contains_primary() {
-        for density in [None, Some(0.001), Some(0.5)] {
-            for primary in CsjMethod::ALL.into_iter().filter(|m| m.is_exact()) {
-                let ladder = degradation_ladder(primary, density);
-                assert!(!ladder.contains(&primary), "{primary}");
-                assert_eq!(*ladder.last().unwrap(), primary.approximate_counterpart());
-                // An exact sibling first, then strictly more degraded;
-                // every exact rung is lossless.
-                assert!(Exactness::Exact.admits(ladder[0]), "{primary}: {ladder:?}");
-                assert!(ladder
-                    .iter()
-                    .all(|&m| !m.is_exact() || Exactness::Exact.admits(m)));
-                let mut deduped = ladder.clone();
-                deduped.dedup();
-                assert_eq!(deduped, ladder, "no duplicate rungs");
-            }
-        }
-        assert_eq!(
-            degradation_ladder(CsjMethod::ExMinMax, Some(0.001)),
-            vec![CsjMethod::ExHybrid, CsjMethod::ApMinMax]
-        );
-        assert_eq!(
-            degradation_ladder(CsjMethod::ExHybrid, Some(0.5)),
-            vec![
-                CsjMethod::ExMinMax,
-                CsjMethod::ApSuperEgo,
-                CsjMethod::ApHybrid
-            ]
-        );
-        // Approximate primaries have a single self rung.
-        assert_eq!(
-            degradation_ladder(CsjMethod::ApMinMax, Some(0.5)),
-            vec![CsjMethod::ApMinMax]
-        );
-        // Auto is not exact: delegated selection stays delegated.
-        assert_eq!(
-            degradation_ladder(CsjMethod::Auto, None),
-            vec![CsjMethod::Auto]
         );
     }
 }

@@ -21,10 +21,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use csj_core::plan::{degradation_ladder, Exactness, PlanInput, QueryPlan};
+use csj_core::plan::{Exactness, PlanInput, QueryPlan};
 use csj_core::{
-    community_mass, plan_shards, run_prepared, Community, Coverage, CsjError, CsjMethod,
-    CsjOptions, JoinOutcome, JoinTelemetry, PreparedCommunity, ShardLayout, Similarity, UserId,
+    community_mass, panic_message, plan_shards, run_prepared, Community, Coverage, CsjError,
+    CsjMethod, CsjOptions, JoinOutcome, JoinTelemetry, PreparedCommunity, ShardLayout, Similarity,
+    UserId,
 };
 use csj_obs::{ForensicRecord, MetricsSnapshot, QueryTrace};
 use csj_shard::{ShardConfig, ShardExecutor, ShardOutcome};
@@ -680,10 +681,10 @@ impl CsjEngine {
     /// method delegates to [`similarity`](CsjEngine::similarity) and
     /// uses the cache; any other method runs one uncached join, so a
     /// degraded (Ap-*) answer never pollutes the exact-similarity
-    /// cache. This is the `similarity` rung of the service's
-    /// exact→approximate degradation ladder: per
-    /// [`CsjMethod::approximate_counterpart`], an Ap-* score is a lower
-    /// bound within a factor of two of its Ex-* counterpart.
+    /// cache. The service serves a degraded similarity request through
+    /// it with the primary's [`CsjMethod::approximate_counterpart`],
+    /// whose Ap-* score is a lower bound within a factor of two of its
+    /// Ex-* counterpart.
     pub fn similarity_with(
         &self,
         x: CommunityHandle,
@@ -1172,8 +1173,8 @@ impl CsjEngine {
     /// whose exact similarity is between `threshold` and
     /// `2 * threshold` of the reported bound (greedy maximal matchings
     /// reach at least half the maximum).
-    /// This is the `pairs_above` rung of the service's degradation
-    /// ladder; [`PairScore::similarity`] carries the Ap lower bound.
+    /// The service serves a degraded `pairs_above` request with it;
+    /// [`PairScore::similarity`] carries the Ap lower bound.
     pub fn pairs_above_approx_with_budget(
         &self,
         threshold: f64,
@@ -1404,25 +1405,6 @@ impl CsjEngine {
         Ok(QueryPlan::new(PlanInput::from_prepared(
             &pb, &pa, exactness,
         )))
-    }
-
-    /// The degradation ladder for an exact `primary` method, ranked by
-    /// the density rule ([`degradation_ladder`]): *exact sibling →
-    /// Ex-Hybrid → approximate*, always ending on
-    /// [`CsjMethod::approximate_counterpart`] (the documented 2x-sound
-    /// rung). With a `pair` the rungs are ranked on that pair's
-    /// measured density; without one (a broadcast query) they rank as
-    /// on dense data. Non-exact primaries get a single-rung ladder of
-    /// their own counterpart.
-    pub fn degradation_ladder_for(
-        &self,
-        primary: CsjMethod,
-        pair: Option<(CommunityHandle, CommunityHandle)>,
-    ) -> Vec<CsjMethod> {
-        let density = pair
-            .and_then(|(x, y)| self.plan_pair(x, y, Exactness::Any).ok())
-            .map(|plan| plan.input.density);
-        degradation_ladder(primary, density)
     }
 
     /// Point-in-time snapshot of every `csj_*` metric (counters,
@@ -1706,6 +1688,7 @@ impl CsjEngine {
                 rec.record_shard(
                     report.shard,
                     report.outcome.label(),
+                    report.panic_message.as_deref(),
                     shards[report.shard].len(),
                     us,
                     start,
@@ -1832,17 +1815,6 @@ fn admits(budget: &Budget, spent: u64) -> bool {
             budget.cancel();
             false
         }
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -632,11 +632,13 @@ impl QueryRecorder {
     }
 
     /// Record one resolved shard as a span (folded into the enclosing
-    /// `shards` phase by [`QueryRecorder::end_phase`]).
+    /// `shards` phase by [`QueryRecorder::end_phase`]). A panicked
+    /// shard's payload rides on the span as its `panic` attribute.
     pub(crate) fn record_shard(
         &self,
         shard: usize,
         outcome: &'static str,
+        panic: Option<&str>,
         members: usize,
         elapsed_us: u64,
         start_us: u64,
@@ -649,13 +651,15 @@ impl QueryRecorder {
             self.joins_dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        joins.push(
-            Span::new("shard")
-                .at(start_us, elapsed_us)
-                .attr("shard", shard)
-                .attr("outcome", outcome)
-                .attr("members", members),
-        );
+        let mut span = Span::new("shard")
+            .at(start_us, elapsed_us)
+            .attr("shard", shard)
+            .attr("outcome", outcome)
+            .attr("members", members);
+        if let Some(message) = panic {
+            span = span.attr("panic", message);
+        }
+        joins.push(span);
     }
 
     /// Note a sharded query's coverage, surfaced as root-span

@@ -2,7 +2,7 @@
 //! across every query kind, agreement with `csj_core`'s resolution, the
 //! Section 6 regimes, plan metrics and traces.
 
-use csj_core::plan::{choose, degradation_ladder, DENSITY_THRESHOLD};
+use csj_core::plan::{choose, DENSITY_THRESHOLD};
 use csj_core::{run, run_prepared, Community, CsjMethod, CsjOptions, PreparedCommunity};
 use csj_data::pairs::{build_couple, BuildOptions, Dataset};
 use csj_data::COUPLES;
@@ -159,36 +159,6 @@ fn engines_plan_identically_across_instances() {
     let p2 = e2.plan_pair(x2, y2, Exactness::Any).unwrap();
     assert_eq!(p1, p2, "plans are identical across engines");
     assert_eq!(format!("{p1:?}"), format!("{p2:?}"));
-}
-
-#[test]
-fn degradation_ladder_is_planner_ranked() {
-    let (engine, a, n, _) = auto_engine();
-    let density = engine
-        .plan_pair(a, n, Exactness::Any)
-        .unwrap()
-        .input
-        .density;
-    let ladder = engine.degradation_ladder_for(CsjMethod::ExMinMax, Some((a, n)));
-    assert_eq!(
-        ladder,
-        degradation_ladder(CsjMethod::ExMinMax, Some(density))
-    );
-    assert!(!ladder.contains(&CsjMethod::ExMinMax));
-    assert_eq!(*ladder.last().unwrap(), CsjMethod::ApMinMax);
-    assert!(ladder[0].is_exact(), "first rung preserves exactness");
-    // Without a pair the ladder still ends on the counterpart, and its
-    // exact rungs never use the lossy Ex-SuperEGO.
-    let broad = engine.degradation_ladder_for(CsjMethod::ExSuperEgo, None);
-    assert_eq!(*broad.last().unwrap(), CsjMethod::ApSuperEgo);
-    assert!(broad
-        .iter()
-        .all(|&m| !m.is_exact() || Exactness::Exact.admits(m)));
-    // Approximate primaries degrade to themselves.
-    assert_eq!(
-        engine.degradation_ladder_for(CsjMethod::ApMinMax, None),
-        vec![CsjMethod::ApMinMax]
-    );
 }
 
 #[test]

@@ -340,6 +340,7 @@ proptest! {
 mod faults {
     use super::*;
     use csj_engine::{PairScore, ShardFaultPlan};
+    use csj_obs::AttrValue;
 
     /// Survivors of a partial query must agree exactly with the flat
     /// result restricted to the same communities.
@@ -436,6 +437,40 @@ mod faults {
             .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
             .expect("healthy again");
         assert!(!healthy.coverage.expect("coverage").is_partial());
+    }
+
+    /// A lost shard's panic payload lands on its span in the query
+    /// trace; the surviving shards' spans carry none.
+    #[test]
+    fn panicked_shard_span_carries_its_panic_message() {
+        let mut engine = skewed_engine(23, 2, 3);
+        engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, 1).kill(1, 1));
+        engine
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            .expect("panics contained at the shard boundary");
+        let trace = engine.traces(1).pop().expect("query traced");
+        let shards = trace.root.find("shards").expect("shards phase");
+        let panic_of = |shard: usize| {
+            let span = shards
+                .children
+                .iter()
+                .find(|s| matches!(s.get_attr("shard"), Some(AttrValue::U64(i)) if *i == shard as u64))
+                .unwrap_or_else(|| panic!("no span for shard {shard}"));
+            match span.get_attr("panic") {
+                Some(AttrValue::Str(message)) => Some(message.clone()),
+                None => None,
+                other => panic!("panic attribute is a string, got {other:?}"),
+            }
+        };
+        assert_eq!(
+            panic_of(0).as_deref(),
+            Some("injected shard panic (shard 0)")
+        );
+        assert_eq!(
+            panic_of(1).as_deref(),
+            Some("shard 1 worker killed by fault injector")
+        );
+        assert_eq!(panic_of(2), None, "a completed shard has no panic");
     }
 
     #[test]

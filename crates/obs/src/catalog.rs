@@ -283,8 +283,6 @@ catalog! {
         "Requests rejected at admission because the queue was full.";
     SERVICE_COMPLETED: Counter["outcome"] = "csj_service_completed_total",
         "Admitted requests resolved, by outcome.";
-    SERVICE_RETRIES: Counter[] = "csj_service_retries_total",
-        "Transient-failure retries performed (backoff sleeps).";
     SERVICE_DEGRADED: Counter["trigger"] = "csj_service_degraded_total",
         "Exact requests served by their approximate counterpart, by trigger.";
     SERVICE_BREAKER_TRANSITIONS: Counter["method", "to"] = "csj_service_breaker_transitions_total",

@@ -1,5 +1,7 @@
-//! Service tuning knobs: worker pool and admission queue sizing, retry
-//! policy, circuit-breaker thresholds and the degradation ladder.
+//! Service tuning knobs: worker pool and admission queue sizing, the
+//! request deadline and circuit-breaker thresholds. Degradation has no
+//! knobs: it is always on, and always serves the approximate
+//! counterpart.
 
 use std::time::Duration;
 
@@ -19,12 +21,8 @@ pub struct ServiceConfig {
     /// submission, so time spent queued counts). `None` means requests
     /// run unbounded.
     pub default_deadline: Option<Duration>,
-    /// Retry policy for transient failures (injected faults).
-    pub retry: RetryPolicy,
     /// Per-method circuit breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Exact→approximate degradation ladder.
-    pub degrade: DegradeConfig,
     /// Flight-recorder depth for service-level request traces.
     pub flight_capacity: usize,
 }
@@ -35,9 +33,7 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline: None,
-            retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            degrade: DegradeConfig::default(),
             flight_capacity: 128,
         }
     }
@@ -50,31 +46,6 @@ impl ServiceConfig {
         self.queue_capacity = self.queue_capacity.max(1);
         self.flight_capacity = self.flight_capacity.max(1);
         self
-    }
-}
-
-/// Capped, jittered exponential backoff for transient failures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (total attempts = `max_retries + 1`).
-    pub max_retries: u32,
-    /// Delay before the first retry; doubles per retry.
-    pub base_delay: Duration,
-    /// Upper bound on any single delay.
-    pub max_delay: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a
-    /// deterministic factor drawn from `[1 - jitter, 1]`.
-    pub jitter: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(50),
-            jitter: 0.5,
-        }
     }
 }
 
@@ -99,35 +70,6 @@ impl Default for BreakerConfig {
             failure_threshold: 5,
             cooldown: Duration::from_millis(250),
             probes: 2,
-        }
-    }
-}
-
-/// Exact→approximate degradation ladder settings.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeConfig {
-    /// Whether Ex-* requests may degrade to their Ap-* counterpart at
-    /// all. With this off, an open breaker rejects with
-    /// [`ServiceError::BreakerOpen`] and deadline pressure simply runs
-    /// the exact query with whatever budget is left.
-    ///
-    /// [`ServiceError::BreakerOpen`]: crate::ServiceError::BreakerOpen
-    pub enabled: bool,
-    /// Fraction of the remaining deadline granted to the exact attempt;
-    /// the rest is held in reserve so an approximate fallback can still
-    /// answer in time. Clamped to `[0.1, 1.0]`.
-    pub exact_fraction: f64,
-    /// Below this much remaining deadline an exact attempt is hopeless:
-    /// skip straight to the approximate rung (trigger `deadline`).
-    pub min_exact_slack: Duration,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        Self {
-            enabled: true,
-            exact_fraction: 0.6,
-            min_exact_slack: Duration::from_millis(5),
         }
     }
 }

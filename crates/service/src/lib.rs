@@ -17,17 +17,17 @@
 //!   with [`ServiceError::Overloaded`] and a `retry_after` hint.
 //! * [`CircuitBreaker`] — per-method closed → open → half-open breaker
 //!   fed by `JoinPanicked` outcomes; open breakers route Ex-* requests
-//!   to their Ap-* rung instead.
-//! * [`backoff`](mod@backoff) — deterministic capped, jittered
-//!   exponential backoff for transient (injected-fault) failures.
+//!   to their approximate counterpart instead.
 //! * [`CsjService`] — the worker pool tying it together; every request
 //!   resolves to exactly one of {answered, degraded-answered, shed,
-//!   failed-typed}, and no panic escapes.
+//!   failed-typed}, and no panic escapes. A request degrades (open
+//!   breaker, deadline pressure, or an exact pass that ran out of its
+//!   deadline share) to exactly one approximate pass; nothing is
+//!   retried.
 //! * [`ServiceObs`] — `csj_service_*` metrics plus a request-level
 //!   flight recorder; merged with the engine's snapshot by
 //!   [`CsjService::metrics_snapshot`].
 
-pub mod backoff;
 mod breaker;
 mod config;
 mod obs;
@@ -36,7 +36,7 @@ mod request;
 mod service;
 
 pub use breaker::{Admission, BreakerState, CircuitBreaker, Transition};
-pub use config::{BreakerConfig, DegradeConfig, RetryPolicy, ServiceConfig};
+pub use config::{BreakerConfig, ServiceConfig};
 pub use obs::{service_slos, DegradeTrigger, ServiceObs};
 pub use queue::{BoundedQueue, PushError};
 pub use request::{Fate, Request, Response, ResponseValue, ServiceError};

@@ -1,5 +1,5 @@
-//! Service-level observability: every admission-control, retry,
-//! degradation and breaker decision lands in a `csj_service_*` metric
+//! Service-level observability: every admission-control, degradation
+//! and breaker decision lands in a `csj_service_*` metric
 //! and on the request's flight-recorder trace.
 
 use std::sync::Arc;
@@ -126,7 +126,6 @@ pub struct ServiceObs {
     admitted: Arc<Counter>,
     shed: Arc<Counter>,
     completed: ByLabel<Counter, Fate>,
-    retries: Arc<Counter>,
     degraded: ByLabel<Counter, DegradeTrigger>,
     transitions: ByLabel<Counter, Transition, 2>,
     queue_depth: Arc<Gauge>,
@@ -147,7 +146,6 @@ impl ServiceObs {
             admitted: r.register(&SERVICE_ADMITTED, []),
             shed: r.register(&SERVICE_SHED, []),
             completed: r.register_each(&SERVICE_COMPLETED),
-            retries: r.register(&SERVICE_RETRIES, []),
             degraded: r.register_each(&SERVICE_DEGRADED),
             transitions: r.register_each(&SERVICE_BREAKER_TRANSITIONS),
             queue_depth: r.register(&SERVICE_QUEUE_DEPTH, []),
@@ -178,10 +176,6 @@ impl ServiceObs {
 
     pub(crate) fn on_inflight(&self, n: u64) {
         self.inflight.set(n);
-    }
-
-    pub(crate) fn on_retry(&self) {
-        self.retries.inc();
     }
 
     pub(crate) fn on_degraded(&self, trigger: DegradeTrigger) {
@@ -222,7 +216,6 @@ mod tests {
         obs.on_submitted();
         obs.on_admitted(1);
         obs.on_shed();
-        obs.on_retry();
         obs.on_degraded(DegradeTrigger::Breaker);
         obs.on_degraded(DegradeTrigger::Deadline);
         obs.on_degraded(DegradeTrigger::Coverage);

@@ -91,23 +91,27 @@ impl ResponseValue {
 pub struct Response {
     /// The answer.
     pub value: ResponseValue,
-    /// `true` when an Ex-* request was served by its Ap-* counterpart.
-    /// The score is then a **lower bound within a factor of two** of
-    /// the exact answer (approximate CSJ never over-counts, and greedy
-    /// maximal matchings reach at least half the maximum).
+    /// `true` when an Ex-* request was served approximately: a
+    /// similarity request by its Ap-* counterpart, top-k and
+    /// pairs_above by the engine's screen scores. The score is then a
+    /// **lower bound within a factor of two** of the exact answer
+    /// (approximate CSJ never over-counts, and greedy maximal matchings
+    /// reach at least half the maximum). Also `true`, with trigger
+    /// `"coverage"`, when a sharded answer lost shards.
     pub degraded: bool,
-    /// What forced the degradation: `"breaker"` or `"deadline"`
-    /// (`None` when not degraded).
+    /// What forced the degradation: `"breaker"`, `"deadline"` or
+    /// `"coverage"` (`None` when not degraded).
     pub degrade_trigger: Option<&'static str>,
     /// Why and how the answer was degraded (`None` when not degraded).
     pub degrade_note: Option<String>,
-    /// Transparent retry count this request consumed.
+    /// Always 0: the service never retries. Kept because the `perfbench`
+    /// package reads it.
     pub retries: u32,
     /// Budget exhaustion the answer absorbed (partial coverage), if any.
     pub exhausted: Option<ExhaustReason>,
     /// Shard completeness report of a multi-pair request served on its
-    /// primary path (`None` for similarity requests and degraded
-    /// rungs). A partial report
+    /// primary path (`None` for similarity requests and approximate
+    /// answers). A partial report
     /// (`coverage.is_partial()`) means the answer is exact on what
     /// survived but one or more shards were lost — such responses are
     /// marked `degraded` with trigger `"coverage"`.
@@ -124,18 +128,8 @@ pub enum ServiceError {
         /// queue depth / workers).
         retry_after: Duration,
     },
-    /// The method's circuit breaker is open and degradation is
-    /// disabled; retry after the cooldown.
-    BreakerOpen {
-        /// The gated method.
-        method: CsjMethod,
-        /// The breaker cooldown remaining estimate.
-        retry_after: Duration,
-    },
     /// The engine failed the request (unknown handle, join panic, ...).
     Engine(EngineError),
-    /// The deadline elapsed before any rung could produce an answer.
-    DeadlineExceeded,
     /// The service shut down before the request could run.
     Shutdown,
     /// A panic escaped the engine's isolation and was contained at the
@@ -153,16 +147,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Overloaded { retry_after } => {
                 write!(f, "overloaded; retry after {retry_after:?}")
             }
-            ServiceError::BreakerOpen {
-                method,
-                retry_after,
-            } => write!(
-                f,
-                "circuit breaker open for {}; retry after {retry_after:?}",
-                method.name()
-            ),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
-            ServiceError::DeadlineExceeded => write!(f, "deadline exceeded"),
             ServiceError::Shutdown => write!(f, "service shut down"),
             ServiceError::Internal { message } => write!(f, "internal error: {message}"),
         }
@@ -189,7 +174,7 @@ impl From<EngineError> for ServiceError {
 pub enum Fate {
     /// Completed on the primary (exact) path.
     Answered,
-    /// Completed on the approximate rung.
+    /// Completed approximately, or with lost shards.
     Degraded,
     /// Rejected at admission.
     Shed,

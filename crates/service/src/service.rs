@@ -6,17 +6,19 @@
 //! ```text
 //! submit ──► admission queue ──► workers ──► engine
 //!    │            (bounded)         │
-//!    └─ full? shed with             ├─ breaker gate (per exact method)
-//!       Overloaded{retry_after}     ├─ deadline pressure → Ap rung
-//!                                   ├─ transient fault → retry+backoff
+//!    └─ full? shed with             ├─ open breaker (exact method) ─┐
+//!       Overloaded{retry_after}     ├─ deadline pressure ───────────┼─► approximate
+//!                                   │                               │   counterpart
+//!                                   ├─ primary pass exhausted ──────┘
 //!                                   └─ catch_unwind (no panic escapes)
 //! ```
 //!
 //! Every submitted request resolves to exactly one of four fates —
 //! answered, degraded-answered, shed, or failed-typed — and every
-//! decision on the way (admit/shed/retry/degrade/trip/reset) is counted
-//! in a `csj_service_*` metric and stamped on the request's
-//! flight-recorder trace.
+//! decision on the way (admit/shed/degrade/trip/reset) is counted in a
+//! `csj_service_*` metric and stamped on the request's flight-recorder
+//! trace. The service never retries: a failed primary pass is a typed
+//! failure, and a degraded request runs one approximate pass.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,13 +26,12 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use csj_core::CsjMethod;
+use csj_core::{panic_message, CsjMethod};
 use csj_engine::{
     Budget, Coverage, CsjEngine, EngineError, ExhaustReason, MetricsSnapshot, PairScore, QueryTrace,
 };
 use csj_obs::Span;
 
-use crate::backoff;
 use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::config::ServiceConfig;
 use crate::obs::{DegradeTrigger, ServiceObs};
@@ -50,7 +51,6 @@ struct Shared {
 
 /// One queued request.
 struct Job {
-    id: u64,
     request: Request,
     submitted_at: Instant,
     deadline: Option<Instant>,
@@ -59,7 +59,7 @@ struct Job {
 
 /// Handle to one in-flight request; redeem it with [`Ticket::wait`].
 pub struct Ticket {
-    /// Service-assigned request id (also the retry-jitter seed).
+    /// Service-assigned request id.
     pub id: u64,
     rx: mpsc::Receiver<Result<Response, ServiceError>>,
 }
@@ -130,7 +130,6 @@ impl CsjService {
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         let job = Job {
-            id,
             request,
             submitted_at: now,
             deadline: self
@@ -263,15 +262,23 @@ fn worker_loop(engine: &CsjEngine, shared: &Shared) {
     }
 }
 
-/// Run one admitted request through the breaker gate, the degradation
-/// ladder and the retry loop. Called under the worker's panic boundary.
-fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, ServiceError> {
-    let refine = engine.config().refine_method;
-    let method = job.request.primary_method(refine);
-    let mut retries = 0u32;
+/// Share of the remaining deadline granted to the primary pass; the
+/// rest is held in reserve so the approximate counterpart can still
+/// answer in time.
+const EXACT_FRACTION: f64 = 0.6;
 
-    // Breaker gate — only exact methods are gated (the Ap rungs are
-    // what open breakers degrade *to*).
+/// Below this much remaining deadline an exact pass is hopeless: the
+/// request degrades at once (trigger `deadline`).
+const MIN_EXACT_SLACK: Duration = Duration::from_millis(5);
+
+/// Run one admitted request: the breaker gate, deadline pressure, one
+/// primary pass, and the approximate counterpart when any of them
+/// degrades the request. Called under the worker's panic boundary.
+fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, ServiceError> {
+    let method = job.request.primary_method(engine.config().refine_method);
+
+    // Breaker gate: only exact methods are gated (their approximate
+    // counterparts are what degraded requests run).
     let (admission, transition) = if method.is_exact() {
         shared.breaker.admit(method)
     } else {
@@ -281,20 +288,7 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
         shared.obs.on_transition(t);
     }
     if admission == Admission::Reject {
-        if shared.config.degrade.enabled {
-            return degrade(
-                engine,
-                shared,
-                job,
-                method,
-                DegradeTrigger::Breaker,
-                &mut retries,
-            );
-        }
-        return Err(ServiceError::BreakerOpen {
-            method,
-            retry_after: shared.config.breaker.cooldown,
-        });
+        return degrade(engine, shared, job, method, DegradeTrigger::Breaker);
     }
     let was_probe = admission == Admission::Probe;
     // The breaker outcome must be recorded exactly once per request
@@ -307,99 +301,20 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
         }
     };
 
-    // Deadline pressure: when an exact attempt cannot possibly finish
-    // in the remaining slack, skip straight to the approximate rung.
-    // Probes are exempt — a probe exists to test the exact path.
+    // Deadline pressure: when an exact pass cannot possibly finish in
+    // the remaining slack, degrade at once. Probes are exempt: a probe
+    // exists to test the exact path.
     if !was_probe
         && method.is_exact()
-        && shared.config.degrade.enabled
-        && job
-            .deadline
-            .is_some_and(|d| remaining(d) < shared.config.degrade.min_exact_slack)
+        && job.deadline.is_some_and(|d| remaining(d) < MIN_EXACT_SLACK)
     {
         record_breaker(false);
-        return degrade(
-            engine,
-            shared,
-            job,
-            method,
-            DegradeTrigger::Deadline,
-            &mut retries,
-        );
+        return degrade(engine, shared, job, method, DegradeTrigger::Deadline);
     }
 
-    loop {
-        let budget = primary_budget(shared, job.deadline);
-        match run_primary(engine, &job.request, method, &budget) {
-            Ok((value, exhausted, had_panics, coverage)) => {
-                if let Some(reason) = exhausted {
-                    // Budget exhaustion with slack remaining: retry (the
-                    // exact pass resumes warm from the cache).
-                    if can_retry(shared, job, retries) {
-                        shared.obs.on_retry();
-                        std::thread::sleep(backoff::delay_for(
-                            &shared.config.retry,
-                            retries,
-                            job.id,
-                        ));
-                        retries += 1;
-                        continue;
-                    }
-                    record_breaker(had_panics);
-                    if shared.config.degrade.enabled && method.is_exact() {
-                        return degrade(
-                            engine,
-                            shared,
-                            job,
-                            method,
-                            DegradeTrigger::Deadline,
-                            &mut retries,
-                        );
-                    }
-                    return Ok(Response {
-                        value,
-                        degraded: false,
-                        degrade_trigger: None,
-                        degrade_note: None,
-                        retries,
-                        exhausted: Some(reason),
-                        coverage,
-                    });
-                }
-                record_breaker(had_panics);
-                // Lost shards degrade through the coverage channel: the
-                // answer is exact on what survived, so there is nothing
-                // to retry or to walk the ladder for — the response is
-                // marked degraded and carries the typed report.
-                if let Some(cov) = coverage.filter(Coverage::is_partial) {
-                    shared.obs.on_degraded(DegradeTrigger::Coverage);
-                    return Ok(Response {
-                        value,
-                        degraded: true,
-                        degrade_trigger: Some(DegradeTrigger::Coverage.label()),
-                        degrade_note: Some(format!(
-                            "partial shard coverage: {cov}; surviving results are exact"
-                        )),
-                        retries,
-                        exhausted: None,
-                        coverage,
-                    });
-                }
-                return Ok(Response {
-                    value,
-                    degraded: false,
-                    degrade_trigger: None,
-                    degrade_note: None,
-                    retries,
-                    exhausted: None,
-                    coverage,
-                });
-            }
-            Err(EngineError::Faulted { .. }) if can_retry(shared, job, retries) => {
-                shared.obs.on_retry();
-                std::thread::sleep(backoff::delay_for(&shared.config.retry, retries, job.id));
-                retries += 1;
-            }
+    let (value, exhausted, had_panics, coverage) =
+        match run_primary(engine, &job.request, method, &primary_budget(job.deadline)) {
+            Ok(primary) => primary,
             Err(e) => {
                 record_breaker(matches!(
                     e,
@@ -407,7 +322,38 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
                 ));
                 return Err(ServiceError::Engine(e));
             }
+        };
+    record_breaker(had_panics);
+    let response = Response {
+        value,
+        degraded: false,
+        degrade_trigger: None,
+        degrade_note: None,
+        retries: 0,
+        exhausted,
+        coverage,
+    };
+    match (exhausted, coverage) {
+        // The exact pass ran out of its deadline share: the reserve
+        // goes to the approximate counterpart.
+        (Some(_), _) if method.is_exact() => {
+            degrade(engine, shared, job, method, DegradeTrigger::Deadline)
         }
+        // Lost shards degrade through the coverage channel: the answer
+        // is exact on what survived, so the response is marked degraded
+        // and carries the typed report.
+        (None, Some(cov)) if cov.is_partial() => {
+            shared.obs.on_degraded(DegradeTrigger::Coverage);
+            Ok(Response {
+                degraded: true,
+                degrade_trigger: Some(DegradeTrigger::Coverage.label()),
+                degrade_note: Some(format!(
+                    "partial shard coverage: {cov}; surviving results are exact"
+                )),
+                ..response
+            })
+        }
+        _ => Ok(response),
     }
 }
 
@@ -457,134 +403,35 @@ fn run_primary(
     }
 }
 
-/// Serve the request off the rule-ranked degradation ladder
-/// ([`CsjEngine::degradation_ladder_for`]): cheaper exact siblings
-/// first (each behind its own breaker gate), the approximate
-/// counterpart as the guaranteed last resort. A rung that serves an
-/// `Ap-*` method is always a *sound lower bound*: approximate CSJ
-/// never over-counts, and greedy maximal matching reaches at least
-/// half the maximum, so the exact score lies in `[ap, 2·ap]`.
+/// Serve a degraded request approximately, with whatever deadline is
+/// left: a similarity request runs the primary's
+/// [`approximate_counterpart`](CsjMethod::approximate_counterpart);
+/// top-k and pairs_above rank by the engine's screen scores (its
+/// `screen_method`). Approximate CSJ never over-counts and greedy
+/// maximal matching reaches at least half the maximum, so the exact
+/// score lies in `[score, 2·score]`.
 fn degrade(
     engine: &CsjEngine,
     shared: &Shared,
     job: &Job,
     method: CsjMethod,
     trigger: DegradeTrigger,
-    retries: &mut u32,
 ) -> Result<Response, ServiceError> {
     shared.obs.on_degraded(trigger);
-    let pair = match &job.request {
-        Request::Similarity { x, y, .. } => Some((*x, *y)),
-        _ => None,
+    let budget = match job.deadline {
+        None => Budget::unlimited(),
+        Some(d) => Budget::unlimited().with_deadline(remaining(d)),
     };
-    let mut ladder = engine.degradation_ladder_for(method, pair);
-    if ladder.is_empty() {
-        ladder.push(method.approximate_counterpart());
-    }
-    let note_for = |rung: CsjMethod| {
-        if rung.is_exact() {
-            format!(
-                "served by {} (trigger: {}): exact result from a lossless \
-                 sibling method, no approximation involved",
-                rung.name(),
-                trigger.label()
-            )
-        } else {
-            format!(
-                "served by {} (trigger: {}): approximate CSJ never over-counts and greedy \
-                 maximal matching is at least half of maximum, so the exact score is within \
-                 [score, 2*score]",
-                rung.name(),
-                trigger.label()
-            )
-        }
-    };
-    let respond = |rung: CsjMethod,
-                   value: ResponseValue,
-                   exhausted: Option<ExhaustReason>,
-                   retries: u32| Response {
-        value,
-        degraded: true,
-        degrade_trigger: Some(trigger.label()),
-        degrade_note: Some(note_for(rung)),
-        retries,
-        exhausted,
-        coverage: None,
-    };
-    match &job.request {
+    let screen = engine.config().screen_method;
+    let (served_by, value, exhausted) = match &job.request {
         Request::Similarity { x, y, .. } => {
-            let last = *ladder.last().expect("ladder is non-empty");
-            for &rung in &ladder {
-                // Deadline pressure means an exact pass already failed
-                // to fit the slack — exact siblings cost the same order
-                // of work, so jump straight to the approximate rungs.
-                if rung.is_exact() && trigger == DegradeTrigger::Deadline {
-                    continue;
-                }
-                // Exact rungs pass through their own breaker gate; an
-                // open sibling breaker just skips the rung.
-                let mut was_probe = false;
-                if rung.is_exact() {
-                    let (admission, transition) = shared.breaker.admit(rung);
-                    if let Some(t) = transition {
-                        shared.obs.on_transition(t);
-                    }
-                    if admission == Admission::Reject {
-                        continue;
-                    }
-                    was_probe = admission == Admission::Probe;
-                }
-                let record_rung = |failure: bool| {
-                    if rung.is_exact() {
-                        if let Some(t) = shared.breaker.record(rung, was_probe, failure) {
-                            shared.obs.on_transition(t);
-                        }
-                    }
-                };
-                loop {
-                    match engine.similarity_with(*x, *y, rung) {
-                        Ok(s) => {
-                            record_rung(false);
-                            return Ok(respond(rung, ResponseValue::Similarity(s), None, *retries));
-                        }
-                        Err(EngineError::Faulted { .. }) if can_retry(shared, job, *retries) => {
-                            shared.obs.on_retry();
-                            std::thread::sleep(backoff::delay_for(
-                                &shared.config.retry,
-                                *retries,
-                                job.id,
-                            ));
-                            *retries += 1;
-                        }
-                        Err(e) if rung != last => {
-                            // A failed rung feeds its breaker and the
-                            // walk moves down the ladder.
-                            record_rung(matches!(
-                                e,
-                                EngineError::JoinPanicked { .. } | EngineError::Faulted { .. }
-                            ));
-                            break;
-                        }
-                        Err(e) => {
-                            record_rung(matches!(
-                                e,
-                                EngineError::JoinPanicked { .. } | EngineError::Faulted { .. }
-                            ));
-                            return Err(ServiceError::Engine(e));
-                        }
-                    }
-                }
-            }
-            // The last rung is never exact (the ladder always ends on
-            // the approximate counterpart), so the walk above returned.
-            unreachable!("degradation ladder always terminates on its last rung")
+            let counterpart = method.approximate_counterpart();
+            let s = engine.similarity_with(*x, *y, counterpart)?;
+            (counterpart, ResponseValue::Similarity(s), None)
         }
         Request::TopK { x, k } => {
-            let rung = *ladder.last().expect("ladder is non-empty");
             let candidates: Vec<_> = engine.handles().filter(|&h| h != *x).collect();
-            let partial = engine
-                .screen_with_budget(*x, &candidates, &full_budget(job.deadline))
-                .map_err(ServiceError::Engine)?;
+            let partial = engine.screen_with_budget(*x, &candidates, &budget)?;
             // Top-k is not thresholded: rank *every* screened candidate
             // by its approximate score, not just the shortlist.
             let mut ranked: Vec<PairScore> = partial
@@ -600,68 +447,43 @@ fn degrade(
                 .collect();
             ranked.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
             ranked.truncate(*k);
-            Ok(respond(
-                rung,
-                ResponseValue::Ranking(ranked),
-                partial.exhausted.map(|m| m.reason),
-                *retries,
-            ))
+            let exhausted = partial.exhausted.map(|m| m.reason);
+            (screen, ResponseValue::Ranking(ranked), exhausted)
         }
         Request::PairsAbove { threshold } => {
-            let rung = *ladder.last().expect("ladder is non-empty");
-            let partial = engine
-                .pairs_above_approx_with_budget(*threshold, &full_budget(job.deadline), None)
-                .map_err(ServiceError::Engine)?;
-            Ok(respond(
-                rung,
-                ResponseValue::Pairs(partial.value.pairs),
-                partial.exhausted.map(|m| m.reason),
-                *retries,
-            ))
+            let partial = engine.pairs_above_approx_with_budget(*threshold, &budget, None)?;
+            let exhausted = partial.exhausted.map(|m| m.reason);
+            (screen, ResponseValue::Pairs(partial.value.pairs), exhausted)
         }
-    }
+    };
+    Ok(Response {
+        value,
+        degraded: true,
+        degrade_trigger: Some(trigger.label()),
+        degrade_note: Some(format!(
+            "served by {} (trigger: {}): approximate CSJ never over-counts and greedy \
+             maximal matching is at least half of maximum, so the exact score is within \
+             [score, 2*score]",
+            served_by.name(),
+            trigger.label()
+        )),
+        retries: 0,
+        exhausted,
+        coverage: None,
+    })
 }
 
 fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now())
 }
 
-/// Budget slice for the primary attempt: with degradation on, only
-/// `exact_fraction` of the remaining deadline — the rest is reserve for
-/// the approximate fallback.
-fn primary_budget(shared: &Shared, deadline: Option<Instant>) -> Budget {
+/// Budget for the primary pass: [`EXACT_FRACTION`] of the remaining
+/// deadline, the rest held in reserve for the approximate counterpart.
+fn primary_budget(deadline: Option<Instant>) -> Budget {
     match deadline {
         None => Budget::unlimited(),
-        Some(d) => {
-            let rem = remaining(d);
-            let slice = if shared.config.degrade.enabled {
-                rem.mul_f64(shared.config.degrade.exact_fraction.clamp(0.1, 1.0))
-            } else {
-                rem
-            };
-            Budget::unlimited().with_deadline(slice)
-        }
+        Some(d) => Budget::unlimited().with_deadline(remaining(d).mul_f64(EXACT_FRACTION)),
     }
-}
-
-/// Whatever deadline is left, undivided (degraded rung, last resort).
-fn full_budget(deadline: Option<Instant>) -> Budget {
-    match deadline {
-        None => Budget::unlimited(),
-        Some(d) => Budget::unlimited().with_deadline(remaining(d)),
-    }
-}
-
-/// Retries are bounded by the policy *and* the deadline: a retry whose
-/// backoff sleep would eat the remaining slack is pointless.
-fn can_retry(shared: &Shared, job: &Job, retries: u32) -> bool {
-    if retries >= shared.config.retry.max_retries {
-        return false;
-    }
-    job.deadline.is_none_or(|d| {
-        let delay = backoff::delay_for(&shared.config.retry, retries, job.id);
-        remaining(d) > delay + shared.config.degrade.min_exact_slack
-    })
 }
 
 fn update_ewma(cell: &AtomicU64, sample: Duration) {
@@ -669,16 +491,6 @@ fn update_ewma(cell: &AtomicU64, sample: Duration) {
     let old = cell.load(Ordering::Relaxed);
     let new = if old == 0 { s } else { (old * 4 + s) / 5 };
     cell.store(new, Ordering::Relaxed);
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic of unknown type".to_string()
-    }
 }
 
 fn shed_trace(job: &Job, retry_after: Duration) -> QueryTrace {
@@ -707,9 +519,7 @@ fn request_trace(
         .attr("queue_wait_us", wait.as_micros() as u64);
     let outcome = match result {
         Ok(r) => {
-            root = root
-                .attr("retries", u64::from(r.retries))
-                .attr("degraded", u64::from(r.degraded));
+            root = root.attr("degraded", u64::from(r.degraded));
             if let Some(trigger) = r.degrade_trigger {
                 root = root.attr("degrade_trigger", trigger);
             }

@@ -7,17 +7,16 @@
 //!     load never sheds;
 //! (c) an open breaker stops routing to the broken method and half-open
 //!     probes eventually reset it (chaos tests, `fault-injection`);
-//! (d) degraded answers come off the rule-ranked ladder: either an
-//!     exact sibling rung (no approximation) or a valid Ap-* result —
-//!     a sound lower bound within a factor of two of the exact score.
+//! (d) a degraded answer is the approximate counterpart's (screen
+//!     scores for multi-pair kinds): a sound lower bound within a
+//!     factor of two of the exact score, with a note naming the method
+//!     that ran.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use csj_core::{Community, CsjMethod};
 use csj_engine::{CommunityHandle, CsjEngine, EngineConfig};
-#[cfg(feature = "fault-injection")]
-use csj_service::DegradeConfig;
 use csj_service::{
     CsjService, Fate, Request, Response, ResponseValue, ServiceConfig, ServiceError,
 };
@@ -61,9 +60,32 @@ fn slow_engine() -> (CsjEngine, CommunityHandle, CommunityHandle) {
     (engine, x, y)
 }
 
-fn ratio(r: &Response) -> f64 {
+/// The paper's Section 3 worked example (d = 3, eps 1): B = {b1, b2},
+/// A = {a1, a2, a3}; the maximum matching pairs both B users.
+fn section3_engine() -> (CsjEngine, CommunityHandle, CommunityHandle) {
+    let community = |name: &str, rows: Vec<(u64, Vec<u32>)>| {
+        Community::from_rows(name, 3, rows).expect("well-formed")
+    };
+    let mut engine = CsjEngine::new(3, EngineConfig::new(1));
+    let b = engine
+        .register(community("B", vec![(1, vec![3, 4, 2]), (2, vec![2, 2, 3])]))
+        .unwrap();
+    let a = engine
+        .register(community(
+            "A",
+            vec![
+                (10, vec![2, 3, 5]),
+                (11, vec![2, 3, 1]),
+                (12, vec![3, 3, 3]),
+            ],
+        ))
+        .unwrap();
+    (engine, b, a)
+}
+
+fn similarity(r: &Response) -> csj_core::Similarity {
     match &r.value {
-        ResponseValue::Similarity(s) => s.ratio(),
+        ResponseValue::Similarity(s) => *s,
         _ => panic!("expected a similarity response"),
     }
 }
@@ -189,54 +211,94 @@ fn overload_sheds_and_every_request_resolves_exactly_once() {
 
 #[test]
 fn deadline_pressure_degrades_to_a_sound_lower_bound() {
-    let (engine, a, n, _) = engine_with_three();
+    let (three, a, n, _) = engine_with_three();
+    let (section3, b, a3) = section3_engine();
+    for (engine, x, y) in [(three, a, n), (section3, b, a3)] {
+        let service = CsjService::start(
+            engine,
+            ServiceConfig {
+                // Zero deadline: by execution time the slack is below
+                // the exact pass's minimum, so the request degrades.
+                default_deadline: Some(Duration::ZERO),
+                ..ServiceConfig::default()
+            },
+        );
+        let response = service
+            .call(Request::Similarity { x, y, method: None })
+            .expect("degraded, not failed");
+        assert!(response.degraded);
+        assert_eq!(response.degrade_trigger, Some("deadline"));
+        let note = response.degrade_note.as_deref().unwrap();
+        // The refine method's approximate counterpart serves it.
+        assert!(note.contains("served by ap-minmax"), "{note}");
+        assert!(note.contains("2*score"), "{note}");
+
+        // Soundness: ap <= exact <= 2 * ap, and the greedy matching
+        // holds at least half the maximum's pairs.
+        let ap = similarity(&response);
+        let exact = service.engine().similarity(x, y).unwrap();
+        assert!(
+            ap.matched >= exact.matched.div_ceil(2),
+            "{ap:?} vs {exact:?}"
+        );
+        assert!(ap.ratio() > 0.0);
+        assert!(ap.ratio() <= exact.ratio() + 1e-9, "Ap never over-counts");
+        assert!(
+            exact.ratio() <= 2.0 * ap.ratio() + 1e-9,
+            "exact within 2x of the Ap bound"
+        );
+
+        let snap = service.metrics_snapshot();
+        assert!(snap.counter_value("csj_service_degraded_total", &[("trigger", "deadline")]) >= 1);
+        // The degradation is visible on the request trace.
+        let trace = service
+            .service_traces(8)
+            .into_iter()
+            .find(|t| t.outcome == "degraded")
+            .expect("degraded trace recorded");
+        assert!(matches!(
+            trace.root.get_attr("degraded"),
+            Some(csj_obs::AttrValue::U64(1))
+        ));
+        assert!(matches!(
+            trace.root.get_attr("degrade_trigger"),
+            Some(csj_obs::AttrValue::Str(s)) if s.as_str() == "deadline"
+        ));
+    }
+}
+
+/// Degraded top-k and pairs_above answers rank by the engine's screen
+/// scores, and their notes name the screen method, not the refine
+/// method's counterpart.
+#[test]
+fn degraded_multi_pair_notes_name_the_screen_method() {
+    let mut config = EngineConfig::new(1);
+    config.screen_method = CsjMethod::ApBaseline;
+    let mut engine = CsjEngine::new(2, config);
+    let a = engine
+        .register(community("anchor", &[[1, 1], [5, 5], [9, 9], [13, 13]]))
+        .unwrap();
+    engine
+        .register(community("near", &[[1, 2], [5, 5], [9, 8], [100, 100]]))
+        .unwrap();
     let service = CsjService::start(
         engine,
         ServiceConfig {
-            // Zero deadline: by execution time the slack is below
-            // min_exact_slack, forcing the deadline-pressure rung.
             default_deadline: Some(Duration::ZERO),
             ..ServiceConfig::default()
         },
     );
-    let response = service
-        .call(Request::Similarity {
-            x: a,
-            y: n,
-            method: None,
-        })
-        .expect("degraded, not failed");
-    assert!(response.degraded);
-    assert_eq!(response.degrade_trigger, Some("deadline"));
-    let note = response.degrade_note.as_deref().unwrap();
-    // Deadline pressure skips the exact rungs, so the serving rung is
-    // the density rule's approximate pick or the counterpart.
-    assert!(note.contains("served by ap-"), "{note}");
-    assert!(note.contains("2*score"), "{note}");
-
-    // Soundness: ap <= exact <= 2 * ap.
-    let ap = ratio(&response);
-    let exact = service.engine().similarity(a, n).unwrap().ratio();
-    assert!(ap > 0.0);
-    assert!(ap <= exact + 1e-9, "Ap never over-counts");
-    assert!(exact <= 2.0 * ap + 1e-9, "exact within 2x of the Ap bound");
-
-    let snap = service.metrics_snapshot();
-    assert!(snap.counter_value("csj_service_degraded_total", &[("trigger", "deadline")]) >= 1);
-    // The degradation is visible on the request trace.
-    let trace = service
-        .service_traces(8)
-        .into_iter()
-        .find(|t| t.outcome == "degraded")
-        .expect("degraded trace recorded");
-    assert!(matches!(
-        trace.root.get_attr("degraded"),
-        Some(csj_obs::AttrValue::U64(1))
-    ));
-    assert!(matches!(
-        trace.root.get_attr("degrade_trigger"),
-        Some(csj_obs::AttrValue::Str(s)) if s.as_str() == "deadline"
-    ));
+    for request in [
+        Request::TopK { x: a, k: 2 },
+        Request::PairsAbove { threshold: 0.2 },
+    ] {
+        let response = service.call(request).expect("degraded, not failed");
+        assert!(response.degraded);
+        assert_eq!(response.degrade_trigger, Some("deadline"));
+        let note = response.degrade_note.as_deref().unwrap();
+        assert!(note.contains("served by ap-baseline"), "{note}");
+        assert_eq!(response.retries, 0);
+    }
 }
 
 /// SLO burn rates must *reconcile* with the four-fates accounting: the
@@ -299,14 +361,14 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
     }
     b1.wait().expect("blocker answered");
     b2.wait().expect("blocker answered");
-    // Deadline pressure skips the exact rungs of the rule-ranked ladder.
+    // Deadline pressure serves the approximate counterpart.
     for _ in 0..3 {
         let r = service
             .call(Request::Similarity { x, y, method: None })
             .expect("deadline pressure degrades, not fails");
         assert!(r.degraded);
         let note = r.degrade_note.as_deref().unwrap_or_default();
-        assert!(note.contains("served by ap-"), "{note}");
+        assert!(note.contains("served by ap-minmax"), "{note}");
     }
 
     // One evaluation window covering the whole soak.
@@ -445,6 +507,10 @@ mod chaos {
     use csj_engine::fault::FaultPlan;
     use csj_service::{BreakerConfig, BreakerState};
 
+    fn ratio(r: &Response) -> f64 {
+        similarity(r).ratio()
+    }
+
     fn breaker_config() -> BreakerConfig {
         BreakerConfig {
             window: 8,
@@ -492,6 +558,8 @@ mod chaos {
         let degraded = service.call(similarity.clone()).expect("degraded answer");
         assert!(degraded.degraded);
         assert_eq!(degraded.degrade_trigger, Some("breaker"));
+        let note = degraded.degrade_note.as_deref().unwrap();
+        assert!(note.contains("served by ap-minmax"), "{note}");
         let ap = ratio(&degraded);
         assert!(ap > 0.0, "valid Ap result");
 
@@ -553,22 +621,13 @@ mod chaos {
         );
     }
 
-    /// Transient injected faults are retried with backoff; a permanent
-    /// fault exhausts the retries into a typed failure.
+    /// An injected fault on the primary pass is a typed failure at
+    /// once: the service runs the pass once and retries nothing.
     #[test]
-    fn permanent_fault_exhausts_retries_into_typed_failure() {
+    fn injected_fault_fails_typed_without_retry() {
         let (mut engine, a, n, _) = engine_with_three();
         engine.inject_faults(FaultPlan::new().error_on(n.0));
-        let service = CsjService::start(
-            engine,
-            ServiceConfig {
-                degrade: DegradeConfig {
-                    enabled: false,
-                    ..DegradeConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
-        );
+        let service = CsjService::start(engine, ServiceConfig::default());
         let err = service
             .call(Request::Similarity {
                 x: a,
@@ -582,47 +641,14 @@ mod chaos {
         ));
         let snap = service.metrics_snapshot();
         assert_eq!(
-            snap.counter_value("csj_service_retries_total", &[]),
-            u64::from(service.config().retry.max_retries),
-            "each retry slept through its backoff before refailing"
+            snap.counter_value("csj_queries_total", &[("kind", "similarity")]),
+            1,
+            "one engine pass, no retry"
         );
-    }
-
-    /// Degradation disabled: an open breaker rejects with a typed,
-    /// retry-after-carrying error instead of degrading.
-    #[test]
-    fn open_breaker_without_degradation_rejects_typed() {
-        let (mut engine, a, n, _) = engine_with_three();
-        engine.inject_faults(FaultPlan::new().panic_n_times(n.0, 3));
-        let service = CsjService::start(
-            engine,
-            ServiceConfig {
-                breaker: breaker_config(),
-                degrade: DegradeConfig {
-                    enabled: false,
-                    ..DegradeConfig::default()
-                },
-                ..ServiceConfig::default()
-            },
+        assert_eq!(
+            snap.counter_value("csj_service_completed_total", &[("outcome", "failed")]),
+            1
         );
-        let similarity = Request::Similarity {
-            x: a,
-            y: n,
-            method: None,
-        };
-        for _ in 0..3 {
-            let _ = service.call(similarity.clone());
-        }
-        let err = service.call(similarity).unwrap_err();
-        let ServiceError::BreakerOpen {
-            method,
-            retry_after,
-        } = err
-        else {
-            panic!("expected BreakerOpen, got {err}");
-        };
-        assert_eq!(method, CsjMethod::ExMinMax);
-        assert_eq!(retry_after, breaker_config().cooldown);
     }
 
     /// Six communities on three shards: the service's broadcast sweep

@@ -23,7 +23,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use csj_core::CancelToken;
+use csj_core::{panic_message, CancelToken};
 
 #[cfg(feature = "fault-injection")]
 pub mod fault;
@@ -238,18 +238,6 @@ impl ShardExecutor {
             }
         }
         report
-    }
-}
-
-/// Render a panic payload like the engine does: `&str` and `String`
-/// payloads verbatim, anything else opaque.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 
