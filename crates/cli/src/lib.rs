@@ -10,8 +10,7 @@
 //! csj explain --b b.csjb --a a.csjb --eps 1 \
 //!             --method auto                     join + plan + kernel telemetry
 //! csj truth --b b.csjb --a a.csjb --eps 1       brute-force ground truth
-//! csj serve-sim --qps 200 --duration-ms 2000    open-loop overload soak against
-//!                                               the admission-controlled service
+//! csj recover --dir DIR --verify                rebuild and check a durable registry
 //! ```
 //!
 //! Files ending in `.csv` use the text format, anything else the compact
@@ -180,58 +179,6 @@ pub enum Command {
     },
     /// Brute-force ground truth of a pair.
     Truth { b: PathBuf, a: PathBuf, eps: u32 },
-    /// Open-loop load soak against the overload-safe service: submit a
-    /// mixed query stream over synthetic communities at a fixed rate,
-    /// then report admission/shed/degrade/breaker behaviour, latency
-    /// quantiles and the service invariants. Exits non-zero when an
-    /// invariant is violated.
-    ServeSim {
-        /// Target submission rate, requests per second.
-        qps: u64,
-        /// Load-generation window, milliseconds.
-        duration_ms: u64,
-        workers: usize,
-        /// Admission queue capacity (the shed point).
-        queue: usize,
-        /// Number of synthetic communities to register.
-        communities: usize,
-        /// Users per synthetic community.
-        scale: u32,
-        eps: u32,
-        seed: u64,
-        /// Per-request deadline; 0 disables deadlines (and with them
-        /// deadline-triggered degradation).
-        deadline_ms: u64,
-        /// Inject faults (a healing panic burst plus one pathologically
-        /// slow community); needs the `chaos` cargo feature.
-        chaos: bool,
-        /// Targeted chaos mode: `shard-kill`, `shard-stall` or
-        /// `shard-panic` attack one shard of every multi-pair request
-        /// (`shard-stall` holds it for twice `deadline_ms`); `None` is
-        /// the classic community-level fault mix. Implies `chaos`.
-        chaos_mode: Option<String>,
-        /// Write the final merged Prometheus exposition here.
-        metrics_out: Option<PathBuf>,
-        /// Run the ingest phase through the crash-consistent registry
-        /// (WAL + snapshots) and assert replay convergence before the
-        /// query soak.
-        durable: bool,
-        /// Directory for the WAL and snapshots; a scratch directory
-        /// when omitted.
-        durable_dir: Option<PathBuf>,
-        /// Kill the durable ingest after this many WAL bytes (torn
-        /// write at the budget boundary), then recover and assert the
-        /// recovered state equals the acked prefix. Needs the `chaos`
-        /// cargo feature.
-        crash_after: Option<u64>,
-        /// WAL fsync policy for the durable ingest.
-        fsync: csj_durability::FsyncPolicy,
-        /// Evaluate the service SLOs (multi-window burn rates) after
-        /// the soak and self-check every verdict against the fate
-        /// counters; a breach the fate counters cannot back is an
-        /// invariant violation (exit 2).
-        slo: bool,
-    },
     /// Write a checksummed snapshot of a durable registry directory and
     /// truncate its WAL.
     Snapshot { dir: PathBuf },
@@ -304,28 +251,9 @@ usage:
   csj slow --communities F1,F2,... --eps E [--k K] [--deadline-ms MS] [--max-joins N] [--slow-threshold-us T] [--last N] [--json] [--out FILE] [--quarantine]
   csj slo --communities F1,F2,... --eps E [--threshold T] [--deadline-ms MS] [--max-joins N] [--json] [--quarantine]
   csj truth --b FILE --a FILE --eps E
-  csj serve-sim [--qps N] [--duration-ms MS] [--workers W] [--queue Q] [--communities M] [--scale U]
-                [--eps E] [--seed S] [--deadline-ms MS] [--chaos [shard-kill|shard-stall|shard-panic]]
-                [--metrics-out FILE] [--slo]
-                [--durable] [--durable-dir DIR] [--crash-after BYTES] [--fsync always|interval:N]
   csj snapshot --dir DIR
   csj recover --dir DIR [--verify]
 formats: *.csv is text, *.csjp is a prepared index, anything else the CSJB binary format";
-
-fn parse_fsync(v: &str) -> Result<csj_durability::FsyncPolicy, CliError> {
-    if v == "always" {
-        return Ok(csj_durability::FsyncPolicy::Always);
-    }
-    if let Some(n) = v.strip_prefix("interval:") {
-        let n: u32 = n
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--fsync interval expects a count, got {v:?}")))?;
-        return Ok(csj_durability::FsyncPolicy::Interval(n));
-    }
-    Err(CliError::Usage(format!(
-        "--fsync expects always|interval:N, got {v:?}"
-    )))
-}
 
 /// Parse raw arguments (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
@@ -562,57 +490,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             a: PathBuf::from(require("--a")?),
             eps: parse_num("--eps", require("--eps")?)? as u32,
         }),
-        "serve-sim" => {
-            // `--chaos` takes an optional mode value: the next token,
-            // unless it is another flag.
-            let chaos_mode = rest
-                .iter()
-                .position(|&a| a == "--chaos")
-                .and_then(|i| rest.get(i + 1).copied())
-                .filter(|v| !v.starts_with("--"))
-                .map(str::to_string);
-            if let Some(mode) = &chaos_mode {
-                if !matches!(mode.as_str(), "shard-kill" | "shard-stall" | "shard-panic") {
-                    return Err(CliError::Usage(format!(
-                        "--chaos takes no value or shard-kill|shard-stall|shard-panic, \
-                         got {mode:?}"
-                    )));
-                }
-            }
-            let communities =
-                get("--communities").map_or(Ok(6), |v| parse_num("--communities", v))? as usize;
-            if communities < 2 {
-                return Err(CliError::Usage("--communities must be >= 2".into()));
-            }
-            let qps = get("--qps").map_or(Ok(100), |v| parse_num("--qps", v))?;
-            if qps == 0 {
-                return Err(CliError::Usage("--qps must be >= 1".into()));
-            }
-            Ok(Command::ServeSim {
-                qps,
-                duration_ms: get("--duration-ms")
-                    .map_or(Ok(2_000), |v| parse_num("--duration-ms", v))?,
-                workers: get("--workers").map_or(Ok(2), |v| parse_num("--workers", v))? as usize,
-                queue: get("--queue").map_or(Ok(8), |v| parse_num("--queue", v))? as usize,
-                communities,
-                scale: get("--scale").map_or(Ok(240), |v| parse_num("--scale", v))? as u32,
-                eps: get("--eps").map_or(Ok(1), |v| parse_num("--eps", v))? as u32,
-                seed: get("--seed").map_or(Ok(42), |v| parse_num("--seed", v))?,
-                deadline_ms: get("--deadline-ms")
-                    .map_or(Ok(100), |v| parse_num("--deadline-ms", v))?,
-                chaos: has("--chaos"),
-                chaos_mode,
-                metrics_out: get("--metrics-out").map(PathBuf::from),
-                durable: has("--durable") || has("--durable-dir") || has("--crash-after"),
-                durable_dir: get("--durable-dir").map(PathBuf::from),
-                crash_after: get("--crash-after")
-                    .map(|v| parse_num("--crash-after", v))
-                    .transpose()?,
-                fsync: get("--fsync")
-                    .map_or(Ok(csj_durability::FsyncPolicy::Always), parse_fsync)?,
-                slo: has("--slo"),
-            })
-        }
         "snapshot" => Ok(Command::Snapshot {
             dir: PathBuf::from(require("--dir")?),
         }),
@@ -1375,43 +1252,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 Ok(s)
             }
         }
-        Command::ServeSim {
-            qps,
-            duration_ms,
-            workers,
-            queue,
-            communities,
-            scale,
-            eps,
-            seed,
-            deadline_ms,
-            chaos,
-            chaos_mode,
-            metrics_out,
-            durable,
-            durable_dir,
-            crash_after,
-            fsync,
-            slo,
-        } => serve_sim(SimArgs {
-            qps,
-            duration_ms,
-            workers,
-            queue,
-            communities,
-            scale,
-            eps,
-            seed,
-            deadline_ms,
-            chaos,
-            chaos_mode,
-            metrics_out,
-            durable,
-            durable_dir,
-            crash_after,
-            fsync,
-            slo,
-        }),
         Command::Snapshot { dir } => {
             use csj_durability::{DurabilityConfig, DurableEngine};
             let mut dur = DurableEngine::open(
@@ -1444,59 +1284,13 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 .handles()
                 .map(|h| engine.community(h).map_or(0, |c| c.len()))
                 .sum();
-            use std::fmt::Write as _;
             let mut out = format!(
                 "recovery: {}\ncommunities={} users={users} fingerprint={fp:#018x}\n",
                 report.summary(),
                 engine.handles().count(),
             );
             if verify {
-                let mut breaches: Vec<String> = Vec::new();
-                // Determinism: a second recovery over the same files
-                // must rebuild the identical state.
-                match recover_dir(&dir, 8, csj_engine::EngineConfig::new(1)) {
-                    Ok((again, report2)) => {
-                        if fingerprint_engine(&again) != fp {
-                            breaches.push("second recovery diverged from the first".into());
-                        }
-                        if report2 != report {
-                            breaches.push("second recovery report differs".into());
-                        }
-                    }
-                    Err(e) => breaches.push(format!("second recovery failed: {e}")),
-                }
-                // Registry invariants over the recovered state.
-                for h in engine.handles() {
-                    match engine.community(h) {
-                        Ok(c) => {
-                            if c.d() != engine.d() {
-                                breaches.push(format!(
-                                    "community {:?} has d={} in a d={} engine",
-                                    c.name(),
-                                    c.d(),
-                                    engine.d()
-                                ));
-                            }
-                            if engine.find(c.name()) != Some(h) {
-                                breaches.push(format!(
-                                    "name {:?} does not resolve back to its handle",
-                                    c.name()
-                                ));
-                            }
-                        }
-                        Err(e) => breaches.push(format!("dangling handle {}: {e}", h.0)),
-                    }
-                }
-                // The WAL accounting must cover the file exactly.
-                let wal_len = std::fs::metadata(dir.join(csj_durability::WAL_FILE))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                if report.wal_valid_bytes + report.bytes_discarded != wal_len {
-                    breaches.push(format!(
-                        "WAL accounting mismatch: {} valid + {} discarded != {} on disk",
-                        report.wal_valid_bytes, report.bytes_discarded, wal_len
-                    ));
-                }
+                let breaches = csj_durability::verify_recovery(&dir, &engine, &report);
                 if breaches.is_empty() {
                     let _ = writeln!(out, "verify: ok");
                 } else {
@@ -1525,665 +1319,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             ))
         }
     }
-}
-
-/// Arguments of [`Command::ServeSim`], bundled so the driver stays one
-/// call.
-struct SimArgs {
-    qps: u64,
-    duration_ms: u64,
-    workers: usize,
-    queue: usize,
-    communities: usize,
-    scale: u32,
-    eps: u32,
-    seed: u64,
-    deadline_ms: u64,
-    chaos: bool,
-    chaos_mode: Option<String>,
-    metrics_out: Option<PathBuf>,
-    durable: bool,
-    durable_dir: Option<PathBuf>,
-    crash_after: Option<u64>,
-    fsync: csj_durability::FsyncPolicy,
-    slo: bool,
-}
-
-/// One scripted ingest mutation of the durable serve-sim phase; the
-/// script is deterministic in the sim arguments so a crashed run can
-/// resume from the exact op that tore.
-#[derive(Debug, Clone, Copy)]
-enum SimOp {
-    Register(usize),
-    Upsert(usize, u64),
-    Remove(usize, u64),
-}
-
-/// What the durable ingest phase concluded.
-struct DurableOutcome {
-    engine: csj_engine::CsjEngine,
-    report_lines: String,
-    converged: bool,
-    metrics: csj_obs::MetricsSnapshot,
-}
-
-/// Apply one scripted op through the durable engine. Returns whether it
-/// was acked (ops made redundant by an earlier run against the same
-/// directory — an existing registration, an already-removed user — are
-/// skipped, not errors).
-fn apply_sim_op(
-    dur: &mut csj_durability::DurableEngine,
-    communities: &[Community],
-    op: SimOp,
-) -> Result<bool, csj_durability::DurabilityError> {
-    let find = |dur: &csj_durability::DurableEngine, m: usize| {
-        dur.engine()
-            .find(communities[m].name())
-            .expect("register op precedes every upsert/remove in the script")
-    };
-    match op {
-        SimOp::Register(m) => {
-            if dur.engine().find(communities[m].name()).is_some() {
-                return Ok(false);
-            }
-            dur.register(communities[m].clone()).map(|_| true)
-        }
-        SimOp::Upsert(m, user) => {
-            let h = find(dur, m);
-            let d = communities[m].d();
-            let vector: Vec<u32> = (0..d as u64)
-                .map(|j| ((user * 31 + j * 7) % 97) as u32)
-                .collect();
-            dur.upsert_user(h, user, &vector).map(|_| true)
-        }
-        SimOp::Remove(m, user) => {
-            let h = find(dur, m);
-            match dur.remove_user(h, user) {
-                Ok(_) => Ok(true),
-                Err(csj_durability::DurabilityError::Engine(
-                    csj_engine::EngineError::UnknownUser(_),
-                )) => Ok(false),
-                Err(e) => Err(e),
-            }
-        }
-    }
-}
-
-/// The durable ingest phase of `csj serve-sim --durable`: run the
-/// scripted mutations through the WAL-backed registry (optionally
-/// tearing the log mid-write at `--crash-after` bytes), recover, assert
-/// the recovered state is exactly the acked prefix, finish the script,
-/// snapshot, re-verify, and hand the engine over for the query soak.
-fn durable_ingest(args: &SimArgs, communities: &[Community]) -> Result<DurableOutcome, CliError> {
-    use csj_durability::{
-        fingerprint_engine, recover_dir, DurabilityConfig, DurabilityError, DurableEngine,
-    };
-    use csj_engine::EngineConfig;
-    use std::fmt::Write as _;
-
-    let dir = args.durable_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "csj-serve-sim-durable-{}-{}",
-            std::process::id(),
-            args.seed
-        ))
-    });
-    let d = communities.first().map_or(8, |c| c.d());
-    let config = DurabilityConfig {
-        fsync: args.fsync,
-        keep_snapshots: 2,
-    };
-    let io_err = |e: DurabilityError| CliError::Io(format!("{}: {e}", dir.display()));
-    let open =
-        |dir: &Path| DurableEngine::open(dir, d, EngineConfig::new(args.eps), config.clone());
-
-    // The deterministic mutation script: register each community, then
-    // churn a handful of extra users so the WAL sees all three ops.
-    let mut script: Vec<SimOp> = Vec::new();
-    for m in 0..communities.len() {
-        script.push(SimOp::Register(m));
-        let base = u64::from(args.scale) + 1;
-        for u in 0..6 {
-            script.push(SimOp::Upsert(m, base + u));
-        }
-        script.push(SimOp::Remove(m, base));
-        script.push(SimOp::Remove(m, base + 1));
-    }
-
-    let mut dur = open(&dir).map_err(io_err)?;
-    let mut lines = format!(
-        "durable: dir={} fsync={} crash-after={}\n",
-        dir.display(),
-        args.fsync,
-        args.crash_after
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "none".into()),
-    );
-    let _ = writeln!(lines, "durable-open-recovery: {}", dur.report().summary());
-
-    #[cfg(feature = "chaos")]
-    if let Some(budget) = args.crash_after {
-        dur.inject_fs_faults(
-            csj_durability::fault::FsFaultPlan::new().crash_after_wal_bytes(budget),
-        );
-    }
-
-    let mut acked_fp = dur.fingerprint();
-    let mut resume_from = script.len();
-    let mut crashed = false;
-    for (i, &op) in script.iter().enumerate() {
-        match apply_sim_op(&mut dur, communities, op) {
-            Ok(true) => acked_fp = dur.fingerprint(),
-            Ok(false) => {}
-            Err(DurabilityError::InjectedCrash) => {
-                crashed = true;
-                resume_from = i;
-                break;
-            }
-            Err(e) => return Err(io_err(e)),
-        }
-    }
-    if !crashed {
-        // Interval fsync batches acks; make the tail durable before the
-        // convergence check treats it as the contract.
-        dur.sync().map_err(io_err)?;
-        resume_from = script.len();
-    }
-    drop(dur);
-
-    // Crash (or clean shutdown) happened here. Recover read-only and
-    // check the core contract: recovered state == the acked prefix.
-    let (recovered, rec_report) =
-        recover_dir(&dir, d, EngineConfig::new(args.eps)).map_err(io_err)?;
-    let converged = fingerprint_engine(&recovered) == acked_fp;
-    if crashed {
-        let _ = writeln!(
-            lines,
-            "durable-crash: injected mid-write at script op {resume_from}"
-        );
-    }
-    let _ = writeln!(lines, "durable-recovery: {}", rec_report.summary());
-    let _ = writeln!(
-        lines,
-        "durable-replayed={} durable-discarded-bytes={}",
-        rec_report.records_replayed, rec_report.bytes_discarded
-    );
-    let _ = writeln!(
-        lines,
-        "durable-converged={}",
-        if converged { "ok" } else { "VIOLATED" }
-    );
-
-    // Reopen read-write (repairing the torn tail), finish the script,
-    // snapshot, and re-verify that snapshot + WAL still reproduce the
-    // live state bit-identically.
-    let mut dur = open(&dir).map_err(io_err)?;
-    for &op in &script[resume_from..] {
-        apply_sim_op(&mut dur, communities, op).map_err(io_err)?;
-    }
-    let snap_out = dur.snapshot().map_err(io_err)?;
-    let _ = writeln!(
-        lines,
-        "durable-snapshot: seq={} ({} pruned)",
-        snap_out.seq, snap_out.pruned
-    );
-    let live_fp = dur.fingerprint();
-    let (reverified, _) = recover_dir(&dir, d, EngineConfig::new(args.eps)).map_err(io_err)?;
-    let final_ok = fingerprint_engine(&reverified) == live_fp;
-    let _ = writeln!(
-        lines,
-        "durable-final-recovery-converged={}",
-        if final_ok { "ok" } else { "VIOLATED" }
-    );
-    let metrics = dur.durability_metrics();
-    let engine = dur.into_engine().map_err(io_err)?;
-    Ok(DurableOutcome {
-        engine,
-        report_lines: lines,
-        converged: converged && final_ok,
-        metrics,
-    })
-}
-
-/// Upper bound (milliseconds) of the histogram bucket holding quantile
-/// `q`; `None` with no observations, infinity in the overflow bucket.
-fn quantile_bound_ms(bounds_us: &[u64], buckets: &[u64], count: u64, q: f64) -> Option<f64> {
-    if count == 0 {
-        return None;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut cumulative = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        cumulative += b;
-        if cumulative >= rank {
-            return Some(
-                bounds_us
-                    .get(i)
-                    .map_or(f64::INFINITY, |&b| b as f64 / 1000.0),
-            );
-        }
-    }
-    None
-}
-
-/// The open-loop soak behind `csj serve-sim`: register synthetic
-/// communities, start the overload-safe service, submit a mixed query
-/// stream at the target rate (never blocking on responses, so overload
-/// actually sheds), then drain every ticket and reconcile the local
-/// tallies against the `csj_service_*` metrics. Violated invariants
-/// turn into a non-zero exit.
-fn serve_sim(args: SimArgs) -> Result<String, CliError> {
-    use std::fmt::Write as _;
-    use std::time::{Duration, Instant};
-
-    use csj_engine::{CsjEngine, EngineConfig};
-    use csj_obs::catalog::{
-        SERVICE_ADMITTED, SERVICE_BREAKER_TRANSITIONS, SERVICE_COMPLETED, SERVICE_DEGRADED,
-        SERVICE_REQUEST, SERVICE_SHED, SERVICE_SUBMITTED, SHARD_DISPATCHED, SHARD_OUTCOMES,
-        SHARD_UNITS,
-    };
-    use csj_service::{
-        BreakerConfig, BreakerState, CsjService, DegradeTrigger, Fate, Request, ServiceConfig,
-        ServiceError, Ticket,
-    };
-
-    #[cfg(not(feature = "chaos"))]
-    if args.chaos {
-        return Err(CliError::Usage(
-            "--chaos needs the fault-injection build: cargo run -p csj-cli --features chaos".into(),
-        ));
-    }
-    #[cfg(not(feature = "chaos"))]
-    if args.crash_after.is_some() {
-        return Err(CliError::Usage(
-            "--crash-after needs the fault-injection build: cargo run -p csj-cli --features chaos"
-                .into(),
-        ));
-    }
-    if args.crash_after.is_some() && !args.durable {
-        return Err(CliError::Usage(
-            "--crash-after only makes sense with --durable".into(),
-        ));
-    }
-    // Shard chaos needs the shard knobs set at engine construction —
-    // the durable ingest path builds its own engine.
-    let shard_chaos = args.chaos_mode.is_some();
-    if shard_chaos && args.durable {
-        return Err(CliError::Usage(
-            "--chaos shard-* cannot be combined with --durable".into(),
-        ));
-    }
-
-    // Synthetic communities: dense deterministic counter patterns so
-    // exact joins do real matching work without any input files.
-    const D: usize = 8;
-    let mut communities = Vec::with_capacity(args.communities);
-    for m in 0..args.communities {
-        let salt = args.seed.wrapping_add(m as u64);
-        let rows: Vec<(u64, Vec<u32>)> = (0..u64::from(args.scale.max(2)))
-            .map(|i| {
-                let counters = (0..D as u64)
-                    .map(|j| ((i * (7 + j) + salt * 13) % 97) as u32)
-                    .collect();
-                (i + 1, counters)
-            })
-            .collect();
-        communities.push(
-            Community::from_rows(format!("sim-{m}"), D, rows)
-                .map_err(|e| CliError::Io(format!("synthetic community: {e}")))?,
-        );
-    }
-
-    // Ingest: directly into a fresh engine, or — with --durable —
-    // through the WAL-backed registry with crash/recovery checking.
-    let (mut engine, durable_outcome) = if args.durable {
-        let outcome = durable_ingest(&args, &communities)?;
-        (None, Some(outcome))
-    } else {
-        let mut config = EngineConfig::new(args.eps);
-        if shard_chaos {
-            // Four shards, so the attacked shard 0 holds a quarter of
-            // each request's work, on a pool at least as wide even on a
-            // small host: the healthy siblings run beside the attacked
-            // shard instead of queueing behind it.
-            config.shard.shards = 4;
-            config.threads = config.threads.max(4);
-        }
-        let mut engine = CsjEngine::new(D, config);
-        for c in communities.drain(..) {
-            engine
-                .register(c)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-        }
-        (Some(engine), None)
-    };
-    let (durable_lines, durable_ok, durable_metrics) = match durable_outcome {
-        Some(o) => {
-            engine = Some(o.engine);
-            (o.report_lines, o.converged, Some(o.metrics))
-        }
-        None => (String::new(), true, None),
-    };
-    let engine = engine.expect("one ingest path ran");
-    // Registration order is deterministic, but a reused --durable-dir
-    // may hold more than this run's communities: resolve by name.
-    let handles: Vec<csj_engine::CommunityHandle> = (0..args.communities)
-        .map(|m| {
-            engine
-                .find(&format!("sim-{m}"))
-                .ok_or_else(|| CliError::Io(format!("sim-{m} missing after ingest")))
-        })
-        .collect::<Result<_, _>>()?;
-    #[cfg_attr(not(feature = "chaos"), allow(unused_mut))]
-    let mut engine = engine;
-    #[cfg(feature = "chaos")]
-    if args.chaos {
-        use csj_engine::fault::FaultPlan;
-        use csj_engine::ShardFaultPlan;
-        match args.chaos_mode.as_deref() {
-            // Shard 0 of every multi-pair request is attacked; the other
-            // shards (and every similarity request) stay healthy, so
-            // the blast radius of the fault is exactly one shard.
-            Some("shard-kill") => {
-                // The worker dies before the closure runs, every time:
-                // the shard resolves failed, and the response degrades
-                // with partial coverage.
-                engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
-            }
-            Some("shard-stall") => {
-                // Shard 0 stalls past the request's deadline every time.
-                // The deadline passes while it waits, so when it runs it
-                // admits none of its units: the request comes back
-                // exhausted with skipped units and degrades on the
-                // deadline trigger. A stall also wakes early once a
-                // sibling shard trips the query's token, so requests
-                // cost bounded time instead of hanging.
-                engine.inject_shard_faults(ShardFaultPlan::new().stall(
-                    0,
-                    Duration::from_millis(args.deadline_ms.saturating_mul(2)),
-                    u32::MAX,
-                ));
-            }
-            Some("shard-panic") => {
-                // The shard panics inside the isolation boundary, every
-                // time: typed failure, no escape, partial coverage.
-                engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, u32::MAX));
-            }
-            // Classic mode: one community panics three times then heals
-            // (exactly the breaker's failure threshold below, so the
-            // exact breaker trips and later recovers through half-open
-            // probes), and one is pathologically slow (capacity
-            // collapses, so admission control sheds and deadlines force
-            // degradation). Its stall outlasts the soaks' 100 ms
-            // request deadline: a join that finishes in time is cached
-            // and never runs again, so only a community too slow to
-            // finish keeps costing every request that touches it.
-            _ => engine.inject_faults(
-                FaultPlan::new()
-                    .panic_n_times(handles[0].0, 3)
-                    .slow_on(handles[1].0, Duration::from_millis(150)),
-            ),
-        }
-    }
-
-    // Injected panics are caught by the engine's isolation boundary,
-    // but the default panic hook would still spray backtraces over the
-    // report; keep the soak output readable (restored after the drain).
-    // Escapes are still visible as `panics-escaped` and the `failed`
-    // tally.
-    let previous_hook = args.chaos.then(|| {
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        hook
-    });
-    let deadline = (args.deadline_ms > 0).then(|| Duration::from_millis(args.deadline_ms));
-    let service = CsjService::start(
-        engine,
-        ServiceConfig {
-            workers: args.workers,
-            queue_capacity: args.queue,
-            default_deadline: deadline,
-            breaker: BreakerConfig {
-                window: 8,
-                failure_threshold: 3,
-                cooldown: Duration::from_millis(200),
-                probes: 2,
-            },
-            flight_capacity: 256,
-        },
-    );
-    // The SLO engine samples the same snapshots the report reconciles,
-    // so its burn rates are definitionally traceable to fate counters;
-    // the self-check below catches any drift in that plumbing.
-    let slo = args.slo.then(|| {
-        let threshold_us = if args.deadline_ms > 0 {
-            args.deadline_ms.saturating_mul(1_000)
-        } else {
-            250_000
-        };
-        let engine = csj_obs::SloEngine::new(
-            csj_service::service_slos(threshold_us),
-            csj_obs::default_windows(),
-        );
-        engine.observe(0, &service.metrics_snapshot());
-        engine
-    });
-
-    // Open-loop generation: each request has a fixed due time derived
-    // from the rate; falling behind never slows submission down.
-    let total = (args.qps * args.duration_ms / 1_000).max(1);
-    let interval_ns = 1_000_000_000 / args.qps;
-    let started = Instant::now();
-    let mut tickets: Vec<Ticket> = Vec::with_capacity(total as usize);
-    let mut shed_local = 0u64;
-    for i in 0..total {
-        let due = started + Duration::from_nanos(i * interval_ns);
-        if let Some(ahead) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(ahead);
-        }
-        let request = match i % 5 {
-            3 => Request::TopK {
-                x: handles[i as usize % args.communities],
-                k: 3,
-            },
-            4 => Request::PairsAbove { threshold: 0.2 },
-            _ => Request::Similarity {
-                x: handles[0],
-                y: handles[1 + i as usize % (args.communities - 1)],
-                method: Some(CsjMethod::ExMinMax),
-            },
-        };
-        match service.submit(request) {
-            Ok(t) => tickets.push(t),
-            Err(ServiceError::Overloaded { .. }) => shed_local += 1,
-            Err(e) => return Err(CliError::Io(format!("submit failed: {e}"))),
-        }
-    }
-
-    // Drain: every admitted request must resolve to exactly one fate.
-    let (mut answered, mut degraded, mut failed, mut panics_escaped) = (0u64, 0u64, 0u64, 0u64);
-    for t in tickets {
-        match t.wait() {
-            Ok(r) if r.degraded => degraded += 1,
-            Ok(_) => answered += 1,
-            Err(ServiceError::Internal { .. }) => {
-                failed += 1;
-                panics_escaped += 1;
-            }
-            Err(_) => failed += 1,
-        }
-    }
-
-    if let Some(hook) = previous_hook {
-        std::panic::set_hook(hook);
-    }
-
-    let final_breaker = service.breaker_state(CsjMethod::ExMinMax);
-    let mut snap = service.metrics_snapshot();
-    if let Some(dm) = durable_metrics {
-        snap.metrics.extend(dm.metrics);
-    }
-    let submitted = snap.value(&SERVICE_SUBMITTED, []);
-    let shed = snap.value(&SERVICE_SHED, []);
-    let [answered_c, degraded_c, failed_c] = [Fate::Answered, Fate::Degraded, Fate::Failed]
-        .map(|fate| snap.value(&SERVICE_COMPLETED, [fate.label()]));
-    let completed_c = answered_c + degraded_c + failed_c;
-    let mut slo_lines = String::new();
-    let mut slo_ok = true;
-    if let Some(slo) = &slo {
-        let elapsed_us = (started.elapsed().as_micros() as u64).max(1);
-        slo.observe(elapsed_us, &snap);
-        let statuses = slo.evaluate(elapsed_us);
-        for s in &statuses {
-            let _ = writeln!(slo_lines, "slo {s}");
-            // Every burn rate must be derivable from the same fate
-            // counters the four-fates identities constrain: both soak
-            // windows clip to the run's lifetime, so the window deltas
-            // equal the final counter values exactly.
-            let reconciled = match s.objective.as_str() {
-                "shed_fraction" => s.bad as u64 == shed && s.total as u64 == submitted,
-                "degraded_fraction" => s.bad as u64 == degraded_c && s.total as u64 == completed_c,
-                "request_latency" => s.total as u64 == completed_c,
-                _ => true,
-            };
-            // A breach without nonzero bad events (and, for the fate
-            // fractions, a nonzero matching fate counter) means the SLO
-            // plumbing invented traffic.
-            let backed = !s.breached
-                || (s.bad > 0.0
-                    && match s.objective.as_str() {
-                        "shed_fraction" => shed > 0,
-                        "degraded_fraction" => degraded_c > 0,
-                        _ => true,
-                    });
-            slo_ok &= reconciled && backed;
-        }
-        // The `csj_slo_*` gauges ride the same exposition as the fate
-        // counters they summarise.
-        snap.metrics.extend(slo.snapshot().metrics);
-    }
-    if let Some(path) = &args.metrics_out {
-        // Crash-safe: the exposition appears atomically or not at all,
-        // so a reader never sees a torn half-written file.
-        csj_durability::atomic::write_atomic(path, snap.to_prometheus().as_bytes())
-            .map_err(|e| CliError::Io(format!("{}: {e}", path.display())))?;
-    }
-    let admitted = snap.value(&SERVICE_ADMITTED, []);
-    let degraded_by = |t: DegradeTrigger| snap.value(&SERVICE_DEGRADED, [t.label()]);
-    let breaker_to = |to: BreakerState| {
-        snap.value(
-            &SERVICE_BREAKER_TRANSITIONS,
-            [CsjMethod::ExMinMax.name(), to.label()],
-        )
-    };
-    let (p50, p99) = match snap.find(SERVICE_REQUEST.name(), &[]).map(|s| &s.value) {
-        Some(csj_obs::SampleValue::Histogram {
-            bounds_us,
-            buckets,
-            count,
-            ..
-        }) => (
-            quantile_bound_ms(bounds_us, buckets, *count, 0.50),
-            quantile_bound_ms(bounds_us, buckets, *count, 0.99),
-        ),
-        _ => (None, None),
-    };
-    let fmt_ms = |q: Option<f64>| q.map_or("n/a".to_string(), |ms| format!("{ms}ms"));
-
-    let identity_ok = submitted == total && submitted == admitted + shed && shed == shed_local;
-    let resolution_ok = answered + degraded + failed == admitted
-        && [answered_c, degraded_c, failed_c] == [answered, degraded, failed];
-    let verdict = |ok: bool| if ok { "ok" } else { "VIOLATED" };
-
-    let mut out = format!(
-        "serve-sim: qps={} duration-ms={} workers={} queue={} communities={} scale={} \
-         eps={} deadline-ms={} chaos={} seed={}\n",
-        args.qps,
-        args.duration_ms,
-        args.workers,
-        args.queue,
-        args.communities,
-        args.scale,
-        args.eps,
-        args.deadline_ms,
-        match &args.chaos_mode {
-            Some(mode) => mode.as_str(),
-            None if args.chaos => "on",
-            None => "off",
-        },
-        args.seed
-    );
-    let _ = writeln!(out, "submitted={submitted} admitted={admitted} shed={shed}");
-    let _ = writeln!(
-        out,
-        "answered={answered} degraded={degraded} failed={failed}"
-    );
-    let _ = writeln!(
-        out,
-        "degraded-by-trigger: breaker={} deadline={} coverage={}",
-        degraded_by(DegradeTrigger::Breaker),
-        degraded_by(DegradeTrigger::Deadline),
-        degraded_by(DegradeTrigger::Coverage)
-    );
-    let _ = writeln!(
-        out,
-        "breaker ex-minmax transitions: open={} half_open={} closed={} (final={})",
-        breaker_to(BreakerState::Open),
-        breaker_to(BreakerState::HalfOpen),
-        breaker_to(BreakerState::Closed),
-        final_breaker.label()
-    );
-    let _ = writeln!(out, "latency: p50<={} p99<={}", fmt_ms(p50), fmt_ms(p99));
-    let _ = writeln!(out, "panics-escaped={panics_escaped}");
-    // Shard chaos only: reconcile the shard-fate counters. The identity
-    // `dispatched == completed + failed + cancelled` is the sharded
-    // layer's analogue of the service's four fates; a drift means a
-    // shard was dropped or double-counted. (Printed only in shard modes
-    // so the classic soak's `: ok` line count stays stable.)
-    let mut shard_ok = true;
-    if shard_chaos {
-        let dispatched = snap.value(&SHARD_DISPATCHED, []);
-        let completed = snap.value(&SHARD_OUTCOMES, ["completed"]);
-        let failed = snap.value(&SHARD_OUTCOMES, ["failed"]);
-        let cancelled = snap.value(&SHARD_OUTCOMES, ["cancelled"]);
-        let screened = snap.value(&SHARD_UNITS, ["screened"]);
-        let skipped = snap.value(&SHARD_UNITS, ["skipped"]);
-        let _ = writeln!(
-            out,
-            "shard-coverage: dispatched={dispatched} completed={completed} failed={failed} \
-             cancelled={cancelled} units-screened={screened} \
-             units-skipped={skipped}"
-        );
-        shard_ok = dispatched > 0 && dispatched == completed + failed + cancelled;
-        let _ = writeln!(
-            out,
-            "invariant shard fates reconcile (dispatched == completed + failed + cancelled): {}",
-            verdict(shard_ok)
-        );
-    }
-    out.push_str(&durable_lines);
-    out.push_str(&slo_lines);
-    let _ = writeln!(
-        out,
-        "invariant submitted == admitted + shed: {}",
-        verdict(identity_ok)
-    );
-    let _ = writeln!(
-        out,
-        "invariant every admitted request resolved exactly once: {}",
-        verdict(resolution_ok)
-    );
-    if args.slo {
-        let _ = writeln!(
-            out,
-            "invariant slo burn rates reconcile with fate counters: {}",
-            verdict(slo_ok)
-        );
-    }
-    if !(identity_ok && resolution_ok && durable_ok && slo_ok && shard_ok) {
-        return Err(CliError::Io(format!("serve-sim invariant violated\n{out}")));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -2852,57 +1987,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn parse_chaos_mode() {
-        match parse(&argv("serve-sim --chaos shard-kill")).unwrap() {
-            Command::ServeSim {
-                chaos, chaos_mode, ..
-            } => {
-                assert!(chaos, "a mode still implies --chaos");
-                assert_eq!(chaos_mode.as_deref(), Some("shard-kill"));
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        match parse(&argv("serve-sim --chaos --slo")).unwrap() {
-            Command::ServeSim {
-                chaos, chaos_mode, ..
-            } => {
-                assert!(chaos);
-                assert_eq!(chaos_mode, None, "a following flag is not a mode");
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(matches!(
-            parse(&argv("serve-sim --chaos shard-nuke")),
-            Err(CliError::Usage(_))
-        ));
-        // Shard chaos reconfigures the engine at construction; the
-        // durable ingest path builds its own, so the combination is
-        // rejected up front.
-        assert!(matches!(
-            execute(Command::ServeSim {
-                qps: 10,
-                duration_ms: 100,
-                workers: 1,
-                queue: 4,
-                communities: 2,
-                scale: 10,
-                eps: 1,
-                seed: 1,
-                deadline_ms: 0,
-                chaos: true,
-                chaos_mode: Some("shard-kill".into()),
-                metrics_out: None,
-                durable: true,
-                durable_dir: None,
-                crash_after: None,
-                fsync: csj_durability::FsyncPolicy::Always,
-                slo: false,
-            }),
-            Err(CliError::Usage(_))
-        ));
-    }
-
     /// `--shards` must not change answers: an explicit shard count
     /// merges back to the default layout's ranking bit for bit, and a
     /// fault-free run reports complete coverage.
@@ -3150,86 +2234,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_serve_sim_defaults_and_flags() {
-        match parse(&argv("serve-sim")).unwrap() {
-            Command::ServeSim {
-                qps,
-                duration_ms,
-                workers,
-                queue,
-                communities,
-                deadline_ms,
-                chaos,
-                metrics_out,
-                ..
-            } => {
-                assert_eq!(qps, 100);
-                assert_eq!(duration_ms, 2_000);
-                assert_eq!(workers, 2);
-                assert_eq!(queue, 8);
-                assert_eq!(communities, 6);
-                assert_eq!(deadline_ms, 100);
-                assert!(!chaos);
-                assert_eq!(metrics_out, None);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        match parse(&argv(
-            "serve-sim --qps 300 --duration-ms 500 --workers 1 --queue 2 --communities 3 \
-             --scale 50 --eps 2 --seed 9 --deadline-ms 0 --chaos --metrics-out /tmp/m.prom",
-        ))
-        .unwrap()
-        {
-            Command::ServeSim {
-                qps,
-                duration_ms,
-                workers,
-                queue,
-                communities,
-                scale,
-                eps,
-                seed,
-                deadline_ms,
-                chaos,
-                chaos_mode,
-                metrics_out,
-                durable,
-                durable_dir,
-                crash_after,
-                fsync,
-                slo,
-            } => {
-                assert_eq!(qps, 300);
-                assert_eq!(chaos_mode, None, "bare --chaos has no mode");
-                assert!(!durable);
-                assert!(!slo, "--slo defaults off");
-                assert_eq!(durable_dir, None);
-                assert_eq!(crash_after, None);
-                assert_eq!(fsync, csj_durability::FsyncPolicy::Always);
-                assert_eq!(duration_ms, 500);
-                assert_eq!(workers, 1);
-                assert_eq!(queue, 2);
-                assert_eq!(communities, 3);
-                assert_eq!(scale, 50);
-                assert_eq!(eps, 2);
-                assert_eq!(seed, 9);
-                assert_eq!(deadline_ms, 0);
-                assert!(chaos);
-                assert_eq!(metrics_out, Some(PathBuf::from("/tmp/m.prom")));
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(matches!(
-            parse(&argv("serve-sim --communities 1")),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse(&argv("serve-sim --qps 0")),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
     fn parse_service_and_quarantine_flags() {
         match parse(&argv(
             "stats --communities a,b --eps 1 --via-service --quarantine",
@@ -3259,96 +2263,6 @@ mod tests {
         }
     }
 
-    /// One token of the `key=value` soak report, parsed as a number.
-    fn report_field(out: &str, key: &str) -> u64 {
-        out.split_whitespace()
-            .filter_map(|tok| tok.strip_prefix(&format!("{key}=")))
-            .find_map(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no numeric field {key}= in report:\n{out}"))
-    }
-
-    #[test]
-    fn serve_sim_smoke_upholds_the_invariants() {
-        let out = execute(Command::ServeSim {
-            qps: 40,
-            duration_ms: 500,
-            workers: 2,
-            queue: 16,
-            communities: 3,
-            scale: 60,
-            eps: 1,
-            seed: 7,
-            deadline_ms: 250,
-            chaos: false,
-            chaos_mode: None,
-            metrics_out: None,
-            durable: false,
-            durable_dir: None,
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert_eq!(report_field(&out, "submitted"), 20, "{out}");
-        assert_eq!(report_field(&out, "panics-escaped"), 0, "{out}");
-        assert!(
-            out.contains("invariant submitted == admitted + shed: ok"),
-            "{out}"
-        );
-        assert!(
-            out.contains("invariant every admitted request resolved exactly once: ok"),
-            "{out}"
-        );
-        assert_eq!(
-            report_field(&out, "submitted"),
-            report_field(&out, "admitted") + report_field(&out, "shed"),
-            "{out}"
-        );
-    }
-
-    #[test]
-    fn parse_durable_flags() {
-        match parse(&argv(
-            "serve-sim --durable --durable-dir /tmp/d --fsync interval:8",
-        ))
-        .unwrap()
-        {
-            Command::ServeSim {
-                durable,
-                durable_dir,
-                fsync,
-                crash_after,
-                ..
-            } => {
-                assert!(durable);
-                assert_eq!(durable_dir, Some(PathBuf::from("/tmp/d")));
-                assert_eq!(fsync, csj_durability::FsyncPolicy::Interval(8));
-                assert_eq!(crash_after, None);
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        // --durable-dir / --crash-after imply --durable.
-        match parse(&argv("serve-sim --crash-after 4096")).unwrap() {
-            Command::ServeSim {
-                durable,
-                crash_after,
-                ..
-            } => {
-                assert!(durable);
-                assert_eq!(crash_after, Some(4096));
-            }
-            other => panic!("parsed {other:?}"),
-        }
-        assert!(matches!(
-            parse(&argv("serve-sim --fsync sometimes")),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse(&argv("serve-sim --fsync interval:x")),
-            Err(CliError::Usage(_))
-        ));
-    }
-
     #[test]
     fn parse_snapshot_and_recover() {
         assert_eq!(
@@ -3375,52 +2289,48 @@ mod tests {
         assert!(matches!(parse(&argv("snapshot")), Err(CliError::Usage(_))));
     }
 
+    /// A durable directory written through `DurableEngine`: `snapshot`
+    /// lands an image and truncates the WAL, later mutations go to the
+    /// WAL tail, and `recover --verify` rebuilds both and passes.
     #[test]
-    fn serve_sim_durable_converges_and_snapshot_recover_roundtrip() {
+    fn snapshot_then_recover_verify_roundtrip() {
+        use csj_durability::{DurabilityConfig, DurableEngine};
         let dir = std::env::temp_dir().join(format!("csj_cli_durable_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let out = execute(Command::ServeSim {
-            qps: 40,
-            duration_ms: 300,
-            workers: 2,
-            queue: 16,
-            communities: 3,
-            scale: 40,
-            eps: 1,
-            seed: 11,
-            deadline_ms: 250,
-            chaos: false,
-            chaos_mode: None,
-            metrics_out: Some(dir.join("metrics.prom")),
-            durable: true,
-            durable_dir: Some(dir.join("reg")),
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert!(out.contains("durable-converged=ok"), "{out}");
-        assert!(out.contains("durable-final-recovery-converged=ok"), "{out}");
-        assert!(out.contains("durable-snapshot: seq="), "{out}");
-        let prom = std::fs::read_to_string(dir.join("metrics.prom")).unwrap();
-        assert!(prom.contains("csj_wal_appends_total"), "{prom}");
-        assert!(prom.contains("csj_recovery_replayed_total"), "{prom}");
-        assert!(prom.contains("csj_service_submitted_total"), "{prom}");
+        let open = || {
+            DurableEngine::open(
+                &dir,
+                2,
+                csj_engine::EngineConfig::new(1),
+                DurabilityConfig::default(),
+            )
+            .unwrap()
+        };
+        let mut dur = open();
+        for name in ["x", "y", "z"] {
+            let (h, _) = dur.register(ones(name, 4, 2)).unwrap();
+            dur.upsert_user(h, 10, &[3, 4]).unwrap();
+            dur.remove_user(h, 0).unwrap();
+        }
+        drop(dur);
 
-        // The registry directory persists: snapshot + verified recovery
-        // keep working against it.
-        let snap_msg = execute(Command::Snapshot {
-            dir: dir.join("reg"),
-        })
-        .unwrap();
+        let snap_msg = execute(Command::Snapshot { dir: dir.clone() }).unwrap();
         assert!(snap_msg.contains("snapshot:"), "{snap_msg}");
+        assert!(snap_msg.contains("3 entries"), "{snap_msg}");
+
+        let mut dur = open();
+        let h = dur.engine().find("y").unwrap();
+        dur.upsert_user(h, 11, &[5, 5]).unwrap();
+        drop(dur);
+
         let rec = execute(Command::Recover {
-            dir: dir.join("reg"),
+            dir: dir.clone(),
             verify: true,
         })
         .unwrap();
         assert!(rec.contains("verify: ok"), "{rec}");
-        assert!(rec.contains("communities=3"), "{rec}");
+        assert!(rec.contains("communities=3 users=13"), "{rec}");
+        assert!(rec.contains("replayed=1"), "{rec}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -3439,70 +2349,6 @@ mod tests {
         assert!(rec.contains("communities=0"), "{rec}");
         assert!(rec.contains("verify: ok"), "{rec}");
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn serve_sim_crash_after_still_converges() {
-        let dir =
-            std::env::temp_dir().join(format!("csj_cli_crash_after_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = execute(Command::ServeSim {
-            qps: 40,
-            duration_ms: 300,
-            workers: 2,
-            queue: 16,
-            communities: 3,
-            scale: 40,
-            eps: 1,
-            seed: 13,
-            deadline_ms: 250,
-            chaos: false,
-            chaos_mode: None,
-            metrics_out: None,
-            durable: true,
-            durable_dir: Some(dir.join("reg")),
-            crash_after: Some(2_000),
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert!(out.contains("durable-crash: injected"), "{out}");
-        assert!(out.contains("durable-converged=ok"), "{out}");
-        assert!(out.contains("durable-final-recovery-converged=ok"), "{out}");
-        let rec = execute(Command::Recover {
-            dir: dir.join("reg"),
-            verify: true,
-        })
-        .unwrap();
-        assert!(rec.contains("verify: ok"), "{rec}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[cfg(not(feature = "chaos"))]
-    #[test]
-    fn crash_after_without_chaos_feature_is_an_error() {
-        let err = execute(Command::ServeSim {
-            qps: 10,
-            duration_ms: 100,
-            workers: 1,
-            queue: 4,
-            communities: 2,
-            scale: 10,
-            eps: 1,
-            seed: 1,
-            deadline_ms: 0,
-            chaos: false,
-            chaos_mode: None,
-            metrics_out: None,
-            durable: true,
-            durable_dir: None,
-            crash_after: Some(100),
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap_err();
-        assert!(matches!(err, CliError::Usage(_)));
     }
 
     #[test]
@@ -3621,153 +2467,6 @@ mod tests {
         assert!(prom.contains("csj_communities 2"), "{prom}");
     }
 
-    /// The full chaos soak: fault injection makes the service shed,
-    /// degrade, trip the exact breaker and recover — all while the
-    /// resolution invariants hold. Mirrors the CI soak step.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn serve_sim_chaos_sheds_degrades_and_recovers_the_breaker() {
-        let metrics = std::env::temp_dir().join("csj_cli_serve_sim_chaos.prom");
-        let out = execute(Command::ServeSim {
-            qps: 150,
-            duration_ms: 1_500,
-            workers: 2,
-            queue: 4,
-            communities: 5,
-            scale: 120,
-            eps: 1,
-            seed: 11,
-            deadline_ms: 100,
-            chaos: true,
-            chaos_mode: None,
-            metrics_out: Some(metrics.clone()),
-            durable: false,
-            durable_dir: None,
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert!(report_field(&out, "shed") > 0, "{out}");
-        assert!(report_field(&out, "degraded") > 0, "{out}");
-        assert!(report_field(&out, "open") >= 1, "breaker must trip: {out}");
-        assert!(
-            report_field(&out, "closed") >= 1,
-            "breaker must recover: {out}"
-        );
-        assert_eq!(report_field(&out, "panics-escaped"), 0, "{out}");
-        assert!(
-            out.contains("invariant submitted == admitted + shed: ok"),
-            "{out}"
-        );
-        assert!(
-            out.contains("invariant every admitted request resolved exactly once: ok"),
-            "{out}"
-        );
-        let prom = std::fs::read_to_string(&metrics).unwrap();
-        assert!(prom.contains("csj_service_shed_total"), "{prom}");
-        assert!(
-            prom.contains("csj_service_breaker_transitions_total"),
-            "{prom}"
-        );
-    }
-
-    /// Shard-kill chaos: one shard of every sharded request dies, the
-    /// rest of the query survives. Correctness degrades to *coverage*,
-    /// never to wrong answers or escaped panics. Mirrors the CI shard
-    /// soak step.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn serve_sim_shard_kill_degrades_coverage_not_correctness() {
-        let metrics = std::env::temp_dir().join("csj_cli_serve_sim_shard_kill.prom");
-        let out = execute(Command::ServeSim {
-            qps: 100,
-            duration_ms: 1_000,
-            workers: 2,
-            queue: 32,
-            communities: 6,
-            scale: 60,
-            eps: 1,
-            seed: 23,
-            deadline_ms: 250,
-            chaos: true,
-            chaos_mode: Some("shard-kill".into()),
-            metrics_out: Some(metrics.clone()),
-            durable: false,
-            durable_dir: None,
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert_eq!(report_field(&out, "panics-escaped"), 0, "{out}");
-        assert!(report_field(&out, "dispatched") > 0, "{out}");
-        // The attacked shard fails every sharded request: completeness
-        // is lost (completed < dispatched) and the service surfaces it
-        // through the coverage degradation trigger.
-        assert!(
-            report_field(&out, "completed") < report_field(&out, "dispatched"),
-            "{out}"
-        );
-        assert!(report_field(&out, "coverage") > 0, "{out}");
-        assert!(
-            out.contains(
-                "invariant shard fates reconcile \
-                 (dispatched == completed + failed + cancelled): ok"
-            ),
-            "{out}"
-        );
-        assert!(
-            out.contains("invariant every admitted request resolved exactly once: ok"),
-            "{out}"
-        );
-        let prom = std::fs::read_to_string(&metrics).unwrap();
-        assert!(prom.contains("csj_shard_dispatched_total"), "{prom}");
-        assert!(
-            prom.contains("csj_shard_outcomes_total{fate=\"failed\"}"),
-            "{prom}"
-        );
-    }
-
-    /// Shard-stall chaos: shard 0 stalls past every multi-pair
-    /// request's deadline. The stall costs completeness (skipped units,
-    /// deadline degradations) and the soak still drains, with every
-    /// shard fate accounted for. Mirrors the CI shard-stall soak step.
-    #[cfg(feature = "chaos")]
-    #[test]
-    fn serve_sim_shard_stall_costs_coverage_not_liveness() {
-        let out = execute(Command::ServeSim {
-            qps: 100,
-            duration_ms: 1_000,
-            workers: 2,
-            queue: 32,
-            communities: 6,
-            scale: 60,
-            eps: 1,
-            seed: 29,
-            deadline_ms: 250,
-            chaos: true,
-            chaos_mode: Some("shard-stall".into()),
-            metrics_out: None,
-            durable: false,
-            durable_dir: None,
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: false,
-        })
-        .unwrap();
-        assert_eq!(report_field(&out, "panics-escaped"), 0, "{out}");
-        assert!(report_field(&out, "units-skipped") > 0, "{out}");
-        assert!(report_field(&out, "deadline") > 0, "{out}");
-        assert!(
-            out.contains(
-                "invariant shard fates reconcile \
-                 (dispatched == completed + failed + cancelled): ok"
-            ),
-            "{out}"
-        );
-    }
-
     #[test]
     fn parse_slow_slo_and_export_flags() {
         match parse(&argv(
@@ -3837,10 +2536,6 @@ mod tests {
                 assert_eq!(export.as_deref(), Some("chrome"));
                 assert_eq!(out, Some(PathBuf::from("/tmp/t.json")));
             }
-            other => panic!("parsed {other:?}"),
-        }
-        match parse(&argv("serve-sim --slo")).unwrap() {
-            Command::ServeSim { slo, .. } => assert!(slo),
             other => panic!("parsed {other:?}"),
         }
         assert!(matches!(
@@ -4084,45 +2779,5 @@ mod tests {
         types.sort_unstable();
         types.dedup();
         assert_eq!(types.len(), announced, "a # TYPE line repeats:\n{prom}");
-    }
-
-    #[test]
-    fn serve_sim_slo_self_check_passes() {
-        let metrics =
-            std::env::temp_dir().join(format!("csj_cli_serve_sim_slo_{}.prom", std::process::id()));
-        let out = execute(Command::ServeSim {
-            qps: 40,
-            duration_ms: 500,
-            workers: 2,
-            queue: 16,
-            communities: 3,
-            scale: 60,
-            eps: 1,
-            seed: 7,
-            deadline_ms: 250,
-            chaos: false,
-            chaos_mode: None,
-            metrics_out: Some(metrics.clone()),
-            durable: false,
-            durable_dir: None,
-            crash_after: None,
-            fsync: csj_durability::FsyncPolicy::Always,
-            slo: true,
-        })
-        .unwrap();
-        assert!(out.contains("slo request_latency/5m: burn"), "{out}");
-        assert!(out.contains("slo degraded_fraction/"), "{out}");
-        assert!(out.contains("slo shed_fraction/"), "{out}");
-        assert!(
-            out.contains("invariant slo burn rates reconcile with fate counters: ok"),
-            "{out}"
-        );
-        let prom = std::fs::read_to_string(&metrics).unwrap();
-        assert!(
-            prom.contains("csj_slo_burn_rate{objective=\"request_latency\""),
-            "{prom}"
-        );
-        assert!(prom.contains("csj_service_submitted_total"), "{prom}");
-        std::fs::remove_file(&metrics).unwrap();
     }
 }

@@ -41,6 +41,6 @@ pub use engine::{
     fingerprint_engine, DurabilityConfig, DurableAck, DurableEngine, SnapshotOutcome,
 };
 pub use error::DurabilityError;
-pub use recover::{recover_dir, RecoveryReport, WAL_FILE};
+pub use recover::{recover_dir, verify_recovery, RecoveryBreach, RecoveryReport, WAL_FILE};
 pub use snapshot::{SnapshotEntry, SnapshotImage};
 pub use wal::{AppendOutcome, FsyncPolicy, TailReason, WalReadOutcome};

@@ -11,6 +11,7 @@ use std::path::Path;
 
 use csj_engine::{CsjEngine, EngineConfig, EngineError};
 
+use crate::engine::fingerprint_engine;
 use crate::error::DurabilityError;
 use crate::record::{WalOp, WalRecord};
 use crate::snapshot::latest_valid_snapshot;
@@ -47,8 +48,8 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// One-line human/grep-friendly summary (used by `csj recover` and
-    /// the serve-sim durable report).
+    /// One-line human/grep-friendly summary (printed by `csj recover`
+    /// and `csj snapshot`).
     pub fn summary(&self) -> String {
         format!(
             "snapshot-seq={} snapshot-entries={} snapshots-skipped={} replayed={} \
@@ -141,6 +142,147 @@ pub fn recover_dir(
         last_seq,
     };
     Ok((engine, report))
+}
+
+/// A registry invariant that a recovered directory breaks; see
+/// [`verify_recovery`].
+#[derive(Debug)]
+pub enum RecoveryBreach {
+    /// Recovering the directory a second time failed.
+    SecondRecoveryFailed(DurabilityError),
+    /// A second recovery rebuilt a different registry.
+    FingerprintDiverged {
+        /// Fingerprint of the registry under check.
+        first: u64,
+        /// Fingerprint of the second recovery.
+        second: u64,
+    },
+    /// A second recovery returned a different report.
+    ReportDiffers(Box<RecoveryReport>),
+    /// A community's dimensionality differs from the engine's.
+    DimensionMismatch {
+        /// The community's name.
+        name: String,
+        /// Its dimensionality.
+        d: usize,
+        /// The engine's dimensionality.
+        engine_d: usize,
+    },
+    /// A community's name does not resolve back to its handle.
+    NameUnresolved {
+        /// The community's name.
+        name: String,
+        /// The handle it was listed under.
+        handle: u32,
+    },
+    /// A listed handle resolves to no community.
+    DanglingHandle {
+        /// The handle.
+        handle: u32,
+        /// Why the lookup failed.
+        source: EngineError,
+    },
+    /// The WAL's valid and discarded bytes do not add up to its length.
+    WalAccounting {
+        /// Bytes of the valid prefix.
+        valid: u64,
+        /// Bytes of torn or corrupt tail.
+        discarded: u64,
+        /// The WAL file's length.
+        on_disk: u64,
+    },
+}
+
+impl std::fmt::Display for RecoveryBreach {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecoveryBreach::SecondRecoveryFailed(e) => write!(f, "second recovery failed: {e}"),
+            RecoveryBreach::FingerprintDiverged { first, second } => write!(
+                f,
+                "second recovery diverged from the first ({first:#018x} vs {second:#018x})"
+            ),
+            RecoveryBreach::ReportDiffers(second) => {
+                write!(f, "second recovery report differs: {}", second.summary())
+            }
+            RecoveryBreach::DimensionMismatch { name, d, engine_d } => {
+                write!(f, "community {name:?} has d={d} in a d={engine_d} engine")
+            }
+            RecoveryBreach::NameUnresolved { name, handle } => {
+                write!(f, "name {name:?} does not resolve back to handle {handle}")
+            }
+            RecoveryBreach::DanglingHandle { handle, source } => {
+                write!(f, "dangling handle {handle}: {source}")
+            }
+            RecoveryBreach::WalAccounting {
+                valid,
+                discarded,
+                on_disk,
+            } => write!(
+                f,
+                "WAL accounting mismatch: {valid} valid + {discarded} discarded != {on_disk} on disk"
+            ),
+        }
+    }
+}
+
+/// Check a registry that [`recover_dir`] rebuilt from `dir` against
+/// the directory: a second recovery gives the same fingerprint and the
+/// same report, every handle resolves back by name and carries the
+/// engine's `d`, and the WAL's valid plus discarded bytes equal its
+/// length on disk. Returns every breach; empty means verified.
+pub fn verify_recovery(
+    dir: &Path,
+    engine: &CsjEngine,
+    report: &RecoveryReport,
+) -> Vec<RecoveryBreach> {
+    let mut breaches = Vec::new();
+    match recover_dir(dir, engine.d(), engine.config().clone()) {
+        Ok((again, second)) => {
+            let (first, second_fp) = (fingerprint_engine(engine), fingerprint_engine(&again));
+            if first != second_fp {
+                breaches.push(RecoveryBreach::FingerprintDiverged {
+                    first,
+                    second: second_fp,
+                });
+            }
+            if second != *report {
+                breaches.push(RecoveryBreach::ReportDiffers(Box::new(second)));
+            }
+        }
+        Err(e) => breaches.push(RecoveryBreach::SecondRecoveryFailed(e)),
+    }
+    for handle in engine.handles() {
+        match engine.community(handle) {
+            Ok(c) => {
+                if c.d() != engine.d() {
+                    breaches.push(RecoveryBreach::DimensionMismatch {
+                        name: c.name().to_string(),
+                        d: c.d(),
+                        engine_d: engine.d(),
+                    });
+                }
+                if engine.find(c.name()) != Some(handle) {
+                    breaches.push(RecoveryBreach::NameUnresolved {
+                        name: c.name().to_string(),
+                        handle: handle.0,
+                    });
+                }
+            }
+            Err(source) => breaches.push(RecoveryBreach::DanglingHandle {
+                handle: handle.0,
+                source,
+            }),
+        }
+    }
+    let on_disk = std::fs::metadata(dir.join(WAL_FILE)).map_or(0, |m| m.len());
+    if report.wal_valid_bytes + report.bytes_discarded != on_disk {
+        breaches.push(RecoveryBreach::WalAccounting {
+            valid: report.wal_valid_bytes,
+            discarded: report.bytes_discarded,
+            on_disk,
+        });
+    }
+    breaches
 }
 
 /// Apply one WAL record to the engine.
@@ -269,6 +411,34 @@ mod tests {
         assert_eq!(engine.handles().count(), 1);
         assert_eq!(report.bytes_discarded, 5);
         assert!(matches!(report.wal_tail, TailReason::TornFrame { .. }));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verify_passes_a_recovery_and_names_each_breach() {
+        let dir = scratch("verify");
+        let mut wal = Wal::open(&dir.join(WAL_FILE), FsyncPolicy::Always, 1).unwrap();
+        wal.append(register_op("a")).unwrap();
+        drop(wal);
+        let (engine, report) = recover_dir(&dir, 2, EngineConfig::new(1)).unwrap();
+        assert!(verify_recovery(&dir, &engine, &report).is_empty());
+
+        // A registry or report that did not come from `dir` breaches.
+        let other = CsjEngine::new(2, EngineConfig::new(1));
+        let stale = RecoveryReport {
+            wal_valid_bytes: report.wal_valid_bytes + 1,
+            ..report.clone()
+        };
+        let breaches = verify_recovery(&dir, &other, &stale);
+        assert!(matches!(
+            breaches[..],
+            [
+                RecoveryBreach::FingerprintDiverged { .. },
+                RecoveryBreach::ReportDiffers(_),
+                RecoveryBreach::WalAccounting { .. },
+            ]
+        ));
+        assert!(breaches[2].to_string().contains("accounting mismatch"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -311,6 +311,141 @@ mod injected {
         }
     }
 
+    /// One mutation of [`durable_script`].
+    #[derive(Debug, Clone, Copy)]
+    enum ScriptedOp {
+        Register(usize),
+        Upsert(usize, u64),
+        Remove(usize, u64),
+    }
+
+    const SCRIPT_D: usize = 8;
+    const SCRIPT_USERS: u64 = 12;
+
+    /// Four seeded communities and the mutation script over them: each
+    /// community is registered, gains six extra users and loses two of
+    /// them, so the WAL carries every op kind.
+    fn durable_script(seed: u64) -> (Vec<Community>, Vec<ScriptedOp>) {
+        let communities: Vec<Community> = (0..4u64)
+            .map(|m| {
+                let salt = seed.wrapping_add(m);
+                let rows = (0..SCRIPT_USERS).map(|i| {
+                    let counters: Vec<u32> = (0..SCRIPT_D as u64)
+                        .map(|j| (i * (7 + j)).wrapping_add(salt.wrapping_mul(13)) % 97)
+                        .map(|v| v as u32)
+                        .collect();
+                    (i + 1, counters)
+                });
+                Community::from_rows(format!("script-{m}"), SCRIPT_D, rows).expect("well-formed")
+            })
+            .collect();
+        let extra = SCRIPT_USERS + 1;
+        let mut ops = Vec::new();
+        for m in 0..communities.len() {
+            ops.push(ScriptedOp::Register(m));
+            ops.extend((0..6).map(|u| ScriptedOp::Upsert(m, extra + u)));
+            ops.push(ScriptedOp::Remove(m, extra));
+            ops.push(ScriptedOp::Remove(m, extra + 1));
+        }
+        (communities, ops)
+    }
+
+    fn apply_scripted(
+        engine: &mut DurableEngine,
+        communities: &[Community],
+        op: ScriptedOp,
+    ) -> Result<(), DurabilityError> {
+        let handle = |engine: &DurableEngine, m: usize| {
+            engine
+                .engine()
+                .find(communities[m].name())
+                .expect("registered before its upserts")
+        };
+        match op {
+            ScriptedOp::Register(m) => engine.register(communities[m].clone()).map(|_| ()),
+            ScriptedOp::Upsert(m, user) => {
+                let vector: Vec<u32> = (0..SCRIPT_D as u64)
+                    .map(|j| ((user * 31 + j * 7) % 97) as u32)
+                    .collect();
+                engine
+                    .upsert_user(handle(engine, m), user, &vector)
+                    .map(|_| ())
+            }
+            ScriptedOp::Remove(m, user) => engine.remove_user(handle(engine, m), user).map(|_| ()),
+        }
+    }
+
+    /// Recover `dir` read-only and check it with `verify_recovery`;
+    /// returns the recovered fingerprint.
+    fn recover_verified(dir: &Path) -> u64 {
+        let (engine, report) =
+            recover_dir(dir, SCRIPT_D, EngineConfig::new(1)).expect("recovery succeeds");
+        let breaches = csj_durability::verify_recovery(dir, &engine, &report);
+        assert!(breaches.is_empty(), "verify breaches: {breaches:?}");
+        csj_durability::fingerprint_engine(&engine)
+    }
+
+    /// The register/upsert/remove script torn at WAL byte 64, 777 and
+    /// 2048 for three seeds: recovery yields exactly the acked prefix
+    /// and verifies; finishing the script from the torn op, snapshotting
+    /// and recovering again reproduces the live state bit for bit.
+    #[test]
+    fn torn_durable_script_recovers_the_acked_prefix_then_converges() {
+        let config = DurabilityConfig {
+            fsync: FsyncPolicy::Always,
+            keep_snapshots: 2,
+        };
+        for seed in [7u64, 1234, 998_877] {
+            let (communities, ops) = durable_script(seed);
+            let mut torn_at = Vec::new();
+            for budget in [64u64, 777, 2048] {
+                let dir = scratch(&format!("script-{seed}-{budget}"));
+                let open = || {
+                    DurableEngine::open(&dir, SCRIPT_D, EngineConfig::new(1), config.clone())
+                        .expect("open durable engine")
+                };
+                let mut engine = open();
+                engine.inject_fs_faults(FsFaultPlan::new().crash_after_wal_bytes(budget));
+                let mut acked = engine.fingerprint();
+                let mut resume = None;
+                for (i, &op) in ops.iter().enumerate() {
+                    match apply_scripted(&mut engine, &communities, op) {
+                        Ok(()) => acked = engine.fingerprint(),
+                        Err(DurabilityError::InjectedCrash) => {
+                            resume = Some(i);
+                            break;
+                        }
+                        Err(e) => panic!("seed {seed} budget {budget}: {e}"),
+                    }
+                }
+                let resume = resume.unwrap_or_else(|| panic!("budget {budget} never tore"));
+                torn_at.push(resume);
+                drop(engine);
+                assert_eq!(
+                    recover_verified(&dir),
+                    acked,
+                    "seed {seed} budget {budget}: recovered state != acked prefix"
+                );
+
+                let mut engine = open();
+                for &op in &ops[resume..] {
+                    apply_scripted(&mut engine, &communities, op).expect("script finishes");
+                }
+                engine.snapshot().expect("snapshot");
+                let live = engine.fingerprint();
+                drop(engine);
+                assert_eq!(
+                    recover_verified(&dir),
+                    live,
+                    "seed {seed} budget {budget}: snapshot + WAL != live state"
+                );
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+            torn_at.dedup();
+            assert_eq!(torn_at.len(), 3, "each budget tears a different op");
+        }
+    }
+
     /// Injected snapshot rename failure: the temp file is crash residue,
     /// the WAL is untouched, recovery replays it fully, and the next
     /// snapshot attempt succeeds.

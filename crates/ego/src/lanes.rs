@@ -3,85 +3,35 @@
 //! workspace routes through.
 //!
 //! The short-circuited form (`iter().zip().all(...)`) compiles to a
-//! branch per dimension, which defeats auto-vectorization. The kernels
-//! here instead evaluate a fixed-width chunk of dimensions branchlessly
-//! (`ok &= within` per lane) and only branch once per chunk, which LLVM
-//! lowers to SIMD compares on every target with vector units. Chunk
-//! geometry:
-//!
-//! * default build — 8 lanes for every scalar, a shape that
-//!   auto-vectorizes to 128-bit (SSE2/NEON) operations;
-//! * `--features simd` — full register geometry per element width
-//!   (`u8`×32, `u16`×16, `u32`/`f32`×8, i.e. the `u16x16`/`u32x8`-style
-//!   lanes of wider vector units), letting LLVM use 256-bit registers
-//!   where available.
-//!
-//! Both variants return exactly the same booleans as the scalar
-//! reference ([`all_within_scalar`]), so callers can swap freely between
-//! them without changing results.
+//! branch per dimension, which defeats auto-vectorization. The kernel
+//! here instead evaluates a chunk of eight dimensions branchlessly
+//! (`ok &= within` per lane) and only branches once per chunk, which
+//! LLVM lowers to 128-bit (SSE2/NEON) compares. It returns exactly the
+//! same booleans as the scalar reference ([`all_within_scalar`]).
 
 use crate::scalar::Scalar;
 
-/// Lane count used by [`all_within`] for an element of `BYTES` size.
-#[inline]
-#[must_use]
-pub const fn lane_width(bytes: usize) -> usize {
-    if cfg!(feature = "simd") {
-        // 256-bit register geometry, floored at 8 lanes.
-        let w = 32 / bytes;
-        if w < 8 {
-            8
-        } else {
-            w
-        }
-    } else {
-        8
-    }
-}
+/// Dimensions [`all_within`] compares per branch-free chunk.
+const LANES: usize = 8;
 
-/// Branchless evaluation of one `W`-wide chunk.
-#[inline]
-fn chunk_within<S: Scalar, const W: usize>(b: &[S], a: &[S], eps: S) -> bool {
-    let mut ok = true;
-    for k in 0..W {
-        ok &= b[k].within(a[k], eps);
-    }
-    ok
-}
-
-#[inline]
-fn all_within_w<S: Scalar, const W: usize>(b: &[S], a: &[S], eps: S) -> bool {
-    let mut bc = b.chunks_exact(W);
-    let mut ac = a.chunks_exact(W);
-    for (bk, ak) in bc.by_ref().zip(ac.by_ref()) {
-        if !chunk_within::<S, W>(bk, ak, eps) {
-            return false;
-        }
-    }
-    let rb = bc.remainder();
-    let ra = ac.remainder();
-    // Step a wide tail down through the 8-lane kernel instead of a
-    // scalar loop: a 27-dim profile under a 32-wide chunk otherwise
-    // produces zero full chunks and never vectorizes at all.
-    if W > 8 && rb.len() >= 8 {
-        return all_within_w::<S, 8>(rb, ra, eps);
-    }
-    rb.iter().zip(ra).all(|(&x, &y)| x.within(y, eps))
-}
-
-/// `|b_i - a_i| <= eps` for every dimension, evaluated chunk-at-a-time.
-///
-/// Equivalent to [`all_within_scalar`] but vectorization-friendly; the
-/// chunk width follows [`lane_width`] for the scalar's size.
+/// `|b_i - a_i| <= eps` for every dimension, evaluated eight
+/// dimensions at a time; equivalent to [`all_within_scalar`].
 #[inline]
 #[must_use]
 pub fn all_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
     debug_assert_eq!(b.len(), a.len());
-    match lane_width(std::mem::size_of::<S>()) {
-        32 => all_within_w::<S, 32>(b, a, eps),
-        16 => all_within_w::<S, 16>(b, a, eps),
-        _ => all_within_w::<S, 8>(b, a, eps),
+    let mut bc = b.chunks_exact(LANES);
+    let mut ac = a.chunks_exact(LANES);
+    for (bk, ak) in bc.by_ref().zip(ac.by_ref()) {
+        let mut ok = true;
+        for k in 0..LANES {
+            ok &= bk[k].within(ak[k], eps);
+        }
+        if !ok {
+            return false;
+        }
     }
+    all_within_scalar(bc.remainder(), ac.remainder(), eps)
 }
 
 /// The scalar short-circuit reference: one branch per dimension.

@@ -63,7 +63,7 @@ pub use engine::{
     ScreenOutcome,
 };
 pub use error::EngineError;
-pub use obs::{engine_slos, ObsConfig};
+pub use obs::{engine_slos, ObsConfig, ShardFate, UnitFate};
 pub use tracked::{Side, TrackedPair};
 
 #[cfg(test)]

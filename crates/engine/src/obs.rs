@@ -107,18 +107,25 @@ csj_obs::label_enum! {
 }
 
 csj_obs::label_enum! {
-    /// Shard fates: dispatched == completed + failed + cancelled.
-    enum ShardFate {
+    /// Shard fates, the `fate` label of `csj_shard_outcomes_total`:
+    /// dispatched == completed + failed + cancelled.
+    pub enum ShardFate {
+        /// The shard returned a usable value.
         Completed => "completed",
+        /// The shard was lost to a panic or a worker death.
         Failed => "failed",
+        /// The query was cancelled before the shard started.
         Cancelled => "cancelled",
     }
 }
 
 csj_obs::label_enum! {
-    /// Work units of sharded queries, by fate.
-    enum UnitFate {
+    /// Work units of sharded queries by fate, the `fate` label of
+    /// `csj_shard_units_total`.
+    pub enum UnitFate {
+        /// Screened by a surviving shard.
         Screened => "screened",
+        /// Lost with its shard, or skipped under budget pressure.
         Skipped => "skipped",
     }
 }

@@ -704,4 +704,78 @@ mod chaos {
         survivors.sort_by_key(key);
         assert_eq!(answer, survivors);
     }
+    /// Shard faults through the service: shard 0 of every multi-pair
+    /// request is killed, stalled past the deadline, or panics. Read
+    /// from the service's metrics, every dispatched shard is counted
+    /// completed, failed or cancelled, and no panic escapes. A lost
+    /// shard degrades the request on the `coverage` trigger with failed
+    /// shards. A stalled shard admits none of its units once it runs, so
+    /// the request degrades on the `deadline` trigger with skipped
+    /// units. The stall's latency is not asserted: a passed deadline
+    /// does not stop a join already in flight.
+    #[test]
+    fn shard_fates_reconcile_under_kill_stall_and_panic() {
+        use csj_engine::{ShardFate, ShardFaultPlan, UnitFate};
+        use csj_obs::catalog::{SHARD_DISPATCHED, SHARD_OUTCOMES, SHARD_UNITS};
+
+        let deadline = Duration::from_millis(100);
+        let faults = [
+            ("kill", ShardFaultPlan::new().kill(0, u32::MAX), "coverage"),
+            (
+                "stall",
+                ShardFaultPlan::new().stall(0, 2 * deadline, u32::MAX),
+                "deadline",
+            ),
+            (
+                "panic",
+                ShardFaultPlan::new().panic_on(0, u32::MAX),
+                "coverage",
+            ),
+        ];
+        for (fault, plan, trigger) in faults {
+            let mut engine = sharded_engine();
+            engine.inject_shard_faults(plan);
+            let anchor = engine.find("c5").expect("registered");
+            let service = CsjService::start(
+                engine,
+                ServiceConfig {
+                    default_deadline: Some(deadline),
+                    ..ServiceConfig::default()
+                },
+            );
+            for request in [
+                Request::TopK { x: anchor, k: 3 },
+                Request::PairsAbove { threshold: 0.0 },
+            ] {
+                let response = service.call(request);
+                assert!(
+                    !matches!(response, Err(ServiceError::Internal { .. })),
+                    "{fault}: a panic escaped the service"
+                );
+                let response = response.expect("degraded, not failed");
+                assert!(response.degraded, "{fault}");
+                assert_eq!(response.degrade_trigger, Some(trigger), "{fault}");
+            }
+
+            let snap = service.metrics_snapshot();
+            let dispatched = snap.value(&SHARD_DISPATCHED, []);
+            let [completed, failed, cancelled] = [
+                ShardFate::Completed,
+                ShardFate::Failed,
+                ShardFate::Cancelled,
+            ]
+            .map(|fate| snap.value(&SHARD_OUTCOMES, [fate.label()]));
+            assert!(dispatched > 0, "{fault}");
+            assert_eq!(
+                dispatched,
+                completed + failed + cancelled,
+                "{fault}: shard fates do not reconcile"
+            );
+            if fault == "stall" {
+                assert!(snap.value(&SHARD_UNITS, [UnitFate::Skipped.label()]) > 0);
+            } else {
+                assert!(failed > 0, "{fault}: the attacked shard must fail");
+            }
+        }
+    }
 }
