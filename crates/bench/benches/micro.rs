@@ -6,7 +6,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use csj_core::{encode_a, encode_b, vectors_match, EncodingParams};
 use csj_data::vklike::{VkLikeConfig, VkLikeGenerator};
 use csj_ego::{
-    dimension_order_cells, ego_point_sets, grid_cells, normalize_counters, PointSet, REORDER_SAMPLE,
+    dimension_order_cells, ego_point_sets, ego_sort_order, grid_cells, normalize_counters,
+    PointSet, REORDER_SAMPLE,
 };
 
 fn vk_pair(n: usize) -> (csj_core::Community, csj_core::Community) {
@@ -54,13 +55,22 @@ fn bench_ego_setup(c: &mut Criterion) {
         );
         let data = normalize_counters(community.raw_data(), max);
         let width = 1.0f32 / max as f32;
-        group.bench_with_input(BenchmarkId::new("ego_sort", n), &data, |bench, data| {
-            bench.iter(|| PointSet::build(27, width, black_box(data.clone()), None));
+        // The EGO sort alone, on precomputed cells, then the whole point
+        // set (grid cells, sort, permuted copy).
+        let cells_b = grid_cells(&data, width);
+        group.bench_with_input(BenchmarkId::new("ego_sort", n), &cells_b, |bench, cells| {
+            bench.iter(|| ego_sort_order(27, black_box(cells)));
         });
+        group.bench_with_input(
+            BenchmarkId::new("point_set_build", n),
+            &data,
+            |bench, data| {
+                bench.iter(|| PointSet::build(27, width, black_box(data.clone()), None));
+            },
+        );
         // The VK-like join setup at eps = 1: the dimension ranking from
         // grid cells, and the whole SuperEGO prepare (normalise both
         // sides, grid once, rank, permute, EGO-sort).
-        let cells_b = grid_cells(&data, width);
         let cells_a = grid_cells(&normalize_counters(other.raw_data(), max), width);
         group.bench_function(BenchmarkId::new("reorder", n), |bench| {
             bench.iter(|| {

@@ -110,7 +110,7 @@ impl TableReport {
 
 /// Crash-safe report persistence: write through a same-directory temp
 /// file, fsync, and rename, so a benchmark killed mid-write never
-/// leaves a torn `BENCH_*.json` / `.md` artifact for CI (or a human)
+/// leaves a torn `.json` / `.md` table for CI (or a human)
 /// to misread as a complete run.
 pub fn write_report_atomic(path: &std::path::Path, contents: &str) -> std::io::Result<()> {
     csj_durability::atomic::write_atomic(path, contents.as_bytes())

@@ -1,49 +1,9 @@
 //! Joins one materialised couple with one method and captures the cell.
 
-use std::sync::OnceLock;
-
 use csj_core::{run, CsjMethod, CsjOptions};
 use csj_data::pairs::CouplePair;
-use csj_obs::{catalog, ByLabel, Counter, LatencyHistogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::report::MeasuredCell;
-
-/// Harness-wide join metrics: every [`measure`] call feeds one
-/// per-method counter and latency histogram, so a full table run
-/// leaves behind a machine-readable latency profile
-/// (`BENCH_<timestamp>.json` written by the `tables` binary).
-pub struct BenchObs {
-    registry: MetricsRegistry,
-    joins: ByLabel<Counter, CsjMethod>,
-    latency: ByLabel<LatencyHistogram, CsjMethod>,
-}
-
-impl BenchObs {
-    fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        Self {
-            joins: registry.register_each(&catalog::BENCH_JOINS),
-            latency: registry.register_each(&catalog::BENCH_JOIN_LATENCY),
-            registry,
-        }
-    }
-
-    fn on_measure(&self, method: CsjMethod, elapsed: std::time::Duration) {
-        self.joins.get(method).inc();
-        self.latency.get(method).observe(elapsed);
-    }
-
-    /// Snapshot of everything measured so far in this process.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-}
-
-/// The process-wide bench metrics collector.
-pub fn bench_obs() -> &'static BenchObs {
-    static OBS: OnceLock<BenchObs> = OnceLock::new();
-    OBS.get_or_init(BenchObs::new)
-}
 
 /// Global harness configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +46,6 @@ pub fn measure(pair: &CouplePair, method: CsjMethod) -> MeasuredCell {
     let opts = options_for(pair);
     let outcome = run(method, &pair.b, &pair.a, &opts)
         .expect("generated couples satisfy the CSJ constraints");
-    bench_obs().on_measure(method, outcome.elapsed);
     MeasuredCell {
         method: method.name().to_string(),
         similarity_pct: outcome.similarity.percent(),

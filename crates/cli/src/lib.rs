@@ -1841,6 +1841,18 @@ mod tests {
         assert!(out.contains("plan density: "), "{out}");
         assert!(out.contains("(threshold 0.02"), "{out}");
 
+        // SuperEGO compares normalised floats and selects no integer lane.
+        let ego_out = execute(Command::Explain {
+            b: b.clone(),
+            a: a.clone(),
+            eps: 1,
+            method: CsjMethod::ExSuperEgo,
+            matcher: MatcherKind::Csf,
+            parts: 4,
+        })
+        .unwrap();
+        assert!(ego_out.contains("encoding: f32,"), "{ego_out}");
+
         // `--method auto` resolves through the rule and reports it.
         let auto_out = execute(Command::Explain {
             b,

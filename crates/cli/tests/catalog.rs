@@ -1,6 +1,5 @@
 //! The metric catalog and the live registries agree: every series the
-//! engine, service, durability layer, SLO engine and bench harness
-//! export belongs to a family declared in `csj_obs::catalog` with the
+//! engine, service, durability layer and SLO engine export belongs to a family declared in `csj_obs::catalog` with the
 //! same kind and label keys, and every declared family is exported.
 //! Their merged Prometheus exposition, and what `csj stats` prints, is
 //! well-formed text format 0.0.4.
@@ -21,8 +20,8 @@ fn community(name: &str, rows: &[[u32; 2]]) -> Community {
 }
 
 /// Every registry's series in one snapshot: a service whose engine
-/// served each request kind, a durable engine, an SLO engine over both
-/// presets, and the bench harness.
+/// served each request kind, a durable engine and an SLO engine over
+/// both presets.
 fn merged_snapshot(tag: &str) -> MetricsSnapshot {
     let mut engine = CsjEngine::new(2, EngineConfig::new(1));
     let a = engine
@@ -62,8 +61,6 @@ fn merged_snapshot(tag: &str) -> MetricsSnapshot {
     slo.evaluate(0);
     snap.metrics.extend(durable.metrics_snapshot().metrics);
     snap.metrics.extend(slo.snapshot().metrics);
-    snap.metrics
-        .extend(csj_bench::runner::bench_obs().snapshot().metrics);
     std::fs::remove_dir_all(&dir).unwrap();
     snap
 }

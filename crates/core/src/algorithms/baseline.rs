@@ -24,17 +24,12 @@ pub(crate) fn baseline<S: PairSink>(input: &JoinInput, mut sink: S, opts: &CsjOp
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     match sink.collector() {
         // The exact scan is unconditional (every row and column is
-        // wanted, nothing is consumed mid-scan), so the cache-blocked
-        // drive emits the identical edge list and telemetry; `Off`
-        // keeps the scalar nested loop as the benchmark baseline.
-        Some(collect) if opts.quant.enabled() => {
-            drive_baseline_blocked(&view, nb, na, &mut ctx, collect);
-        }
-        _ => {
+        // wanted, nothing is consumed mid-scan), so it runs cache-blocked.
+        Some(collect) => drive_baseline_blocked(&view, nb, na, &mut ctx, collect),
+        None => {
             // Section 5.1: "skip and offset are used similarly to
             // Ap-MinMax for the faster processing of the nested loop
-            // join". A collector wants every column, so the pruner
-            // never folds anything in exact mode.
+            // join".
             let mut pruner = PrefixPruner::new(opts.offset_pruning);
             drive_baseline(&view, nb, na, &mut pruner, &mut ctx, &mut sink);
         }

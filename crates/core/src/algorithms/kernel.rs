@@ -600,7 +600,8 @@ impl PairSink for CollectSink {
 }
 
 /// Drive the Baseline substrate: scan `A` for each of the `nb` `B` rows.
-/// The one nested loop behind both Ap- and Ex-Baseline. The full
+/// The nested loop behind Ap-Baseline (Ex-Baseline's unconditional scan
+/// runs [`drive_baseline_blocked`]). The full
 /// d-dimensional comparison goes through the pair's resolved
 /// [`LaneView`], so the scan order — and with it every
 /// consumption/pruning decision — is untouched by the compact
@@ -647,7 +648,7 @@ pub(crate) fn drive_baseline<S: PairSink>(
 }
 
 /// Cache-blocked drive of the **unconditional** all-pairs scan: the
-/// Ex-Baseline fast path, where the sink wants every row and column,
+/// Ex-Baseline drive, where the sink wants every row and column,
 /// nothing is consumed mid-scan and no tape is attached.
 ///
 /// The scan processes a block of `B` rows against one `A` tile at a

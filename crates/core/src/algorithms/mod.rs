@@ -26,7 +26,7 @@ use crate::error::CsjError;
 use crate::events::EventCounters;
 use crate::plan::{choose, density_estimate, Exactness};
 use crate::prepared::PreparedCommunity;
-use crate::quant::{LaneView, QuantMode, QuantizedCommunity};
+use crate::quant::{LaneView, QuantizedCommunity};
 use crate::similarity::Similarity;
 use crate::telemetry::JoinTelemetry;
 use crate::validate_sizes;
@@ -103,18 +103,22 @@ impl CsjMethod {
     }
 
     /// The approximate counterpart of this method: each Ex-* variant
-    /// maps to the Ap-* variant of the same family (Section 5's ladder);
-    /// Ap-* methods map to themselves, and [`CsjMethod::Auto`] stays
-    /// delegated. Because approximate CSJ never over-counts and greedy
-    /// maximal matchings reach at least half the maximum, the
-    /// counterpart's score is a lower bound on the exact score and is
-    /// within a factor of two of it — the property that makes
-    /// exact→approximate degradation sound.
+    /// maps to the Ap-* variant of the same family (Section 5's ladder),
+    /// except Ex-SuperEGO. Ap-SuperEGO compares normalised `f32` values
+    /// and loses pairs whose counters differ by exactly eps (0 of 2 on
+    /// the Section 3 example), so Ex-SuperEGO maps to Ap-Hybrid, the
+    /// same EGO recursion on the raw integer counters. Ap-* methods map
+    /// to themselves, and [`CsjMethod::Auto`] stays delegated. Each
+    /// Ex-* counterpart compares counters exactly, never over-counts,
+    /// and its greedy maximal matching reaches at least half the
+    /// maximum: its score is a lower bound on the exact score within a
+    /// factor of two of it — the property that makes exact→approximate
+    /// degradation sound.
     pub fn approximate_counterpart(self) -> CsjMethod {
         match self {
             CsjMethod::ExBaseline => CsjMethod::ApBaseline,
             CsjMethod::ExMinMax => CsjMethod::ApMinMax,
-            CsjMethod::ExSuperEgo => CsjMethod::ApSuperEgo,
+            CsjMethod::ExSuperEgo => CsjMethod::ApHybrid,
             CsjMethod::ExHybrid => CsjMethod::ApHybrid,
             CsjMethod::ApBaseline => CsjMethod::ApBaseline,
             CsjMethod::ApMinMax => CsjMethod::ApMinMax,
@@ -210,12 +214,6 @@ pub struct CsjOptions {
     /// truncated result is reported via [`JoinOutcome::cancelled`].
     /// `None` (the default) runs to completion.
     pub cancel: Option<CancelToken>,
-    /// Quantized fast-path control: `Auto` lets the integer-domain
-    /// kernels run on the narrowest lossless lane (`u8`/`u16`/`u32`)
-    /// with cache-blocked tiling where the scan order permits; `Off`
-    /// forces the pre-quantization scalar kernels. Results are
-    /// identical in every mode (see `crate::quant`).
-    pub quant: QuantMode,
 }
 
 impl CsjOptions {
@@ -230,7 +228,6 @@ impl CsjOptions {
             enforce_sizes: true,
             offset_pruning: true,
             cancel: None,
-            quant: QuantMode::default(),
         }
     }
 
@@ -252,12 +249,6 @@ impl CsjOptions {
         self
     }
 
-    /// Builder-style: set the quantized fast-path mode.
-    pub fn with_quant(mut self, quant: QuantMode) -> Self {
-        self.quant = quant;
-        self
-    }
-
     /// Whether the attached token (if any) has been tripped.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
@@ -268,11 +259,10 @@ impl CsjOptions {
 /// Wall-clock breakdown of one join's phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Input preparation: quantized lanes (all but SuperEGO, unless
-    /// [`QuantMode::Off`]) and encodings (MinMax) when the entry builds
-    /// them, normalisation + dimension reordering + EGO sort
-    /// (SuperEGO/hybrid). Near zero for Baseline and MinMax over
-    /// prepared inputs.
+    /// Input preparation: quantized lanes (all but SuperEGO) and
+    /// encodings (MinMax) when the entry builds them, normalisation +
+    /// dimension reordering + EGO sort (SuperEGO/hybrid). Near zero for
+    /// Baseline and MinMax over prepared inputs.
     pub setup: Duration,
     /// The pairing loop / recursion, including filter checks and full
     /// comparisons.
@@ -364,17 +354,16 @@ pub(crate) struct JoinInput<'x> {
     pub a: &'x Community,
     /// Quantized lanes of `b` and `a`: borrowed from prepared inputs;
     /// [`run`] builds them unless the method is SuperEGO (which
-    /// compares normalised floats) or the fast path is
-    /// [`QuantMode::Off`].
+    /// compares normalised floats).
     pub quant: Option<(&'x QuantizedCommunity, &'x QuantizedCommunity)>,
     /// `Encd_B` of `b` and `Encd_A` of `a` (present for MinMax).
     pub encoded: Option<(&'x EncodedB, &'x EncodedA)>,
 }
 
 impl<'x> JoinInput<'x> {
-    /// The pair's lane-resolved comparison view under `opts.quant`.
+    /// The pair's lane-resolved comparison view.
     pub(crate) fn lanes(&self, opts: &CsjOptions) -> LaneView<'x> {
-        LaneView::select(opts.quant, self.b, self.a, self.quant, opts.eps)
+        LaneView::select(self.b, self.a, self.quant, opts.eps)
     }
 }
 
@@ -439,9 +428,8 @@ pub fn run(
     let method = planned
         .as_ref()
         .map_or(method, |(eb, ea)| resolve(method, eb, ea));
-    let lanes = (opts.quant.enabled()
-        && !matches!(method, CsjMethod::ApSuperEgo | CsjMethod::ExSuperEgo))
-    .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)));
+    let lanes = (!matches!(method, CsjMethod::ApSuperEgo | CsjMethod::ExSuperEgo))
+        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)));
     let encoded = matches!(method, CsjMethod::ApMinMax | CsjMethod::ExMinMax)
         .then(|| planned.unwrap_or_else(encode));
     let input = JoinInput {
@@ -580,7 +568,7 @@ mod tests {
             (ApHybrid, ApHybrid),
             (ExBaseline, ApBaseline),
             (ExMinMax, ApMinMax),
-            (ExSuperEgo, ApSuperEgo),
+            (ExSuperEgo, ApHybrid),
             (ExHybrid, ApHybrid),
             (Auto, Auto),
         ];

@@ -75,7 +75,7 @@ pub use error::{panic_message, CsjError};
 pub use events::{Event, EventCounters};
 pub use plan::{Exactness, PlanInput, QueryPlan};
 pub use prepared::PreparedCommunity;
-pub use quant::{pair_lane, tile_geometry, LaneKind, QuantMode, QuantizedCommunity};
+pub use quant::{pair_lane, tile_geometry, LaneKind, QuantizedCommunity};
 pub use shard::{community_mass, plan_shards, Coverage, ShardLayout};
 pub use similarity::Similarity;
 pub use telemetry::{JoinTelemetry, LogHistogram};
@@ -103,9 +103,8 @@ pub fn validate_sizes(nb: usize, na: usize) -> Result<(), CsjError> {
 /// condition — the heart of CSJ.
 ///
 /// Routed through the one chunked lane primitive
-/// ([`csj_ego::lanes::all_within`]) that every scalar match path in the
-/// workspace shares; [`quant::QuantMode::Off`] selects the short-circuit
-/// reference instead.
+/// ([`csj_ego::lanes::all_within`]) that every integer match path in the
+/// workspace shares.
 #[inline]
 pub fn vectors_match(b: &[u32], a: &[u32], eps: u32) -> bool {
     debug_assert_eq!(b.len(), a.len());

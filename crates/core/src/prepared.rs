@@ -122,7 +122,7 @@ impl PreparedCommunity {
         &self.as_a
     }
 
-    /// The cached narrow-lane encoding for the kernel fast path.
+    /// The cached narrow-lane encoding the kernel compares on.
     pub fn quantized(&self) -> &QuantizedCommunity {
         &self.quant
     }
@@ -174,7 +174,6 @@ impl PreparedCommunity {
 mod tests {
     use super::*;
     use crate::algorithms::{run, run_prepared, CsjMethod};
-    use crate::quant::QuantMode;
 
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
         let mut state = seed;
@@ -200,24 +199,22 @@ mod tests {
     fn prepared_joins_match_plain_joins() {
         // The prepared entry borrows exactly what the raw entry builds,
         // so every method must produce the same outcome (all but the
-        // clock) with and without the quantized fast path.
+        // clock).
         for (d, seed) in [(4usize, 1u64), (6, 3), (3, 5)] {
             let b = random_community("B", 80, d, seed);
             let a = random_community("A", 100, d, seed + 1);
-            for quant in [QuantMode::Auto, QuantMode::Off] {
-                let opts = CsjOptions::new(1).with_parts(2).with_quant(quant);
-                let pb = PreparedCommunity::new(b.clone(), &opts);
-                let pa = PreparedCommunity::new(a.clone(), &opts);
-                for method in CsjMethod::ALL {
-                    let plain = run(method, &b, &a, &opts).unwrap();
-                    let prepared = run_prepared(method, &pb, &pa, &opts).unwrap();
-                    let at = format!("{method} d={d} {quant:?}");
-                    assert_eq!(plain.method, prepared.method, "{at}");
-                    assert_eq!(plain.pairs, prepared.pairs, "{at}");
-                    assert_eq!(plain.similarity, prepared.similarity, "{at}");
-                    assert_eq!(plain.events, prepared.events, "{at}");
-                    assert_eq!(plain.telemetry, prepared.telemetry, "{at}");
-                }
+            let opts = CsjOptions::new(1).with_parts(2);
+            let pb = PreparedCommunity::new(b.clone(), &opts);
+            let pa = PreparedCommunity::new(a.clone(), &opts);
+            for method in CsjMethod::ALL {
+                let plain = run(method, &b, &a, &opts).unwrap();
+                let prepared = run_prepared(method, &pb, &pa, &opts).unwrap();
+                let at = format!("{method} d={d}");
+                assert_eq!(plain.method, prepared.method, "{at}");
+                assert_eq!(plain.pairs, prepared.pairs, "{at}");
+                assert_eq!(plain.similarity, prepared.similarity, "{at}");
+                assert_eq!(plain.events, prepared.events, "{at}");
+                assert_eq!(plain.telemetry, prepared.telemetry, "{at}");
             }
         }
     }

@@ -15,35 +15,10 @@
 //! and the parity suite plus a proptest pin it down). Anything else —
 //! one oversized counter, an oversized `eps` — widens back to the `u32`
 //! path.
-//!
-//! [`QuantMode`] is the kill-switch: `Off` forces the pre-quantization
-//! scalar kernels (the benchmark baseline), `Auto` enables the compact
-//! fast path.
 
 use csj_ego::lanes;
 
 use crate::community::Community;
-
-/// How the join kernels use the quantized fast path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuantMode {
-    /// Pick the narrowest valid lane per community pair (the default).
-    #[default]
-    Auto,
-    /// Disable the fast path: scalar short-circuit `u32` comparisons,
-    /// no chunked kernels, no tiling. This is bit-for-bit the
-    /// pre-quantization behaviour and the `kernel_gate` baseline.
-    Off,
-}
-
-impl QuantMode {
-    /// Whether the compact fast path is enabled.
-    #[inline]
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        !matches!(self, QuantMode::Off)
-    }
-}
 
 /// The compare-lane width chosen for one community pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -151,13 +126,6 @@ pub fn pair_lane(qb: &QuantizedCommunity, qa: &QuantizedCommunity, eps: u32) -> 
 /// Rows are addressed by community index on either side.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LaneView<'x> {
-    /// `QuantMode::Off`: the scalar short-circuit reference.
-    Scalar {
-        b: &'x [u32],
-        a: &'x [u32],
-        d: usize,
-        eps: u32,
-    },
     U8 {
         b: &'x [u8],
         a: &'x [u8],
@@ -180,11 +148,10 @@ pub(crate) enum LaneView<'x> {
 }
 
 impl<'x> LaneView<'x> {
-    /// Resolve the view for a pair, honouring the mode's kill-switch.
-    /// `quant` holds both sides' quantizations (`b`'s, then `a`'s);
-    /// without them the fast path falls back to the `u32` lanes.
+    /// Resolve the view for a pair: the narrowest lane [`pair_lane`]
+    /// allows. `quant` holds both sides' quantizations (`b`'s, then
+    /// `a`'s); without them the view falls back to the `u32` lanes.
     pub(crate) fn select(
-        mode: QuantMode,
         b: &'x Community,
         a: &'x Community,
         quant: Option<(&'x QuantizedCommunity, &'x QuantizedCommunity)>,
@@ -192,14 +159,6 @@ impl<'x> LaneView<'x> {
     ) -> Self {
         let d = b.d();
         debug_assert_eq!(d, a.d());
-        if !mode.enabled() {
-            return LaneView::Scalar {
-                b: b.raw_data(),
-                a: a.raw_data(),
-                d,
-                eps,
-            };
-        }
         match quant.map(|(qb, qa)| (pair_lane(qb, qa, eps), qb, qa)) {
             Some((LaneKind::U8, qb, qa)) => LaneView::U8 {
                 b: qb.u8_lanes().expect("u8 lane"),
@@ -225,27 +184,22 @@ impl<'x> LaneView<'x> {
     /// Dimensionality of the viewed vectors.
     pub(crate) fn d(&self) -> usize {
         match *self {
-            LaneView::Scalar { d, .. }
-            | LaneView::U8 { d, .. }
-            | LaneView::U16 { d, .. }
-            | LaneView::U32 { d, .. } => d,
+            LaneView::U8 { d, .. } | LaneView::U16 { d, .. } | LaneView::U32 { d, .. } => d,
         }
     }
 
-    /// Bytes per lane element (4 for the scalar path too — it walks the
-    /// raw `u32` data).
+    /// Bytes per lane element.
     pub(crate) fn lane_bytes(&self) -> u32 {
         match self {
             LaneView::U8 { .. } => 1,
             LaneView::U16 { .. } => 2,
-            LaneView::Scalar { .. } | LaneView::U32 { .. } => 4,
+            LaneView::U32 { .. } => 4,
         }
     }
 
-    /// Lane width in bits for telemetry; `0` marks the scalar path.
+    /// Lane width in bits for telemetry.
     pub(crate) fn lane_bits(&self) -> u64 {
         match self {
-            LaneView::Scalar { .. } => 0,
             LaneView::U8 { .. } => 8,
             LaneView::U16 { .. } => 16,
             LaneView::U32 { .. } => 32,
@@ -254,13 +208,10 @@ impl<'x> LaneView<'x> {
 
     /// Full per-dimension comparison of `B` row `bi` against `A` row
     /// `aj`. Every variant computes the same boolean; they differ only
-    /// in lane width and kernel shape.
+    /// in lane width.
     #[inline]
     pub(crate) fn matches(&self, bi: usize, aj: usize) -> bool {
         match *self {
-            LaneView::Scalar { b, a, d, eps } => {
-                lanes::all_within_scalar(&b[bi * d..bi * d + d], &a[aj * d..aj * d + d], eps)
-            }
             LaneView::U8 { b, a, d, eps } => {
                 lanes::all_within(&b[bi * d..bi * d + d], &a[aj * d..aj * d + d], eps)
             }
@@ -337,15 +288,20 @@ mod tests {
         let qb = QuantizedCommunity::build(&b);
         let qa = QuantizedCommunity::build(&a);
         for eps in [0u32, 1, 2, 150] {
-            let fast = LaneView::select(QuantMode::Auto, &b, &a, Some((&qb, &qa)), eps);
-            let slow = LaneView::select(QuantMode::Off, &b, &a, None, eps);
+            let narrow = LaneView::select(&b, &a, Some((&qb, &qa)), eps);
+            let wide = LaneView::select(&b, &a, None, eps);
+            assert_eq!(narrow.lane_bits(), 8);
+            assert_eq!(wide.lane_bits(), 32);
             for bi in 0..2 {
                 for aj in 0..2 {
-                    assert_eq!(
-                        fast.matches(bi, aj),
-                        slow.matches(bi, aj),
-                        "eps={eps} bi={bi} aj={aj}"
-                    );
+                    let scalar = b
+                        .vector(bi)
+                        .iter()
+                        .zip(a.vector(aj))
+                        .all(|(&x, &y)| x.abs_diff(y) <= eps);
+                    let at = format!("eps={eps} bi={bi} aj={aj}");
+                    assert_eq!(narrow.matches(bi, aj), scalar, "{at}");
+                    assert_eq!(wide.matches(bi, aj), scalar, "{at}");
                 }
             }
         }

@@ -122,7 +122,7 @@ pub struct JoinTelemetry {
     /// Edge count of the largest single flush.
     pub largest_flush_edges: u64,
     /// Compare-lane width in bits the kernel ran on (8/16/32 for the
-    /// quantized chunked kernels, 0 for the scalar reference path).
+    /// integer lanes, 0 for SuperEGO's normalised `f32` compare).
     /// Merges as a max: the widest lane any merged join used.
     pub lane_bits: u64,
     /// `A`-side cache tiles swept by the blocked all-pairs scan (0 when
@@ -185,7 +185,7 @@ impl std::fmt::Display for JoinTelemetry {
             self.matcher_flushes, self.matcher_edges, self.largest_flush_edges
         )?;
         let lane = match self.lane_bits {
-            0 => "scalar u32".to_string(),
+            0 => "f32".to_string(),
             bits => format!("u{bits} lanes"),
         };
         writeln!(f, "encoding: {lane}, {} a-tiles", self.a_tiles)?;

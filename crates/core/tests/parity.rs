@@ -782,54 +782,16 @@ fn parity_on_large_duplicate_heavy_segments() {
     }
 }
 
-/// Run one method with and without the quantized fast path and demand
-/// bit-identical pairs, event counters and work counters: the
-/// narrow-lane fast path is an *encoding* of the same booleans, never a
-/// semantic change, and Ex-Baseline's cache-blocked scan drives the same
-/// rows, candidates and matcher calls as the scalar nested loop.
-/// (Telemetry's `lane_bits`/`a_tiles` fields legitimately differ between
-/// modes — they describe the encoding — so this compares the counters
-/// one by one, not the whole telemetry block.)
-fn assert_quant_parity(b: &Community, a: &Community, opts: &CsjOptions) {
-    use csj_core::QuantMode;
-    for method in CsjMethod::ALL {
-        let off = run(method, b, a, &opts.clone().with_quant(QuantMode::Off))
-            .expect("valid parity instance");
-        let fast =
-            run(method, b, a, &opts.clone().with_quant(QuantMode::Auto)).expect("valid instance");
-        assert_eq!(
-            off.pairs, fast.pairs,
-            "{method}: quantized pairs diverged from scalar\nB = {b:?}\nA = {a:?}"
-        );
-        assert_eq!(
-            off.events, fast.events,
-            "{method}: quantized events diverged from scalar\nB = {b:?}\nA = {a:?}"
-        );
-        assert_eq!(off.similarity, fast.similarity, "{method}");
-        let work = |t: &csj_core::JoinTelemetry| {
-            (
-                t.rows_driven,
-                t.candidates_streamed,
-                t.matcher_edges,
-                t.matcher_flushes,
-                t.peak_stream_depth,
-            )
-        };
-        assert_eq!(
-            work(&off.telemetry),
-            work(&fast.telemetry),
-            "{method}: quantized work counters (rows, candidates, matcher edges, \
-             flushes, peak depth) diverged from scalar\nB = {b:?}\nA = {a:?}"
-        );
-    }
-}
+// The narrow lanes are an encoding of the same booleans, never a
+// semantic change: on every lane width the kernel must match the frozen
+// reference pair for pair and event for event.
 
 #[test]
 fn quantization_modes_are_bit_identical_on_u8_data() {
     // Counters < 10 with small eps: every pair runs on u8 lanes.
     for seed in 100..110u64 {
         let (b, a) = random_pair(seed, 3, 11, 10);
-        assert_quant_parity(&b, &a, &CsjOptions::new((seed % 3) as u32).with_parts(2));
+        assert_parity(&b, &a, &CsjOptions::new((seed % 3) as u32).with_parts(2));
     }
 }
 
@@ -838,29 +800,27 @@ fn quantization_modes_are_bit_identical_on_u16_data() {
     // Counters up to 40_000: u8 overflows, u16 lanes carry the pair.
     for seed in 110..116u64 {
         let (b, a) = random_pair(seed, 2, 9, 40_000);
-        assert_quant_parity(&b, &a, &CsjOptions::new(500).with_parts(2));
+        assert_parity(&b, &a, &CsjOptions::new(500).with_parts(2));
     }
 }
 
 #[test]
 fn quantization_modes_are_bit_identical_on_u32_data() {
     // Counters past u16::MAX force the validated widening fallback: the
-    // "quantized" path must degrade to chunked u32 and still agree.
+    // kernel must run on chunked u32 lanes and still agree.
     for seed in 116..122u64 {
         let (b, a) = random_pair(seed, 2, 9, 1_000_000);
-        assert_quant_parity(&b, &a, &CsjOptions::new(75_000).with_parts(2));
+        assert_parity(&b, &a, &CsjOptions::new(75_000).with_parts(2));
     }
 }
 
 #[test]
 fn quantization_modes_agree_with_the_frozen_reference() {
-    // The scalar reference from the pre-kernel era must match the
-    // quantized kernel too, not just the Off path.
+    // Counters < 12 at eps 1 on three dimensions: the u8 lanes against
+    // the scalar reference from the pre-kernel era.
     for seed in 0..8u64 {
         let (b, a) = random_pair(seed.wrapping_mul(0x51D), 3, 10, 12);
-        let opts = CsjOptions::new(1).with_parts(2);
-        assert_parity(&b, &a, &opts); // default = Auto
-        assert_quant_parity(&b, &a, &opts);
+        assert_parity(&b, &a, &CsjOptions::new(1).with_parts(2));
     }
 }
 

@@ -4,7 +4,7 @@
 //! between.
 //!
 //! Used by the snapshot store and by every CLI/bench artifact writer
-//! (`BENCH_*.json`, `--metrics-out`, reports): a crash mid-report must
+//! (`--metrics-out`, report tables): a crash mid-report must
 //! not shred the previous good copy with a truncated one.
 
 use std::fs::File;

@@ -7,7 +7,7 @@
 //! here instead evaluates a chunk of eight dimensions branchlessly
 //! (`ok &= within` per lane) and only branches once per chunk, which
 //! LLVM lowers to 128-bit (SSE2/NEON) compares. It returns exactly the
-//! same booleans as the scalar reference ([`all_within_scalar`]).
+//! same booleans as the short-circuit scalar form.
 
 use crate::scalar::Scalar;
 
@@ -15,7 +15,7 @@ use crate::scalar::Scalar;
 const LANES: usize = 8;
 
 /// `|b_i - a_i| <= eps` for every dimension, evaluated eight
-/// dimensions at a time; equivalent to [`all_within_scalar`].
+/// dimensions at a time; equivalent to the short-circuit scalar form.
 #[inline]
 #[must_use]
 pub fn all_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
@@ -34,14 +34,11 @@ pub fn all_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
     all_within_scalar(bc.remainder(), ac.remainder(), eps)
 }
 
-/// The scalar short-circuit reference: one branch per dimension.
-///
-/// Kept as the explicit "legacy" path so benchmarks (and the
-/// quantization kill-switch in `csj-core`) can compare against the
-/// exact pre-vectorization behaviour.
+/// The scalar short-circuit form: one branch per dimension. It runs
+/// [`all_within`]'s remainder and is the tests' reference.
 #[inline]
 #[must_use]
-pub fn all_within_scalar<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
+fn all_within_scalar<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
     debug_assert_eq!(b.len(), a.len());
     b.iter().zip(a.iter()).all(|(&x, &y)| x.within(y, eps))
 }

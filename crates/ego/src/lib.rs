@@ -48,7 +48,7 @@ mod scalar;
 mod strategy;
 
 pub use join::{collect_pairs, super_ego_join, EgoStats, SuperEgoParams};
-pub use lanes::{all_within, all_within_scalar};
+pub use lanes::all_within;
 pub use order::ego_sort_order;
 pub use points::{grid_cells, PointSet};
 pub use predicate::JoinPredicate;

@@ -70,7 +70,7 @@ csj_obs::label_enum! {
 csj_obs::label_enum! {
     /// The counter lane a join's kernel selected (`csj_encode_lane_total`).
     enum Lane {
-        Scalar => "scalar",
+        F32 => "f32",
         U8 => "u8",
         U16 => "u16",
         U32 => "u32",
@@ -78,13 +78,14 @@ csj_obs::label_enum! {
 }
 
 impl Lane {
-    /// The lane behind a telemetry `lane_bits` value (`0` = scalar).
+    /// The lane behind a telemetry `lane_bits` value (`0` = SuperEGO's
+    /// normalised `f32` compare).
     fn of_bits(bits: u64) -> Lane {
         match bits {
             8 => Lane::U8,
             16 => Lane::U16,
             32 => Lane::U32,
-            _ => Lane::Scalar,
+            _ => Lane::F32,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end observability: metrics snapshots and flight-recorder
 //! traces produced by real engine queries.
 
-use csj_core::Community;
+use csj_core::{Community, CsjMethod, CsjOptions};
 use csj_engine::{Budget, CsjEngine, EngineConfig, ExhaustReason};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
@@ -139,6 +139,43 @@ fn top_k_trace_has_screen_and_refine_phases_with_join_spans() {
     }
     let refine = trace.root.find("refine").expect("refine phase");
     assert_eq!(refine.children.len(), 1, "one shortlisted refine join");
+}
+
+/// SuperEGO compares normalised `f32` values and selects no integer
+/// lane: its joins are labelled `f32` in the lane counter, the join span
+/// and the telemetry report, while MinMax reports its `u8` lane.
+#[test]
+fn superego_joins_are_labelled_f32() {
+    let (engine, a, n, _) = engine_with_three();
+    for method in [CsjMethod::ExSuperEgo, CsjMethod::ExMinMax] {
+        engine.similarity_with(a, n, method).unwrap();
+        let trace = engine.traces(1).remove(0);
+        let join = trace.root.find("join").expect("join span");
+        let want = if method == CsjMethod::ExMinMax {
+            "u8"
+        } else {
+            "f32"
+        };
+        assert_eq!(shown(join.get_attr("encoding")), want, "{method}");
+    }
+    let snap = engine.metrics_snapshot();
+    for (lane, joins) in [("f32", 1), ("u8", 1), ("scalar", 0)] {
+        assert_eq!(
+            snap.counter_value("csj_encode_lane_total", &[("lane", lane)]),
+            joins,
+            "{lane}"
+        );
+    }
+    let (x, y) = (
+        community("x", &[[1, 1], [5, 5]]),
+        community("y", &[[1, 2], [5, 5]]),
+    );
+    let out = csj_core::run(CsjMethod::ExSuperEgo, &x, &y, &CsjOptions::new(1)).unwrap();
+    assert!(
+        out.telemetry.report().contains("encoding: f32,"),
+        "{}",
+        out.telemetry
+    );
 }
 
 #[test]

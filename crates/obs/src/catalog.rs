@@ -254,7 +254,7 @@ catalog! {
     CANCEL_POLLS: Counter[] = "csj_cancel_polls_total",
         "Cooperative cancellation polls performed by the kernel.";
     ENCODE_LANE: Counter["lane"] = "csj_encode_lane_total",
-        "Joins by the counter lane the quantized kernel selected.";
+        "Joins by the compare lane the kernel selected (u8/u16/u32; f32 for SuperEGO).";
     ENCODE_TILES: Counter[] = "csj_encode_tiles_total",
         "L1-sized A tiles walked by cache-blocked kernel scans.";
     SHARD_DISPATCHED: Counter[] = "csj_shard_dispatched_total",
@@ -321,12 +321,6 @@ catalog! {
         "Error-budget burn rate over the window (1.0 = budget consumed exactly at the allowed rate).";
     SLO_BREACHED: Gauge["objective", "window"] = "csj_slo_breached",
         "1 when the window's burn rate exceeds 1.0.";
-
-    // Bench harness
-    BENCH_JOINS: Counter["method"] = "csj_bench_joins_total",
-        "Joins measured by the bench harness, by method.";
-    BENCH_JOIN_LATENCY: LatencyHistogram["method"] = "csj_bench_join_latency_seconds",
-        "Measured join wall-clock latency, by method.";
 }
 
 #[cfg(test)]

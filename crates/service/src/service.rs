@@ -405,11 +405,12 @@ fn run_primary(
 
 /// Serve a degraded request approximately, with whatever deadline is
 /// left: a similarity request runs the primary's
-/// [`approximate_counterpart`](CsjMethod::approximate_counterpart);
-/// top-k and pairs_above rank by the engine's screen scores (its
-/// `screen_method`). Approximate CSJ never over-counts and greedy
-/// maximal matching reaches at least half the maximum, so the exact
-/// score lies in `[score, 2·score]`.
+/// [`approximate_counterpart`](CsjMethod::approximate_counterpart)
+/// (Ap-Hybrid for Ex-SuperEGO: Ap-SuperEGO's `f32` compare loses pairs
+/// at exactly eps); top-k and pairs_above rank by the engine's screen
+/// scores (its `screen_method`). Approximate CSJ never over-counts and
+/// greedy maximal matching reaches at least half the maximum, so the
+/// exact score lies in `[score, 2·score]`.
 fn degrade(
     engine: &CsjEngine,
     shared: &Shared,

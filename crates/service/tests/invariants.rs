@@ -267,6 +267,32 @@ fn deadline_pressure_degrades_to_a_sound_lower_bound() {
     }
 }
 
+/// A degraded Ex-SuperEGO request runs Ap-Hybrid, whose integer compare
+/// keeps the `[max/2, max]` bound. Ap-SuperEGO's `f32` compare would lose
+/// both Section 3 pairs (their counters differ by exactly eps).
+#[test]
+fn degraded_ex_superego_runs_ap_hybrid() {
+    let (engine, b, a) = section3_engine();
+    let service = CsjService::start(
+        engine,
+        ServiceConfig {
+            default_deadline: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        },
+    );
+    let response = service
+        .call(Request::Similarity {
+            x: b,
+            y: a,
+            method: Some(CsjMethod::ExSuperEgo),
+        })
+        .expect("degraded, not failed");
+    assert!(response.degraded);
+    let note = response.degrade_note.as_deref().unwrap();
+    assert!(note.contains("served by ap-hybrid"), "{note}");
+    assert!(similarity(&response).matched >= 1, "{note}");
+}
+
 /// Degraded top-k and pairs_above answers rank by the engine's screen
 /// scores, and their notes name the screen method, not the refine
 /// method's counterpart.
