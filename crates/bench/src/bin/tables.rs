@@ -7,6 +7,7 @@
 //!
 //! Writes Markdown and JSON per table under `EXPERIMENTS-data/` (created
 //! next to the current directory) and prints the Markdown to stdout.
+//! The directory's `index.md` is kept by hand; no run rewrites it.
 
 use std::path::PathBuf;
 
@@ -109,45 +110,4 @@ fn main() {
             md_path.display()
         );
     }
-
-    write_index(&out_dir);
-}
-
-/// Refresh `index.md`: one line per report present in the output dir.
-fn write_index(out_dir: &std::path::Path) {
-    let mut names: Vec<String> = std::fs::read_dir(out_dir)
-        .map(|entries| {
-            entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.ends_with(".md") && n != "index.md")
-                .collect()
-        })
-        .unwrap_or_default();
-    names.sort_by_key(|n| {
-        // table2 before table10; extensions after the paper tables.
-        let stem = n.trim_end_matches(".md");
-        match stem
-            .strip_prefix("table")
-            .and_then(|v| v.parse::<u32>().ok())
-        {
-            Some(k) => (0, k, stem.to_string()),
-            None => (1, 0, stem.to_string()),
-        }
-    });
-    let mut index = String::from(concat!(
-        "# EXPERIMENTS-data index\n\n",
-        "Generated by `cargo run -p csj-bench --release --bin tables`.\n",
-        "Tables 1-11 reproduce the paper; `crossover`, `dsweep` and `epsweep` are\n",
-        "extension experiments (see EXPERIMENTS.md).\n\n",
-    ));
-    for n in names {
-        index.push_str(&format!(
-            "- [{}]({})
-",
-            n.trim_end_matches(".md"),
-            n
-        ));
-    }
-    let _ = csj_bench::report::write_report_atomic(&out_dir.join("index.md"), &index);
 }

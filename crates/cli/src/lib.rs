@@ -655,12 +655,17 @@ fn load_engine(
     Ok((engine, handles))
 }
 
-/// Nominal evaluation instant for one-shot CLI SLO evaluations. The
-/// SLO engine runs on a caller-supplied clock; a CLI run brackets its
-/// whole workload between `observe(0, ..)` and `observe(SLO_EVAL_US, ..)`,
-/// so both default windows clip to the run's full span and the burn
-/// rates describe exactly the traffic the command generated.
-const SLO_EVAL_US: u64 = 60_000_000;
+/// The budget `--deadline-ms` and `--max-joins` ask for.
+fn budget(deadline_ms: Option<u64>, max_joins: Option<u64>) -> csj_engine::Budget {
+    let mut budget = csj_engine::Budget::unlimited();
+    if let Some(ms) = deadline_ms {
+        budget = budget.with_deadline(std::time::Duration::from_millis(ms));
+    }
+    if let Some(max) = max_joins {
+        budget = budget.with_max_joins(max);
+    }
+    budget
+}
 
 /// Render SLO statuses as a JSON array (hand-rolled: the statuses are
 /// flat and the field set is stable).
@@ -669,16 +674,9 @@ fn slo_statuses_json(statuses: &[csj_obs::SloStatus]) -> String {
         .iter()
         .map(|s| {
             format!(
-                "{{\"objective\":\"{}\",\"window\":\"{}\",\"target\":{},\"bad\":{},\
-                 \"total\":{},\"bad_fraction\":{},\"burn_rate\":{},\"breached\":{}}}",
-                s.objective,
-                s.window,
-                s.target,
-                s.bad,
-                s.total,
-                s.bad_fraction,
-                s.burn_rate,
-                s.breached
+                "{{\"objective\":\"{}\",\"target\":{},\"bad\":{},\"total\":{},\
+                 \"bad_fraction\":{},\"burn_rate\":{},\"breached\":{}}}",
+                s.objective, s.target, s.bad, s.total, s.bad_fraction, s.burn_rate, s.breached
             )
         })
         .collect();
@@ -1007,26 +1005,21 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             via_service,
             quarantine,
         } => {
-            use csj_obs::{default_windows, SloEngine};
+            use csj_obs::slo;
             let (engine, _handles) = load_engine(&communities, eps, quarantine, None)?;
             if via_service {
                 use csj_service::{service_slos, CsjService, Request, ServiceConfig};
-                let slo = SloEngine::new(
-                    csj_engine::engine_slos()
-                        .into_iter()
-                        .chain(service_slos(250_000))
-                        .collect(),
-                    default_windows(),
-                );
                 let service = CsjService::start(engine, ServiceConfig::default());
-                slo.observe(0, &service.metrics_snapshot());
                 service
                     .call(Request::PairsAbove { threshold })
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 let mut snap = service.metrics_snapshot();
-                slo.observe(SLO_EVAL_US, &snap);
-                slo.evaluate(SLO_EVAL_US);
-                snap.metrics.extend(slo.snapshot().metrics);
+                let objectives: Vec<_> = csj_engine::engine_slos()
+                    .into_iter()
+                    .chain(service_slos(250_000))
+                    .collect();
+                let statuses = slo::evaluate(&objectives, &snap);
+                snap.metrics.extend(slo::gauges(&statuses).metrics);
                 return Ok(match format {
                     StatsFormat::Prometheus => snap.to_prometheus(),
                     StatsFormat::Json => format!("{}\n", snap.to_json()),
@@ -1048,15 +1041,12 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     }
                 });
             }
-            let slo = SloEngine::new(csj_engine::engine_slos(), default_windows());
-            slo.observe(0, &engine.metrics_snapshot());
             engine
                 .pairs_above(threshold)
                 .map_err(|e| CliError::Io(e.to_string()))?;
             let mut snap = engine.metrics_snapshot();
-            slo.observe(SLO_EVAL_US, &snap);
-            slo.evaluate(SLO_EVAL_US);
-            snap.metrics.extend(slo.snapshot().metrics);
+            let statuses = slo::evaluate(&csj_engine::engine_slos(), &snap);
+            snap.metrics.extend(slo::gauges(&statuses).metrics);
             Ok(match format {
                 StatsFormat::Prometheus => snap.to_prometheus(),
                 StatsFormat::Json => format!("{}\n", snap.to_json()),
@@ -1076,7 +1066,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             export,
             out,
         } => {
-            use csj_engine::Budget;
             let (engine, handles) = load_engine(&communities, eps, quarantine, None)?;
             let traces = if via_service {
                 use csj_service::{CsjService, Request, ServiceConfig};
@@ -1097,15 +1086,8 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 service.service_traces(last)
             } else {
-                let mut budget = Budget::unlimited();
-                if let Some(ms) = deadline_ms {
-                    budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-                }
-                if let Some(max) = max_joins {
-                    budget = budget.with_max_joins(max);
-                }
                 engine
-                    .top_k_similar_with_budget(handles[0], k, &budget)
+                    .top_k_similar_with_budget(handles[0], k, &budget(deadline_ms, max_joins))
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 engine.traces(last)
             };
@@ -1150,18 +1132,10 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             out,
             quarantine,
         } => {
-            use csj_engine::Budget;
             let (engine, handles) =
                 load_engine(&communities, eps, quarantine, Some(slow_threshold_us))?;
-            let mut budget = Budget::unlimited();
-            if let Some(ms) = deadline_ms {
-                budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            if let Some(max) = max_joins {
-                budget = budget.with_max_joins(max);
-            }
             engine
-                .top_k_similar_with_budget(handles[0], k, &budget)
+                .top_k_similar_with_budget(handles[0], k, &budget(deadline_ms, max_joins))
                 .map_err(|e| CliError::Io(e.to_string()))?;
             let records = engine.slow_queries(last);
             let (offered, captured, threshold_us) = engine.slow_query_stats();
@@ -1214,26 +1188,15 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             json,
             quarantine,
         } => {
-            use csj_engine::Budget;
-            use csj_obs::{default_windows, SloEngine};
             let (engine, handles) = load_engine(&communities, eps, quarantine, None)?;
-            let slo = SloEngine::new(csj_engine::engine_slos(), default_windows());
-            slo.observe(0, &engine.metrics_snapshot());
-            let mut budget = Budget::unlimited();
-            if let Some(ms) = deadline_ms {
-                budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            if let Some(max) = max_joins {
-                budget = budget.with_max_joins(max);
-            }
             engine
                 .pairs_above(threshold)
                 .map_err(|e| CliError::Io(e.to_string()))?;
             engine
-                .top_k_similar_with_budget(handles[0], 3, &budget)
+                .top_k_similar_with_budget(handles[0], 3, &budget(deadline_ms, max_joins))
                 .map_err(|e| CliError::Io(e.to_string()))?;
-            slo.observe(SLO_EVAL_US, &engine.metrics_snapshot());
-            let statuses = slo.evaluate(SLO_EVAL_US);
+            let statuses =
+                csj_obs::slo::evaluate(&csj_engine::engine_slos(), &engine.metrics_snapshot());
             if json {
                 Ok(slo_statuses_json(&statuses))
             } else {
@@ -1243,12 +1206,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     let _ = writeln!(s, "slo {status}");
                 }
                 let breached = statuses.iter().filter(|st| st.breached).count();
-                let _ = writeln!(
-                    s,
-                    "objectives={} windows={} breached={breached}",
-                    statuses.len() / slo.windows().len().max(1),
-                    slo.windows().len()
-                );
+                let _ = writeln!(s, "objectives={} breached={breached}", statuses.len());
                 Ok(s)
             }
         }
@@ -2694,21 +2652,6 @@ mod tests {
         let (b, a) = generated_pair("csj_cli_slo_test", 10);
         // max-joins 0 exhausts the top-k: 1 of 2 queries burns budget,
         // blowing the 5% exhausted_fraction objective.
-        let text = execute(Command::Slo {
-            communities: vec![b.clone(), a.clone()],
-            eps: 1,
-            threshold: 0.0,
-            deadline_ms: None,
-            max_joins: Some(0),
-            json: false,
-            quarantine: false,
-        })
-        .unwrap();
-        assert!(text.contains("slo exhausted_fraction/5m: burn"), "{text}");
-        assert!(text.contains("slo join_latency/1h: burn"), "{text}");
-        assert!(text.contains("BREACHED"), "{text}");
-        assert!(text.contains("objectives=2 windows=2 breached="), "{text}");
-
         let json = execute(Command::Slo {
             communities: vec![b, a],
             eps: 1,
@@ -2722,11 +2665,40 @@ mod tests {
         let v: serde_json::Value =
             serde_json::from_str(&json).expect("slo --json emits valid JSON");
         assert_eq!(v[0]["objective"].as_str(), Some("join_latency"), "{json}");
-        assert!(
-            json.contains("\"objective\":\"exhausted_fraction\""),
+        assert_eq!(
+            v[1]["objective"].as_str(),
+            Some("exhausted_fraction"),
             "{json}"
         );
-        assert!(json.contains("\"breached\":true"), "{json}");
+        assert_eq!(v[1]["bad"].as_u64(), Some(1), "{json}");
+        assert_eq!(v[1]["total"].as_u64(), Some(2), "{json}");
+        assert_eq!(v[1]["breached"].as_bool(), Some(true), "{json}");
+        assert_eq!(
+            v[2]["objective"].as_str(),
+            None,
+            "one entry per objective: {json}"
+        );
+    }
+
+    #[test]
+    fn slo_prints_one_row_per_objective() {
+        let (b, a) = generated_pair("csj_cli_slo_rows_test", 13);
+        let text = execute(Command::Slo {
+            communities: vec![b, a],
+            eps: 1,
+            threshold: 0.0,
+            deadline_ms: None,
+            max_joins: Some(0),
+            json: false,
+            quarantine: false,
+        })
+        .unwrap();
+        let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("slo ")).collect();
+        assert_eq!(rows.len(), 2, "{text}");
+        assert!(rows[0].starts_with("slo join_latency: "), "{text}");
+        assert!(rows[1].starts_with("slo exhausted_fraction: "), "{text}");
+        assert!(rows[1].ends_with("BREACHED"), "{text}");
+        assert!(text.ends_with("objectives=2 breached=1\n"), "{text}");
     }
 
     #[test]
@@ -2750,7 +2722,7 @@ mod tests {
             "{prom}"
         );
         assert!(
-            prom.contains("csj_slo_burn_rate{objective=\"join_latency\",window=\"5m\"}"),
+            prom.contains("csj_slo_burn_rate{objective=\"join_latency\"}"),
             "{prom}"
         );
 
@@ -2765,9 +2737,20 @@ mod tests {
         })
         .unwrap();
         assert!(
-            via.contains("csj_slo_burn_rate{objective=\"shed_fraction\",window=\"1h\"}"),
+            via.contains("csj_slo_burn_rate{objective=\"shed_fraction\"}"),
             "{via}"
         );
+        // One sample per objective in each evaluated family.
+        for family in [
+            "csj_slo_bad_fraction",
+            "csj_slo_burn_rate",
+            "csj_slo_breached",
+        ] {
+            let samples = via
+                .lines()
+                .filter(|l| l.starts_with(&format!("{family}{{")));
+            assert_eq!(samples.count(), 5, "{family}: {via}");
+        }
         assert!(
             via.contains("csj_slo_target{objective=\"request_latency\"}"),
             "{via}"

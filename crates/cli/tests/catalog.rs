@@ -1,5 +1,5 @@
 //! The metric catalog and the live registries agree: every series the
-//! engine, service, durability layer and SLO engine export belongs to a family declared in `csj_obs::catalog` with the
+//! engine, service, durability layer and SLO gauges export belongs to a family declared in `csj_obs::catalog` with the
 //! same kind and label keys, and every declared family is exported.
 //! Their merged Prometheus exposition, and what `csj stats` prints, is
 //! well-formed text format 0.0.4.
@@ -7,7 +7,7 @@
 use csj_core::Community;
 use csj_durability::{DurabilityConfig, DurableEngine};
 use csj_engine::{engine_slos, CsjEngine, EngineConfig, ShardFate};
-use csj_obs::{catalog, default_windows, Kind, MetricsSnapshot, SloEngine};
+use csj_obs::{catalog, slo, Kind, MetricsSnapshot};
 use csj_service::{service_slos, CsjService, Request, ServiceConfig};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
@@ -20,7 +20,7 @@ fn community(name: &str, rows: &[[u32; 2]]) -> Community {
 }
 
 /// Every registry's series in one snapshot: a service whose engine
-/// served each request kind, a durable engine and an SLO engine over
+/// served each request kind, a durable engine and the SLO gauges of
 /// both presets.
 fn merged_snapshot(tag: &str) -> MetricsSnapshot {
     let mut engine = CsjEngine::new(2, EngineConfig::new(1));
@@ -49,18 +49,14 @@ fn merged_snapshot(tag: &str) -> MetricsSnapshot {
         DurableEngine::open(&dir, 2, EngineConfig::new(1), DurabilityConfig::default()).unwrap();
     durable.register(community("c", &[[3, 3]])).unwrap();
 
-    let slo = SloEngine::new(
-        engine_slos()
-            .into_iter()
-            .chain(service_slos(250_000))
-            .collect(),
-        default_windows(),
-    );
+    let objectives: Vec<_> = engine_slos()
+        .into_iter()
+        .chain(service_slos(250_000))
+        .collect();
     let mut snap = service.metrics_snapshot();
-    slo.observe(0, &snap);
-    slo.evaluate(0);
+    let statuses = slo::evaluate(&objectives, &snap);
     snap.metrics.extend(durable.metrics_snapshot().metrics);
-    snap.metrics.extend(slo.snapshot().metrics);
+    snap.metrics.extend(slo::gauges(&statuses).metrics);
     std::fs::remove_dir_all(&dir).unwrap();
     snap
 }

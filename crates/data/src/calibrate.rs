@@ -2,20 +2,13 @@
 //!
 //! The paper reports *measured* similarities per couple; our substituted
 //! generators must land in the same bands for the reproduced tables to be
-//! comparable. Two tools:
-//!
-//! * [`uniform_value_range`] — closed-form inversion for the uniform
-//!   generator. Under independence, a `B` user matches a fixed `A` user
-//!   with probability `p^d` where `p = P(|X - Y| <= eps)` for
-//!   `X, Y ~ U[0, V]`, i.e. `p = 2r - r^2` with `r = eps / V` (for
-//!   `r <= 1`). With `|A| = na` candidates the per-user hit probability
-//!   is `1 - (1 - p^d)^na ≈ 1 - exp(-na * p^d)`; setting that equal to
-//!   the target similarity and solving backwards yields `V`.
-//! * [`pilot_similarity`] — measure the true similarity of a (sub)pair
-//!   with the exact MinMax method, for verifying a calibration or doing
-//!   a search over a generator knob.
-
-use csj_core::{run, Community, CsjMethod, CsjOptions};
+//! comparable. [`uniform_value_range`] is the closed-form inversion for
+//! the uniform generator. Under independence, a `B` user matches a fixed
+//! `A` user with probability `p^d` where `p = P(|X - Y| <= eps)` for
+//! `X, Y ~ U[0, V]`, i.e. `p = 2r - r^2` with `r = eps / V` (for
+//! `r <= 1`). With `|A| = na` candidates the per-user hit probability is
+//! `1 - (1 - p^d)^na ≈ 1 - exp(-na * p^d)`; setting that equal to the
+//! target similarity and solving backwards yields `V`.
 
 /// Closed-form value range for the uniform generator.
 ///
@@ -36,21 +29,6 @@ pub fn uniform_value_range(target_similarity: f64, na: usize, d: usize, eps: u32
     let r = 1.0 - (1.0 - p).sqrt();
     let v = (eps as f64 / r).round();
     (v.max(eps as f64) as u32).max(1)
-}
-
-/// Measure the exact CSJ similarity of a pair with Ex-MinMax (the paper's
-/// most practical exact method). Intended for calibration pilots and
-/// tests; runs the full join.
-pub fn pilot_similarity(b: &Community, a: &Community, eps: u32) -> f64 {
-    // Pilots join whatever pair they are handed: no size constraint.
-    let opts = CsjOptions {
-        enforce_sizes: false,
-        ..CsjOptions::new(eps)
-    };
-    run(CsjMethod::ExMinMax, b, a, &opts)
-        .expect("pilot communities share dimensionality")
-        .similarity
-        .ratio()
 }
 
 #[cfg(test)]
@@ -78,19 +56,5 @@ mod tests {
     fn value_range_is_at_least_eps() {
         let v = uniform_value_range(0.9, 10, 2, 500);
         assert!(v >= 500);
-    }
-
-    #[test]
-    fn pilot_measures_known_similarity() {
-        let mut b = Community::new("B", 2);
-        let mut a = Community::new("A", 2);
-        b.push(1, &[1, 1]).unwrap();
-        b.push(2, &[100, 100]).unwrap();
-        a.push(1, &[1, 2]).unwrap();
-        a.push(2, &[500, 500]).unwrap();
-        // One of two B users matches -> 50%.
-        assert_eq!(pilot_similarity(&b, &a, 1), 0.5);
-        let empty = Community::new("E", 2);
-        assert_eq!(pilot_similarity(&empty, &a, 1), 0.0);
     }
 }

@@ -16,14 +16,13 @@
 //!   community pairs hitting a target similarity.
 //! * [`uniform`] — the "Synthetic" counterpart: per-dimension uniform
 //!   counters with an analytically calibrated value range.
-//! * [`calibrate`] — the closed-form and pilot-based calibration used to
-//!   pick generator knobs from a target similarity.
+//! * [`calibrate`] — the closed-form calibration of the uniform
+//!   generator's value range from a target similarity.
 //! * [`pairs`] — turns a [`spec::CoupleSpec`] plus a scale factor into a
 //!   concrete `(B, A)` community pair on either dataset.
 //! * [`corpus`] — one coherent population with popularity-ranked pages,
 //!   where community similarity emerges from *real* subscriber overlap
 //!   (no planting).
-//! * [`sampling`] — seeded sub-sampling and splitting of communities.
 //! * [`io`] — CSV and compact binary (de)serialisation of communities.
 //! * [`stats`] — distribution statistics (per-category totals ranking —
 //!   the Table 1 reproduction — and per-dimension summaries).
@@ -33,7 +32,6 @@ pub mod categories;
 pub mod corpus;
 pub mod io;
 pub mod pairs;
-pub mod sampling;
 pub mod spec;
 pub mod stats;
 pub mod uniform;

@@ -17,9 +17,9 @@ use std::time::Instant;
 
 use csj_core::{Coverage, CsjMethod, JoinTelemetry, PhaseTimings};
 use csj_obs::{
-    catalog, ByLabel, Counter, CounterSelector, FlightRecorder, ForensicRecord, Gauge,
-    LatencyHistogram, LogHistogramCell, MetricsRegistry, MetricsSnapshot, Objective, QueryTrace,
-    SloSource, SlowQueryLog, Span,
+    catalog, ByLabel, Counter, FlightRecorder, ForensicRecord, Gauge, LatencyHistogram,
+    LogHistogramCell, MetricsRegistry, MetricsSnapshot, Objective, QueryTrace, Selector, SloSource,
+    SlowQueryLog, Span,
 };
 
 use csj_core::plan::{QueryPlan, DENSITY_THRESHOLD};
@@ -137,7 +137,7 @@ csj_obs::label_enum! {
 const MAX_JOIN_SPANS: usize = 256;
 
 /// The engine-side SLO preset, declared over the engine's own `csj_*`
-/// series so an [`csj_obs::SloEngine`] fed with
+/// families so [`csj_obs::slo::evaluate`] over
 /// [`CsjEngine::metrics_snapshot`](crate::CsjEngine::metrics_snapshot)
 /// needs no extra instrumentation:
 ///
@@ -149,8 +149,7 @@ pub fn engine_slos() -> Vec<Objective> {
             name: "join_latency".into(),
             target: 0.01,
             source: SloSource::LatencyAbove {
-                histogram: catalog::JOIN_LATENCY.name().into(),
-                labels: vec![],
+                histogram: Selector::all(&catalog::JOIN_LATENCY),
                 threshold_us: 100_000,
             },
         },
@@ -158,8 +157,8 @@ pub fn engine_slos() -> Vec<Objective> {
             name: "exhausted_fraction".into(),
             target: 0.05,
             source: SloSource::CounterFraction {
-                bad: CounterSelector::new(catalog::BUDGET_EXHAUSTED.name(), &[]),
-                total: CounterSelector::new(catalog::QUERIES.name(), &[]),
+                bad: Selector::all(&catalog::BUDGET_EXHAUSTED),
+                total: Selector::all(&catalog::QUERIES),
             },
         },
     ]

@@ -315,12 +315,12 @@ catalog! {
     // SLOs
     SLO_TARGET: FloatGauge["objective"] = "csj_slo_target",
         "Bad-event fraction budget of the objective.";
-    SLO_BAD_FRACTION: FloatGauge["objective", "window"] = "csj_slo_bad_fraction",
-        "Bad-event fraction over the window.";
-    SLO_BURN_RATE: FloatGauge["objective", "window"] = "csj_slo_burn_rate",
-        "Error-budget burn rate over the window (1.0 = budget consumed exactly at the allowed rate).";
-    SLO_BREACHED: Gauge["objective", "window"] = "csj_slo_breached",
-        "1 when the window's burn rate exceeds 1.0.";
+    SLO_BAD_FRACTION: FloatGauge["objective"] = "csj_slo_bad_fraction",
+        "Bad-event fraction of the objective's traffic.";
+    SLO_BURN_RATE: FloatGauge["objective"] = "csj_slo_burn_rate",
+        "Error-budget burn rate (1.0 = budget consumed exactly at the allowed rate).";
+    SLO_BREACHED: Gauge["objective"] = "csj_slo_breached",
+        "1 when the burn rate exceeds 1.0.";
 }
 
 #[cfg(test)]

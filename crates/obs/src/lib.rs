@@ -25,9 +25,9 @@
 //!   keeps only pathological traces (over-threshold or non-`completed`
 //!   outcome), so the interesting query survives eviction by thousands
 //!   of healthy ones.
-//! * **SLOs** ([`SloEngine`]) — declarative objectives over the
-//!   existing `csj_*` series, evaluated into multi-window burn rates
-//!   and exported as `csj_slo_*` gauges.
+//! * **SLOs** ([`slo::evaluate`]) — declarative objectives over
+//!   catalog families, evaluated from one snapshot into burn rates and
+//!   rendered as `csj_slo_*` gauges ([`slo::gauges`]).
 //! * **Export** ([`traces_to_chrome`], [`traces_to_jsonl`]) — span
 //!   trees serialized to Chrome `trace_event` JSON (opens in
 //!   `about://tracing`) or a greppable JSON-lines stream.
@@ -42,7 +42,7 @@ mod export;
 mod flight;
 mod forensics;
 mod metrics;
-mod slo;
+pub mod slo;
 mod span;
 
 pub use catalog::{Family, FamilyInfo, Label};
@@ -53,7 +53,5 @@ pub use metrics::{
     ByLabel, Counter, FloatGauge, Gauge, Instrument, Kind, LatencyHistogram, LogHistogramCell,
     MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue, LATENCY_BOUNDS_US,
 };
-pub use slo::{
-    default_windows, CounterSelector, Objective, SloEngine, SloSource, SloStatus, WindowSpec,
-};
+pub use slo::{Objective, Selector, SloSource, SloStatus};
 pub use span::{escape_json, AttrValue, QueryTrace, Span};

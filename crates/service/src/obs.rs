@@ -7,17 +7,17 @@ use std::time::Duration;
 
 use csj_core::CsjMethod;
 use csj_obs::{
-    catalog, ByLabel, Counter, CounterSelector, FlightRecorder, Gauge, Label, LatencyHistogram,
-    MetricsRegistry, MetricsSnapshot, Objective, QueryTrace, SloSource,
+    catalog, ByLabel, Counter, FlightRecorder, Gauge, Label, LatencyHistogram, MetricsRegistry,
+    MetricsSnapshot, Objective, QueryTrace, Selector, SloSource,
 };
 
 use crate::breaker::{BreakerState, Transition};
 use crate::request::Fate;
 
 /// The service's standard SLOs, declared over its own `csj_service_*`
-/// series so an [`csj_obs::SloEngine`] fed with
+/// families so [`csj_obs::slo::evaluate`] over
 /// [`CsjService::metrics_snapshot`](crate::CsjService::metrics_snapshot)
-/// can evaluate burn rates without any extra instrumentation:
+/// can compute burn rates without any extra instrumentation:
 ///
 /// * `request_latency` — ≤1% of requests slower than
 ///   `latency_threshold_us` (p99 end-to-end latency objective);
@@ -35,8 +35,7 @@ pub fn service_slos(latency_threshold_us: u64) -> Vec<Objective> {
             name: "request_latency".into(),
             target: 0.01,
             source: SloSource::LatencyAbove {
-                histogram: catalog::SERVICE_REQUEST.name().into(),
-                labels: vec![],
+                histogram: Selector::all(&catalog::SERVICE_REQUEST),
                 threshold_us: latency_threshold_us,
             },
         },
@@ -44,19 +43,16 @@ pub fn service_slos(latency_threshold_us: u64) -> Vec<Objective> {
             name: "degraded_fraction".into(),
             target: 0.10,
             source: SloSource::CounterFraction {
-                bad: CounterSelector::new(
-                    catalog::SERVICE_COMPLETED.name(),
-                    &[("outcome", Fate::Degraded.label())],
-                ),
-                total: CounterSelector::new(catalog::SERVICE_COMPLETED.name(), &[]),
+                bad: Selector::series(&catalog::SERVICE_COMPLETED, [Fate::Degraded.label()]),
+                total: Selector::all(&catalog::SERVICE_COMPLETED),
             },
         },
         Objective {
             name: "shed_fraction".into(),
             target: 0.05,
             source: SloSource::CounterFraction {
-                bad: CounterSelector::new(catalog::SERVICE_SHED.name(), &[]),
-                total: CounterSelector::new(catalog::SERVICE_SUBMITTED.name(), &[]),
+                bad: Selector::all(&catalog::SERVICE_SHED),
+                total: Selector::all(&catalog::SERVICE_SUBMITTED),
             },
         },
     ]

@@ -328,15 +328,15 @@ fn degraded_multi_pair_notes_name_the_screen_method() {
 }
 
 /// SLO burn rates must *reconcile* with the four-fates accounting: the
-/// `(bad, total)` pair behind every `csj_slo_*` burn rate is a delta of
+/// `(bad, total)` pair behind every `csj_slo_*` burn rate is read from
 /// the same counters that obey `admitted + shed == submitted` and
 /// "completed outcomes partition admitted", so a breached objective
-/// without matching fate counters would mean the SLO engine invented
+/// without matching fate counters would mean the SLO evaluation invented
 /// traffic. Chaos here is an overloaded 1-worker/1-slot service under
 /// zero-deadline pressure: sheds, degradeds and answereds all occur.
 #[test]
 fn slo_burn_rates_reconcile_with_the_four_fates() {
-    use csj_obs::{default_windows, SloEngine};
+    use csj_obs::{catalog, slo};
     use csj_service::service_slos;
 
     let (engine, x, y) = slow_engine();
@@ -352,8 +352,6 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
     // A 1µs latency threshold makes every completed request a bad
     // latency event — the latency objective must breach, and its burn
     // rate must still be explainable from the completion counters.
-    let slo = SloEngine::new(service_slos(1), default_windows());
-    slo.observe(0, &service.metrics_snapshot());
 
     // Occupy the worker and the queue slot, then flood (sheds), then
     // let the backlog drain and apply deadline pressure (degradeds).
@@ -397,10 +395,8 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
         assert!(note.contains("served by ap-minmax"), "{note}");
     }
 
-    // One evaluation window covering the whole soak.
     let snap = service.metrics_snapshot();
-    slo.observe(300_000_000, &snap);
-    let statuses = slo.evaluate(300_000_000);
+    let statuses = slo::evaluate(&service_slos(1), &snap);
 
     let submitted = snap.counter_value("csj_service_submitted_total", &[]);
     let admitted = snap.counter_value("csj_service_admitted_total", &[]);
@@ -413,22 +409,21 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
     assert!(shed > 0, "flooding a 1-worker/1-slot service must shed");
     assert!(degraded >= 3);
 
-    let five_min: Vec<_> = statuses.iter().filter(|s| s.window == "5m").collect();
-    assert_eq!(five_min.len(), 3, "one status per objective");
+    assert_eq!(statuses.len(), 3, "one status per objective");
     let mut breaches = 0;
-    for s in five_min {
+    for s in &statuses {
         match s.objective.as_str() {
             "shed_fraction" => {
-                assert_eq!(s.bad as u64, shed, "SLO bad == shed counter delta");
-                assert_eq!(s.total as u64, submitted);
+                assert_eq!(s.bad, shed, "SLO bad == shed counter");
+                assert_eq!(s.total, submitted);
             }
             "degraded_fraction" => {
-                assert_eq!(s.bad as u64, degraded);
-                assert_eq!(s.total as u64, answered + degraded + failed);
+                assert_eq!(s.bad, degraded);
+                assert_eq!(s.total, answered + degraded + failed);
             }
             "request_latency" => {
                 assert_eq!(
-                    s.total as u64,
+                    s.total,
                     answered + degraded + failed,
                     "latency histogram observes exactly the completed requests"
                 );
@@ -438,7 +433,7 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
         if s.breached {
             breaches += 1;
             assert!(
-                s.bad > 0.0,
+                s.bad > 0,
                 "a breached objective must have matching bad-fate counters, got {s}"
             );
         }
@@ -446,11 +441,14 @@ fn slo_burn_rates_reconcile_with_the_four_fates() {
     assert!(breaches >= 1, "1µs latency budget must breach under load");
 
     // The exported gauges agree with the evaluated statuses.
-    let slo_snap = slo.snapshot();
-    assert!(slo_snap
-        .metrics
-        .iter()
-        .any(|m| m.name == "csj_slo_burn_rate"));
+    let gauges = slo::gauges(&statuses);
+    for s in &statuses {
+        let objective = [s.objective.as_str()];
+        assert_eq!(
+            gauges.value(&catalog::SLO_BREACHED, objective),
+            u64::from(s.breached)
+        );
+    }
 }
 
 #[test]
