@@ -554,7 +554,7 @@ mod tests {
         assert!(CsjMethod::ExHybrid.is_exact());
         assert!(!CsjMethod::ApHybrid.is_exact());
         // Auto may resolve to an approximate method, so it must never
-        // count as exact (breaker gating, refine caching rely on this).
+        // count as exact (service degradation, refine caching rely on this).
         assert!(!CsjMethod::Auto.is_exact());
     }
 

@@ -73,7 +73,8 @@ pub struct DurableEngine {
     config: DurabilityConfig,
     obs: DurabilityObs,
     report: RecoveryReport,
-    #[cfg(feature = "fault-injection")]
+    /// Test hook: `None` unless [`DurableEngine::inject_fs_faults`] set
+    /// it.
     faults: Option<crate::fault::FsFaultPlan>,
 }
 
@@ -108,7 +109,6 @@ impl DurableEngine {
             config,
             obs,
             report,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         })
     }
@@ -136,9 +136,9 @@ impl DurableEngine {
         Ok(self.engine)
     }
 
-    /// Install a filesystem fault plan (torn WAL writes, snapshot
-    /// rename failures). Chaos harness only.
-    #[cfg(feature = "fault-injection")]
+    /// Test hook: install a filesystem fault plan (torn WAL writes,
+    /// snapshot rename failures).
+    #[doc(hidden)]
     pub fn inject_fs_faults(&mut self, plan: crate::fault::FsFaultPlan) {
         self.wal.inject_faults(plan.clone());
         self.faults = Some(plan);
@@ -276,17 +276,11 @@ impl DurableEngine {
                 })
                 .collect::<Result<Vec<_>, EngineError>>()?,
         };
-        #[cfg(feature = "fault-injection")]
-        let path = {
-            let fail = self
-                .faults
-                .as_ref()
-                .map(crate::fault::FsFaultPlan::rename_should_fail)
-                .unwrap_or(false);
-            crate::snapshot::write_snapshot_faulty(&self.dir, &image, fail)?
-        };
-        #[cfg(not(feature = "fault-injection"))]
-        let path = crate::snapshot::write_snapshot(&self.dir, &image)?;
+        let fail_rename = self
+            .faults
+            .as_ref()
+            .is_some_and(crate::fault::FsFaultPlan::rename_should_fail);
+        let path = crate::snapshot::write_snapshot_inner(&self.dir, &image, fail_rename)?;
         self.obs.on_snapshot();
         self.wal.reset_after_snapshot()?;
         let pruned = prune_snapshots(&self.dir, self.config.keep_snapshots.max(1))?;

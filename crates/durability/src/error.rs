@@ -32,9 +32,9 @@ pub enum DurabilityError {
         source: EngineError,
     },
     /// An injected filesystem fault fired (torn write, rename failure).
-    /// Produced only by the `fault-injection` chaos harness, never in
-    /// production. The write that triggered it is torn exactly the way
-    /// a real crash would tear it.
+    /// Produced only by the test hook `DurableEngine::inject_fs_faults`,
+    /// never in production. The write that triggered it is torn exactly
+    /// the way a real crash would tear it.
     InjectedCrash,
 }
 

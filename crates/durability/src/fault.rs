@@ -2,11 +2,12 @@
 //! durability layer — the disk-side sibling of
 //! `csj_engine::fault::FaultPlan`.
 //!
-//! Compiled only under the `fault-injection` cargo feature. A
-//! [`FsFaultPlan`] makes the WAL writer tear a write at an exact byte
-//! offset (what a power cut mid-`write(2)` leaves behind) and makes the
-//! snapshot store fail its atomic rename (what a crash between temp
-//! write and rename leaves behind). Corruption helpers ([`flip_bit`],
+//! A test hook, always compiled and inert until a test installs a plan
+//! with `DurableEngine::inject_fs_faults`. A [`FsFaultPlan`] makes the
+//! WAL writer tear a write at an exact byte offset (what a power cut
+//! mid-`write(2)` leaves behind) and makes the snapshot store fail its
+//! atomic rename (what a crash between temp write and rename leaves
+//! behind). Corruption helpers ([`flip_bit`],
 //! [`shear_tail`]) damage files after the fact, the way bit rot and
 //! lost tail pages do.
 //!

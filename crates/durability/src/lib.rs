@@ -29,7 +29,7 @@
 pub mod atomic;
 mod engine;
 mod error;
-#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
 pub mod fault;
 mod obs;
 pub mod record;

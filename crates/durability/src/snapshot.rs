@@ -62,17 +62,9 @@ pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> Result<PathBuf, Dura
     write_snapshot_inner(dir, image, false)
 }
 
-/// As [`write_snapshot`], but honoring an injected rename failure.
-#[cfg(feature = "fault-injection")]
-pub(crate) fn write_snapshot_faulty(
-    dir: &Path,
-    image: &SnapshotImage,
-    fail_rename: bool,
-) -> Result<PathBuf, DurabilityError> {
-    write_snapshot_inner(dir, image, fail_rename)
-}
-
-fn write_snapshot_inner(
+/// As [`write_snapshot`]; `fail_rename` (a test hook's flag) leaves the
+/// temp file behind and reports an injected crash instead of renaming.
+pub(crate) fn write_snapshot_inner(
     dir: &Path,
     image: &SnapshotImage,
     fail_rename: bool,

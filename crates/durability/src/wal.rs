@@ -220,7 +220,7 @@ pub struct Wal {
     next_seq: u64,
     /// Appends since the last fsync.
     unsynced: u32,
-    #[cfg(feature = "fault-injection")]
+    /// Test hook: `None` unless [`Wal::inject_faults`] set it.
     faults: Option<crate::fault::FsFaultPlan>,
 }
 
@@ -236,7 +236,6 @@ impl Wal {
             policy,
             next_seq,
             unsynced: 0,
-            #[cfg(feature = "fault-injection")]
             faults: None,
         })
     }
@@ -256,9 +255,8 @@ impl Wal {
         self.policy
     }
 
-    /// Install a filesystem fault plan (torn writes). Chaos harness
-    /// only.
-    #[cfg(feature = "fault-injection")]
+    /// Test hook: install a filesystem fault plan (torn writes).
+    #[doc(hidden)]
     pub fn inject_faults(&mut self, plan: crate::fault::FsFaultPlan) {
         self.faults = Some(plan);
     }
@@ -279,7 +277,6 @@ impl Wal {
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
 
-        #[cfg(feature = "fault-injection")]
         if let Some(plan) = &self.faults {
             if let Some(grant) = plan.take_wal_budget(frame.len()) {
                 if grant < frame.len() {

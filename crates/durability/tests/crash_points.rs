@@ -7,12 +7,13 @@
 //!
 //! Crash points are modelled three ways: truncating the WAL at every
 //! byte offset (torn write), flipping arbitrary bits (media
-//! corruption), and — under `--features fault-injection` — injected
-//! mid-`write` crashes and snapshot rename failures.
+//! corruption), and injected mid-`write` crashes and snapshot rename
+//! failures.
 
 use std::path::{Path, PathBuf};
 
 use csj_core::Community;
+use csj_durability::fault;
 use csj_durability::record::{decode_record, encode_record, WalOp, WalRecord};
 use csj_durability::{
     recover_dir, DurabilityConfig, DurableEngine, FsyncPolicy, TailReason, WAL_FILE,
@@ -171,9 +172,8 @@ proptest! {
         let wal = dir.join(WAL_FILE);
         let full = std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0);
         let cut = full * cut_pct / 100;
-        let f = std::fs::OpenOptions::new().write(true).open(&wal);
-        if let Ok(f) = f {
-            f.set_len(cut).unwrap();
+        if full > cut {
+            fault::shear_tail(&wal, full - cut).unwrap();
         }
 
         let (fp, report) = recovered_fingerprint(&dir);
@@ -199,9 +199,7 @@ proptest! {
         let full = std::fs::metadata(&wal).map(|m| m.len()).unwrap_or(0);
         if full > 0 {
             let pos = (full * pos_pct / 100).min(full - 1);
-            let mut bytes = std::fs::read(&wal).unwrap();
-            bytes[pos as usize] ^= 1 << bit;
-            std::fs::write(&wal, &bytes).unwrap();
+            fault::flip_bit(&wal, pos, bit).unwrap();
         }
 
         let (fp, report) = recovered_fingerprint(&dir);
@@ -264,7 +262,6 @@ fn interval_fsync_still_recovers_a_prefix() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[cfg(feature = "fault-injection")]
 mod injected {
     use super::*;
     use csj_durability::fault::FsFaultPlan;
@@ -493,8 +490,8 @@ mod injected {
         drop(engine);
         let wal = dir.join(WAL_FILE);
         let len = std::fs::metadata(&wal).unwrap().len();
-        csj_durability::fault::shear_tail(&wal, 3).unwrap();
-        csj_durability::fault::flip_bit(&wal, len / 2, 4).unwrap();
+        fault::shear_tail(&wal, 3).unwrap();
+        fault::flip_bit(&wal, len / 2, 4).unwrap();
         let (_, report) = recovered_fingerprint(&dir);
         assert!(report.bytes_discarded > 0);
         assert!(report.wal_tail != TailReason::CleanEof);

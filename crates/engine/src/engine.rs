@@ -32,7 +32,6 @@ use csj_shard::{ShardConfig, ShardExecutor, ShardOutcome};
 
 use crate::budget::{exhausted_marker, Budget, BudgetExhausted, ExhaustReason, Partial};
 use crate::error::EngineError;
-#[cfg(feature = "fault-injection")]
 use crate::fault::FaultPlan;
 use crate::obs::{outcome_label, EngineObs, ObsConfig, QueryKind, QueryRecorder};
 
@@ -256,9 +255,9 @@ pub struct CsjEngine {
     telemetry: Mutex<JoinTelemetry>,
     /// Metrics registry + flight recorder (see [`ObsConfig`]).
     obs: EngineObs,
-    #[cfg(feature = "fault-injection")]
+    /// Test hooks: `None` unless [`CsjEngine::inject_faults`] /
+    /// [`CsjEngine::inject_shard_faults`] set them.
     faults: Option<FaultPlan>,
-    #[cfg(feature = "fault-injection")]
     shard_faults: Option<Arc<csj_shard::ShardFaultPlan>>,
 }
 
@@ -278,9 +277,7 @@ impl CsjEngine {
             cache_hits: AtomicU64::new(0),
             screen_cache_hits: AtomicU64::new(0),
             telemetry: Mutex::new(JoinTelemetry::default()),
-            #[cfg(feature = "fault-injection")]
             faults: None,
-            #[cfg(feature = "fault-injection")]
             shard_faults: None,
         }
     }
@@ -490,7 +487,6 @@ impl CsjEngine {
 
     /// Fire any injected faults registered for `handle`. Called just
     /// before each join, inside the per-candidate isolation boundary.
-    #[cfg(feature = "fault-injection")]
     fn fault_hook(&self, handle: u32) -> Result<(), EngineError> {
         match &self.faults {
             Some(plan) => {
@@ -502,12 +498,6 @@ impl CsjEngine {
             }
             None => Ok(()),
         }
-    }
-
-    #[cfg(not(feature = "fault-injection"))]
-    #[inline(always)]
-    fn fault_hook(&self, _handle: u32) -> Result<(), EngineError> {
-        Ok(())
     }
 
     /// Run `join` inside the per-pair panic boundary: a panic is
@@ -1661,9 +1651,8 @@ impl CsjEngine {
         rec: &QueryRecorder,
         task: impl Fn(&[M]) -> T + Sync,
     ) -> (Vec<Result<T, ShardOutcome>>, ShardRun) {
-        let executor = ShardExecutor::new(self.config.threads);
-        #[cfg(feature = "fault-injection")]
-        let executor = executor.with_faults(self.shard_faults.clone());
+        let executor =
+            ShardExecutor::new(self.config.threads).with_faults(self.shard_faults.clone());
         let start = rec.now_us();
         let reports = executor.run(shards.len(), &budget.cancel_token(), |shard| {
             task(&shards[shard])
@@ -1775,28 +1764,31 @@ fn pair_task_target(shards: usize, workers: usize) -> usize {
     }
 }
 
-#[cfg(feature = "fault-injection")]
+/// Test hooks: fault plans for chaos tests. An engine no test touched
+/// has none installed, and each hook then costs one `None` check.
 impl CsjEngine {
-    /// Install a chaos plan; subsequent joins hit its faults. Part of
-    /// the fault-injection test harness, compiled only under the
-    /// `fault-injection` feature.
+    /// Test hook: install a chaos plan; subsequent joins hit its faults.
+    #[doc(hidden)]
     pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
     }
 
-    /// Remove any installed chaos plan.
+    /// Test hook: remove any installed chaos plan.
+    #[doc(hidden)]
     pub fn clear_faults(&mut self) {
         self.faults = None;
     }
 
-    /// Install a shard-boundary chaos plan; subsequent *sharded*
-    /// queries dispatch their shards through it (kills, stalls,
-    /// injected panics). Compiled only under the `fault-injection` feature.
+    /// Test hook: install a shard-boundary chaos plan; subsequent
+    /// *sharded* queries dispatch their shards through it (kills,
+    /// stalls, injected panics).
+    #[doc(hidden)]
     pub fn inject_shard_faults(&mut self, plan: csj_shard::ShardFaultPlan) {
         self.shard_faults = Some(Arc::new(plan));
     }
 
-    /// Remove any installed shard chaos plan.
+    /// Test hook: remove any installed shard chaos plan.
+    #[doc(hidden)]
     pub fn clear_shard_faults(&mut self) {
         self.shard_faults = None;
     }

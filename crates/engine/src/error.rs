@@ -19,7 +19,7 @@ pub enum EngineError {
     /// per-candidate isolation boundary and the rest of the query ran on.
     JoinPanicked { handle: u32, message: String },
     /// An injected fault fired for this handle. Produced only by the
-    /// `fault-injection` chaos harness, never in production.
+    /// test hook `CsjEngine::inject_faults`, never in production.
     Faulted { handle: u32 },
     /// The query's budget was exhausted or its token tripped before this
     /// join ran. Internal to budgeted execution — public query APIs

@@ -1,11 +1,12 @@
 //! Deterministic fault injection for chaos-testing the engine.
 //!
-//! Compiled only under the `fault-injection` cargo feature, and meant
-//! for tests: a [`FaultPlan`] tells the engine to panic, error, or
-//! stall whenever a join touches a specific community handle, so tests
-//! can assert that one poisoned candidate never takes down the rest of
-//! a query. The hook fires inside the engine's per-candidate isolation
-//! boundary — exactly where a real bug in a join kernel would surface.
+//! A test hook, always compiled and inert until a test installs a plan
+//! with `CsjEngine::inject_faults`: a [`FaultPlan`] tells the engine to
+//! panic, error, or stall whenever a join touches a specific community
+//! handle, so tests can assert that one poisoned candidate never takes
+//! down the rest of a query. The hook fires inside the engine's
+//! per-candidate isolation boundary — exactly where a real bug in a join
+//! kernel would surface.
 //!
 //! ```no_run
 //! # use csj_engine::{CsjEngine, EngineConfig};
@@ -33,8 +34,7 @@ pub struct FaultPlan {
     /// Transient panic budgets: the handle panics while its counter is
     /// positive, then behaves normally. `Arc` so clones of the plan
     /// (and the engine's installed copy) share one budget — this is
-    /// what lets a circuit breaker observe a fault that *heals*, and
-    /// therefore recover.
+    /// what lets a test observe a fault that *heals*.
     panic_budget: HashMap<u32, Arc<AtomicU64>>,
     error_on: HashSet<u32>,
     slow_on: HashMap<u32, Duration>,
@@ -55,8 +55,8 @@ impl FaultPlan {
     /// Panic on the first `n` joins touching `handle`, then heal: later
     /// joins run normally. The budget is shared across clones of the
     /// plan, so installing the plan into an engine does not reset it.
-    /// This models the transient fault a circuit breaker is designed
-    /// for — trip while the handle is broken, recover once it heals.
+    /// This models a transient fault: the handle is broken for `n`
+    /// joins, then healed.
     pub fn panic_n_times(mut self, handle: u32, n: u64) -> Self {
         self.panic_budget
             .insert(handle, Arc::new(AtomicU64::new(n)));

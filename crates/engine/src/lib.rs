@@ -30,10 +30,10 @@
 //! query has a `*_with_budget` variant taking a [`Budget`] (wall-clock
 //! deadline, join cap, cooperative cancellation) and returning a
 //! [`Partial`] that degrades gracefully on exhaustion instead of
-//! erroring. Joins are panic-isolated per candidate, and the
-//! `fault-injection` cargo feature compiles in a chaos-testing harness
-//! (the `fault` module) that injects panics, errors, and slowdowns into
-//! joins.
+//! erroring. Joins are panic-isolated per candidate. Tests exercise
+//! that isolation through runtime hooks (the hidden `fault` module and
+//! `CsjEngine::inject_faults`) that inject panics, errors, and
+//! slowdowns into joins; an engine no test has touched carries no plan.
 //!
 //! For fault *isolation* beyond the per-join boundary, every multi-pair
 //! query partitions its work into mass-balanced shards, each run once
@@ -46,7 +46,7 @@
 mod budget;
 mod engine;
 mod error;
-#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
 pub mod fault;
 mod obs;
 mod tracked;
@@ -55,7 +55,7 @@ pub use budget::{Budget, BudgetExhausted, CancelToken, ExhaustReason, Partial};
 pub use csj_core::plan::{Exactness, PlanInput, QueryPlan};
 pub use csj_core::{Coverage, ShardLayout};
 pub use csj_obs::{CaptureCause, ForensicRecord, MetricsSnapshot, QueryTrace};
-#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
 pub use csj_shard::ShardFaultPlan;
 pub use csj_shard::{ShardConfig, ShardOutcome, ShardReport};
 pub use engine::{

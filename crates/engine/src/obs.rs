@@ -318,7 +318,6 @@ impl EngineObs {
         }
     }
 
-    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
     pub(crate) fn on_fault(&self) {
         if self.enabled {
             self.faults.inc();

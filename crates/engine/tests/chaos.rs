@@ -1,12 +1,5 @@
 //! Chaos tests: injected panics, errors, and slowdowns must degrade
 //! per-candidate, never abort a query or poison the engine.
-//!
-//! Compiled only with the fault-injection harness:
-//!
-//! ```text
-//! cargo test -p csj-engine --features fault-injection
-//! ```
-#![cfg(feature = "fault-injection")]
 
 use std::time::Duration;
 

@@ -336,7 +336,6 @@ proptest! {
 }
 
 /// Fault injection: losses shrink coverage, never corrupt survivors.
-#[cfg(feature = "fault-injection")]
 mod faults {
     use super::*;
     use csj_engine::{PairScore, ShardFaultPlan};

@@ -232,7 +232,7 @@ catalog! {
     JOIN_PANICS: Counter[] = "csj_join_panics_total",
         "Joins that panicked and were contained at the per-candidate boundary.";
     FAULTS: Counter[] = "csj_faults_total",
-        "Injected faults fired (fault-injection builds only).";
+        "Injected faults fired (test hooks only; zero in production).";
     CACHE_HITS: Counter[] = "csj_cache_hits_total",
         "Exact-similarity queries served from the cache.";
     SCREEN_CACHE_HITS: Counter[] = "csj_screen_cache_hits_total",
@@ -284,9 +284,7 @@ catalog! {
     SERVICE_COMPLETED: Counter["outcome"] = "csj_service_completed_total",
         "Admitted requests resolved, by outcome.";
     SERVICE_DEGRADED: Counter["trigger"] = "csj_service_degraded_total",
-        "Exact requests served by their approximate counterpart, by trigger.";
-    SERVICE_BREAKER_TRANSITIONS: Counter["method", "to"] = "csj_service_breaker_transitions_total",
-        "Circuit-breaker state transitions, by method and target state.";
+        "Degradation decisions, by trigger (a degraded pass that then fails still counts).";
     SERVICE_QUEUE_DEPTH: Gauge[] = "csj_service_queue_depth",
         "Requests currently waiting in the admission queue.";
     SERVICE_INFLIGHT: Gauge[] = "csj_service_inflight",

@@ -1,7 +1,6 @@
-//! Service tuning knobs: worker pool and admission queue sizing, the
-//! request deadline and circuit-breaker thresholds. Degradation has no
-//! knobs: it is always on, and always serves the approximate
-//! counterpart.
+//! Service tuning knobs: worker pool and admission queue sizing and the
+//! request deadline. Degradation has no knobs: it is always on, and
+//! always serves the approximate counterpart.
 
 use std::time::Duration;
 
@@ -21,8 +20,6 @@ pub struct ServiceConfig {
     /// submission, so time spent queued counts). `None` means requests
     /// run unbounded.
     pub default_deadline: Option<Duration>,
-    /// Per-method circuit breaker thresholds.
-    pub breaker: BreakerConfig,
     /// Flight-recorder depth for service-level request traces.
     pub flight_capacity: usize,
 }
@@ -33,7 +30,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline: None,
-            breaker: BreakerConfig::default(),
             flight_capacity: 128,
         }
     }
@@ -46,31 +42,6 @@ impl ServiceConfig {
         self.queue_capacity = self.queue_capacity.max(1);
         self.flight_capacity = self.flight_capacity.max(1);
         self
-    }
-}
-
-/// Per-method circuit-breaker thresholds (closed → open → half-open).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Sliding window of recent outcomes tracked per method.
-    pub window: usize,
-    /// Failures within the window that trip the breaker open.
-    pub failure_threshold: usize,
-    /// How long an open breaker rejects before allowing probes.
-    pub cooldown: Duration,
-    /// Consecutive probe successes in half-open that close the breaker
-    /// (also the cap on concurrent probes).
-    pub probes: usize,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        Self {
-            window: 16,
-            failure_threshold: 5,
-            cooldown: Duration::from_millis(250),
-            probes: 2,
-        }
     }
 }
 

@@ -15,28 +15,23 @@
 //!
 //! * [`BoundedQueue`] — admission control: a full queue sheds instantly
 //!   with [`ServiceError::Overloaded`] and a `retry_after` hint.
-//! * [`CircuitBreaker`] — per-method closed → open → half-open breaker
-//!   fed by `JoinPanicked` outcomes; open breakers route Ex-* requests
-//!   to their approximate counterpart instead.
 //! * [`CsjService`] — the worker pool tying it together; every request
 //!   resolves to exactly one of {answered, degraded-answered, shed,
-//!   failed-typed}, and no panic escapes. A request degrades (open
-//!   breaker, deadline pressure, or an exact pass that ran out of its
-//!   deadline share) to exactly one approximate pass; nothing is
-//!   retried.
+//!   failed-typed}, and no panic escapes. A request degrades (deadline
+//!   pressure, an exact pass that ran out of its deadline share, or an
+//!   exact pass that panicked or faulted) to exactly one approximate
+//!   pass; nothing is retried.
 //! * [`ServiceObs`] — `csj_service_*` metrics plus a request-level
 //!   flight recorder; merged with the engine's snapshot by
 //!   [`CsjService::metrics_snapshot`].
 
-mod breaker;
 mod config;
 mod obs;
 mod queue;
 mod request;
 mod service;
 
-pub use breaker::{Admission, BreakerState, CircuitBreaker, Transition};
-pub use config::{BreakerConfig, ServiceConfig};
+pub use config::ServiceConfig;
 pub use obs::{service_slos, DegradeTrigger, ServiceObs};
 pub use queue::{BoundedQueue, PushError};
 pub use request::{Fate, Request, Response, ResponseValue, ServiceError};

@@ -1,17 +1,15 @@
-//! Service-level observability: every admission-control, degradation
-//! and breaker decision lands in a `csj_service_*` metric
-//! and on the request's flight-recorder trace.
+//! Service-level observability: every admission-control and
+//! degradation decision lands in a `csj_service_*` metric and on the
+//! request's flight-recorder trace.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use csj_core::CsjMethod;
 use csj_obs::{
     catalog, ByLabel, Counter, FlightRecorder, Gauge, Label, LatencyHistogram, MetricsRegistry,
     MetricsSnapshot, Objective, QueryTrace, Selector, SloSource,
 };
 
-use crate::breaker::{BreakerState, Transition};
 use crate::request::Fate;
 
 /// The service's standard SLOs, declared over its own `csj_service_*`
@@ -61,8 +59,8 @@ pub fn service_slos(latency_threshold_us: u64) -> Vec<Objective> {
 csj_obs::label_enum! {
     /// Degradation triggers (metrics label values).
     pub enum DegradeTrigger {
-        /// The primary method's breaker was open.
-        Breaker => "breaker",
+        /// The exact primary pass panicked or hit an injected fault.
+        Failure => "failure",
         /// Not enough deadline left for an exact attempt (or the exact
         /// attempt exhausted its budget slice).
         Deadline => "deadline",
@@ -81,37 +79,6 @@ impl Label<1> for Fate {
     }
 }
 
-/// Breakers guard the exact methods only, so only their transitions
-/// have series.
-const EXACT: [CsjMethod; 4] = [
-    CsjMethod::ExBaseline,
-    CsjMethod::ExMinMax,
-    CsjMethod::ExSuperEgo,
-    CsjMethod::ExHybrid,
-];
-const STATES: &[BreakerState] = <BreakerState as Label<1>>::ALL;
-
-impl Label<2> for Transition {
-    const ALL: &'static [Self] = &{
-        let mut all = [Transition {
-            method: CsjMethod::ExBaseline,
-            to: BreakerState::Closed,
-        }; EXACT.len() * STATES.len()];
-        let mut i = 0;
-        while i < all.len() {
-            all[i] = Transition {
-                method: EXACT[i / STATES.len()],
-                to: STATES[i % STATES.len()],
-            };
-            i += 1;
-        }
-        all
-    };
-    fn values(self) -> [&'static str; 2] {
-        [self.method.name(), self.to.label()]
-    }
-}
-
 /// Registry + flight recorder for the service layer. Engine metrics
 /// stay in the engine's own registry; [`ServiceObs::snapshot`] output
 /// is concatenated with the engine snapshot by the service.
@@ -123,7 +90,6 @@ pub struct ServiceObs {
     shed: Arc<Counter>,
     completed: ByLabel<Counter, Fate>,
     degraded: ByLabel<Counter, DegradeTrigger>,
-    transitions: ByLabel<Counter, Transition, 2>,
     queue_depth: Arc<Gauge>,
     inflight: Arc<Gauge>,
     queue_wait: Arc<LatencyHistogram>,
@@ -143,7 +109,6 @@ impl ServiceObs {
             shed: r.register(&SERVICE_SHED, []),
             completed: r.register_each(&SERVICE_COMPLETED),
             degraded: r.register_each(&SERVICE_DEGRADED),
-            transitions: r.register_each(&SERVICE_BREAKER_TRANSITIONS),
             queue_depth: r.register(&SERVICE_QUEUE_DEPTH, []),
             inflight: r.register(&SERVICE_INFLIGHT, []),
             queue_wait: r.register(&SERVICE_QUEUE_WAIT, []),
@@ -178,10 +143,6 @@ impl ServiceObs {
         self.degraded.get(trigger).inc();
     }
 
-    pub(crate) fn on_transition(&self, t: Transition) {
-        self.transitions.get(t).inc();
-    }
-
     pub(crate) fn on_completed(&self, fate: Fate, latency: Duration) {
         self.request_latency.observe(latency);
         self.completed.get(fate).inc();
@@ -212,31 +173,20 @@ mod tests {
         obs.on_submitted();
         obs.on_admitted(1);
         obs.on_shed();
-        obs.on_degraded(DegradeTrigger::Breaker);
+        obs.on_degraded(DegradeTrigger::Failure);
         obs.on_degraded(DegradeTrigger::Deadline);
         obs.on_degraded(DegradeTrigger::Coverage);
-        obs.on_transition(Transition {
-            method: CsjMethod::ExMinMax,
-            to: BreakerState::Open,
-        });
         obs.on_dequeued(0, Duration::from_micros(50));
         obs.on_completed(Fate::Answered, Duration::from_micros(200));
         let snap = obs.snapshot();
         assert_eq!(snap.counter_value("csj_service_submitted_total", &[]), 1);
         assert_eq!(snap.counter_value("csj_service_shed_total", &[]), 1);
         assert_eq!(
-            snap.counter_value("csj_service_degraded_total", &[("trigger", "breaker")]),
+            snap.counter_value("csj_service_degraded_total", &[("trigger", "failure")]),
             1
         );
         assert_eq!(
             snap.counter_value("csj_service_degraded_total", &[("trigger", "coverage")]),
-            1
-        );
-        assert_eq!(
-            snap.counter_value(
-                "csj_service_breaker_transitions_total",
-                &[("method", "ex-minmax"), ("to", "open")]
-            ),
             1
         );
         assert_eq!(
@@ -247,24 +197,5 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("# TYPE csj_service_queue_wait_seconds histogram"));
         assert!(prom.contains("csj_service_request_seconds_bucket{le=\"+Inf\"}"));
-    }
-
-    #[test]
-    fn ap_methods_have_no_breaker_series() {
-        let obs = ServiceObs::new(1);
-        // Recording a transition for an Ap method is a no-op, not a panic.
-        obs.on_transition(Transition {
-            method: CsjMethod::ApMinMax,
-            to: BreakerState::Open,
-        });
-        assert_eq!(
-            obs.snapshot()
-                .find(
-                    "csj_service_breaker_transitions_total",
-                    &[("method", "ap-minmax")]
-                )
-                .map(|_| ()),
-            None
-        );
     }
 }

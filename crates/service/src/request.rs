@@ -54,7 +54,8 @@ impl Request {
 
     /// The method this request's *primary* (non-degraded) path runs:
     /// the explicit method for similarity, the engine's refine method
-    /// otherwise. This is the method whose breaker gates the request.
+    /// otherwise. Only a request whose primary method is exact can
+    /// degrade to an approximate pass.
     pub fn primary_method(&self, refine_method: CsjMethod) -> CsjMethod {
         match self {
             Request::Similarity {
@@ -99,8 +100,9 @@ pub struct Response {
     /// reach at least half the maximum). Also `true`, with trigger
     /// `"coverage"`, when a sharded answer lost shards.
     pub degraded: bool,
-    /// What forced the degradation: `"breaker"`, `"deadline"` or
-    /// `"coverage"` (`None` when not degraded).
+    /// What forced the degradation: `"failure"` (the exact pass
+    /// panicked or faulted), `"deadline"` or `"coverage"` (`None` when
+    /// not degraded).
     pub degrade_trigger: Option<&'static str>,
     /// Why and how the answer was degraded (`None` when not degraded).
     pub degrade_note: Option<String>,

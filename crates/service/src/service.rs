@@ -6,19 +6,18 @@
 //! ```text
 //! submit ──► admission queue ──► workers ──► engine
 //!    │            (bounded)         │
-//!    └─ full? shed with             ├─ open breaker (exact method) ─┐
-//!       Overloaded{retry_after}     ├─ deadline pressure ───────────┼─► approximate
-//!                                   │                               │   counterpart
-//!                                   ├─ primary pass exhausted ──────┘
+//!    └─ full? shed with             ├─ deadline pressure ───────────┐
+//!       Overloaded{retry_after}     ├─ exact pass exhausted ────────┼─► approximate
+//!                                   ├─ exact pass panicked/faulted ─┘   counterpart
 //!                                   └─ catch_unwind (no panic escapes)
 //! ```
 //!
 //! Every submitted request resolves to exactly one of four fates —
 //! answered, degraded-answered, shed, or failed-typed — and every
-//! decision on the way (admit/shed/degrade/trip/reset) is counted in a
+//! decision on the way (admit/shed/degrade) is counted in a
 //! `csj_service_*` metric and stamped on the request's flight-recorder
-//! trace. The service never retries: a failed primary pass is a typed
-//! failure, and a degraded request runs one approximate pass.
+//! trace. The service never retries: a degraded request runs one
+//! approximate pass, and if that fails too the request fails typed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +31,6 @@ use csj_engine::{
 };
 use csj_obs::Span;
 
-use crate::breaker::{Admission, BreakerState, CircuitBreaker};
 use crate::config::ServiceConfig;
 use crate::obs::{DegradeTrigger, ServiceObs};
 use crate::queue::{BoundedQueue, PushError};
@@ -42,7 +40,6 @@ use crate::request::{Fate, Request, Response, ResponseValue, ServiceError};
 struct Shared {
     config: ServiceConfig,
     queue: BoundedQueue<Job>,
-    breaker: CircuitBreaker,
     obs: ServiceObs,
     /// EWMA of per-request service time, microseconds (0 = no data yet).
     ewma_us: AtomicU64,
@@ -89,7 +86,6 @@ impl CsjService {
         let engine = Arc::new(engine);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
-            breaker: CircuitBreaker::new(config.breaker),
             obs: ServiceObs::new(config.flight_capacity),
             ewma_us: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
@@ -167,11 +163,6 @@ impl CsjService {
     /// Current admission-queue depth.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.len()
-    }
-
-    /// Current breaker state for one method.
-    pub fn breaker_state(&self, method: CsjMethod) -> BreakerState {
-        self.shared.breaker.state(method)
     }
 
     /// Merged point-in-time snapshot: every engine `csj_*` series plus
@@ -271,59 +262,30 @@ const EXACT_FRACTION: f64 = 0.6;
 /// request degrades at once (trigger `deadline`).
 const MIN_EXACT_SLACK: Duration = Duration::from_millis(5);
 
-/// Run one admitted request: the breaker gate, deadline pressure, one
-/// primary pass, and the approximate counterpart when any of them
-/// degrades the request. Called under the worker's panic boundary.
+/// Run one admitted request: deadline pressure, one primary pass, and
+/// the approximate counterpart when the request degrades. Called under
+/// the worker's panic boundary.
 fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, ServiceError> {
     let method = job.request.primary_method(engine.config().refine_method);
 
-    // Breaker gate: only exact methods are gated (their approximate
-    // counterparts are what degraded requests run).
-    let (admission, transition) = if method.is_exact() {
-        shared.breaker.admit(method)
-    } else {
-        (Admission::Allow, None)
-    };
-    if let Some(t) = transition {
-        shared.obs.on_transition(t);
-    }
-    if admission == Admission::Reject {
-        return degrade(engine, shared, job, method, DegradeTrigger::Breaker);
-    }
-    let was_probe = admission == Admission::Probe;
-    // The breaker outcome must be recorded exactly once per request
-    // (probes reserve quota at admission).
-    let record_breaker = |failure: bool| {
-        if method.is_exact() {
-            if let Some(t) = shared.breaker.record(method, was_probe, failure) {
-                shared.obs.on_transition(t);
-            }
-        }
-    };
-
     // Deadline pressure: when an exact pass cannot possibly finish in
-    // the remaining slack, degrade at once. Probes are exempt: a probe
-    // exists to test the exact path.
-    if !was_probe
-        && method.is_exact()
-        && job.deadline.is_some_and(|d| remaining(d) < MIN_EXACT_SLACK)
-    {
-        record_breaker(false);
+    // the remaining slack, degrade at once.
+    if method.is_exact() && job.deadline.is_some_and(|d| remaining(d) < MIN_EXACT_SLACK) {
         return degrade(engine, shared, job, method, DegradeTrigger::Deadline);
     }
 
-    let (value, exhausted, had_panics, coverage) =
+    let (value, exhausted, coverage) =
         match run_primary(engine, &job.request, method, &primary_budget(job.deadline)) {
             Ok(primary) => primary,
-            Err(e) => {
-                record_breaker(matches!(
-                    e,
-                    EngineError::JoinPanicked { .. } | EngineError::Faulted { .. }
-                ));
-                return Err(ServiceError::Engine(e));
+            // Joins are deterministic, so a panicked or faulted exact
+            // pass would fail again: serve the counterpart once instead.
+            Err(EngineError::JoinPanicked { .. } | EngineError::Faulted { .. })
+                if method.is_exact() =>
+            {
+                return degrade(engine, shared, job, method, DegradeTrigger::Failure);
             }
+            Err(e) => return Err(ServiceError::Engine(e)),
         };
-    record_breaker(had_panics);
     let response = Response {
         value,
         degraded: false,
@@ -357,9 +319,8 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
     }
 }
 
-/// One primary (non-degraded) pass:
-/// `(value, exhaustion, had_panics, coverage)`.
-type Primary = (ResponseValue, Option<ExhaustReason>, bool, Option<Coverage>);
+/// One primary (non-degraded) pass: `(value, exhaustion, coverage)`.
+type Primary = (ResponseValue, Option<ExhaustReason>, Option<Coverage>);
 
 fn run_primary(
     engine: &CsjEngine,
@@ -370,24 +331,18 @@ fn run_primary(
     match request {
         Request::Similarity { x, y, .. } => {
             let s = engine.similarity_with(*x, *y, method)?;
-            Ok((ResponseValue::Similarity(s), None, false, None))
+            Ok((ResponseValue::Similarity(s), None, None))
         }
         Request::TopK { x, k } => {
             let partial = engine.top_k_similar_with_budget(*x, *k, budget)?;
             Ok((
                 ResponseValue::Ranking(partial.value),
                 partial.exhausted.map(|m| m.reason),
-                false,
                 partial.coverage,
             ))
         }
         Request::PairsAbove { threshold } => {
             let partial = engine.pairs_above_with_budget(*threshold, budget, None)?;
-            let had_panics = partial
-                .value
-                .failed
-                .iter()
-                .any(|(_, _, e)| matches!(e, EngineError::JoinPanicked { .. }));
             // The answer is not resumed: keep every pair that survived,
             // including those past the sweep's cursor.
             let mut pairs = partial.value.pairs;
@@ -396,7 +351,6 @@ fn run_primary(
             Ok((
                 ResponseValue::Pairs(pairs),
                 partial.exhausted.map(|m| m.reason),
-                had_panics,
                 partial.coverage,
             ))
         }

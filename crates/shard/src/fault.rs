@@ -1,4 +1,6 @@
-//! Shard-boundary fault injector (cfg-gated, chaos testing only).
+//! Shard-boundary fault injector: a test hook, always compiled and
+//! inert until a test installs a plan with
+//! [`ShardExecutor::with_faults`](crate::ShardExecutor::with_faults).
 //!
 //! Mirrors the engine's per-join `FaultPlan`, but targets the *shard*
 //! boundary: a kill makes a shard vanish before its closure runs (a

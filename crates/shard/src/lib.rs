@@ -21,14 +21,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csj_core::{panic_message, CancelToken};
 
-#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
 pub mod fault;
 mod placement;
-#[cfg(feature = "fault-injection")]
+#[doc(hidden)]
 pub use fault::ShardFaultPlan;
 
 /// How one shard resolved. Only `Completed` carries a value.
@@ -89,8 +90,8 @@ pub struct ShardConfig {
 /// has resolved.
 pub struct ShardExecutor {
     threads: usize,
-    #[cfg(feature = "fault-injection")]
-    faults: Option<std::sync::Arc<ShardFaultPlan>>,
+    /// Test hook: `None` unless [`ShardExecutor::with_faults`] set it.
+    faults: Option<Arc<ShardFaultPlan>>,
 }
 
 impl ShardExecutor {
@@ -98,15 +99,14 @@ impl ShardExecutor {
     pub fn new(threads: usize) -> Self {
         ShardExecutor {
             threads: threads.max(1),
-            #[cfg(feature = "fault-injection")]
             faults: None,
         }
     }
 
-    /// Attach a fault plan for chaos testing; kills/stalls/panics apply
-    /// to the next runs of the shards they name.
-    #[cfg(feature = "fault-injection")]
-    pub fn with_faults(mut self, plan: Option<std::sync::Arc<ShardFaultPlan>>) -> Self {
+    /// Test hook: attach a fault plan; kills/stalls/panics apply to the
+    /// next runs of the shards they name.
+    #[doc(hidden)]
+    pub fn with_faults(mut self, plan: Option<Arc<ShardFaultPlan>>) -> Self {
         self.faults = plan;
         self
     }
@@ -173,7 +173,7 @@ impl ShardExecutor {
 
     /// Resolve one claimed shard: `Cancelled` if the query was cancelled
     /// before it started; otherwise the fault injector's kill, stall or
-    /// panic first (chaos builds only), then `f` inside its
+    /// panic first (when a test installed a plan), then `f` inside its
     /// `catch_unwind` boundary.
     fn execute<R, F>(&self, shard: usize, cancel: &CancelToken, f: &F) -> ShardReport<R>
     where
@@ -190,7 +190,7 @@ impl ShardExecutor {
             return report;
         }
 
-        #[cfg(feature = "fault-injection")]
+        let mut inject_panic = false;
         if let Some(plan) = &self.faults {
             if plan.take_kill(shard) {
                 // The worker "dies" before the closure runs: the shard
@@ -209,15 +209,8 @@ impl ShardExecutor {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
+            inject_panic = plan.take_panic(shard);
         }
-
-        #[cfg(feature = "fault-injection")]
-        let inject_panic = self
-            .faults
-            .as_ref()
-            .is_some_and(|plan| plan.take_panic(shard));
-        #[cfg(not(feature = "fault-injection"))]
-        let inject_panic = false;
 
         let t0 = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| {
@@ -266,20 +259,14 @@ mod tests {
     #[test]
     fn every_shard_runs_exactly_once() {
         // A panicked shard is not run again, and neither is a killed
-        // one (chaos builds); every other shard runs once.
+        // one; every other shard runs once.
         for threads in [1, 2, 4] {
             for shards in [1usize, 3, 8] {
                 let panicking = shards - 1;
                 let runs: Vec<AtomicUsize> = (0..shards).map(|_| AtomicUsize::new(0)).collect();
-                let ex = ShardExecutor::new(threads);
-                #[cfg(feature = "fault-injection")]
                 let killed = (shards > 1).then_some(0);
-                #[cfg(feature = "fault-injection")]
-                let ex = ex.with_faults(
-                    killed.map(|s| std::sync::Arc::new(ShardFaultPlan::new().kill(s, 1))),
-                );
-                #[cfg(not(feature = "fault-injection"))]
-                let killed: Option<usize> = None;
+                let ex = ShardExecutor::new(threads)
+                    .with_faults(killed.map(|s| Arc::new(ShardFaultPlan::new().kill(s, 1))));
                 let reports = ex.run(shards, &CancelToken::new(), |shard| {
                     runs[shard].fetch_add(1, Ordering::Relaxed);
                     if shard == panicking {
