@@ -655,6 +655,17 @@ fn load_engine(
     Ok((engine, handles))
 }
 
+/// Answer `query` on `engine` in its primary form under `budget`.
+fn run_query(
+    engine: &csj_engine::CsjEngine,
+    query: csj_engine::Query,
+    budget: &csj_engine::Budget,
+) -> Result<csj_engine::Partial<csj_engine::Answer>, CliError> {
+    engine
+        .query(&query, csj_engine::Exactness::Exact, budget)
+        .map_err(|e| CliError::Io(e.to_string()))
+}
+
 /// The budget `--deadline-ms` and `--max-joins` ask for.
 fn budget(deadline_ms: Option<u64>, max_joins: Option<u64>) -> csj_engine::Budget {
     let mut budget = csj_engine::Budget::unlimited();
@@ -913,7 +924,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             max_joins,
             shards,
         } => {
-            use csj_engine::{Budget, CsjEngine, EngineConfig};
+            use csj_engine::{Answer, CsjEngine, EngineConfig, Query};
             let anchor_c = load(&anchor)?.into_community();
             let d = anchor_c.d();
             let mut config = EngineConfig::new(eps);
@@ -933,20 +944,13 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                         .map_err(|e| CliError::Io(e.to_string()))?,
                 );
             }
-            let mut budget = Budget::unlimited();
-            if let Some(ms) = deadline_ms {
-                budget = budget.with_deadline(std::time::Duration::from_millis(ms));
-            }
-            if let Some(max) = max_joins {
-                budget = budget.with_max_joins(max);
-            }
-            let partial = engine
-                .screen_and_refine_with_budget(anchor_h, &handles, &budget)
-                .map_err(|e| CliError::Io(e.to_string()))?;
+            let query = Query::TopK { x: anchor_h, k };
+            let partial = run_query(&engine, query, &budget(deadline_ms, max_joins))?;
             let exhausted = partial.exhausted;
             let coverage = partial.coverage;
-            let mut ranked = partial.value;
-            ranked.truncate(k);
+            let Answer::Ranking(ranked) = partial.value else {
+                unreachable!("a top-k query answers with a ranking")
+            };
             use std::fmt::Write as _;
             let mut out = format!(
                 "top-{} of {} candidates vs {}:\n",
@@ -1011,7 +1015,10 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 use csj_service::{service_slos, CsjService, Request, ServiceConfig};
                 let service = CsjService::start(engine, ServiceConfig::default());
                 service
-                    .call(Request::PairsAbove { threshold })
+                    .call(Request::PairsAbove {
+                        threshold,
+                        resume: None,
+                    })
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 let mut snap = service.metrics_snapshot();
                 let objectives: Vec<_> = csj_engine::engine_slos()
@@ -1041,9 +1048,11 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     }
                 });
             }
-            engine
-                .pairs_above(threshold)
-                .map_err(|e| CliError::Io(e.to_string()))?;
+            let sweep = csj_engine::Query::PairsAbove {
+                threshold,
+                resume: None,
+            };
+            run_query(&engine, sweep, &csj_engine::Budget::unlimited())?;
             let mut snap = engine.metrics_snapshot();
             let statuses = slo::evaluate(&csj_engine::engine_slos(), &snap);
             snap.metrics.extend(slo::gauges(&statuses).metrics);
@@ -1086,9 +1095,8 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     .map_err(|e| CliError::Io(e.to_string()))?;
                 service.service_traces(last)
             } else {
-                engine
-                    .top_k_similar_with_budget(handles[0], k, &budget(deadline_ms, max_joins))
-                    .map_err(|e| CliError::Io(e.to_string()))?;
+                let top_k = csj_engine::Query::TopK { x: handles[0], k };
+                run_query(&engine, top_k, &budget(deadline_ms, max_joins))?;
                 engine.traces(last)
             };
             if let Some(fmt) = export {
@@ -1134,9 +1142,8 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
         } => {
             let (engine, handles) =
                 load_engine(&communities, eps, quarantine, Some(slow_threshold_us))?;
-            engine
-                .top_k_similar_with_budget(handles[0], k, &budget(deadline_ms, max_joins))
-                .map_err(|e| CliError::Io(e.to_string()))?;
+            let top_k = csj_engine::Query::TopK { x: handles[0], k };
+            run_query(&engine, top_k, &budget(deadline_ms, max_joins))?;
             let records = engine.slow_queries(last);
             let (offered, captured, threshold_us) = engine.slow_query_stats();
             let body = if json {
@@ -1189,12 +1196,16 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             quarantine,
         } => {
             let (engine, handles) = load_engine(&communities, eps, quarantine, None)?;
-            engine
-                .pairs_above(threshold)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-            engine
-                .top_k_similar_with_budget(handles[0], 3, &budget(deadline_ms, max_joins))
-                .map_err(|e| CliError::Io(e.to_string()))?;
+            let sweep = csj_engine::Query::PairsAbove {
+                threshold,
+                resume: None,
+            };
+            run_query(&engine, sweep, &csj_engine::Budget::unlimited())?;
+            let top_k = csj_engine::Query::TopK {
+                x: handles[0],
+                k: 3,
+            };
+            run_query(&engine, top_k, &budget(deadline_ms, max_joins))?;
             let statuses =
                 csj_obs::slo::evaluate(&csj_engine::engine_slos(), &engine.metrics_snapshot());
             if json {

@@ -38,7 +38,10 @@ fn merged_snapshot(tag: &str) -> MetricsSnapshot {
             method: None,
         },
         Request::TopK { x: a, k: 1 },
-        Request::PairsAbove { threshold: 0.0 },
+        Request::PairsAbove {
+            threshold: 0.0,
+            resume: None,
+        },
     ] {
         service.call(request).unwrap();
     }

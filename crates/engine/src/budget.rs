@@ -1,7 +1,7 @@
 //! Query budgets and graceful degradation.
 //!
 //! Production queries must never run away: a broadcast sweep over a big
-//! catalog ([`CsjEngine::pairs_above`](crate::CsjEngine::pairs_above))
+//! catalog ([`Query::PairsAbove`](crate::Query::PairsAbove))
 //! is quadratic in the number of communities, and even a single top-k
 //! query fans out one join per candidate. A [`Budget`] bounds that work
 //! three ways — wall-clock deadline, join-count cap, and a cooperative
@@ -131,8 +131,9 @@ pub struct Partial<T> {
     pub value: T,
     /// `Some` when the budget ran out before the query finished.
     pub exhausted: Option<BudgetExhausted>,
-    /// Shard completeness of the query; `None` only for values built
-    /// outside the shard executor (e.g. [`Partial::complete`]).
+    /// Shard completeness of the query; `None` for a similarity, which
+    /// runs no shards, and for values built outside the shard executor
+    /// (e.g. [`Partial::complete`]).
     pub coverage: Option<Coverage>,
 }
 

@@ -4,17 +4,17 @@
 //! the exact score, each kept until either community changes; a cached
 //! score is served without a join.
 //!
-//! Every multi-pair query (`screen`, `screen_and_refine`,
-//! `top_k_similar`, `pairs_above`) runs on one path: its work units are
-//! split into mass-balanced shards on the supervised [`ShardExecutor`]
-//! and merged back in canonical order. The plain entry point runs to
-//! completion; its `*_with_budget` twin bounds the work with a
-//! [`Budget`] and *degrades gracefully* — returning a [`Partial`] with
-//! everything scored before the budget ran out, plus the shards'
+//! Every query is a [`Query`] answered by [`CsjEngine::query`]: one
+//! pair's similarity, the top-k of one community, or the broadcast
+//! sweep. The multi-pair kinds split their work units into
+//! mass-balanced shards on the supervised [`ShardExecutor`] and merge
+//! them back in canonical order. A [`Budget`] bounds the work, and a
+//! query that runs out *degrades gracefully*: it returns a [`Partial`]
+//! with everything scored before the budget ran out, plus the shards'
 //! [`Coverage`], instead of an error. Joins are panic-isolated per
-//! candidate: one poisoned community shows up as an
-//! [`EngineError::JoinPanicked`] entry in the outcome while the rest of
-//! the query completes normally.
+//! candidate: one poisoned community is dropped from a ranking, or
+//! listed in [`PairsSweep::failed`], while the rest of the query
+//! completes normally.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,28 +104,118 @@ pub struct PairScore {
     pub similarity: Similarity,
 }
 
-/// The outcome of a screening pass.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ScreenOutcome {
-    /// Pairs that cleared the threshold, with their *approximate* score.
-    pub shortlisted: Vec<(CommunityHandle, Similarity)>,
-    /// Pairs that were screened out.
-    pub rejected: Vec<(CommunityHandle, Similarity)>,
-    /// Pairs skipped because the size constraint makes the comparison
-    /// meaningless (paper: `|B| < ceil(|A|/2)`).
-    pub inadmissible: Vec<CommunityHandle>,
-    /// Candidates whose join panicked or hit an injected fault; the
-    /// panic was contained at the per-candidate boundary and the rest of
-    /// the screen completed.
-    pub failed: Vec<(CommunityHandle, EngineError)>,
-    /// Candidates never screened: the query's [`Budget`] ran out, or
-    /// their shard was lost (see [`Partial::coverage`]).
-    pub skipped: Vec<CommunityHandle>,
+/// Sort pairs best first (stable, so ties keep their order).
+fn best_first(pairs: &mut [PairScore]) {
+    pairs.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
 }
 
-/// Resume point of a truncated [`CsjEngine::pairs_above_with_budget`]
-/// sweep: the first pair (in canonical order) the sweep did *not*
-/// process. Feed it back to continue exactly where the budget ran out
+/// One query against the engine: the three shapes of the paper's
+/// screen → refine pipeline (Section 3). [`CsjEngine::query`] answers
+/// each in its primary or its approximate form.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Query {
+    /// Similarity of one pair. `method: None` runs the engine's refine
+    /// method through the exact cache; any other method runs one
+    /// uncached join.
+    Similarity {
+        /// The queried community.
+        x: CommunityHandle,
+        /// The other community.
+        y: CommunityHandle,
+        /// Override method; `None` = the engine's refine method.
+        method: Option<CsjMethod>,
+    },
+    /// The `k` registered communities most similar to `x`.
+    TopK {
+        /// The queried community.
+        x: CommunityHandle,
+        /// How many neighbours to return.
+        k: usize,
+    },
+    /// Every admissible pair whose similarity reaches `threshold` (the
+    /// broadcast sweep of scenario ii.b).
+    PairsAbove {
+        /// Similarity ratio cut in `[0, 1]`.
+        threshold: f64,
+        /// Where a truncated sweep stopped ([`PairsSweep::cursor`]);
+        /// `None` starts at the first pair.
+        resume: Option<PairsCursor>,
+    },
+}
+
+impl Query {
+    fn query_kind(&self) -> QueryKind {
+        match self {
+            Query::Similarity { .. } => QueryKind::Similarity,
+            Query::TopK { .. } => QueryKind::TopK,
+            Query::PairsAbove { .. } => QueryKind::PairsAbove,
+        }
+    }
+
+    /// Stable kind label used in traces and metrics.
+    pub fn kind(&self) -> &'static str {
+        self.query_kind().label()
+    }
+
+    /// Whether the primary form answers exactly, so that the
+    /// approximate form is a degradation of it: every query but a
+    /// similarity pinned to an approximate method (or `Auto`).
+    pub fn is_exact(&self) -> bool {
+        match self {
+            Query::Similarity {
+                method: Some(method),
+                ..
+            } => method.is_exact(),
+            _ => true,
+        }
+    }
+
+    /// The method that answers the approximate form under `config`: the
+    /// [`approximate_counterpart`](CsjMethod::approximate_counterpart)
+    /// of a similarity query's method (the refine method when it names
+    /// none), the screen method for the multi-pair kinds.
+    pub fn approximate_method(&self, config: &EngineConfig) -> CsjMethod {
+        match self {
+            Query::Similarity { method, .. } => method
+                .unwrap_or(config.refine_method)
+                .approximate_counterpart(),
+            _ => config.screen_method,
+        }
+    }
+}
+
+/// The answer to a [`Query`], by kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// Answer to [`Query::Similarity`].
+    Similarity(Similarity),
+    /// Answer to [`Query::TopK`], best first.
+    Ranking(Vec<PairScore>),
+    /// Answer to [`Query::PairsAbove`].
+    Pairs(PairsSweep),
+}
+
+impl Answer {
+    /// Every pair of a multi-pair answer, best first, as a caller that
+    /// does not resume reads it: a sweep's pairs past its cursor
+    /// ([`PairsSweep::ahead`]) included.
+    pub fn pairs(&self) -> Option<Vec<PairScore>> {
+        match self {
+            Answer::Similarity(_) => None,
+            Answer::Ranking(ranking) => Some(ranking.clone()),
+            Answer::Pairs(sweep) => {
+                let mut pairs = sweep.pairs.clone();
+                pairs.extend_from_slice(&sweep.ahead);
+                best_first(&mut pairs);
+                Some(pairs)
+            }
+        }
+    }
+}
+
+/// Resume point of a truncated [`Query::PairsAbove`] sweep: the first
+/// pair (in canonical order) the sweep did *not* process. Feed it back
+/// as the query's `resume` to continue exactly where the budget ran out
 /// or the lost shard's work begins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairsCursor {
@@ -430,12 +520,12 @@ impl CsjEngine {
         b: &PreparedCommunity,
         a: &PreparedCommunity,
         opts: &CsjOptions,
-        rec: Option<&QueryRecorder>,
+        rec: &QueryRecorder,
     ) -> Result<Scored, EngineError> {
         let plan = (method == CsjMethod::Auto)
             .then(|| QueryPlan::new(PlanInput::from_prepared(b, a, exactness)));
         let method = plan.map_or(method, |p| p.chosen);
-        let start_us = rec.map_or(0, QueryRecorder::now_us);
+        let start_us = rec.now_us();
         // A rejected pair (size constraint, mismatched preparation) ran
         // no join, so it is not counted.
         let JoinOutcome {
@@ -450,32 +540,23 @@ impl CsjEngine {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .merge(&telemetry);
-        self.obs.on_join(
-            method,
-            &telemetry,
-            &timings,
-            cancelled,
-            rec.map_or(0, |r| r.trace_id()),
-        );
+        self.obs
+            .on_join(method, &telemetry, &timings, cancelled, rec.trace_id());
         if let Some(plan) = &plan {
             let actual_us = timings.total().as_micros().min(u128::from(u64::MAX)) as u64;
             self.obs.on_plan(plan, actual_us);
-            if let Some(rec) = rec {
-                rec.record_plan(plan, actual_us, start_us);
-            }
+            rec.record_plan(plan, actual_us, start_us);
         }
-        if let Some(rec) = rec {
-            let outcome = if cancelled { "cancelled" } else { "ok" };
-            rec.record_join(
-                method,
-                b.len(),
-                a.len(),
-                &telemetry,
-                &timings,
-                outcome,
-                start_us,
-            );
-        }
+        let outcome = if cancelled { "cancelled" } else { "ok" };
+        rec.record_join(
+            method,
+            b.len(),
+            a.len(),
+            &telemetry,
+            &timings,
+            outcome,
+            start_us,
+        );
         if cancelled {
             return Err(EngineError::Cancelled);
         }
@@ -620,9 +701,13 @@ impl CsjEngine {
             .copied()
     }
 
-    /// The cached exact similarity of the oriented pair `(b, a)`.
-    fn cached_similarity(&self, b: u32, a: u32) -> Option<Similarity> {
-        self.cached(b, a).and_then(|e| e.exact)
+    /// The cached exact similarity of the oriented pair `(b, a)`,
+    /// counted as a cache hit when there is one.
+    fn exact_hit(&self, b: u32, a: u32) -> Option<Similarity> {
+        let similarity = self.cached(b, a).and_then(|e| e.exact)?;
+        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.obs.on_cache_hit();
+        Some(similarity)
     }
 
     /// Store one score of the oriented pair `(b, a)` with `set`, next to
@@ -643,67 +728,213 @@ impl CsjEngine {
         set(entry);
     }
 
-    /// Exact similarity of a pair, cached. Recomputes only when either
-    /// community changed since the cached join.
+    /// Answer `query`: the one entry point of every engine query.
+    ///
+    /// `exactness` picks the form. [`Exactness::Approximate`] runs the
+    /// approximate form, whose every join is approximate:
+    ///
+    /// - a similarity runs its method's
+    ///   [`approximate_counterpart`](CsjMethod::approximate_counterpart)
+    ///   (the refine method's when it names none), uncached;
+    /// - a top-k ranks every screened candidate by its screen score;
+    /// - a sweep reports the pairs whose screen score reaches the
+    ///   threshold, refining none.
+    ///
+    /// Approximate CSJ never over-counts and greedy maximal matchings
+    /// reach at least half the maximum, so every approximate score lies
+    /// in `[exact / 2, exact]` and every approximate sweep pair truly
+    /// clears the threshold. Approximate forms never touch the exact
+    /// cache; screen scores come from the cache and are stored there.
+    ///
+    /// [`Exactness::Exact`] and [`Exactness::Any`] run the primary form:
+    /// the refine method (cached) for a similarity without a method, and
+    /// the paper's screen → refine pipeline for the multi-pair kinds. A
+    /// similarity with an explicit method runs it uncached; an explicit
+    /// `Auto` resolves under `exactness`.
+    ///
+    /// The `budget` bounds the work. A similarity checks it once, before
+    /// its join (a cached score is served whatever the budget); a
+    /// multi-pair query checks it before every join. A query the budget
+    /// stops returns everything it scored in time, with the exhaustion
+    /// marker; a similarity that ran no join counts no matches. Multi-pair
+    /// answers carry their shards' [`Coverage`]. An unknown handle or a
+    /// similarity whose join panicked or faulted is an error; a
+    /// multi-pair query contains such failures per pair.
+    pub fn query(
+        &self,
+        query: &Query,
+        exactness: Exactness,
+        budget: &Budget,
+    ) -> Result<Partial<Answer>, EngineError> {
+        let approx = exactness == Exactness::Approximate;
+        match *query {
+            Query::Similarity { x, y, method } => {
+                self.pair_similarity(x, y, method, exactness, budget)
+            }
+            Query::TopK { x, k } => self.top_k(x, k, approx, budget),
+            Query::PairsAbove { threshold, resume } => {
+                self.sweep(threshold, budget, resume, approx)
+            }
+        }
+    }
+
+    /// Exact similarity of a pair, cached: the unbudgeted primary form of
+    /// [`Query::Similarity`] without a method.
     pub fn similarity(
         &self,
         x: CommunityHandle,
         y: CommunityHandle,
     ) -> Result<Similarity, EngineError> {
-        let qopts = self.config.options.clone();
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_query(QueryKind::Similarity);
-        let result = self
-            .refine_pair(x, y, None, &qopts, &joins, Some(&rec))
-            .map(|refined| refined.similarity);
-        let outcome = match &result {
-            Ok(_) => "completed".to_string(),
-            Err(e) => format!("failed:{e}"),
+        let query = Query::Similarity { x, y, method: None };
+        let Answer::Similarity(similarity) = self
+            .query(&query, Exactness::Exact, &Budget::unlimited())?
+            .value
+        else {
+            unreachable!("a similarity query answers with a similarity")
         };
-        if let Some(trace) = rec.finish(outcome) {
-            self.obs.record_trace(trace);
-        }
-        result
+        Ok(similarity)
     }
 
-    /// Similarity of a pair computed with an explicit `method` instead
-    /// of the configured refine method. The engine's configured refine
-    /// method delegates to [`similarity`](CsjEngine::similarity) and
-    /// uses the cache; any other method runs one uncached join, so a
-    /// degraded (Ap-*) answer never pollutes the exact-similarity
-    /// cache. The service serves a degraded similarity request through
-    /// it with the primary's [`CsjMethod::approximate_counterpart`],
-    /// whose Ap-* score is a lower bound within a factor of two of its
-    /// Ex-* counterpart.
+    /// Similarity of a pair computed with an explicit `method`: the
+    /// unbudgeted primary form of [`Query::Similarity`]. The configured
+    /// refine method uses the cache; any other method runs one uncached
+    /// join, so an Ap-* answer never pollutes the exact cache.
     pub fn similarity_with(
         &self,
         x: CommunityHandle,
         y: CommunityHandle,
         method: CsjMethod,
     ) -> Result<Similarity, EngineError> {
-        if method == self.config.refine_method {
-            return self.similarity(x, y);
-        }
-        let qopts = self.config.options.clone();
-        let rec = self.obs.start_query(QueryKind::Similarity);
-        let result = self.oriented(x, y).and_then(|(b, a)| {
-            let pb = self.prepared(b);
-            let pa = self.prepared(a);
-            self.isolated(y.0, || {
-                self.fault_hook(b)?;
-                self.fault_hook(a)?;
-                self.join_prepared(method, Exactness::Any, &pb, &pa, &qopts, Some(&rec))
-                    .map(|scored| scored.similarity)
-            })
-        });
-        let outcome = match &result {
-            Ok(_) => "completed".to_string(),
-            Err(e) => format!("failed:{e}"),
+        let query = Query::Similarity {
+            x,
+            y,
+            method: Some(method),
         };
-        if let Some(trace) = rec.finish(outcome) {
-            self.obs.record_trace(trace);
+        let Answer::Similarity(similarity) = self
+            .query(&query, Exactness::Any, &Budget::unlimited())?
+            .value
+        else {
+            unreachable!("a similarity query answers with a similarity")
+        };
+        Ok(similarity)
+    }
+
+    /// The `k` registered communities most similar to `x`, by exact
+    /// score: the unbudgeted primary form of [`Query::TopK`].
+    pub fn top_k_similar(
+        &self,
+        x: CommunityHandle,
+        k: usize,
+    ) -> Result<Vec<PairScore>, EngineError> {
+        let Answer::Ranking(ranking) = self
+            .query(
+                &Query::TopK { x, k },
+                Exactness::Exact,
+                &Budget::unlimited(),
+            )?
+            .value
+        else {
+            unreachable!("a top-k query answers with a ranking")
+        };
+        Ok(ranking)
+    }
+
+    /// Every admissible pair whose exact similarity reaches `threshold`:
+    /// the unbudgeted primary form of [`Query::PairsAbove`]. The first
+    /// pair whose join panicked or faulted, if any, is returned as its
+    /// error.
+    pub fn pairs_above(&self, threshold: f64) -> Result<Vec<PairScore>, EngineError> {
+        let query = Query::PairsAbove {
+            threshold,
+            resume: None,
+        };
+        let Answer::Pairs(sweep) = self
+            .query(&query, Exactness::Exact, &Budget::unlimited())?
+            .value
+        else {
+            unreachable!("a sweep answers with pairs")
+        };
+        match sweep.failed.into_iter().next() {
+            Some((_, _, e)) => Err(e),
+            None => Ok(sweep.pairs),
         }
-        result
+    }
+
+    /// [`Query::Similarity`]: the similarity of one pair, traced. A
+    /// budget that admits no join yields a zero score with the
+    /// exhaustion marker.
+    fn pair_similarity(
+        &self,
+        x: CommunityHandle,
+        y: CommunityHandle,
+        method: Option<CsjMethod>,
+        exactness: Exactness,
+        budget: &Budget,
+    ) -> Result<Partial<Answer>, EngineError> {
+        let rec = self.obs.start_query(QueryKind::Similarity);
+        match self.score_pair(x, y, method, exactness, budget, &rec) {
+            Ok(similarity) => {
+                Ok(self.finish_partial(rec, Answer::Similarity(similarity), None, None))
+            }
+            Err(EngineError::Cancelled) => {
+                let exhausted = BudgetExhausted {
+                    reason: budget.exceeded(0).unwrap_or(ExhaustReason::Cancelled),
+                    pairs_done: 0,
+                    pairs_skipped: 1,
+                };
+                // B, the side the ratio counts, is the smaller community.
+                let size = |h: CommunityHandle| self.entries[h.0 as usize].community.len();
+                let unscored = Similarity::new(0, size(x).min(size(y)));
+                Ok(self.finish_partial(rec, Answer::Similarity(unscored), None, Some(exhausted)))
+            }
+            Err(e) => Err(self.trace_failure(rec, e)),
+        }
+    }
+
+    /// The score behind [`Self::pair_similarity`] of `x` and `y`: a
+    /// cached exact score, or one join once the budget admits it
+    /// ([`EngineError::Cancelled`] when it does not). The primary form
+    /// with the refine method goes through the exact cache; every other
+    /// join runs uncached inside the per-pair panic boundary.
+    fn score_pair(
+        &self,
+        x: CommunityHandle,
+        y: CommunityHandle,
+        method: Option<CsjMethod>,
+        exactness: Exactness,
+        budget: &Budget,
+        rec: &QueryRecorder,
+    ) -> Result<Similarity, EngineError> {
+        let (b, a) = self.oriented(x, y)?;
+        let refine = self.config.refine_method;
+        let approx = exactness == Exactness::Approximate;
+        let method = method.unwrap_or(refine);
+        let cached = !approx && method == refine;
+        if cached {
+            if let Some(similarity) = self.exact_hit(b, a) {
+                return Ok(similarity);
+            }
+        }
+        if !admits(budget, 0) {
+            return Err(EngineError::Cancelled);
+        }
+        let opts = &self.config.options;
+        if cached {
+            let joins = AtomicU64::new(0);
+            return Ok(self.refine_pair(x, y, None, opts, &joins, rec)?.similarity);
+        }
+        let method = if approx {
+            method.approximate_counterpart()
+        } else {
+            method
+        };
+        let (pb, pa) = (self.prepared(b), self.prepared(a));
+        self.isolated(y.0, || {
+            self.fault_hook(b)?;
+            self.fault_hook(a)?;
+            self.join_prepared(method, exactness, &pb, &pa, opts, rec)
+                .map(|scored| scored.similarity)
+        })
     }
 
     /// Exact (refined) similarity of one pair under `qopts`, cached.
@@ -719,12 +950,10 @@ impl CsjEngine {
         ready: Option<(&Arc<PreparedCommunity>, &Arc<PreparedCommunity>)>,
         qopts: &CsjOptions,
         joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
+        rec: &QueryRecorder,
     ) -> Result<Scored, EngineError> {
         let (b, a) = self.oriented(x, y)?;
-        if let Some(similarity) = self.cached_similarity(b, a) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.on_cache_hit();
+        if let Some(similarity) = self.exact_hit(b, a) {
             return Ok(Scored::cached(similarity));
         }
         let (pb, pa) = match ready {
@@ -777,58 +1006,11 @@ impl CsjEngine {
             pb,
             pa,
             qopts,
-            Some(rec),
+            rec,
         )?;
         joins.fetch_add(1, Ordering::Relaxed);
         self.store(b, a, |e| e.screen = Some(screened.similarity));
         Ok(screened)
-    }
-
-    /// Phase 1 of the paper's pipeline: screen `x` against `candidates`
-    /// with the fast approximate method on the shard executor,
-    /// partitioning them into shortlisted / rejected / inadmissible. A
-    /// candidate whose join panics lands in [`ScreenOutcome::failed`]
-    /// while the others complete.
-    ///
-    /// Screen scores are cached per pair, next to the exact score, until
-    /// either community changes: a repeated screen (from either side,
-    /// or by a ranked query or sweep that screens the same pair) runs no
-    /// join, counts none against a [`Budget`]'s join cap and fires no
-    /// injected fault. Each pair is screened in one canonical
-    /// orientation (smaller community as B, lower handle first on equal
-    /// sizes), so its score does not depend on which side asked.
-    /// [`EngineStats::screen_cache_hits`] counts the screens served from
-    /// the cache.
-    pub fn screen(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-    ) -> Result<ScreenOutcome, EngineError> {
-        Ok(self
-            .screen_with_budget(x, candidates, &Budget::unlimited())?
-            .into_value())
-    }
-
-    /// [`screen`](CsjEngine::screen) under a [`Budget`]. Candidates the
-    /// budget never admitted, or whose shard was lost, land in
-    /// [`ScreenOutcome::skipped`]; the returned [`Partial`] carries the
-    /// exhaustion marker and the shard [`Coverage`].
-    pub fn screen_with_budget(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<ScreenOutcome>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_query(QueryKind::Screen);
-        let (outcome, run, skipped) =
-            match self.screen_on_shards(x, candidates, budget, &joins, &rec) {
-                Ok(screened) => screened,
-                Err(e) => return Err(self.trace_failure(rec, e)),
-            };
-        let done = run.coverage.units_screened;
-        let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        Ok(self.finish_partial(rec, outcome, run, exhausted))
     }
 
     /// Close out a query whose recorder saw a hard error: the trace (if
@@ -840,23 +1022,25 @@ impl CsjEngine {
         e
     }
 
-    /// Close out a completed (possibly exhausted) multi-pair query:
-    /// shard metrics, the exhaustion count, coverage and budget state on
-    /// the filed trace, and the [`Partial`] it returns.
-    fn finish_partial<T>(
+    /// Close out a completed (possibly exhausted) query: shard metrics
+    /// and coverage of a multi-pair `run`, the exhaustion count and
+    /// budget state on the filed trace, and the [`Partial`] it returns.
+    fn finish_partial(
         &self,
         rec: QueryRecorder,
-        value: T,
-        run: ShardRun,
+        value: Answer,
+        run: Option<ShardRun>,
         exhausted: Option<BudgetExhausted>,
-    ) -> Partial<T> {
-        debug_assert!(
-            run.coverage.identity_holds(),
-            "shard fate identity: {:?}",
-            run.coverage
-        );
-        self.obs.on_shards(&run.coverage, &run.elapsed_us);
-        rec.note_coverage(run.coverage);
+    ) -> Partial<Answer> {
+        if let Some(run) = &run {
+            debug_assert!(
+                run.coverage.identity_holds(),
+                "shard fate identity: {:?}",
+                run.coverage
+            );
+            self.obs.on_shards(&run.coverage, &run.elapsed_us);
+            rec.note_coverage(run.coverage);
+        }
         if let Some(marker) = exhausted {
             self.obs.on_budget_exhausted(marker.reason);
             rec.note_budget(
@@ -871,18 +1055,27 @@ impl CsjEngine {
         Partial {
             value,
             exhausted,
-            coverage: Some(run.coverage),
+            coverage: run.map(|run| run.coverage),
         }
     }
 
-    /// Screening core of every ranked query: split `candidates` into
-    /// mass-balanced shards, screen each shard's members on the
-    /// executor, and fold the shards back into one [`ScreenOutcome`] in
+    /// Screening core of every ranked query, phase 1 of the paper's
+    /// pipeline: split `candidates` into mass-balanced shards, screen
+    /// each shard's members with the fast approximate method on the
+    /// executor, and return each candidate's [`ScreenState`] in
     /// candidate order, so the outcome is the same for every shard
     /// count and steal order. Members of a lost shard count as skipped;
     /// the third value is how many of the skips the budget made (the
     /// rest are coverage loss). `joins` accumulates the query's join
     /// count across phases.
+    ///
+    /// Screen scores are cached per pair, next to the exact score, until
+    /// either community changes: a repeated screen (from either side,
+    /// or by a ranked query or sweep that screens the same pair) runs no
+    /// join, counts none against a [`Budget`]'s join cap and fires no
+    /// injected fault. Each pair is screened in one canonical
+    /// orientation (smaller community as B, lower handle first on equal
+    /// sizes), so its score does not depend on which side asked.
     fn screen_on_shards(
         &self,
         x: CommunityHandle,
@@ -890,7 +1083,7 @@ impl CsjEngine {
         budget: &Budget,
         joins: &AtomicU64,
         rec: &QueryRecorder,
-    ) -> Result<(ScreenOutcome, ShardRun, u64), EngineError> {
+    ) -> Result<(Vec<ScreenState>, ShardRun, u64), EngineError> {
         self.community(x)?;
         let layout = self.shard_layout(candidates)?;
         // Prepare every participant once; the shards share the Arcs.
@@ -929,30 +1122,20 @@ impl CsjEngine {
                 Err(_) => lost += members.len() as u64,
             }
         }
-        let mut out = ScreenOutcome::default();
-        for (&cand, state) in candidates.iter().zip(states) {
-            match state {
-                ScreenState::Scored(s) if s.ratio() >= self.config.screen_threshold => {
-                    out.shortlisted.push((cand, s))
-                }
-                ScreenState::Scored(s) => out.rejected.push((cand, s)),
-                ScreenState::Inadmissible => out.inadmissible.push(cand),
-                ScreenState::Failed(e) => out.failed.push((cand, e)),
-                ScreenState::Skipped => out.skipped.push(cand),
-            }
-        }
         // Panics and faults degrade per candidate; anything else is a
         // real configuration/state error and fails the query (first in
-        // candidate order) instead of being folded into the outcome.
-        if let Some((_, e)) = out.failed.iter().find(|(_, e)| !e.is_per_pair()) {
-            return Err(e.clone());
+        // candidate order).
+        let mut skipped = 0u64;
+        for state in &states {
+            match state {
+                ScreenState::Failed(e) if !e.is_per_pair() => return Err(e.clone()),
+                ScreenState::Skipped => skipped += 1,
+                _ => {}
+            }
         }
-        out.shortlisted
-            .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        run.coverage.units_skipped = out.skipped.len() as u64;
-        run.coverage.units_screened = candidates.len() as u64 - run.coverage.units_skipped;
-        let budget_skips = run.coverage.units_skipped - lost;
-        Ok((out, run, budget_skips))
+        run.coverage.units_skipped = skipped;
+        run.coverage.units_screened = candidates.len() as u64 - skipped;
+        Ok((states, run, skipped - lost))
     }
 
     /// The screen score of `x` against `cand` (each with its prepared
@@ -982,213 +1165,123 @@ impl CsjEngine {
         }
     }
 
-    /// The full two-phase pipeline of Section 3: screen `candidates`,
-    /// then refine the shortlist with the exact method (cached) and
-    /// return the refined ranking. Candidates whose join panicked or
-    /// faulted are dropped from the ranking (use
-    /// [`screen_with_budget`](CsjEngine::screen_with_budget) to see
-    /// them); the query itself never aborts on a per-candidate panic.
-    pub fn screen_and_refine(
+    /// [`Query::TopK`]: screen every other registered community on the
+    /// shards (candidates whose join panicked or faulted drop out), then
+    /// rank and keep the best `k`. The approximate form ranks every
+    /// screened candidate by its screen score. The primary form refines
+    /// the candidates whose screen score clears
+    /// [`EngineConfig::screen_threshold`] with the exact method
+    /// (cached) on the calling thread, best screen score first, so
+    /// `max_joins` accounting is deterministic, and ranks them by exact
+    /// score. On exhaustion the ranking covers what was scored in time.
+    fn top_k(
         &self,
         x: CommunityHandle,
-        candidates: &[CommunityHandle],
-    ) -> Result<Vec<PairScore>, EngineError> {
-        Ok(self
-            .screen_and_refine_with_budget(x, candidates, &Budget::unlimited())?
-            .into_value())
-    }
-
-    /// [`screen_and_refine`](CsjEngine::screen_and_refine) under a
-    /// [`Budget`] shared across both phases. On exhaustion the refined
-    /// ranking covers only the shortlist prefix the budget admitted.
-    pub fn screen_and_refine_with_budget(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
+        k: usize,
+        approx: bool,
         budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.ranked(QueryKind::ScreenAndRefine, x, candidates, budget)
-    }
-
-    /// The screen → refine pipeline behind
-    /// [`screen_and_refine_with_budget`](CsjEngine::screen_and_refine_with_budget)
-    /// and [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget):
-    /// screen on the shards, then refine the merged shortlist on the
-    /// calling thread, best screen score first, so `max_joins`
-    /// accounting is deterministic. `kind` labels the query in metrics
-    /// and its flight-recorder trace.
-    fn ranked(
-        &self,
-        kind: QueryKind,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
+    ) -> Result<Partial<Answer>, EngineError> {
+        let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
         let joins = AtomicU64::new(0);
-        let rec = self.obs.start_query(kind);
+        let rec = self.obs.start_query(QueryKind::TopK);
         // `skipped` counts budget skips only: candidates of a lost shard
         // are coverage loss, reported through `Coverage`.
-        let (screened, run, mut skipped) =
-            match self.screen_on_shards(x, candidates, budget, &joins, &rec) {
+        let (states, run, mut skipped) =
+            match self.screen_on_shards(x, &candidates, budget, &joins, &rec) {
                 Ok(screened) => screened,
                 Err(e) => return Err(self.trace_failure(rec, e)),
             };
         let mut done = run.coverage.units_screened;
-        let refine_start = rec.now_us();
-        let qopts = self
-            .config
-            .options
-            .clone()
-            .with_cancel(budget.cancel_token());
-        let shortlist = screened.shortlisted;
-        let mut refined = Vec::with_capacity(shortlist.len());
-        for (idx, &(cand, _)) in shortlist.iter().enumerate() {
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                skipped += (shortlist.len() - idx) as u64;
-                break;
-            }
-            match self.refine_pair(x, cand, None, &qopts, &joins, Some(&rec)) {
-                Ok(scored) => {
-                    done += 1;
-                    refined.push(PairScore {
-                        x,
-                        y: cand,
-                        similarity: scored.similarity,
-                    });
-                }
-                // The refine join was truncated mid-flight (external
-                // cancel): everything from here on is unprocessed.
-                Err(EngineError::Cancelled) => {
-                    skipped += (shortlist.len() - idx) as u64;
+        let mut screened: Vec<PairScore> = candidates
+            .iter()
+            .zip(states)
+            .filter_map(|(&y, state)| match state {
+                ScreenState::Scored(similarity) => Some(PairScore { x, y, similarity }),
+                _ => None,
+            })
+            .collect();
+        let mut ranked = if approx {
+            screened
+        } else {
+            screened.retain(|p| p.similarity.ratio() >= self.config.screen_threshold);
+            best_first(&mut screened);
+            let refine_start = rec.now_us();
+            let qopts = self
+                .config
+                .options
+                .clone()
+                .with_cancel(budget.cancel_token());
+            let mut refined = Vec::with_capacity(screened.len());
+            for (idx, shortlisted) in screened.iter().enumerate() {
+                if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
+                    budget.cancel();
+                    skipped += (screened.len() - idx) as u64;
                     break;
                 }
-                // Panic/fault: drop this candidate, keep ranking the rest.
-                Err(e) if e.is_per_pair() => done += 1,
-                Err(other) => return Err(self.trace_failure(rec, other)),
+                match self.refine_pair(x, shortlisted.y, None, &qopts, &joins, &rec) {
+                    Ok(scored) => {
+                        done += 1;
+                        refined.push(PairScore {
+                            similarity: scored.similarity,
+                            ..*shortlisted
+                        });
+                    }
+                    // The refine join was truncated mid-flight (external
+                    // cancel): everything from here on is unprocessed.
+                    Err(EngineError::Cancelled) => {
+                        skipped += (screened.len() - idx) as u64;
+                        break;
+                    }
+                    // Panic/fault: drop this candidate, keep ranking the rest.
+                    Err(e) if e.is_per_pair() => done += 1,
+                    Err(other) => return Err(self.trace_failure(rec, other)),
+                }
             }
-        }
-        rec.end_phase("refine", refine_start);
-        refined.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
+            rec.end_phase("refine", refine_start);
+            refined
+        };
+        best_first(&mut ranked);
+        ranked.truncate(k);
         let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        Ok(self.finish_partial(rec, refined, run, exhausted))
+        Ok(self.finish_partial(rec, Answer::Ranking(ranked), Some(run), exhausted))
     }
 
-    /// The `k` registered communities most similar to `x` (exact scores,
-    /// via screen-and-refine over everything admissible).
-    pub fn top_k_similar(
-        &self,
-        x: CommunityHandle,
-        k: usize,
-    ) -> Result<Vec<PairScore>, EngineError> {
-        Ok(self
-            .top_k_similar_with_budget(x, k, &Budget::unlimited())?
-            .into_value())
-    }
-
-    /// [`top_k_similar`](CsjEngine::top_k_similar) under a [`Budget`]:
-    /// on exhaustion the result is the best `k` of whatever was scored
-    /// in time.
-    pub fn top_k_similar_with_budget(
-        &self,
-        x: CommunityHandle,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
-        let mut ranked = self.ranked(QueryKind::TopK, x, &candidates, budget)?;
-        ranked.value.truncate(k);
-        Ok(ranked)
-    }
-
-    /// Every admissible pair among the registered communities whose
-    /// *exact* similarity reaches `threshold` (the broadcast-
-    /// recommendation sweep of scenario ii.b).
+    /// [`Query::PairsAbove`], the broadcast sweep: every admissible pair
+    /// among the registered communities whose similarity reaches
+    /// `threshold`, from `resume` on.
     ///
-    /// Screens with the paper's two-phase strategy while screening pays:
-    /// the cheap screening method first, refining only pairs whose
-    /// screened similarity clears the skip bound. Approximate CSJ never
-    /// over-counts and its greedy matchings are maximal (>= half the
-    /// maximum), so a pair screened below `threshold / 2` cannot reach
-    /// `threshold` exactly and is pruned. Where the screen prunes too
-    /// little to repay its own joins, the sweep refines pairs directly
-    /// instead; each shard task decides from the candidates its own
-    /// joins streamed (see `DESIGN.md` §17, "When the sweep screens").
-    /// Either way every admissible pair whose exact similarity reaches
-    /// `threshold` is returned with its exact score, so the answer does
-    /// not depend on which plan ran. Cached screen scores are always
-    /// used, and cached exact scores skip both joins.
+    /// The primary form screens with the paper's two-phase strategy
+    /// while screening pays: the cheap screening method first, refining
+    /// only pairs whose screened similarity clears the skip bound.
+    /// Approximate CSJ never over-counts and its greedy matchings are
+    /// maximal (>= half the maximum), so a pair screened below
+    /// `threshold / 2` cannot reach `threshold` exactly and is pruned.
+    /// Where the screen prunes too little to repay its own joins, the
+    /// sweep refines pairs directly instead; each shard task decides
+    /// from the candidates its own joins streamed (see `DESIGN.md` §17,
+    /// "When the sweep screens"). Either way every admissible pair whose
+    /// exact similarity reaches `threshold` is returned with its exact
+    /// score, so the answer does not depend on which plan ran. Cached
+    /// screen scores are always used, and cached exact scores skip both
+    /// joins. The approximate form (`approx`) reports each pair on its
+    /// screen score alone.
     ///
-    /// Runs unbudgeted; the first panicked/faulted pair (if any) is
-    /// surfaced as its error. Use
-    /// [`pairs_above_with_budget`](CsjEngine::pairs_above_with_budget)
-    /// for deadline-bounded, degradable sweeps and the coverage report.
-    pub fn pairs_above(&self, threshold: f64) -> Result<Vec<PairScore>, EngineError> {
-        let swept = self
-            .pairs_above_with_budget(threshold, &Budget::unlimited(), None)?
-            .into_value();
-        if let Some((_, _, e)) = swept.failed.into_iter().next() {
-            return Err(e);
-        }
-        Ok(swept.pairs)
-    }
-
-    /// [`pairs_above`](CsjEngine::pairs_above) under a [`Budget`], with
-    /// resume. The sweep orders pairs canonically; when the budget runs
-    /// out or a shard is lost it keeps only the pairs before the first
-    /// unprocessed one and returns that pair as [`PairsSweep::cursor`],
-    /// so a later call (with a fresh budget) picks up exactly there —
-    /// pairs already refined are served from the cache. Hits found past
-    /// the cursor are returned apart, in [`PairsSweep::ahead`]. Pairs whose
-    /// join panicked or faulted land in [`PairsSweep::failed`] and the
-    /// sweep carries on.
-    pub fn pairs_above_with_budget(
-        &self,
-        threshold: f64,
-        budget: &Budget,
-        resume: Option<PairsCursor>,
-    ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep(threshold, budget, resume, false)
-    }
-
-    /// Degraded broadcast sweep: *approximate only*. Each admissible
-    /// pair gets its screening (Ap-*) score and is reported when that
-    /// approximate similarity reaches `threshold`; no exact refinement
-    /// runs and the exact-similarity cache is neither consulted nor
-    /// written. The pair's screen score comes from the cache when a
-    /// screen or sweep already computed it for the current versions, and
-    /// is stored there otherwise (see [`screen`](CsjEngine::screen)).
-    /// Because approximate CSJ never over-counts, every returned pair
-    /// truly clears the threshold — the sweep can only *miss* pairs
-    /// whose exact similarity is between `threshold` and
-    /// `2 * threshold` of the reported bound (greedy maximal matchings
-    /// reach at least half the maximum).
-    /// The service serves a degraded `pairs_above` request with it;
-    /// [`PairScore::similarity`] carries the Ap lower bound.
-    pub fn pairs_above_approx_with_budget(
-        &self,
-        threshold: f64,
-        budget: &Budget,
-        resume: Option<PairsCursor>,
-    ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep(threshold, budget, resume, true)
-    }
-
-    /// Sweep core shared by the exact and approximate (degraded)
-    /// broadcast entry points. The canonical pairs from `resume` on run
-    /// as mass-balanced shard tasks. The merge keeps the pairs before
-    /// the first pair no shard processed (budget, cancellation or a
-    /// lost shard) and returns that pair as the cursor, so a truncated
-    /// sweep and its resumption are disjoint and jointly exhaustive
-    /// whatever order the shards ran in; hits past the cursor go to
-    /// [`PairsSweep::ahead`].
+    /// The canonical pairs from `resume` on run as mass-balanced shard
+    /// tasks. The merge keeps the pairs before the first pair no shard
+    /// processed (budget, cancellation or a lost shard) and returns that
+    /// pair as [`PairsSweep::cursor`], so a truncated sweep and its
+    /// resumption (with a fresh budget; refined pairs come from the
+    /// cache) are disjoint and jointly exhaustive whatever order the
+    /// shards ran in; hits past the cursor go to [`PairsSweep::ahead`].
+    /// Pairs whose join panicked or faulted land in
+    /// [`PairsSweep::failed`] and the sweep carries on.
     fn sweep(
         &self,
         threshold: f64,
         budget: &Budget,
         resume: Option<PairsCursor>,
         approx: bool,
-    ) -> Result<Partial<PairsSweep>, EngineError> {
+    ) -> Result<Partial<Answer>, EngineError> {
         let joins = AtomicU64::new(0);
         let rec = self.obs.start_query(QueryKind::PairsAbove);
         let n = self.entries.len() as u32;
@@ -1294,13 +1387,12 @@ impl CsjEngine {
         if let Some((_, _, e)) = sweep.failed.iter().find(|(_, _, e)| !e.is_per_pair()) {
             return Err(self.trace_failure(rec, e.clone()));
         }
-        for found in [&mut sweep.pairs, &mut sweep.ahead] {
-            found.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        }
+        best_first(&mut sweep.pairs);
+        best_first(&mut sweep.ahead);
         let skipped = sweep.cursor.map_or(0, |c| Self::remaining_pairs(n, c));
         debug_assert_eq!(done + skipped, total, "every pair is swept or skipped");
         let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        Ok(self.finish_partial(rec, sweep, run, exhausted))
+        Ok(self.finish_partial(rec, Answer::Pairs(sweep), Some(run), exhausted))
     }
 
     /// One pair of the broadcast sweep: admissibility, then the exact
@@ -1360,7 +1452,7 @@ impl CsjEngine {
             screen = Some(screened.streamed);
         }
         // Phase 2: exact (cached).
-        let refined = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, Some(rec))?;
+        let refined = self.refine_pair(x, y, Some((pb, pa)), qopts, joins, rec)?;
         match screen {
             Some(screen) => plan.record_refined(screen, refined.streamed),
             None if !exact_cached => plan.record_direct(
@@ -1456,8 +1548,7 @@ impl CsjEngine {
     }
 }
 
-/// Per-candidate state of one shard's screening pass; the merge folds
-/// them, in candidate order, into a [`ScreenOutcome`].
+/// Per-candidate state of a screening pass.
 enum ScreenState {
     /// Screened: the approximate similarity.
     Scored(Similarity),
@@ -1813,8 +1904,85 @@ fn admits(budget: &Budget, spent: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::ExhaustReason;
     use std::time::Duration;
+
+    /// The screen's partition of a candidate list.
+    #[derive(Debug, Default, PartialEq)]
+    struct ScreenOutcome {
+        /// Scored at or above the screen threshold, best first.
+        shortlisted: Vec<(CommunityHandle, Similarity)>,
+        /// Scored below the screen threshold, in candidate order.
+        rejected: Vec<(CommunityHandle, Similarity)>,
+        inadmissible: Vec<CommunityHandle>,
+        failed: Vec<(CommunityHandle, EngineError)>,
+        skipped: Vec<CommunityHandle>,
+    }
+
+    impl CsjEngine {
+        /// Screen `x` against `candidates` under `budget` (phase 1 of
+        /// every top-k) and partition them by their [`ScreenState`].
+        fn screen_with_budget(
+            &self,
+            x: CommunityHandle,
+            candidates: &[CommunityHandle],
+            budget: &Budget,
+        ) -> Result<Partial<ScreenOutcome>, EngineError> {
+            let joins = AtomicU64::new(0);
+            let rec = self.obs.start_query(QueryKind::TopK);
+            let (states, run, skipped) =
+                self.screen_on_shards(x, candidates, budget, &joins, &rec)?;
+            let done = run.coverage.units_screened;
+            let mut out = ScreenOutcome::default();
+            for (&cand, state) in candidates.iter().zip(states) {
+                match state {
+                    ScreenState::Scored(s) if s.ratio() >= self.config.screen_threshold => {
+                        out.shortlisted.push((cand, s))
+                    }
+                    ScreenState::Scored(s) => out.rejected.push((cand, s)),
+                    ScreenState::Inadmissible => out.inadmissible.push(cand),
+                    ScreenState::Failed(e) => out.failed.push((cand, e)),
+                    ScreenState::Skipped => out.skipped.push(cand),
+                }
+            }
+            out.shortlisted
+                .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
+            Ok(Partial {
+                value: out,
+                exhausted: exhausted_marker(budget, &joins, done, skipped),
+                coverage: Some(run.coverage),
+            })
+        }
+
+        fn screen(
+            &self,
+            x: CommunityHandle,
+            candidates: &[CommunityHandle],
+        ) -> Result<ScreenOutcome, EngineError> {
+            Ok(self
+                .screen_with_budget(x, candidates, &Budget::unlimited())?
+                .value)
+        }
+    }
+
+    /// The sweep of a [`Query::PairsAbove`] in the form `exactness` picks.
+    fn sweep(
+        engine: &CsjEngine,
+        threshold: f64,
+        exactness: Exactness,
+        budget: &Budget,
+        resume: Option<PairsCursor>,
+    ) -> Partial<PairsSweep> {
+        let query = Query::PairsAbove { threshold, resume };
+        let partial = engine.query(&query, exactness, budget).unwrap();
+        let Answer::Pairs(sweep) = partial.value else {
+            panic!("a sweep answers with pairs");
+        };
+        Partial {
+            value: sweep,
+            exhausted: partial.exhausted,
+            coverage: partial.coverage,
+        }
+    }
 
     fn community(name: &str, rows: &[[u32; 2]]) -> Community {
         Community::from_rows(
@@ -2042,17 +2210,25 @@ mod tests {
     #[test]
     fn sweeps_reuse_cached_screens() {
         let (engine, _, _, _) = engine_with_three();
-        let approx = engine
-            .pairs_above_approx_with_budget(0.5, &Budget::unlimited(), None)
-            .unwrap()
-            .value;
+        let approx = sweep(
+            &engine,
+            0.5,
+            Exactness::Approximate,
+            &Budget::unlimited(),
+            None,
+        )
+        .value;
         let joins = engine.stats().joins_executed;
         assert_eq!(joins, 3, "one screen per pair");
         assert_eq!(engine.stats().cached_pairs, 0, "exact cache untouched");
-        let again = engine
-            .pairs_above_approx_with_budget(0.5, &Budget::unlimited(), None)
-            .unwrap()
-            .value;
+        let again = sweep(
+            &engine,
+            0.5,
+            Exactness::Approximate,
+            &Budget::unlimited(),
+            None,
+        )
+        .value;
         assert_eq!(again, approx);
         assert_eq!(engine.stats().joins_executed, joins);
 
@@ -2178,11 +2354,15 @@ mod tests {
             (engine, hp, hq)
         };
         let (engine, _, _) = fresh();
-        let swept = engine
-            .pairs_above_approx_with_budget(0.0, &Budget::unlimited(), None)
-            .unwrap()
-            .value
-            .pairs;
+        let swept = sweep(
+            &engine,
+            0.0,
+            Exactness::Approximate,
+            &Budget::unlimited(),
+            None,
+        )
+        .value
+        .pairs;
         assert_eq!(swept.len(), 1);
         for p_asks in [true, false] {
             let (engine, hp, hq) = fresh();
@@ -2304,13 +2484,17 @@ mod tests {
 
     #[test]
     fn max_joins_budget_truncates_refinement() {
-        let (engine, a, n, f) = engine_with_three();
+        let (engine, a, _, _) = engine_with_three();
         // Two screen joins exhaust the budget before refinement starts.
         let budget = Budget::unlimited().with_max_joins(2);
         let partial = engine
-            .screen_and_refine_with_budget(a, &[n, f], &budget)
+            .query(&Query::TopK { x: a, k: 2 }, Exactness::Exact, &budget)
             .unwrap();
-        assert!(partial.value.is_empty(), "no refine join was admitted");
+        assert_eq!(
+            partial.value,
+            Answer::Ranking(Vec::new()),
+            "no refine join was admitted"
+        );
         let marker = partial.exhausted.expect("budget must be exhausted");
         assert_eq!(marker.reason, ExhaustReason::MaxJoins);
         assert_eq!(marker.pairs_done, 2);
@@ -2321,7 +2505,7 @@ mod tests {
     fn zero_deadline_sweep_degrades_and_resumes() {
         let (engine, _a, _n, _f) = engine_with_three();
         let spent = Budget::unlimited().with_deadline(Duration::ZERO);
-        let partial = engine.pairs_above_with_budget(0.5, &spent, None).unwrap();
+        let partial = sweep(&engine, 0.5, Exactness::Exact, &spent, None);
         assert!(partial.value.pairs.is_empty());
         let marker = partial.exhausted.expect("budget must be exhausted");
         assert_eq!(marker.reason, ExhaustReason::Deadline);
@@ -2331,9 +2515,13 @@ mod tests {
 
         // Resuming with a fresh unlimited budget completes the sweep and
         // matches the unbudgeted result exactly.
-        let resumed = engine
-            .pairs_above_with_budget(0.5, &Budget::unlimited(), Some(cursor))
-            .unwrap();
+        let resumed = sweep(
+            &engine,
+            0.5,
+            Exactness::Exact,
+            &Budget::unlimited(),
+            Some(cursor),
+        );
         assert!(resumed.is_complete());
         assert!(resumed.value.cursor.is_none());
         assert!(resumed.value.failed.is_empty());
@@ -2462,6 +2650,74 @@ mod tests {
     }
 
     #[test]
+    fn similarity_admission_honours_the_budget() {
+        let (engine, a, n, f) = engine_with_three();
+        let exact = engine.similarity(a, n).unwrap();
+        let joins = engine.stats().joins_executed;
+        let spent = Budget::unlimited().with_max_joins(0);
+        let ask = |y, method, exactness| {
+            let query = Query::Similarity { x: a, y, method };
+            engine.query(&query, exactness, &spent).unwrap()
+        };
+
+        // A cached score is served whatever the budget.
+        let cached = ask(n, None, Exactness::Exact);
+        assert_eq!(cached.value, Answer::Similarity(exact));
+        assert!(cached.is_complete());
+
+        // An uncached join is not admitted: no matches, typed exhaustion.
+        for (y, method, exactness) in [
+            (f, None, Exactness::Exact),
+            (n, Some(CsjMethod::ExBaseline), Exactness::Any),
+            (n, None, Exactness::Approximate),
+        ] {
+            let refused = ask(y, method, exactness);
+            assert_eq!(refused.value, Answer::Similarity(Similarity::new(0, 4)));
+            let marker = refused.exhausted.expect("typed exhaustion");
+            assert_eq!(marker.reason, ExhaustReason::MaxJoins);
+            assert_eq!((marker.pairs_done, marker.pairs_skipped), (0, 1));
+        }
+        assert_eq!(engine.stats().joins_executed, joins, "no join ran");
+        let trace = engine.traces(1).pop().expect("recorded");
+        assert_eq!(trace.outcome, "exhausted:max-joins");
+        let snap = engine.metrics_snapshot();
+        let by_reason = [("reason", "max-joins")];
+        assert_eq!(
+            snap.counter_value("csj_budget_exhausted_total", &by_reason),
+            3
+        );
+    }
+
+    #[test]
+    fn screen_partition_names_each_failed_candidate() {
+        let (mut engine, a, n, f) = engine_with_three();
+        engine.inject_faults(FaultPlan::new().panic_on(n.0).error_on(f.0));
+        let outcome = engine
+            .screen(a, &[n, f])
+            .expect("failures are per candidate");
+        assert!(outcome.shortlisted.is_empty() && outcome.rejected.is_empty());
+        assert!(outcome.inadmissible.is_empty() && outcome.skipped.is_empty());
+        let [(panicked, panic), (faulted, fault)] = &outcome.failed[..] else {
+            panic!("two failed candidates, got {:?}", outcome.failed);
+        };
+        assert_eq!((*panicked, *faulted), (n, f));
+        match panic {
+            EngineError::JoinPanicked { handle, message } => {
+                assert_eq!(*handle, n.0);
+                assert!(message.contains("injected fault"), "got: {message}");
+            }
+            other => panic!("expected JoinPanicked, got {other:?}"),
+        }
+        assert_eq!(*fault, EngineError::Faulted { handle: f.0 });
+
+        // Healed, every candidate scores; nothing stale was cached.
+        engine.clear_faults();
+        let healthy = engine.screen(a, &[n, f]).unwrap();
+        assert!(healthy.failed.is_empty());
+        assert_eq!(healthy.shortlisted.len() + healthy.rejected.len(), 2);
+    }
+
+    #[test]
     fn similarity_with_counterpart_matches_and_skips_cache() {
         let (engine, a, n, _) = engine_with_three();
         let exact = engine.similarity_with(a, n, CsjMethod::ExMinMax).unwrap();
@@ -2486,9 +2742,13 @@ mod tests {
     #[test]
     fn approx_sweep_is_a_sound_lower_bound() {
         let (engine, a, n, _) = engine_with_three();
-        let approx = engine
-            .pairs_above_approx_with_budget(0.5, &Budget::unlimited(), None)
-            .unwrap();
+        let approx = sweep(
+            &engine,
+            0.5,
+            Exactness::Approximate,
+            &Budget::unlimited(),
+            None,
+        );
         assert!(approx.is_complete());
         let exact = engine.pairs_above(0.5).unwrap();
         // Every pair the degraded sweep reports truly clears the

@@ -26,14 +26,17 @@
 //! `O(n·d)` candidate rescan plus a bounded matching repair per update,
 //! instead of a full `O(|B|·|A|·d)` re-join.
 //!
-//! A live system also needs its queries *bounded*: every multi-pair
-//! query has a `*_with_budget` variant taking a [`Budget`] (wall-clock
-//! deadline, join cap, cooperative cancellation) and returning a
-//! [`Partial`] that degrades gracefully on exhaustion instead of
-//! erroring. Joins are panic-isolated per candidate. Tests exercise
-//! that isolation through runtime hooks (the hidden `fault` module and
-//! `CsjEngine::inject_faults`) that inject panics, errors, and
-//! slowdowns into joins; an engine no test has touched carries no plan.
+//! Every query runs through one entry point, [`CsjEngine::query`]: a
+//! [`Query`] (one pair's similarity, top-k, or the broadcast sweep), the
+//! [`Exactness`] that picks its primary or approximate form, and a
+//! [`Budget`] (wall-clock deadline, join cap, cooperative cancellation)
+//! that bounds it, since a live system needs its queries bounded. The
+//! answer is a [`Partial`] that degrades gracefully on exhaustion
+//! instead of erroring. Joins are panic-isolated per candidate. Tests
+//! exercise that isolation through runtime hooks (the hidden `fault`
+//! module and `CsjEngine::inject_faults`) that inject panics, errors,
+//! and slowdowns into joins; an engine no test has touched carries no
+//! plan.
 //!
 //! For fault *isolation* beyond the per-join boundary, every multi-pair
 //! query partitions its work into mass-balanced shards, each run once
@@ -59,8 +62,8 @@ pub use csj_obs::{CaptureCause, ForensicRecord, MetricsSnapshot, QueryTrace};
 pub use csj_shard::ShardFaultPlan;
 pub use csj_shard::{ShardConfig, ShardOutcome, ShardReport};
 pub use engine::{
-    CommunityHandle, CsjEngine, EngineConfig, EngineStats, PairScore, PairsCursor, PairsSweep,
-    ScreenOutcome,
+    Answer, CommunityHandle, CsjEngine, EngineConfig, EngineStats, PairScore, PairsCursor,
+    PairsSweep, Query,
 };
 pub use error::EngineError;
 pub use obs::{engine_slos, ObsConfig, ShardFate, UnitFate};

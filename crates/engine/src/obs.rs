@@ -60,8 +60,6 @@ csj_obs::label_enum! {
     /// [`QueryTrace::kind`].
     pub(crate) enum QueryKind {
         Similarity => "similarity",
-        Screen => "screen",
-        ScreenAndRefine => "screen_and_refine",
         TopK => "top_k",
         PairsAbove => "pairs_above",
     }

@@ -4,8 +4,11 @@
 
 use std::time::Duration;
 
+mod common;
+
+use common::sweep;
 use csj_core::Community;
-use csj_engine::{Budget, CsjEngine, EngineConfig, ExhaustReason, PairScore};
+use csj_engine::{Budget, CsjEngine, EngineConfig, Exactness, ExhaustReason, PairScore};
 use proptest::prelude::*;
 
 /// Random catalogs: a shared dimensionality plus 2..6 communities of
@@ -57,8 +60,7 @@ proptest! {
 
         let engine = build_engine(d, &communities);
         let budget = Budget::unlimited().with_max_joins(cap);
-        let first = engine
-            .pairs_above_with_budget(threshold, &budget, None)
+        let first = sweep(&engine, threshold, Exactness::Exact, &budget, None)
             .expect("budgeted sweep degrades, never errors");
 
         // Subset with identical scores.
@@ -77,8 +79,7 @@ proptest! {
             Some(cursor) => {
                 prop_assert!(!first.is_complete());
                 prop_assert!(first.exhausted.unwrap().pairs_skipped > 0);
-                let rest = engine
-                    .pairs_above_with_budget(threshold, &Budget::unlimited(), Some(cursor))
+                let rest = sweep(&engine, threshold, Exactness::Exact, &Budget::unlimited(), Some(cursor))
                     .expect("resume succeeds");
                 prop_assert!(rest.is_complete());
                 prop_assert!(rest.value.cursor.is_none());
@@ -108,8 +109,7 @@ proptest! {
 
         let engine = build_engine(d, &communities);
         let spent = Budget::unlimited().with_deadline(Duration::ZERO);
-        let first = engine
-            .pairs_above_with_budget(threshold, &spent, None)
+        let first = sweep(&engine, threshold, Exactness::Exact, &spent, None)
             .expect("well-formed Partial, not an error");
         prop_assert!(first.value.pairs.is_empty());
         let marker = first.exhausted.expect("at least one pair was skipped");
@@ -117,8 +117,7 @@ proptest! {
         prop_assert_eq!(marker.pairs_done, 0);
 
         let cursor = first.value.cursor.expect("resume point");
-        let resumed = engine
-            .pairs_above_with_budget(threshold, &Budget::unlimited(), Some(cursor))
+        let resumed = sweep(&engine, threshold, Exactness::Exact, &Budget::unlimited(), Some(cursor))
             .expect("resume succeeds");
         prop_assert!(resumed.is_complete());
         prop_assert_eq!(by_handles(resumed.value.pairs), by_handles(full));

@@ -3,9 +3,15 @@
 
 use std::time::Duration;
 
+mod common;
+
+use common::{screened, sweep, top_k};
 use csj_core::Community;
 use csj_engine::fault::FaultPlan;
-use csj_engine::{Budget, CommunityHandle, CsjEngine, EngineConfig, EngineError, ExhaustReason};
+use csj_engine::{
+    Budget, CommunityHandle, CsjEngine, EngineConfig, EngineError, Exactness, ExhaustReason,
+    PairScore,
+};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
     Community::from_rows(
@@ -31,8 +37,20 @@ fn engine_with_candidates() -> (CsjEngine, CommunityHandle, Vec<CommunityHandle>
     (engine, x, candidates)
 }
 
-fn scored(outcome: &csj_engine::ScreenOutcome) -> usize {
-    outcome.shortlisted.len() + outcome.rejected.len() + outcome.inadmissible.len()
+/// The candidates a ranking scored, in handle order.
+fn ranked(ranking: &[PairScore]) -> Vec<CommunityHandle> {
+    let mut ys: Vec<CommunityHandle> = ranking.iter().map(|p| p.y).collect();
+    ys.sort();
+    ys
+}
+
+/// `candidates` without `victim`.
+fn all_but(candidates: &[CommunityHandle], victim: CommunityHandle) -> Vec<CommunityHandle> {
+    candidates
+        .iter()
+        .copied()
+        .filter(|&c| c != victim)
+        .collect()
 }
 
 #[test]
@@ -41,21 +59,23 @@ fn screen_survives_a_panicking_candidate() {
     let victim = candidates[2];
     engine.inject_faults(FaultPlan::new().panic_on(victim.0));
 
-    let outcome = engine
-        .screen(x, &candidates)
-        .expect("one poisoned candidate must not fail the query");
+    let outcome = screened(&engine, x).expect("one poisoned candidate must not fail the query");
     assert_eq!(
-        scored(&outcome),
-        candidates.len() - 1,
+        ranked(&outcome.value),
+        all_but(&candidates, victim),
         "every healthy candidate got a result"
     );
-    assert!(outcome.skipped.is_empty());
-    assert_eq!(outcome.failed.len(), 1);
-    let (failed_handle, err) = &outcome.failed[0];
-    assert_eq!(*failed_handle, victim);
-    match err {
-        EngineError::JoinPanicked { handle, message } => {
-            assert_eq!(*handle, victim.0);
+    assert!(outcome.is_complete(), "nothing skipped");
+    assert_eq!(
+        engine
+            .metrics_snapshot()
+            .counter_value("csj_join_panics_total", &[]),
+        1
+    );
+    // The victim's own join reports the panic, named and with its message.
+    match engine.similarity(x, victim) {
+        Err(EngineError::JoinPanicked { handle, message }) => {
+            assert_eq!(handle, victim.0);
             assert!(message.contains("injected fault"), "got: {message}");
         }
         other => panic!("expected JoinPanicked, got {other:?}"),
@@ -63,9 +83,8 @@ fn screen_survives_a_panicking_candidate() {
 
     // The engine stays fully usable afterwards.
     engine.clear_faults();
-    let healthy = engine.screen(x, &candidates).unwrap();
-    assert!(healthy.failed.is_empty());
-    assert_eq!(scored(&healthy), candidates.len());
+    let healthy = screened(&engine, x).unwrap();
+    assert_eq!(ranked(&healthy.value), candidates);
 }
 
 #[test]
@@ -74,12 +93,12 @@ fn error_faults_are_contained_per_candidate() {
     let victim = candidates[0];
     engine.inject_faults(FaultPlan::new().error_on(victim.0));
 
-    let outcome = engine.screen(x, &candidates).unwrap();
+    let outcome = screened(&engine, x).unwrap();
+    assert_eq!(ranked(&outcome.value), all_but(&candidates, victim));
     assert_eq!(
-        outcome.failed,
-        vec![(victim, EngineError::Faulted { handle: victim.0 })]
+        engine.similarity(x, victim),
+        Err(EngineError::Faulted { handle: victim.0 })
     );
-    assert_eq!(scored(&outcome), candidates.len() - 1);
 }
 
 #[test]
@@ -88,9 +107,7 @@ fn sweep_isolates_a_panicking_pair() {
     let victim = candidates[1];
     engine.inject_faults(FaultPlan::new().panic_on(victim.0));
 
-    let partial = engine
-        .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
-        .unwrap();
+    let partial = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None).unwrap();
     assert!(partial.is_complete(), "no budget involved");
     let sweep = partial.value;
     assert!(sweep.cursor.is_none());
@@ -113,7 +130,7 @@ fn slow_join_blows_the_deadline_and_the_sweep_resumes() {
     engine.inject_faults(FaultPlan::new().slow_on(0, Duration::from_millis(60)));
     let budget = Budget::unlimited().with_deadline(Duration::from_millis(10));
 
-    let partial = engine.pairs_above_with_budget(0.0, &budget, None).unwrap();
+    let partial = sweep(&engine, 0.0, Exactness::Exact, &budget, None).unwrap();
     let marker = partial
         .exhausted
         .expect("the deadline fires during the stalled join");
@@ -122,9 +139,14 @@ fn slow_join_blows_the_deadline_and_the_sweep_resumes() {
     let cursor = partial.value.cursor.expect("sweep must be resumable");
 
     engine.clear_faults();
-    let resumed = engine
-        .pairs_above_with_budget(0.0, &Budget::unlimited(), Some(cursor))
-        .unwrap();
+    let resumed = sweep(
+        &engine,
+        0.0,
+        Exactness::Exact,
+        &Budget::unlimited(),
+        Some(cursor),
+    )
+    .unwrap();
     assert!(resumed.is_complete());
     assert!(resumed.value.failed.is_empty());
     assert_eq!(
@@ -142,7 +164,7 @@ fn faults_and_panics_surface_in_the_metrics_snapshot() {
             .panic_on(candidates[1].0)
             .error_on(candidates[3].0),
     );
-    engine.screen(x, &candidates).unwrap();
+    screened(&engine, x).unwrap();
 
     let snap = engine.metrics_snapshot();
     assert_eq!(snap.counter_value("csj_join_panics_total", &[]), 1);
@@ -163,12 +185,11 @@ fn exhaustion_reasons_are_labeled_in_the_snapshot() {
     let (mut engine, x, candidates) = engine_with_candidates();
     engine.inject_faults(FaultPlan::new().slow_on(0, Duration::from_millis(60)));
     let deadline = Budget::unlimited().with_deadline(Duration::from_millis(10));
-    engine
-        .pairs_above_with_budget(0.0, &deadline, None)
-        .unwrap();
+    sweep(&engine, 0.0, Exactness::Exact, &deadline, None).unwrap();
     engine.clear_faults();
     let strict = Budget::unlimited().with_max_joins(0);
-    engine.screen_with_budget(x, &candidates, &strict).unwrap();
+    let every = candidates.len();
+    top_k(&engine, x, every, Exactness::Approximate, &strict).unwrap();
 
     let snap = engine.metrics_snapshot();
     assert_eq!(
@@ -205,11 +226,11 @@ fn trace_survives_a_panicked_query() {
     );
     assert!(traces[0].outcome.contains("panicked"));
 
-    // A screen that degrades around the panic completes normally and
+    // A ranking that degrades around the panic completes normally and
     // records a completed trace.
-    engine.screen(x, &candidates).unwrap();
+    screened(&engine, x).unwrap();
     let traces = engine.traces(1);
-    assert_eq!(traces[0].kind, "screen");
+    assert_eq!(traces[0].kind, "top_k");
     assert_eq!(traces[0].outcome, "completed");
 }
 
@@ -218,15 +239,14 @@ fn panicked_pairs_are_not_cached_as_results() {
     let (mut engine, x, candidates) = engine_with_candidates();
     let victim = candidates[3];
     engine.inject_faults(FaultPlan::new().panic_on(victim.0));
-    let with_fault = engine.screen(x, &candidates).unwrap();
-    assert_eq!(with_fault.failed.len(), 1);
+    let with_fault = screened(&engine, x).unwrap();
+    assert_eq!(ranked(&with_fault.value), all_but(&candidates, victim));
 
     // Once the fault is gone, the victim scores like everyone else —
     // nothing stale was recorded while it was poisoned.
     engine.clear_faults();
     let sim = engine.similarity(x, victim).expect("victim is healthy now");
     assert!(sim.ratio() >= 0.0);
-    let healthy = engine.screen(x, &candidates).unwrap();
-    assert!(healthy.failed.is_empty());
-    assert_eq!(scored(&healthy), candidates.len());
+    let healthy = screened(&engine, x).unwrap();
+    assert_eq!(ranked(&healthy.value), candidates);
 }

@@ -2,7 +2,7 @@
 //! traces produced by real engine queries.
 
 use csj_core::{Community, CsjMethod, CsjOptions};
-use csj_engine::{Budget, CsjEngine, EngineConfig, ExhaustReason};
+use csj_engine::{Budget, CsjEngine, EngineConfig, Exactness, ExhaustReason, Query};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
     Community::from_rows(
@@ -74,9 +74,12 @@ fn queries_populate_the_metrics_registry() {
 
 #[test]
 fn budget_exhaustion_is_counted_and_traced() {
-    let (engine, a, n, f) = engine_with_three();
+    let (engine, a, _, _) = engine_with_three();
     let budget = Budget::unlimited().with_max_joins(0);
-    let partial = engine.screen_with_budget(a, &[n, f], &budget).unwrap();
+    // The approximate top-k is the screen alone.
+    let partial = engine
+        .query(&Query::TopK { x: a, k: 2 }, Exactness::Approximate, &budget)
+        .unwrap();
     assert_eq!(
         partial.exhausted.expect("exhausted").reason,
         ExhaustReason::MaxJoins
@@ -96,7 +99,7 @@ fn budget_exhaustion_is_counted_and_traced() {
     let traces = engine.traces(1);
     assert_eq!(traces.len(), 1);
     let trace = &traces[0];
-    assert_eq!(trace.kind, "screen");
+    assert_eq!(trace.kind, "top_k");
     assert_eq!(trace.outcome, "exhausted:max-joins");
     assert!(trace.root.find("screen").is_some(), "screen phase span");
     let json = trace.to_json();

@@ -1,9 +1,12 @@
 //! Engine pipeline tests on realistic generated communities.
 
-use csj_core::{run, CsjMethod, CsjOptions};
+mod common;
+
+use common::{screened, sweep, top_k};
+use csj_core::{run, CsjMethod, CsjOptions, Similarity};
 use csj_data::vklike::{VkLikeConfig, VkLikeGenerator};
 use csj_data::Category;
-use csj_engine::{CommunityHandle, CsjEngine, EngineConfig};
+use csj_engine::{Answer, Budget, CommunityHandle, CsjEngine, EngineConfig, Exactness, Query};
 
 /// Build an engine holding one anchor plus candidates whose audiences
 /// contain a planted fraction of the anchor's users (exact profile
@@ -75,12 +78,15 @@ fn top_k_recovers_the_planted_ordering() {
 #[test]
 fn refined_scores_match_direct_exact_joins() {
     let (engine, anchor, candidates) = populated_engine();
-    let ranked = engine
-        .screen_and_refine(
-            anchor,
-            &candidates.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
-        )
-        .expect("valid query");
+    let ranked = top_k(
+        &engine,
+        anchor,
+        candidates.len(),
+        Exactness::Exact,
+        &Budget::unlimited(),
+    )
+    .expect("valid query")
+    .value;
     let opts = CsjOptions::new(1);
     for score in &ranked {
         let b = engine.community(score.x).expect("registered").clone();
@@ -94,15 +100,18 @@ fn refined_scores_match_direct_exact_joins() {
 #[test]
 fn screening_is_cheaper_than_refining() {
     let (engine, anchor, candidates) = populated_engine();
-    let handles: Vec<_> = candidates.iter().map(|&(h, _)| h).collect();
-    let outcome = engine.screen(anchor, &handles).expect("valid");
-    // Screening must have looked at every candidate exactly once.
-    assert_eq!(
-        outcome.shortlisted.len() + outcome.rejected.len() + outcome.inadmissible.len(),
-        handles.len()
-    );
-    // And the rejected one is the 0.05-similarity community.
-    assert_eq!(outcome.rejected.len(), 1);
+    let outcome = screened(&engine, anchor).expect("valid").value;
+    // Screening must have scored every candidate exactly once.
+    assert_eq!(outcome.len(), candidates.len());
+    // And the one below the screen threshold is the 0.05-similarity
+    // community.
+    let threshold = engine.config().screen_threshold;
+    let rejected: Vec<_> = outcome
+        .iter()
+        .filter(|p| p.similarity.ratio() < threshold)
+        .map(|p| p.y)
+        .collect();
+    assert_eq!(rejected, vec![candidates[3].0]);
 }
 
 #[test]
@@ -121,4 +130,60 @@ fn cache_survives_unrelated_updates() {
     engine.upsert_user(first, 424242, &[0; 27]).expect("valid");
     let _ = engine.similarity(anchor, first).expect("valid");
     assert!(engine.stats().joins_executed > joins_before);
+}
+
+/// `approx <= exact <= 2 * approx`: approximate CSJ never over-counts
+/// and greedy maximal matchings reach at least half the maximum.
+fn assert_sound(approx: Similarity, exact: Similarity) {
+    assert!(approx.matched <= exact.matched, "{approx:?} vs {exact:?}");
+    assert!(
+        exact.matched <= 2 * approx.matched,
+        "{approx:?} vs {exact:?}"
+    );
+}
+
+/// The approximate form of each query kind, the one a degraded service
+/// request runs, answers with sound lower bounds of the exact answer.
+#[test]
+fn approximate_forms_are_sound_lower_bounds() {
+    let (engine, anchor, candidates) = populated_engine();
+    let unlimited = Budget::unlimited();
+
+    let y = candidates[0].0;
+    let query = Query::Similarity {
+        x: anchor,
+        y,
+        method: None,
+    };
+    let approx = engine.query(&query, Exactness::Approximate, &unlimited);
+    let Answer::Similarity(approx) = approx.expect("valid query").value else {
+        panic!("a similarity query answers with a similarity");
+    };
+    assert_sound(approx, engine.similarity(anchor, y).expect("valid"));
+
+    let ranking = top_k(&engine, anchor, 10, Exactness::Approximate, &unlimited)
+        .expect("valid query")
+        .value;
+    assert_eq!(ranking.len(), candidates.len(), "every candidate screened");
+    for p in &ranking {
+        assert_sound(p.similarity, engine.similarity(p.x, p.y).expect("valid"));
+    }
+
+    let threshold = 0.1;
+    let swept = sweep(&engine, threshold, Exactness::Approximate, &unlimited, None)
+        .expect("valid query")
+        .value;
+    assert!(
+        !swept.pairs.is_empty(),
+        "candidates share the anchor's users"
+    );
+    let exact = engine.pairs_above(threshold).expect("valid sweep");
+    for p in &swept.pairs {
+        assert!(p.similarity.ratio() >= threshold);
+        let e = exact
+            .iter()
+            .find(|q| (q.x, q.y) == (p.x, p.y))
+            .unwrap_or_else(|| panic!("{p:?} is not in the exact answer"));
+        assert_sound(p.similarity, e.similarity);
+    }
 }

@@ -6,7 +6,7 @@ use csj_core::plan::{choose, DENSITY_THRESHOLD};
 use csj_core::{run, run_prepared, Community, CsjMethod, CsjOptions, PreparedCommunity};
 use csj_data::pairs::{build_couple, BuildOptions, Dataset};
 use csj_data::COUPLES;
-use csj_engine::{CsjEngine, EngineConfig, Exactness, PlanInput};
+use csj_engine::{Answer, Budget, CsjEngine, EngineConfig, Exactness, PlanInput, Query};
 
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
     Community::from_rows(
@@ -40,15 +40,28 @@ fn auto_engine() -> (
 
 #[test]
 fn auto_resolves_on_every_query_kind() {
-    let (engine, a, n, f) = auto_engine();
+    let (engine, a, n, _) = auto_engine();
 
-    // All five query kinds run with both methods delegated.
+    // Every query kind, in both forms, runs with both methods delegated.
     let sim = engine.similarity(a, n).unwrap();
     assert!(sim.ratio() > 0.0);
-    let screen = engine.screen(a, &[n, f]).unwrap();
-    assert_eq!(screen.shortlisted.len() + screen.rejected.len(), 2);
-    let ranked = engine.screen_and_refine(a, &[n, f]).unwrap();
-    assert!(!ranked.is_empty());
+    for exactness in [Exactness::Approximate, Exactness::Exact] {
+        let query = Query::Similarity {
+            x: a,
+            y: n,
+            method: None,
+        };
+        let answer = engine.query(&query, exactness, &Budget::unlimited());
+        assert!(matches!(answer.unwrap().value, Answer::Similarity(s) if s.ratio() > 0.0));
+    }
+    let screen = engine
+        .query(
+            &Query::TopK { x: a, k: 2 },
+            Exactness::Approximate,
+            &Budget::unlimited(),
+        )
+        .unwrap();
+    assert!(matches!(&screen.value, Answer::Ranking(r) if r.len() == 2));
     let top = engine.top_k_similar(a, 2).unwrap();
     assert!(!top.is_empty());
     let pairs = engine.pairs_above(0.5).unwrap();

@@ -7,8 +7,11 @@
 //! (implicitly) steal order. Faults may only shrink *coverage*, never
 //! corrupt what survives. These tests pin both claims.
 
+mod common;
+
+use common::{screened, sweep, top_k};
 use csj_core::Community;
-use csj_engine::{Budget, CsjEngine, EngineConfig};
+use csj_engine::{Budget, CsjEngine, EngineConfig, Exactness};
 use proptest::prelude::*;
 
 /// Deterministic LCG so every run sees the same catalog.
@@ -59,20 +62,18 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
     let reference = skewed_engine(7, 1, 1);
     let x = anchor(&reference);
     let flat_topk = reference.top_k_similar(x, 4).expect("flat top-k");
-    let candidates: Vec<_> = reference.handles().filter(|&h| h != x).collect();
-    let flat_ranked = reference
-        .screen_and_refine(x, &candidates)
-        .expect("flat screen+refine");
-    let flat_screen = reference.screen(x, &candidates).expect("flat screen");
+    let every = usize::MAX;
+    let flat_ranked = top_k(&reference, x, every, Exactness::Exact, &Budget::unlimited())
+        .expect("flat screen+refine")
+        .value;
+    let flat_screen = screened(&reference, x).expect("flat screen").value;
 
     for shards in [1usize, 2, 3, 5, 8] {
         for threads in [1usize, 2, 4] {
             let engine = skewed_engine(7, threads, shards);
             let x = anchor(&engine);
-            let candidates: Vec<_> = engine.handles().filter(|&h| h != x).collect();
 
-            let topk = engine
-                .top_k_similar_with_budget(x, 4, &Budget::unlimited())
+            let topk = top_k(&engine, x, 4, Exactness::Exact, &Budget::unlimited())
                 .expect("sharded top-k");
             assert_eq!(
                 topk.value, flat_topk,
@@ -83,8 +84,7 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
             assert!(!cov.is_partial(), "fault-free must be complete: {cov}");
             assert_eq!(cov.unit_fraction(), 1.0);
 
-            let ranked = engine
-                .screen_and_refine_with_budget(x, &candidates, &Budget::unlimited())
+            let ranked = top_k(&engine, x, every, Exactness::Exact, &Budget::unlimited())
                 .expect("sharded screen+refine");
             assert_eq!(
                 ranked.value, flat_ranked,
@@ -92,7 +92,7 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
             );
             assert!(ranked.exhausted.is_none());
 
-            let screened = engine.screen(x, &candidates).expect("sharded screen");
+            let screened = screened(&engine, x).expect("sharded screen").value;
             assert_eq!(
                 screened, flat_screen,
                 "screen diverged at shards={shards} threads={threads}"
@@ -115,8 +115,7 @@ fn sharded_pairs_above_matches_flat() {
         for shards in [0usize, 1, 2, 3, 5, 8] {
             for threads in [1usize, 2, 4] {
                 let engine = catalog_engine(11, threads, shards, sizes);
-                let swept = engine
-                    .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                let swept = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
                     .expect("sharded sweep");
                 assert_eq!(
                     swept.value.pairs, flat,
@@ -172,8 +171,7 @@ fn capped_sweep_resumes_to_completion() {
                     "no progress: threads={threads} shards={shards} cap={cap}"
                 );
                 let budget = Budget::unlimited().with_max_joins(cap);
-                let slice = engine
-                    .pairs_above_with_budget(threshold, &budget, cursor)
+                let slice = sweep(&engine, threshold, Exactness::Exact, &budget, cursor)
                     .expect("capped sweep");
                 assert!(slice.value.failed.is_empty());
                 union.extend(slice.value.pairs.iter().copied());
@@ -221,7 +219,6 @@ fn warm_answers_match_cold_across_layouts() {
     let threshold = 0.3;
     let reference = skewed_engine(7, 1, 1);
     let x = anchor(&reference);
-    let candidates: Vec<_> = reference.handles().filter(|&h| h != x).collect();
     let flat_topk = reference.top_k_similar(x, 4).expect("flat top-k");
     let flat_sweep = skewed_engine(7, 1, 1)
         .pairs_above(threshold)
@@ -234,15 +231,23 @@ fn warm_answers_match_cold_across_layouts() {
             let topk = cold_then_warm(&fresh(), "top-k", |e| e.top_k_similar(x, 4).unwrap());
             assert_eq!(topk, flat_topk, "shards={shards} threads={threads}");
             cold_then_warm(&fresh(), "screen+refine", |e| {
-                e.screen_and_refine(x, &candidates).unwrap()
+                top_k(e, x, usize::MAX, Exactness::Exact, &Budget::unlimited())
+                    .unwrap()
+                    .value
             });
-            cold_then_warm(&fresh(), "screen", |e| e.screen(x, &candidates).unwrap());
+            cold_then_warm(&fresh(), "screen", |e| screened(e, x).unwrap().value);
             let swept = cold_then_warm(&fresh(), "sweep", |e| e.pairs_above(threshold).unwrap());
             assert_eq!(swept, flat_sweep, "shards={shards} threads={threads}");
             cold_then_warm(&fresh(), "approx sweep", |e| {
-                e.pairs_above_approx_with_budget(threshold, &Budget::unlimited(), None)
-                    .unwrap()
-                    .value
+                sweep(
+                    e,
+                    threshold,
+                    Exactness::Approximate,
+                    &Budget::unlimited(),
+                    None,
+                )
+                .unwrap()
+                .value
             });
         }
     }
@@ -253,8 +258,7 @@ fn exhausted_budget_is_coverage_accounted() {
     let engine = skewed_engine(13, 2, 3);
     let x = anchor(&engine);
     let starved = Budget::unlimited().with_max_joins(0);
-    let partial = engine
-        .top_k_similar_with_budget(x, 4, &starved)
+    let partial = top_k(&engine, x, 4, Exactness::Exact, &starved)
         .expect("sharded top-k under a zero budget");
     assert!(partial.value.is_empty(), "no joins were allowed");
     assert!(partial.exhausted.is_some(), "the budget marker survives");
@@ -319,15 +323,13 @@ proptest! {
 
         let engine = build_engine(d, &communities, shards, threads);
         let x = engine.find("c0").expect("registered");
-        let topk = engine
-            .top_k_similar_with_budget(x, 3, &Budget::unlimited())
+        let topk = top_k(&engine, x, 3, Exactness::Exact, &Budget::unlimited())
             .expect("sharded top-k");
         prop_assert_eq!(&topk.value, &flat_topk);
         let cov = topk.coverage.expect("coverage attached");
         prop_assert!(cov.identity_holds() && !cov.is_partial());
 
-        let swept = engine
-            .pairs_above_with_budget(threshold, &Budget::unlimited(), None)
+        let swept = sweep(&engine, threshold, Exactness::Exact, &Budget::unlimited(), None)
             .expect("sharded sweep");
         prop_assert_eq!(&swept.value.pairs, &flat_pairs);
         let cov = swept.coverage.expect("coverage attached");
@@ -362,9 +364,8 @@ mod faults {
         let mut engine = skewed_engine(17, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
         let x = anchor(&engine);
-        let partial = engine
-            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
-            .expect("typed, not Err");
+        let partial =
+            top_k(&engine, x, 5, Exactness::Exact, &Budget::unlimited()).expect("typed, not Err");
         let cov = partial.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert!(cov.is_partial(), "a lost shard must show: {cov}");
@@ -381,9 +382,7 @@ mod faults {
         let candidates: Vec<_> = engine.handles().filter(|&h| h != x).collect();
         let lost = engine.shard_layout(&candidates).expect("layout").shards[0].len() as u64;
         let starved = Budget::unlimited().with_max_joins(0);
-        let partial = engine
-            .top_k_similar_with_budget(x, 5, &starved)
-            .expect("typed, not Err");
+        let partial = top_k(&engine, x, 5, Exactness::Exact, &starved).expect("typed, not Err");
         let cov = partial.coverage.expect("coverage attached");
         assert_eq!(cov.units_skipped, candidates.len() as u64, "{cov}");
         let marker = partial.exhausted.expect("the cap stopped the query");
@@ -403,18 +402,16 @@ mod faults {
         let mut engine = skewed_engine(19, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(1, 1));
         let x = anchor(&engine);
-        let first = engine
-            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
-            .expect("typed, not Err");
+        let first =
+            top_k(&engine, x, 5, Exactness::Exact, &Budget::unlimited()).expect("typed, not Err");
         let cov = first.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert_eq!(cov.failed, 1, "the killed shard is not run again: {cov}");
         assert_survivors_exact(&first.value, &flat);
 
         // The one charge is spent: the next query runs every shard.
-        let second = engine
-            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
-            .expect("healthy again");
+        let second =
+            top_k(&engine, x, 5, Exactness::Exact, &Budget::unlimited()).expect("healthy again");
         let cov = second.coverage.expect("coverage attached");
         assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
         assert_eq!(second.value, flat, "bit-identical to the flat result");
@@ -424,16 +421,14 @@ mod faults {
     fn injected_panics_resolve_typed_and_never_escape() {
         let mut engine = skewed_engine(23, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, u32::MAX));
-        let swept = engine
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        let swept = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
             .expect("panic contained at the shard boundary");
         let cov = swept.coverage.expect("coverage attached");
         assert!(cov.identity_holds(), "{cov}");
         assert_eq!(cov.failed, 1, "{cov}");
         // And the engine stays usable afterwards.
         engine.clear_shard_faults();
-        let healthy = engine
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        let healthy = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
             .expect("healthy again");
         assert!(!healthy.coverage.expect("coverage").is_partial());
     }
@@ -444,8 +439,7 @@ mod faults {
     fn panicked_shard_span_carries_its_panic_message() {
         let mut engine = skewed_engine(23, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, 1).kill(1, 1));
-        engine
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
             .expect("panics contained at the shard boundary");
         let trace = engine.traces(1).pop().expect("query traced");
         let shards = trace.root.find("shards").expect("shards phase");
@@ -480,8 +474,7 @@ mod faults {
 
         let mut engine = skewed_engine(29, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
-        let first = engine
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        let first = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
             .expect("typed, not Err");
         let cov = first.coverage.expect("coverage attached");
         assert_eq!(cov.failed, 1, "the killed shard is lost: {cov}");
@@ -493,9 +486,14 @@ mod faults {
         assert_survivors_exact(&first.value.pairs, &reference);
 
         engine.clear_shard_faults();
-        let rest = engine
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), Some(cursor))
-            .expect("resume succeeds");
+        let rest = sweep(
+            &engine,
+            0.0,
+            Exactness::Exact,
+            &Budget::unlimited(),
+            Some(cursor),
+        )
+        .expect("resume succeeds");
         assert!(rest.is_complete(), "{:?}", rest.coverage);
         assert!(rest.value.cursor.is_none());
         let mut union: Vec<PairScore> = first.value.pairs.clone();
@@ -526,8 +524,7 @@ mod faults {
                 .expect("flat sweep");
             let mut engine = build_engine(d, &communities, shards, 2);
             engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
-            let swept = engine
-                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            let swept = sweep(&engine, 0.0, Exactness::Exact, &Budget::unlimited(), None)
                 .expect("typed");
             let cov = swept.coverage.expect("coverage attached");
             prop_assert!(cov.identity_holds());

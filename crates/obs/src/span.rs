@@ -223,8 +223,7 @@ impl Span {
 pub struct QueryTrace {
     /// Monotone sequence id assigned by the flight recorder.
     pub id: u64,
-    /// Query kind: `similarity`, `screen`, `screen_and_refine`, `top_k`,
-    /// `pairs_above`.
+    /// Query kind: `similarity`, `top_k` or `pairs_above`.
     pub kind: &'static str,
     /// Outcome label: `completed`, `exhausted:<reason>`, or
     /// `failed:<error>`.

@@ -11,6 +11,11 @@
 //! pressure is therefore not a lie to the caller — it is a documented,
 //! bounded approximation.
 //!
+//! A [`Request`] is the engine's [`Query`](csj_engine::Query) and a
+//! [`ResponseValue`] its [`Answer`](csj_engine::Answer): the service adds
+//! admission, deadlines and degradation around one
+//! [`CsjEngine::query`](csj_engine::CsjEngine::query) call per pass.
+//!
 //! The pieces, each its own module:
 //!
 //! * [`BoundedQueue`] — admission control: a full queue sheds instantly
@@ -19,8 +24,8 @@
 //!   resolves to exactly one of {answered, degraded-answered, shed,
 //!   failed-typed}, and no panic escapes. A request degrades (deadline
 //!   pressure, an exact pass that ran out of its deadline share, or an
-//!   exact pass that panicked or faulted) to exactly one approximate
-//!   pass; nothing is retried.
+//!   exact pass that panicked or faulted) to exactly one pass of its
+//!   query's approximate form; nothing is retried.
 //! * [`ServiceObs`] — `csj_service_*` metrics plus a request-level
 //!   flight recorder; merged with the engine's snapshot by
 //!   [`CsjService::metrics_snapshot`].

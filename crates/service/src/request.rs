@@ -11,81 +11,9 @@
 
 use std::time::Duration;
 
-use csj_core::{CsjMethod, Similarity};
-use csj_engine::{CommunityHandle, Coverage, EngineError, ExhaustReason, PairScore};
+use csj_engine::{Coverage, EngineError, ExhaustReason};
 
-/// One query against the engine.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Similarity of one pair. `method: None` uses the engine's
-    /// configured refine method (cached); an explicit method runs
-    /// uncached.
-    Similarity {
-        /// The queried community.
-        x: CommunityHandle,
-        /// The other community.
-        y: CommunityHandle,
-        /// Override method; `None` = engine's refine method.
-        method: Option<CsjMethod>,
-    },
-    /// The `k` communities most similar to `x` (exact scores).
-    TopK {
-        /// The queried community.
-        x: CommunityHandle,
-        /// How many neighbours to return.
-        k: usize,
-    },
-    /// Every admissible pair whose exact similarity reaches `threshold`.
-    PairsAbove {
-        /// Similarity ratio cut in `[0, 1]`.
-        threshold: f64,
-    },
-}
-
-impl Request {
-    /// Stable kind label used in traces and metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Similarity { .. } => "similarity",
-            Request::TopK { .. } => "top_k",
-            Request::PairsAbove { .. } => "pairs_above",
-        }
-    }
-
-    /// The method this request's *primary* (non-degraded) path runs:
-    /// the explicit method for similarity, the engine's refine method
-    /// otherwise. Only a request whose primary method is exact can
-    /// degrade to an approximate pass.
-    pub fn primary_method(&self, refine_method: CsjMethod) -> CsjMethod {
-        match self {
-            Request::Similarity {
-                method: Some(m), ..
-            } => *m,
-            _ => refine_method,
-        }
-    }
-}
-
-/// The answer payload, by request kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResponseValue {
-    /// Answer to [`Request::Similarity`].
-    Similarity(Similarity),
-    /// Answer to [`Request::TopK`], best first.
-    Ranking(Vec<PairScore>),
-    /// Answer to [`Request::PairsAbove`], best first.
-    Pairs(Vec<PairScore>),
-}
-
-impl ResponseValue {
-    /// The ranked pairs, for the two list-shaped kinds.
-    pub fn pairs(&self) -> Option<&[PairScore]> {
-        match self {
-            ResponseValue::Similarity(_) => None,
-            ResponseValue::Ranking(p) | ResponseValue::Pairs(p) => Some(p),
-        }
-    }
-}
+pub use csj_engine::{Answer as ResponseValue, Query as Request};
 
 /// A completed request.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,12 +39,14 @@ pub struct Response {
     pub retries: u32,
     /// Budget exhaustion the answer absorbed (partial coverage), if any.
     pub exhausted: Option<ExhaustReason>,
-    /// Shard completeness report of a multi-pair request served on its
-    /// primary path (`None` for similarity requests and approximate
-    /// answers). A partial report
-    /// (`coverage.is_partial()`) means the answer is exact on what
-    /// survived but one or more shards were lost — such responses are
-    /// marked `degraded` with trigger `"coverage"`.
+    /// Shard completeness report of the pass that answered a
+    /// multi-pair request, primary or approximate (`None` for
+    /// similarity requests). A partial report (`coverage.is_partial()`)
+    /// means the answer holds what the surviving shards scored but
+    /// shards were lost or work was skipped. A primary answer with a
+    /// partial report and no budget exhaustion is marked `degraded` with
+    /// trigger `"coverage"`; a degraded answer keeps its approximate
+    /// pass's report.
     pub coverage: Option<Coverage>,
 }
 
@@ -209,21 +139,29 @@ impl Fate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csj_core::CsjMethod;
+    use csj_engine::CommunityHandle;
 
+    /// Only a request whose primary method is exact degrades, and its
+    /// approximate pass runs the primary's counterpart (the screen
+    /// method for the multi-pair kinds).
     #[test]
     fn primary_method_resolution() {
-        let refine = CsjMethod::ExMinMax;
+        let config = csj_engine::EngineConfig::new(1);
+        let (x, y) = (CommunityHandle(0), CommunityHandle(1));
         let explicit = Request::Similarity {
-            x: CommunityHandle(0),
-            y: CommunityHandle(1),
+            x,
+            y,
             method: Some(CsjMethod::ApBaseline),
         };
-        assert_eq!(explicit.primary_method(refine), CsjMethod::ApBaseline);
-        let default = Request::TopK {
-            x: CommunityHandle(0),
-            k: 3,
-        };
-        assert_eq!(default.primary_method(refine), refine);
+        assert!(!explicit.is_exact());
+        assert_eq!(explicit.approximate_method(&config), CsjMethod::ApBaseline);
+        let default = Request::Similarity { x, y, method: None };
+        assert!(default.is_exact());
+        assert_eq!(default.approximate_method(&config), CsjMethod::ApMinMax);
+        let top_k = Request::TopK { x, k: 3 };
+        assert!(top_k.is_exact());
+        assert_eq!(top_k.approximate_method(&config), config.screen_method);
     }
 
     #[test]

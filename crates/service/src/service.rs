@@ -4,13 +4,17 @@
 //! fed from a bounded admission queue:
 //!
 //! ```text
-//! submit ──► admission queue ──► workers ──► engine
+//! submit ──► admission queue ──► workers ──► engine.query(request, Any)
 //!    │            (bounded)         │
 //!    └─ full? shed with             ├─ deadline pressure ───────────┐
-//!       Overloaded{retry_after}     ├─ exact pass exhausted ────────┼─► approximate
-//!                                   ├─ exact pass panicked/faulted ─┘   counterpart
+//!       Overloaded{retry_after}     ├─ exact pass exhausted ────────┼─► engine.query(request,
+//!                                   ├─ exact pass panicked/faulted ─┘     Approximate)
 //!                                   └─ catch_unwind (no panic escapes)
 //! ```
+//!
+//! A request *is* an engine [`Query`](csj_engine::Query): the worker
+//! hands it to [`CsjEngine::query`] unchanged, once for the primary pass
+//! and, when the request degrades, once more for its approximate form.
 //!
 //! Every submitted request resolves to exactly one of four fates —
 //! answered, degraded-answered, shed, or failed-typed — and every
@@ -25,16 +29,14 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use csj_core::{panic_message, CsjMethod};
-use csj_engine::{
-    Budget, Coverage, CsjEngine, EngineError, ExhaustReason, MetricsSnapshot, PairScore, QueryTrace,
-};
+use csj_core::panic_message;
+use csj_engine::{Budget, CsjEngine, EngineError, Exactness, MetricsSnapshot, QueryTrace};
 use csj_obs::Span;
 
 use crate::config::ServiceConfig;
 use crate::obs::{DegradeTrigger, ServiceObs};
 use crate::queue::{BoundedQueue, PushError};
-use crate::request::{Fate, Request, Response, ResponseValue, ServiceError};
+use crate::request::{Fate, Request, Response, ServiceError};
 
 /// State shared between the front-end and the workers.
 struct Shared {
@@ -262,32 +264,41 @@ const EXACT_FRACTION: f64 = 0.6;
 /// request degrades at once (trigger `deadline`).
 const MIN_EXACT_SLACK: Duration = Duration::from_millis(5);
 
+/// The least deadline the approximate form gets. It always starts, so a
+/// degraded request is answered, at most this much plus one join late,
+/// instead of left empty.
+const MIN_APPROX_SLACK: Duration = Duration::from_millis(1);
+
 /// Run one admitted request: deadline pressure, one primary pass, and
-/// the approximate counterpart when the request degrades. Called under
-/// the worker's panic boundary.
+/// the approximate form when the request degrades. Called under the
+/// worker's panic boundary.
 fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, ServiceError> {
-    let method = job.request.primary_method(engine.config().refine_method);
+    // Only an exact primary pass has an approximate form to degrade to.
+    let exact = job.request.is_exact();
 
     // Deadline pressure: when an exact pass cannot possibly finish in
     // the remaining slack, degrade at once.
-    if method.is_exact() && job.deadline.is_some_and(|d| remaining(d) < MIN_EXACT_SLACK) {
-        return degrade(engine, shared, job, method, DegradeTrigger::Deadline);
+    if exact && job.deadline.is_some_and(|d| remaining(d) < MIN_EXACT_SLACK) {
+        return degrade(engine, shared, job, DegradeTrigger::Deadline);
     }
 
-    let (value, exhausted, coverage) =
-        match run_primary(engine, &job.request, method, &primary_budget(job.deadline)) {
-            Ok(primary) => primary,
-            // Joins are deterministic, so a panicked or faulted exact
-            // pass would fail again: serve the counterpart once instead.
-            Err(EngineError::JoinPanicked { .. } | EngineError::Faulted { .. })
-                if method.is_exact() =>
-            {
-                return degrade(engine, shared, job, method, DegradeTrigger::Failure);
-            }
-            Err(e) => return Err(ServiceError::Engine(e)),
-        };
+    let primary = match engine.query(
+        &job.request,
+        Exactness::Any,
+        &primary_budget(job.deadline, exact),
+    ) {
+        Ok(primary) => primary,
+        // Joins are deterministic, so a panicked or faulted exact pass
+        // would fail again: serve the approximate form once instead.
+        Err(EngineError::JoinPanicked { .. } | EngineError::Faulted { .. }) if exact => {
+            return degrade(engine, shared, job, DegradeTrigger::Failure);
+        }
+        Err(e) => return Err(ServiceError::Engine(e)),
+    };
+    let exhausted = primary.exhausted.map(|m| m.reason);
+    let coverage = primary.coverage;
     let response = Response {
-        value,
+        value: primary.value,
         degraded: false,
         degrade_trigger: None,
         degrade_note: None,
@@ -297,10 +308,8 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
     };
     match (exhausted, coverage) {
         // The exact pass ran out of its deadline share: the reserve
-        // goes to the approximate counterpart.
-        (Some(_), _) if method.is_exact() => {
-            degrade(engine, shared, job, method, DegradeTrigger::Deadline)
-        }
+        // goes to the approximate form.
+        (Some(_), _) if exact => degrade(engine, shared, job, DegradeTrigger::Deadline),
         // Lost shards degrade through the coverage channel: the answer
         // is exact on what survived, so the response is marked degraded
         // and carries the typed report.
@@ -319,100 +328,30 @@ fn execute(engine: &CsjEngine, shared: &Shared, job: &Job) -> Result<Response, S
     }
 }
 
-/// One primary (non-degraded) pass: `(value, exhaustion, coverage)`.
-type Primary = (ResponseValue, Option<ExhaustReason>, Option<Coverage>);
-
-fn run_primary(
-    engine: &CsjEngine,
-    request: &Request,
-    method: CsjMethod,
-    budget: &Budget,
-) -> Result<Primary, EngineError> {
-    match request {
-        Request::Similarity { x, y, .. } => {
-            let s = engine.similarity_with(*x, *y, method)?;
-            Ok((ResponseValue::Similarity(s), None, None))
-        }
-        Request::TopK { x, k } => {
-            let partial = engine.top_k_similar_with_budget(*x, *k, budget)?;
-            Ok((
-                ResponseValue::Ranking(partial.value),
-                partial.exhausted.map(|m| m.reason),
-                partial.coverage,
-            ))
-        }
-        Request::PairsAbove { threshold } => {
-            let partial = engine.pairs_above_with_budget(*threshold, budget, None)?;
-            // The answer is not resumed: keep every pair that survived,
-            // including those past the sweep's cursor.
-            let mut pairs = partial.value.pairs;
-            pairs.extend(partial.value.ahead);
-            pairs.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-            Ok((
-                ResponseValue::Pairs(pairs),
-                partial.exhausted.map(|m| m.reason),
-                partial.coverage,
-            ))
-        }
-    }
-}
-
-/// Serve a degraded request approximately, with whatever deadline is
-/// left: a similarity request runs the primary's
-/// [`approximate_counterpart`](CsjMethod::approximate_counterpart)
+/// Serve a degraded request by the approximate form of its query, with
+/// whatever deadline is left (at least [`MIN_APPROX_SLACK`]): a
+/// similarity request runs the primary's
+/// [`approximate_counterpart`](csj_core::CsjMethod::approximate_counterpart)
 /// (Ap-Hybrid for Ex-SuperEGO: Ap-SuperEGO's `f32` compare loses pairs
-/// at exactly eps); top-k and pairs_above rank by the engine's screen
-/// scores (its `screen_method`). Approximate CSJ never over-counts and
-/// greedy maximal matching reaches at least half the maximum, so the
-/// exact score lies in `[score, 2·score]`.
+/// at exactly eps); top-k and pairs_above answer from the engine's
+/// screen scores (its `screen_method`). Approximate CSJ never
+/// over-counts and greedy maximal matching reaches at least half the
+/// maximum, so the exact score lies in `[score, 2·score]`.
 fn degrade(
     engine: &CsjEngine,
     shared: &Shared,
     job: &Job,
-    method: CsjMethod,
     trigger: DegradeTrigger,
 ) -> Result<Response, ServiceError> {
     shared.obs.on_degraded(trigger);
     let budget = match job.deadline {
         None => Budget::unlimited(),
-        Some(d) => Budget::unlimited().with_deadline(remaining(d)),
+        Some(d) => Budget::unlimited().with_deadline(remaining(d).max(MIN_APPROX_SLACK)),
     };
-    let screen = engine.config().screen_method;
-    let (served_by, value, exhausted) = match &job.request {
-        Request::Similarity { x, y, .. } => {
-            let counterpart = method.approximate_counterpart();
-            let s = engine.similarity_with(*x, *y, counterpart)?;
-            (counterpart, ResponseValue::Similarity(s), None)
-        }
-        Request::TopK { x, k } => {
-            let candidates: Vec<_> = engine.handles().filter(|&h| h != *x).collect();
-            let partial = engine.screen_with_budget(*x, &candidates, &budget)?;
-            // Top-k is not thresholded: rank *every* screened candidate
-            // by its approximate score, not just the shortlist.
-            let mut ranked: Vec<PairScore> = partial
-                .value
-                .shortlisted
-                .iter()
-                .chain(partial.value.rejected.iter())
-                .map(|&(y, similarity)| PairScore {
-                    x: *x,
-                    y,
-                    similarity,
-                })
-                .collect();
-            ranked.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-            ranked.truncate(*k);
-            let exhausted = partial.exhausted.map(|m| m.reason);
-            (screen, ResponseValue::Ranking(ranked), exhausted)
-        }
-        Request::PairsAbove { threshold } => {
-            let partial = engine.pairs_above_approx_with_budget(*threshold, &budget, None)?;
-            let exhausted = partial.exhausted.map(|m| m.reason);
-            (screen, ResponseValue::Pairs(partial.value.pairs), exhausted)
-        }
-    };
+    let partial = engine.query(&job.request, Exactness::Approximate, &budget)?;
+    let served_by = job.request.approximate_method(engine.config());
     Ok(Response {
-        value,
+        value: partial.value,
         degraded: true,
         degrade_trigger: Some(trigger.label()),
         degrade_note: Some(format!(
@@ -423,8 +362,8 @@ fn degrade(
             trigger.label()
         )),
         retries: 0,
-        exhausted,
-        coverage: None,
+        exhausted: partial.exhausted.map(|m| m.reason),
+        coverage: partial.coverage,
     })
 }
 
@@ -432,12 +371,14 @@ fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now())
 }
 
-/// Budget for the primary pass: [`EXACT_FRACTION`] of the remaining
-/// deadline, the rest held in reserve for the approximate counterpart.
-fn primary_budget(deadline: Option<Instant>) -> Budget {
+/// Budget for the primary pass of an `exact` request: [`EXACT_FRACTION`]
+/// of the remaining deadline, the rest held in reserve for the
+/// approximate form. Any other request has no approximate form to fall
+/// back on, so its pass runs unbounded.
+fn primary_budget(deadline: Option<Instant>, exact: bool) -> Budget {
     match deadline {
-        None => Budget::unlimited(),
-        Some(d) => Budget::unlimited().with_deadline(remaining(d).mul_f64(EXACT_FRACTION)),
+        Some(d) if exact => Budget::unlimited().with_deadline(remaining(d).mul_f64(EXACT_FRACTION)),
+        _ => Budget::unlimited(),
     }
 }
 

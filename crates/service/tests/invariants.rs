@@ -103,7 +103,10 @@ fn light_sequential_load_never_sheds() {
                 method: None,
             },
             1 => Request::TopK { x: a, k: 2 },
-            _ => Request::PairsAbove { threshold: 0.2 },
+            _ => Request::PairsAbove {
+                threshold: 0.2,
+                resume: None,
+            },
         };
         let response = service.call(request).expect("light load never fails");
         assert!(!response.degraded);
@@ -317,7 +320,10 @@ fn degraded_multi_pair_notes_name_the_screen_method() {
     );
     for request in [
         Request::TopK { x: a, k: 2 },
-        Request::PairsAbove { threshold: 0.2 },
+        Request::PairsAbove {
+            threshold: 0.2,
+            resume: None,
+        },
     ] {
         let response = service.call(request).expect("degraded, not failed");
         assert!(response.degraded);
@@ -628,15 +634,22 @@ mod chaos {
     /// the sweep's resume cursor (the service does not resume).
     #[test]
     fn pairs_above_keeps_every_surviving_pair_when_a_shard_is_lost() {
-        use csj_engine::{Budget, ShardFaultPlan};
+        use csj_engine::{Answer, Budget, Exactness, Query, ShardFaultPlan};
 
         let kill_first = || ShardFaultPlan::new().kill(0, u32::MAX);
         let mut direct = sharded_engine();
         direct.inject_shard_faults(kill_first());
-        let swept = direct
-            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        let sweep = Query::PairsAbove {
+            threshold: 0.0,
+            resume: None,
+        };
+        let Answer::Pairs(swept) = direct
+            .query(&sweep, Exactness::Exact, &Budget::unlimited())
             .expect("typed, not Err")
-            .into_value();
+            .into_value()
+        else {
+            panic!("a sweep answers with pairs");
+        };
         // The killed task holds the first pair, so nothing precedes the
         // cursor and every survivor lies past it.
         assert!(swept.pairs.is_empty() && swept.cursor.is_some());
@@ -652,7 +665,10 @@ mod chaos {
         engine.inject_shard_faults(kill_first());
         let service = CsjService::start(engine, ServiceConfig::default());
         let response = service
-            .call(Request::PairsAbove { threshold: 0.0 })
+            .call(Request::PairsAbove {
+                threshold: 0.0,
+                resume: None,
+            })
             .expect("answered");
         assert!(response.degraded);
         assert_eq!(response.degrade_trigger, Some("coverage"));
@@ -662,6 +678,71 @@ mod chaos {
         survivors.sort_by_key(key);
         assert_eq!(answer, survivors);
     }
+    /// A top-k whose exact pass runs out of its deadline share degrades
+    /// on `deadline` with budget left: one candidate stalls its screen
+    /// past the share, and the approximate pass serves the screens the
+    /// exact pass cached. The answer is a non-empty ranking of sound
+    /// lower bounds.
+    #[test]
+    fn degraded_top_k_is_a_sound_non_empty_ranking() {
+        let deadline = Duration::from_millis(200);
+        let (mut engine, a, n, f) = engine_with_three();
+        // Past the exact pass's 60% share, inside the deadline.
+        engine.inject_faults(FaultPlan::new().slow_on(f.0, Duration::from_millis(150)));
+        let service = CsjService::start(
+            engine,
+            ServiceConfig {
+                default_deadline: Some(deadline),
+                ..ServiceConfig::default()
+            },
+        );
+        let response = service
+            .call(Request::TopK { x: a, k: 2 })
+            .expect("degraded, not failed");
+        assert!(response.degraded);
+        assert_eq!(response.degrade_trigger, Some("deadline"));
+        let ranking = response.value.pairs().expect("a ranking");
+        assert!(!ranking.is_empty(), "the cached screens answer");
+        assert!(ranking.iter().any(|p| p.y == n));
+        for p in &ranking {
+            let exact = service.engine().similarity(p.x, p.y).unwrap();
+            let (ap, ex) = (p.similarity.ratio(), exact.ratio());
+            assert!(ap <= ex + 1e-9 && ex <= 2.0 * ap + 1e-9, "{ap} vs {ex}");
+        }
+    }
+
+    /// A degraded multi-pair answer keeps the coverage of the pass that
+    /// produced it: with a shard killed, the approximate pass reports
+    /// the loss on the response and on the request trace.
+    #[test]
+    fn degraded_answer_keeps_its_partial_coverage() {
+        use csj_engine::ShardFaultPlan;
+
+        let mut engine = sharded_engine();
+        engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
+        let anchor = engine.find("c5").expect("registered");
+        let service = CsjService::start(
+            engine,
+            ServiceConfig {
+                // No slack for an exact pass: degrade at once.
+                default_deadline: Some(Duration::ZERO),
+                ..ServiceConfig::default()
+            },
+        );
+        let response = service
+            .call(Request::TopK { x: anchor, k: 3 })
+            .expect("degraded, not failed");
+        assert_eq!(response.degrade_trigger, Some("deadline"));
+        let cov = response.coverage.expect("the approximate pass's coverage");
+        assert!(cov.identity_holds() && cov.is_partial(), "{cov}");
+        assert_eq!(cov.failed, 1, "the killed shard: {cov}");
+        let trace = service.service_traces(1).pop().expect("request traced");
+        assert_eq!(
+            trace.root.get_attr("shards_failed"),
+            Some(&csj_obs::AttrValue::U64(1))
+        );
+    }
+
     /// Shard faults through the service: shard 0 of every multi-pair
     /// request is killed, stalled past the deadline, or panics. Read
     /// from the service's metrics, every dispatched shard is counted
@@ -703,7 +784,10 @@ mod chaos {
             );
             for request in [
                 Request::TopK { x: anchor, k: 3 },
-                Request::PairsAbove { threshold: 0.0 },
+                Request::PairsAbove {
+                    threshold: 0.0,
+                    resume: None,
+                },
             ] {
                 let response = service.call(request);
                 assert!(

@@ -38,20 +38,27 @@ fn main() {
     // first: the sweep degrades gracefully and hands back a resume
     // cursor instead of erroring.
     let budget = Budget::unlimited().with_max_joins(4);
+    let sweep = Query::PairsAbove {
+        threshold: 0.10,
+        resume: None,
+    };
     let partial = engine
-        .pairs_above_with_budget(0.10, &budget, None)
+        .query(&sweep, Exactness::Exact, &budget)
         .expect("budgeted sweeps degrade, they do not error");
+    let Answer::Pairs(swept) = &partial.value else {
+        unreachable!("a sweep answers with pairs")
+    };
     println!("== Budgeted sweep (at most 4 joins) ==");
     match partial.exhausted {
         Some(marker) => println!(
             "  scored {} pairs, stopped by {} with {} pairs left (resumable)",
-            partial.value.pairs.len(),
+            swept.pairs.len(),
             marker.reason,
             marker.pairs_skipped
         ),
         None => println!(
             "  scored {} pairs, budget never exhausted",
-            partial.value.pairs.len()
+            swept.pairs.len()
         ),
     }
 

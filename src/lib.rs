@@ -52,8 +52,8 @@ pub mod prelude {
     pub use csj_data::vklike::{VkLikeConfig, VkLikeGenerator};
     pub use csj_data::Category;
     pub use csj_engine::{
-        Budget, CommunityHandle, CsjEngine, EngineConfig, EngineError, ExhaustReason, PairScore,
-        Partial,
+        Answer, Budget, CommunityHandle, CsjEngine, EngineConfig, EngineError, Exactness,
+        ExhaustReason, PairScore, Partial, Query,
     };
 }
 
